@@ -26,12 +26,9 @@ from clawsplit.recognition import (
 )
 from clawsplit.encoding import MonotonicSeq, alpha_seq, encode, extend, zero_seq
 from clawsplit.solver import (
-    CrossingFamily,
     DPState,
-    DPTable,
     GroupingInfo,
     SolveResult,
-    check_transition,
     compute_groups,
     crossing_family,
     solve,
@@ -74,12 +71,9 @@ __all__ = [
     "encode",
     "extend",
     "zero_seq",
-    "CrossingFamily",
     "DPState",
-    "DPTable",
     "GroupingInfo",
     "SolveResult",
-    "check_transition",
     "compute_groups",
     "crossing_family",
     "solve",

@@ -66,7 +66,8 @@ def _profile(intervals: Sequence[Interval], s: int, v: int) -> list[int]:
     prev = 0
     for i in range(s - 1, -1, -1):
         alpha = _max_disjoint_meeting(intervals, i, s)
-        assert prev <= alpha <= prev + 1, "windowed independence moved by more than one"
+        if not prev <= alpha <= prev + 1:
+            raise AssertionError("windowed independence moved by more than one")
         if alpha > v + 1:
             break
         if alpha == prev + 1:

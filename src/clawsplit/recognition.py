@@ -26,6 +26,7 @@ from clawsplit.intervals import (
     Interval,
     IntervalFamily,
     PartitionAssignment,
+    dedup,
     expand_assignment,
 )
 
@@ -187,9 +188,11 @@ def maximal_cliques(S: IntervalFamily) -> CliqueArrangement:
     ranges = []
     for i in range(n):
         a, b = first[i], last[i]
-        assert a >= 1, f"vertex {i} missed by every maximal clique"
+        if a < 1:
+            raise AssertionError(f"vertex {i} missed by every maximal clique")
         span = sum(1 for clique in cliques if i in clique)
-        assert span == b - a + 1, f"vertex {i} has non-consecutive clique membership"
+        if span != b - a + 1:
+            raise AssertionError(f"vertex {i} has non-consecutive clique membership")
         ranges.append((a, b))
     return CliqueArrangement(tuple(cliques), tuple(ranges))
 
@@ -225,33 +228,27 @@ def vertebrate_representation(S: IntervalFamily) -> VertebrateRep:
     m = len(arrangement.cliques)
     if sweep.m_sweep != m:
         raise InvertebrateError(sweep.m_sweep, m)
-    converted = [Interval(a - 1, b) for a, b in arrangement.vertex_range]
-    index_of: dict[Interval, int] = {}
-    distinct: list[Interval] = []
+    family, rep_of = dedup(
+        IntervalFamily(tuple(Interval(a - 1, b) for a, b in arrangement.vertex_range))
+    )
+    # dedup numbers the distinct intervals in order of first occurrence.
     origin: list[int] = []
-    rep_of: list[int] = []
-    counts: dict[Interval, int] = {}
-    for vertex, iv in enumerate(converted):
-        pos = index_of.get(iv)
-        if pos is None:
-            pos = len(distinct)
-            index_of[iv] = pos
-            distinct.append(iv)
+    for vertex, pos in enumerate(rep_of):
+        if pos == len(origin):
             origin.append(vertex)
-        counts[iv] = counts.get(iv, 0) + 1
-        rep_of.append(pos)
+    index_of = {iv: pos for pos, iv in enumerate(family)}
     backbone = []
     for i in range(1, m + 1):
         unit = Interval(i - 1, i)
         pos = index_of.get(unit)
-        assert pos is not None, f"backbone unit {unit} missing from a vertebrate family"
+        if pos is None:
+            raise AssertionError(f"backbone unit {unit} missing from a vertebrate family")
         backbone.append(pos)
-    family = IntervalFamily(tuple(distinct), multiplicity=counts)
     return VertebrateRep(
         family=family,
         m=m,
         backbone=tuple(backbone),
         origin_map=tuple(origin),
-        rep_of=tuple(rep_of),
+        rep_of=rep_of,
         source=S,
     )

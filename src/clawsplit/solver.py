@@ -20,10 +20,16 @@ settled on the side they were committed to.  The checks are exactly:
   * members settled this hop obey the split star count: leaves left of s_prev
     are counted through the predecessor profile, leaves right of it directly,
 
-after which the profiles advance by extend.  Members are grouped by chains of
-significant overlap (intersection length >= 2v + 1); a feasible split never
-separates a group, so crossing members are assigned group-wise, which keeps
-every stage's state count within (s + 2)^(2(v+1)) * 2^(2v^2+v).
+after which the profiles advance by extend.  The transition is written once,
+in _advance, which takes one predecessor state across a segment and adds its
+successors to the stage at s.  What depends on the segment alone (its short
+and long members, the crossing members, the groups to assign) is built once
+per segment pair by _segment and shared by every state that crosses it.
+
+Members are grouped by chains of significant overlap (intersection length
+>= 2v + 1); a feasible split never separates a group, so crossing members are
+assigned group-wise, which keeps every stage's state count within
+(s + 2)^(2(v+1)) * 2^(2v^2+v).
 
 The accepting condition is reaching any state at s = m.  Witnesses are read
 back through stored back-pointers, expanded to the input vertices through the
@@ -64,14 +70,6 @@ class GroupingInfo:
 
 
 @dataclass(frozen=True)
-class CrossingFamily:
-    """Member indices whose interval properly contains the anchor point s."""
-
-    s: int
-    indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class DPState:
     """One reachable profile-and-commitment combination at anchor s.
 
@@ -95,16 +93,6 @@ class DPState:
 
 
 @dataclass
-class DPTable:
-    """Per-anchor maps from state key to the first DPState reaching it."""
-
-    stages: list[dict[tuple, DPState]]
-
-    def state_counts(self) -> tuple[int, ...]:
-        return tuple(len(stage) for stage in self.stages)
-
-
-@dataclass
 class SolveResult:
     """Decision plus witness and solver telemetry.
 
@@ -118,7 +106,6 @@ class SolveResult:
     rep_assignment: PartitionAssignment | None
     stage_state_counts: tuple[int, ...]
     elapsed_s: float
-    table: DPTable = field(repr=False, default=None)
 
 
 def compute_groups(S: IntervalFamily, v: int) -> GroupingInfo:
@@ -175,7 +162,10 @@ def compute_groups(S: IntervalFamily, v: int) -> GroupingInfo:
         bound = 2 * v * v + v
         lo = min(iv.lo for iv in ivs)
         hi = max(iv.hi for iv in ivs)
-        for x in range(lo + 1, hi):
+        # The members containing x change only at endpoints, so the points
+        # e and e + 1 of every endpoint e see each distinct set of them.
+        points = sorted({x for iv in ivs for e in iv for x in (e, e + 1) if lo < x < hi})
+        for x in points:
             present = {group_of[i] for i in range(n) if ivs[i].lo < x < ivs[i].hi}
             if len(present) > bound:
                 raise AssertionError(
@@ -184,12 +174,11 @@ def compute_groups(S: IntervalFamily, v: int) -> GroupingInfo:
     return GroupingInfo(v, tuple(group_of), tuple(tuple(g) for g in members))
 
 
-def crossing_family(rep: VertebrateRep, s: int) -> CrossingFamily:
-    """Representation members properly containing the anchor point s."""
+def crossing_family(rep: VertebrateRep, s: int) -> tuple[int, ...]:
+    """Indices of the representation members properly containing the point s."""
     if not 0 <= s <= rep.m:
         raise ValueError(f"anchor {s} outside [0, {rep.m}]")
-    indices = tuple(i for i, iv in enumerate(rep.family) if iv.lo < s < iv.hi)
-    return CrossingFamily(s, indices)
+    return tuple(i for i, iv in enumerate(rep.family) if iv.lo < s < iv.hi)
 
 
 def verify_partition(J: IntervalFamily, assignment: PartitionAssignment, v: int) -> bool:
@@ -210,23 +199,76 @@ def verify_partition(J: IntervalFamily, assignment: PartitionAssignment, v: int)
     return True
 
 
-def _segment_split(
-    ivs: Sequence[Interval], s_prev: int, s: int, v: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Indices of members inside (s_prev, s), split into short and long."""
-    short: list[int] = []
-    long: list[int] = []
+@dataclass(frozen=True)
+class _Segment:
+    """The part of a hop across (s_prev, s] that no predecessor state changes.
+
+    short_idx and long_idx are the members inside (s_prev, s) of length at
+    most v and longer than v, also held as families.  crossing holds the
+    members crossing s; shared, those crossing s_prev too; pool, those
+    crossing s_prev that stop before s and so settle at this hop.  gids are
+    the groups of the crossing members and members_of lists each one's
+    members.  long_meet_cache memoises, per right end b, how many disjoint
+    long members meet (s_prev, b).
+    """
+
+    ivs: Sequence[Interval]
+    group_of: Sequence[int]
+    v: int
+    s_prev: int
+    s: int
+    short_idx: tuple[int, ...]
+    long_idx: tuple[int, ...]
+    short_fam: IntervalFamily
+    long_fam: IntervalFamily
+    crossing: frozenset[int]
+    shared: frozenset[int]
+    pool: frozenset[int]
+    gids: tuple[int, ...]
+    members_of: dict[int, tuple[int, ...]]
+    long_meet_cache: dict[int, int] = field(default_factory=dict)
+
+
+def _segment(
+    ivs: Sequence[Interval],
+    group_of: Sequence[int],
+    crossing: Sequence[frozenset[int]],
+    s_prev: int,
+    s: int,
+    v: int,
+) -> _Segment | None:
+    """The record of the segment (s_prev, s], or None if no state can cross it.
+
+    crossing[t] is the set of members crossing anchor t.  No candidate can
+    pass if the long segment members already center an overfull star among
+    themselves, so such a segment yields None.
+    """
+    short_idx: list[int] = []
+    long_idx: list[int] = []
     for i, iv in enumerate(ivs):
         if iv.lo >= s_prev and iv.hi <= s:
-            (short if iv.length <= v else long).append(i)
-    return tuple(short), tuple(long)
-
-
-def _agrees_on_shared(
-    A: frozenset[int], A_prime: frozenset[int], shared: frozenset[int]
-) -> bool:
-    """Members crossing both anchors must keep the side already committed."""
-    return all((i in A) == (i in A_prime) for i in shared)
+            (short_idx if iv.length <= v else long_idx).append(i)
+    long_fam = IntervalFamily(tuple(ivs[i] for i in long_idx))
+    if not mid_relation(long_fam, long_fam, v):
+        return None
+    K_set = crossing[s]
+    gids = tuple(sorted({group_of[i] for i in K_set}))
+    return _Segment(
+        ivs=ivs,
+        group_of=group_of,
+        v=v,
+        s_prev=s_prev,
+        s=s,
+        short_idx=tuple(short_idx),
+        long_idx=tuple(long_idx),
+        short_fam=IntervalFamily(tuple(ivs[i] for i in short_idx)),
+        long_fam=long_fam,
+        crossing=K_set,
+        shared=crossing[s_prev] & K_set,
+        pool=crossing[s_prev] - K_set,
+        gids=gids,
+        members_of={g: tuple(sorted(i for i in K_set if group_of[i] == g)) for g in gids},
+    )
 
 
 def _star_bound_ok(
@@ -262,84 +304,90 @@ def _settled_ok(
     return True
 
 
-def check_transition(
-    state_prev: DPState,
-    candidate: tuple[int, frozenset[int], frozenset[int]],
-    rep: VertebrateRep,
-    v: int,
-    grouping: GroupingInfo,
-) -> tuple[MonotonicSeq, MonotonicSeq] | None:
-    """Try to advance a state across one segment.
+def _advance(st: DPState, seg: _Segment, stage: dict[tuple, DPState]) -> None:
+    """The DP transition: take one state at seg.s_prev across seg into stage.
 
-    Args:
-        state_prev: stored state at some anchor s_prev.
-        candidate: (s, A, B) where A and B partition the indices crossing s
-            into first-part and second-part sides.
-        rep: the representation being partitioned.
-        v: claw bound.
-        grouping: significant-overlap groups of rep.family.
-
-    Returns:
-        The extended profile pair for the new state at s, or None when the
-        candidate fails a feasibility condition (a normal outcome).  The
-        predecessor is read with its coordinates swapped, since the backbone
-        run (s_prev, s] puts the unit (s - 1, s) on the opposite part from
-        (s_prev - 1, s_prev).
+    The predecessor is read with its coordinates swapped, since the backbone
+    run (s_prev, s] puts the unit (s - 1, s) on the opposite part from
+    (s_prev - 1, s_prev).  Candidates give whole crossing groups to a side:
+    a group holding a member that also crosses s_prev keeps that member's
+    committed side, and the free groups try both.  Each candidate that passes
+    every check becomes a DPState in stage under its key, unless a state
+    already holds that key; the first state to reach a key is the one kept.
     """
-    s, A, B = candidate
-    A = frozenset(A)
-    B = frozenset(B)
-    s_prev = state_prev.s
-    if not s_prev < s <= rep.m:
-        raise ValueError(f"segment ({s_prev}, {s}] invalid for m={rep.m}")
-    ivs = rep.family.intervals
-    K_s = frozenset(crossing_family(rep, s).indices)
-    if A | B != K_s or A & B:
-        raise ValueError("candidate sides do not partition the crossing members")
+    ivs, v, s_prev = seg.ivs, seg.v, seg.s_prev
+    p_prime, q_prime = st.q, st.p
+    A_prime, B_prime = st.second_crossing, st.first_crossing
+    settled_first = tuple(sorted(A_prime & seg.pool))
+    settled_second = tuple(sorted(B_prime & seg.pool))
 
-    # A feasible split never separates a significant-overlap group, so
-    # group-splitting candidates are rejected outright.
-    side_of_group: dict[int, bool] = {}
-    for i in K_s:
-        g = grouping.group_of[i]
-        want = i in A
-        if side_of_group.setdefault(g, want) != want:
-            return None
+    # Candidate-independent lower bounds: the backbone units give the first
+    # side at least b - s_prev leaves right of s_prev, the long members give
+    # the second side at least their own disjoint count there.
+    for i in settled_first:
+        a, b = ivs[i]
+        if alpha_seq(p_prime, a) + (b - s_prev) > v:
+            return
+    for i in settled_second:
+        a, b = ivs[i]
+        floor = seg.long_meet_cache.get(b)
+        if floor is None:
+            floor = _max_disjoint_meeting(seg.long_fam.intervals, s_prev, b)
+            seg.long_meet_cache[b] = floor
+        if alpha_seq(q_prime, a) + floor > v:
+            return
 
-    p_prime, q_prime = state_prev.q, state_prev.p
-    A_prime, B_prime = state_prev.second_crossing, state_prev.first_crossing
-
-    K_prev = frozenset(crossing_family(rep, s_prev).indices)
-    shared = K_prev & K_s
-    if not _agrees_on_shared(A, A_prime, shared):
-        return None
-
-    short_idx, long_idx = _segment_split(ivs, s_prev, s, v)
-    settled_first = tuple(sorted(A_prime - K_s))
-    settled_second = tuple(sorted(B_prime - K_s))
-
-    if not _star_bound_ok(ivs, short_idx, set(short_idx) | A_prime | A, v):
-        return None
-    if not _star_bound_ok(ivs, long_idx, set(long_idx) | B_prime | B, v):
-        return None
-
-    first_new = [ivs[i] for i in short_idx] + [ivs[i] for i in sorted(A - shared)]
-    second_new = [ivs[i] for i in long_idx] + [ivs[i] for i in sorted(B - shared)]
-    if not _settled_ok(ivs, settled_first, p_prime, first_new, s_prev, v):
-        return None
-    if not _settled_ok(ivs, settled_second, q_prime, second_new, s_prev, v):
-        return None
-
-    return extend(
+    p_new, q_new = extend(
         p_prime,
         q_prime,
         IntervalFamily(tuple(ivs[i] for i in settled_second)),
-        IntervalFamily(tuple(ivs[i] for i in short_idx)),
-        IntervalFamily(tuple(ivs[i] for i in long_idx)),
+        seg.short_fam,
+        seg.long_fam,
         s_prev,
-        s,
+        seg.s,
         v,
     )
+
+    forced: dict[int, bool] = {}
+    for i in seg.shared:
+        want_first = i in A_prime
+        if forced.setdefault(seg.group_of[i], want_first) != want_first:
+            return
+    free = [g for g in seg.gids if g not in forced]
+    forced_first = [
+        i for g, to_first in forced.items() if to_first for i in seg.members_of[g]
+    ]
+
+    for mask in range(1 << len(free)):
+        first_idx = list(forced_first)
+        for bit, g in enumerate(free):
+            if not (mask >> bit) & 1:
+                first_idx.extend(seg.members_of[g])
+        A = frozenset(first_idx)
+        key = (p_new.r, q_new.r, A)
+        if key in stage:
+            continue
+        B = seg.crossing - A
+        first_new = [*seg.short_fam.intervals, *(ivs[i] for i in sorted(A - seg.shared))]
+        second_new = [*seg.long_fam.intervals, *(ivs[i] for i in sorted(B - seg.shared))]
+        if not _settled_ok(ivs, settled_first, p_prime, first_new, s_prev, v):
+            continue
+        if not _settled_ok(ivs, settled_second, q_prime, second_new, s_prev, v):
+            continue
+        if not _star_bound_ok(ivs, seg.long_idx, set(seg.long_idx) | B_prime | B, v):
+            continue
+        if not _star_bound_ok(ivs, seg.short_idx, set(seg.short_idx) | A_prime | A, v):
+            continue
+        stage[key] = DPState(
+            seg.s,
+            p_new,
+            q_new,
+            A,
+            B,
+            prev=st,
+            to_first=seg.short_idx + settled_first,
+            to_second=seg.long_idx + settled_second,
+        )
 
 
 def _scan_key(st: DPState) -> tuple:
@@ -361,140 +409,39 @@ def solve(rep: VertebrateRep, v: int) -> SolveResult:
     start = time.perf_counter()
     if v < 1:
         raise ValueError(f"claw bound v={v}: need v >= 1")
-    fam = rep.family
-    ivs = fam.intervals
+    ivs = rep.family.intervals
     m = rep.m
-    grouping = compute_groups(fam, v)
-    group_of = grouping.group_of
-    crossing_sets = [frozenset(crossing_family(rep, s).indices) for s in range(m + 1)]
+    group_of = compute_groups(rep.family, v).group_of
+    crossing = [frozenset(crossing_family(rep, s)) for s in range(m + 1)]
 
     zero = zero_seq(v)
     base = DPState(0, zero, zero, frozenset(), frozenset())
-    table = DPTable([{} for _ in range(m + 1)])
-    table.stages[0][base.key()] = base
+    stage: dict[tuple, DPState] = {base.key(): base}
+    # Each finished stage, sorted once into scan order for the later anchors.
+    scans: list[list[DPState]] = [[base]]
     state_cap_exp = 2 * (v + 1)
     group_cap = 1 << (2 * v * v + v)
 
     for s in range(1, m + 1):
-        K_set = crossing_sets[s]
-        gids = sorted({group_of[i] for i in K_set})
-        members_of = {g: tuple(sorted(i for i in K_set if group_of[i] == g)) for g in gids}
-        stage = table.stages[s]
+        stage = {}
         for s_prev in range(s):
-            if not table.stages[s_prev]:
+            if not scans[s_prev]:
                 continue
-            short_idx, long_idx = _segment_split(ivs, s_prev, s, v)
-            short_ivs = [ivs[i] for i in short_idx]
-            long_ivs = [ivs[i] for i in long_idx]
-            long_fam = IntervalFamily(tuple(long_ivs))
-            # No candidate can pass if the long segment members already
-            # center an overfull star among themselves.
-            if not mid_relation(long_fam, long_fam, v):
+            seg = _segment(ivs, group_of, crossing, s_prev, s, v)
+            if seg is None:
                 continue
-            short_fam = IntervalFamily(tuple(short_ivs))
-            K_prev = crossing_sets[s_prev]
-            shared = K_prev & K_set
-            pool = K_prev - K_set
-            long_meet_cache: dict[int, int] = {}
-
-            for st in sorted(table.stages[s_prev].values(), key=_scan_key):
-                p_prime, q_prime = st.q, st.p
-                A_prime, B_prime = st.second_crossing, st.first_crossing
-                settled_first = tuple(sorted(A_prime & pool))
-                settled_second = tuple(sorted(B_prime & pool))
-
-                # Candidate-independent lower bounds: the backbone units give
-                # the first side at least b - s_prev leaves right of s_prev,
-                # the long members give the second side at least their own
-                # disjoint count there.
-                dead = False
-                for i in settled_first:
-                    a, b = ivs[i]
-                    if alpha_seq(p_prime, a) + (b - s_prev) > v:
-                        dead = True
-                        break
-                if dead:
-                    continue
-                for i in settled_second:
-                    a, b = ivs[i]
-                    floor = long_meet_cache.get(b)
-                    if floor is None:
-                        floor = _max_disjoint_meeting(long_ivs, s_prev, b)
-                        long_meet_cache[b] = floor
-                    if alpha_seq(q_prime, a) + floor > v:
-                        dead = True
-                        break
-                if dead:
-                    continue
-
-                p_new, q_new = extend(
-                    p_prime,
-                    q_prime,
-                    IntervalFamily(tuple(ivs[i] for i in settled_second)),
-                    short_fam,
-                    long_fam,
-                    s_prev,
-                    s,
-                    v,
-                )
-
-                forced: dict[int, bool] = {}
-                conflict = False
-                for i in shared:
-                    want_first = i in A_prime
-                    if forced.setdefault(group_of[i], want_first) != want_first:
-                        conflict = True
-                        break
-                if conflict:
-                    continue
-                free = [g for g in gids if g not in forced]
-                forced_first = [
-                    i for g, to_first in forced.items() if to_first for i in members_of[g]
-                ]
-
-                for mask in range(1 << len(free)):
-                    first_idx = list(forced_first)
-                    for bit, g in enumerate(free):
-                        if not (mask >> bit) & 1:
-                            first_idx.extend(members_of[g])
-                    A = frozenset(first_idx)
-                    key = (p_new.r, q_new.r, A)
-                    if key in stage:
-                        continue
-                    B = K_set - A
-                    first_new = short_ivs + [ivs[i] for i in sorted(A - shared)]
-                    second_new = long_ivs + [ivs[i] for i in sorted(B - shared)]
-                    if not _settled_ok(ivs, settled_first, p_prime, first_new, s_prev, v):
-                        continue
-                    if not _settled_ok(ivs, settled_second, q_prime, second_new, s_prev, v):
-                        continue
-                    if not _star_bound_ok(ivs, long_idx, set(long_idx) | B_prime | B, v):
-                        continue
-                    if not _star_bound_ok(ivs, short_idx, set(short_idx) | A_prime | A, v):
-                        continue
-                    stage[key] = DPState(
-                        s,
-                        p_new,
-                        q_new,
-                        A,
-                        B,
-                        prev=st,
-                        to_first=short_idx + settled_first,
-                        to_second=long_idx + settled_second,
-                    )
-
+            for st in scans[s_prev]:
+                _advance(st, seg, stage)
         cap = (s + 2) ** state_cap_exp * group_cap
         if len(stage) > cap:
             raise AssertionError(f"stage {s} holds {len(stage)} states, cap {cap}")
+        scans.append(sorted(stage.values(), key=_scan_key))
 
-    counts = table.state_counts()
-    accepting: DPState | None = None
-    if m == 0:
-        accepting = base
-    elif table.stages[m]:
-        accepting = next(iter(table.stages[m].values()))
+    counts = tuple(len(states) for states in scans)
+    # The witness is read back from the first state to reach anchor m.
+    accepting = next(iter(stage.values()), None)
     if accepting is None:
-        return SolveResult(False, None, None, counts, time.perf_counter() - start, table)
+        return SolveResult(False, None, None, counts, time.perf_counter() - start)
 
     sides: list[Side | None] = [None] * len(ivs)
     st: DPState | None = accepting
@@ -506,10 +453,11 @@ def solve(rep: VertebrateRep, v: int) -> SolveResult:
             sides[i] = first_label.other()
         first_label = first_label.other()
         st = st.prev
-    assert all(side is not None for side in sides), "witness walk missed a member"
+    if not all(side is not None for side in sides):
+        raise AssertionError("witness walk missed a member")
 
     rep_assignment = PartitionAssignment(tuple(sides))
     assignment = rep.expand(rep_assignment)
     if not verify_partition(rep.source, assignment, v):
         raise AssertionError("reconstructed witness failed re-verification")
-    return SolveResult(True, assignment, rep_assignment, counts, time.perf_counter() - start, table)
+    return SolveResult(True, assignment, rep_assignment, counts, time.perf_counter() - start)

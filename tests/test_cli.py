@@ -2,11 +2,12 @@
 
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from clawsplit import PartitionAssignment, Side, verify_partition
+from clawsplit import PartitionAssignment, Side, cli, solver, verify_partition
 from clawsplit.cli import main, parse_instance_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -60,6 +61,31 @@ def test_missing_file_is_a_structured_error(tmp_path, capsys):
     code, lines = run(capsys, "check", str(tmp_path / "nope.txt"))
     assert code == 2
     assert "cannot read" in " ".join(field(lines, "error"))
+
+
+def test_directory_is_a_structured_error(tmp_path, capsys):
+    code, lines = run(capsys, "check", str(tmp_path))
+    assert code == 2
+    assert " ".join(field(lines, "error")).startswith(f"cannot read {tmp_path}:")
+
+
+def test_non_utf8_file_is_a_structured_error(tmp_path, capsys):
+    f = tmp_path / "bytes.txt"
+    f.write_bytes(b"\xff 0 1\n")
+    code, lines = run(capsys, "check", str(f))
+    assert code == 2
+    assert " ".join(field(lines, "error")).startswith(f"cannot read {f}:")
+
+
+def test_internal_failure_is_an_error_not_a_no(capsys, monkeypatch):
+    def broken(rep, v):
+        raise KeyError("lost state")
+
+    monkeypatch.setattr(cli, "solve", broken)
+    code, lines = run(capsys, "partition", str(FIXTURES / "dense-grid.txt"), "--v", "1")
+    assert code == 2
+    assert field(lines, "error")[:2] == ["internal", "KeyError:"]
+    assert fields(lines, "decision") == []
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -183,6 +209,22 @@ def test_partition_omits_witness_without_the_flag(capsys):
     assert float(field(lines, "timing_recognition_s")[0]) >= 0
 
 
+def test_partition_unverified_witness_is_never_printed(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "verify_partition", lambda J, assignment, v: False)
+    code, lines = run(
+        capsys, "partition", str(FIXTURES / "path3.txt"), "--v", "1", "--witness"
+    )
+    assert code == 2
+    assert field(lines, "error")[:2] == ["internal", "AssertionError:"]
+    assert fields(lines, "witness") == []
+
+
+def test_partition_has_no_workers_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", str(FIXTURES / "path3.txt"), "--v", "1", "--workers", "2"])
+    assert exc.value.code == 2
+
+
 def test_partition_dense_grid_no(capsys):
     code, lines = run(
         capsys, "partition", str(FIXTURES / "dense-grid.txt"), "--v", "1", "--witness"
@@ -245,6 +287,16 @@ def test_oracle_workers_flag(capsys):
     code, lines = run(
         capsys, "oracle", str(FIXTURES / "star4.txt"), "--v", "1", "--workers", "2"
     )
+    assert code == 0
+    assert field(lines, "decision") == ["yes"]
+
+
+def test_oracle_answers_a_huge_span_quickly(tmp_path, capsys):
+    f = tmp_path / "wide.txt"
+    f.write_text("0 1\n0 99999999999\n")
+    start = time.perf_counter()
+    code, lines = run(capsys, "oracle", str(f), "--v", "1")
+    assert time.perf_counter() - start < 1.0
     assert code == 0
     assert field(lines, "decision") == ["yes"]
 

@@ -161,6 +161,12 @@ def test_representation_invariants_randomized():
             Interval(i - 1, i) for i in range(1, m + 1)
         }
         assert len(set(rep.family.intervals)) == len(rep.family)
+        # multiplicity counts the input vertices each member stands for, and
+        # origin_map names the first of them
+        assert rep.family.multiplicity == {
+            iv: rep.rep_of.count(k) for k, iv in enumerate(rep.family)
+        }
+        assert rep.origin_map == tuple(rep.rep_of.index(k) for k in range(len(rep.family)))
         # same graph: adjacency under rep_of equals the input's adjacency
         got = adjacency(rep.family, rep.rep_of)
         want = adjacency(S, tuple(range(len(S))))

@@ -1,6 +1,7 @@
 """The dynamic program: groups, transitions, full decisions, witnesses."""
 
 import random
+import time
 
 import pytest
 
@@ -11,7 +12,6 @@ from clawsplit import (
     IntervalFamily,
     PartitionAssignment,
     Side,
-    check_transition,
     compute_groups,
     crossing_family,
     generate,
@@ -22,6 +22,7 @@ from clawsplit import (
     verify_partition,
     zero_seq,
 )
+from clawsplit.solver import _advance, _segment
 
 PATH3_REP = vertebrate_representation(IntervalFamily.from_pairs([(0, 2), (1, 3), (2, 4)]))
 DENSE = IntervalFamily.from_pairs(
@@ -63,16 +64,38 @@ def test_compute_groups_is_transitive_closure():
     assert len(g.groups) == 1
 
 
+def test_compute_groups_time_does_not_grow_with_the_span():
+    start = time.perf_counter()
+    g = compute_groups(fam((0, 1), (0, 99999999999)), 1)
+    assert time.perf_counter() - start < 0.5
+    assert len(g.groups) == 2
+
+
 def test_compute_groups_rejects_duplicates():
     with pytest.raises(ValueError):
         compute_groups(fam((0, 3), (0, 3)), 1)
 
 
+def hop(rep, v, st, s):
+    """Successors of st at anchor s, by committed first side, via the DP's transition."""
+    crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
+    group_of = compute_groups(rep.family, v).group_of
+    seg = _segment(rep.family.intervals, group_of, crossing, st.s, s, v)
+    stage = {}
+    if seg is not None:
+        _advance(st, seg, stage)
+    return {state.first_crossing: state for state in stage.values()}
+
+
+def base_state(v):
+    return DPState(0, zero_seq(v), zero_seq(v), frozenset(), frozenset())
+
+
 def test_crossing_family():
     rep = PATH3_REP
-    assert crossing_family(rep, 0).indices == ()
-    assert crossing_family(rep, rep.m).indices == ()
-    assert crossing_family(rep, 1).indices == (1,)  # only (0,2) spans the point
+    assert crossing_family(rep, 0) == ()
+    assert crossing_family(rep, rep.m) == ()
+    assert crossing_family(rep, 1) == (1,)  # only (0,2) spans the point
 
 def test_crossing_family_range_check():
     with pytest.raises(ValueError):
@@ -81,13 +104,11 @@ def test_crossing_family_range_check():
 
 def test_check_transition_single_unit():
     rep = vertebrate_representation(fam((0, 5)))
-    base = DPState(0, zero_seq(1), zero_seq(1), frozenset(), frozenset())
-    grouping = compute_groups(rep.family, 1)
-    out = check_transition(base, (1, frozenset(), frozenset()), rep, 1, grouping)
-    assert out is not None
-    p, q = out
-    assert p.r == (1, 0, -1, -1)
-    assert q.r == (1, -1, -1, -1)
+    out = hop(rep, 1, base_state(1), 1)
+    assert set(out) == {frozenset()}
+    st = out[frozenset()]
+    assert st.p.r == (1, 0, -1, -1)
+    assert st.q.r == (1, -1, -1, -1)
 
 
 def test_check_transition_rejects_side_disagreement():
@@ -95,17 +116,16 @@ def test_check_transition_rejects_side_disagreement():
     rep = vertebrate_representation(
         fam((0, 1), (1, 2), (2, 3), (0, 3))  # member 3 spans everything
     )
-    grouping = compute_groups(rep.family, 1)
-    base = DPState(0, zero_seq(1), zero_seq(1), frozenset(), frozenset())
-    first = check_transition(base, (1, frozenset({3}), frozenset()), rep, 1, grouping)
-    assert first is not None
-    st1 = DPState(1, first[0], first[1], frozenset({3}), frozenset())
+    first = hop(rep, 1, base_state(1), 1)
+    assert frozenset({3}) in first
+    st1 = first[frozenset({3})]
+    assert st1.second_crossing == frozenset()
     # crossing member 3 was committed to the first part; condition 2 under the
     # part swap forces it into the SECOND coordinate at the next anchor
-    keep = check_transition(st1, (2, frozenset(), frozenset({3})), rep, 1, grouping)
-    flip = check_transition(st1, (2, frozenset({3}), frozenset()), rep, 1, grouping)
-    assert keep is not None
-    assert flip is None
+    out = hop(rep, 1, st1, 2)
+    keep, flip = frozenset(), frozenset({3})
+    assert keep in out and out[keep].second_crossing == frozenset({3})
+    assert flip not in out
 
 
 def test_check_transition_rejects_overfull_star_side():
@@ -113,16 +133,12 @@ def test_check_transition_rejects_overfull_star_side():
     centered = fam((0, 1), (1, 2), (2, 3), (0, 3))
     assert not mid_relation(centered, centered, 1)
     rep = vertebrate_representation(centered)
-    grouping = compute_groups(rep.family, 2)
-    base = DPState(0, zero_seq(2), zero_seq(2), frozenset(), frozenset())
     # at v = 2 the span (0,3) has length 3 > v, so it lands on the long side
     # alone and the transition passes
-    assert check_transition(base, (3, frozenset(), frozenset()), rep, 2, grouping) is not None
+    assert frozenset() in hop(rep, 2, base_state(2), 3)
     # the same family at v = 3 puts the center among the short members; the
     # short side then carries the claw-3 star and must still pass v = 3
-    grouping3 = compute_groups(rep.family, 3)
-    base3 = DPState(0, zero_seq(3), zero_seq(3), frozenset(), frozenset())
-    assert check_transition(base3, (3, frozenset(), frozenset()), rep, 3, grouping3) is not None
+    assert frozenset() in hop(rep, 3, base_state(3), 3)
 
 
 def test_check_transition_long_side_claw_violation():
@@ -130,13 +146,9 @@ def test_check_transition_long_side_claw_violation():
     # disjoint pair (0,2),(2,4) and all three have length > 1
     pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (2, 4), (0, 4)]
     rep = vertebrate_representation(fam(*pairs))
-    grouping = compute_groups(rep.family, 1)
-    base = DPState(0, zero_seq(1), zero_seq(1), frozenset(), frozenset())
-    assert check_transition(base, (4, frozenset(), frozenset()), rep, 1, grouping) is None
+    assert hop(rep, 1, base_state(1), 4) == {}
     # at v = 2 the same long side only needs claw 2: passes
-    g2 = compute_groups(rep.family, 2)
-    b2 = DPState(0, zero_seq(2), zero_seq(2), frozenset(), frozenset())
-    assert check_transition(b2, (4, frozenset(), frozenset()), rep, 2, g2) is not None
+    assert frozenset() in hop(rep, 2, base_state(2), 4)
 
 
 def test_verify_partition_clique_one_side():
