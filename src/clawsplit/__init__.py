@@ -17,7 +17,6 @@ from clawsplit.intervals import (
 from clawsplit.recognition import (
     CliqueArrangement,
     InvertebrateError,
-    SweepResult,
     VertebrateRep,
     is_vertebrate,
     maximal_cliques,
@@ -60,7 +59,6 @@ __all__ = [
     "mid_relation",
     "CliqueArrangement",
     "InvertebrateError",
-    "SweepResult",
     "VertebrateRep",
     "is_vertebrate",
     "maximal_cliques",

@@ -5,8 +5,8 @@ a comment, blank lines are skipped, and the vertex index is the occurrence
 order.  Results come out as machine-readable "key value" lines on stdout.
 Exit codes track decisions: 0 for yes (or plain success), 1 for no, 2 for
 errors such as an unreadable or unparseable file, an invertebrate instance
-handed to represent/partition, a violated oracle size guard, or a failed
-internal check.
+handed to represent/partition, a violated oracle size guard, bad gen
+parameters, or a failed internal check.
 
 The empty family is reported vertebrate: zero independent vertices, zero
 maximal cliques, a degenerate case the definitions leave open and this tool
@@ -31,7 +31,6 @@ from clawsplit.intervals import (
 from clawsplit.oracle import GeneratorSpec, SizeGuardError, generate, oracle_partition
 from clawsplit.recognition import (
     InvertebrateError,
-    is_vertebrate,
     maximal_cliques,
     sweepline,
     vertebrate_representation,
@@ -101,15 +100,15 @@ def _witness_lines(assignment: PartitionAssignment) -> list[str]:
 def cmd_check(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     fam = load_instance(args.file)
-    sweep = sweepline(fam)
+    alpha = sweepline(fam)
     cliques = maximal_cliques(fam).cliques
-    vertebrate = sweep.m_sweep == len(cliques)
+    vertebrate = alpha == len(cliques)
     psi = graph_claw_number(fam)
     _emit(
         [
             "command check",
             f"n {len(fam)}",
-            f"m_sweep {sweep.m_sweep}",
+            f"m_sweep {alpha}",
             f"m_cliques {len(cliques)}",
             f"vertebrate {'yes' if vertebrate else 'no'}",
             f"psi {psi}",
@@ -210,7 +209,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         except ValueError:
             return _error_doc("oracle", f"{_LIMIT_ENV}={env!r} is not an integer")
     try:
-        report = oracle_partition(fam, args.v, workers=args.workers, limit=limit)
+        report = oracle_partition(fam, args.v, limit=limit)
     except SizeGuardError as exc:
         return _error_doc("oracle", str(exc))
     lines = [
@@ -237,7 +236,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         max_len=args.max_len,
         seed=args.seed,
     )
-    fam = generate(spec)
+    try:
+        fam = generate(spec)
+    except ValueError as exc:
+        return _error_doc("gen", str(exc))
     lines = [
         f"# kind {spec.kind} m {spec.m} n {spec.n} density {spec.density!r} "
         f"max_len {spec.max_len} seed {spec.seed}",
@@ -278,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--v", type=int, required=True, help="claw bound, 1..4")
     p.add_argument("--witness", action="store_true", help="print the verified witness")
-    p.add_argument("--workers", type=int, default=1, help="parallel scan processes")
     p.add_argument("--allow-large-v", action="store_true", help="lift the v cap of 4")
     p.set_defaults(func=cmd_oracle)
 

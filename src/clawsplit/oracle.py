@@ -16,7 +16,6 @@ cross-checks, not production use.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -200,12 +199,9 @@ def _group_sides_consistent(
 
 
 def _scan(
-    fam: IntervalFamily,
-    v: int,
-    prefix: Sequence[Side],
-    collect: bool,
+    fam: IntervalFamily, v: int, collect: bool
 ) -> tuple[tuple[Side, ...] | None, int, bool, bool]:
-    """DFS over assignments extending prefix (vertex order, first side first).
+    """DFS over assignments in vertex order, first side first, vertex 0 pinned.
 
     Returns (first feasible assignment or None, feasible count, all feasible
     ones group-conforming, any feasible one basic); the last three are only
@@ -219,10 +215,7 @@ def _scan(
         for i in range(n)
     )
     sides: list[Side | None] = [None] * n
-    for k, side in enumerate(prefix):
-        sides[k] = side
-        if _creates_claw(ivs, adj, sides, k, v):
-            return None, 0, True, False
+    sides[0] = Side.FIRST
 
     distinct, rep_of = dedup(fam)
     group_of = compute_groups(distinct, v).group_of
@@ -261,24 +254,14 @@ def _scan(
         sides[k] = None
         return False
 
-    rec(len(prefix))
+    rec(1)
     return first_hit, good_count, all_conforming, any_basic
-
-
-def _scan_task(payload) -> tuple[tuple[Side, ...] | None, int, bool, bool]:
-    pairs, v, prefix_bits, prefix_len, collect = payload
-    fam = IntervalFamily.from_pairs(pairs)
-    prefix = [Side.FIRST]
-    for b in range(prefix_len):
-        prefix.append(Side.SECOND if (prefix_bits >> (prefix_len - 1 - b)) & 1 else Side.FIRST)
-    return _scan(fam, v, prefix, collect)
 
 
 def oracle_partition(
     S: IntervalFamily,
     v: int,
     *,
-    workers: int = 1,
     report_properties: bool = False,
     limit: Optional[int] = None,
 ) -> OracleReport:
@@ -287,8 +270,6 @@ def oracle_partition(
     Args:
         S: interval family; vertices as given, duplicates distinct.
         v: claw bound, v >= 1.
-        workers: > 1 splits the search over assignment prefixes across
-            processes; the merged result is identical to a single scan.
         report_properties: walk every feasible assignment and fill the
             conformance/basic fields instead of stopping at the first.
         limit: override the 16-vertex size guard.
@@ -299,40 +280,17 @@ def oracle_partition(
     if v < 1:
         raise ValueError(f"claw bound v={v}: need v >= 1")
     _guard(len(S), _PARTITION_CAP, limit, "oracle_partition")
-    n = len(S)
-    if n == 0:
+    if len(S) == 0:
         empty = PartitionAssignment(())
         if report_properties:
             return OracleReport(True, empty, 1, True, True)
         return OracleReport(True, empty)
 
-    if workers <= 1:
-        hit, count, conf, basic = _scan(S, v, [Side.FIRST], report_properties)
-        results = [(hit, count, conf, basic)]
-    else:
-        bits = 1
-        while (1 << bits) < 4 * workers and bits < min(n - 1, 8):
-            bits += 1
-        bits = min(bits, n - 1)
-        pairs = tuple((iv.lo, iv.hi) for iv in S)
-        payloads = [
-            (pairs, v, prefix_bits, bits, report_properties)
-            for prefix_bits in range(1 << bits)
-        ]
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_scan_task, payloads)
-
-    witness: PartitionAssignment | None = None
-    for hit, _, _, _ in results:
-        if hit is not None:
-            witness = PartitionAssignment(hit)
-            break
+    hit, count, conforming, basic = _scan(S, v, report_properties)
+    witness = None if hit is None else PartitionAssignment(hit)
     if not report_properties:
         return OracleReport(witness is not None, witness)
-    total = sum(count for _, count, _, _ in results)
-    conforming = all(conf for _, _, conf, _ in results)
-    basic = any(b for _, _, _, b in results)
-    return OracleReport(witness is not None, witness, total, conforming, basic)
+    return OracleReport(witness is not None, witness, count, conforming, basic)
 
 
 @dataclass(frozen=True)
@@ -413,9 +371,9 @@ def generate(spec: GeneratorSpec) -> IntervalFamily:
         if spec.n < 1:
             raise ValueError("trivially-perfect generation needs n >= 1")
         return IntervalFamily.from_pairs(_gen_laminar(rng, spec.n))
+    if spec.kind in ("raw-random", "invertebrate") and (spec.n < 1 or spec.max_len < 1):
+        raise ValueError(f"{spec.kind} generation needs n >= 1 and max_len >= 1")
     if spec.kind == "raw-random":
-        if spec.n < 1 or spec.max_len < 1:
-            raise ValueError("raw-random generation needs n >= 1 and max_len >= 1")
         return IntervalFamily.from_pairs(_gen_raw(rng, spec.n, spec.max_len))
     if spec.kind == "invertebrate":
         for _ in range(1000):

@@ -1,13 +1,12 @@
 """Recognition of vertebrate interval families and their compact form.
 
 An interval family is vertebrate when its independence number equals its
-number of maximal cliques.  The sweepline below certifies the independence
-number: it repeatedly takes a remaining interval with the smallest right
-endpoint, carves out the unit window just left of that endpoint, and removes
-everything containing the window.  Each round removes a clique (all removed
-members share the window) and the chosen representatives are pairwise
-disjoint, so the round count is simultaneously a clique-cover size and an
-independent-set size.
+number of maximal cliques.  Each quantity comes from one sort of the
+endpoints.  The independence number is the earliest-endpoint greedy over the
+whole line, `_max_disjoint_meeting` in intervals.py, whose docstring says
+why that greedy is optimal.  The maximal cliques come from an event sweep
+over the sorted endpoints: the members alive between a start and the end
+that follows it form a maximal clique.
 
 For a vertebrate family the maximal cliques, ordered left to right, induce a
 compact normalized family: a vertex lying in cliques a..b becomes the open
@@ -20,12 +19,12 @@ graph has at least one edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from clawsplit.intervals import (
     Interval,
     IntervalFamily,
     PartitionAssignment,
+    _max_disjoint_meeting,
     dedup,
     expand_assignment,
 )
@@ -34,9 +33,8 @@ from clawsplit.intervals import (
 class InvertebrateError(ValueError):
     """Raised when a vertebrate-only operation receives an invertebrate family.
 
-    Carries the two disagreeing quantities: alpha (the sweepline round count,
-    which equals the independence number) and m_cliques (the number of maximal
-    cliques).
+    Carries the two disagreeing quantities: alpha (the independence number,
+    from sweepline) and m_cliques (the number of maximal cliques).
     """
 
     def __init__(self, alpha: int, m_cliques: int) -> None:
@@ -46,23 +44,6 @@ class InvertebrateError(ValueError):
         )
         self.alpha = alpha
         self.m_cliques = m_cliques
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Outcome of the minimum-right-endpoint sweep.
-
-    m_sweep: number of rounds; equals both the independence number and the
-        size of a clique partition of the family.
-    reps: vertex index of the representative chosen in each round.
-    windows: the unit window (r - 1, r) carved out in each round.
-    clique_partition: per vertex, the 1-based round that removed it.
-    """
-
-    m_sweep: int
-    reps: tuple[int, ...]
-    windows: tuple[Interval, ...]
-    clique_partition: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -118,46 +99,30 @@ class VertebrateRep:
         return expand_assignment(self.rep_of, assignment)
 
 
-def sweepline(S: IntervalFamily) -> SweepResult:
-    """Partition S into cliques while certifying the independence number.
+def sweepline(S: IntervalFamily) -> int:
+    """Independence number of S: the earliest-endpoint greedy over all of S.
 
-    Each round picks the remaining interval with the smallest right endpoint r
-    (lowest vertex index on ties) and removes every remaining interval that
-    contains the open unit window (r - 1, r).
-
-    Args:
-        S: any interval family.
-
-    Returns:
-        SweepResult; its representatives are pairwise disjoint, so m_sweep is
-        both the independence number and the number of cliques in the
-        partition it builds.
+    Every member meets the open window (min lo, max hi), so the greedy of
+    `_max_disjoint_meeting` over that window counts a largest set of pairwise
+    disjoint members.  0 for the empty family.
     """
-    remaining = set(range(len(S)))
-    reps: list[int] = []
-    windows: list[Interval] = []
-    clique_partition = [0] * len(S)
-    round_no = 0
-    while remaining:
-        round_no += 1
-        t = min(remaining, key=lambda i: (S[i].hi, i))
-        window = Interval(S[t].hi - 1, S[t].hi)
-        removed = {i for i in remaining if S[i].lo <= window.lo and S[i].hi >= window.hi}
-        for i in removed:
-            clique_partition[i] = round_no
-        remaining -= removed
-        reps.append(t)
-        windows.append(window)
-    return SweepResult(round_no, tuple(reps), tuple(windows), tuple(clique_partition))
+    if not len(S):
+        return 0
+    return _max_disjoint_meeting(
+        S.intervals, min(iv.lo for iv in S), max(iv.hi for iv in S)
+    )
 
 
 def maximal_cliques(S: IntervalFamily) -> CliqueArrangement:
-    """All maximal cliques of S, left to right.
+    """All maximal cliques of S, left to right, by one sweep over the endpoints.
 
-    Sweeps the open segments between consecutive endpoint values.  The members
-    alive on a segment form a clique; it is maximal exactly when some member
-    starts at the segment's left end and some member ends at its right end,
-    which is where the sweep emits it.
+    At a shared coordinate ends sort before starts, since open intervals that
+    touch are disjoint.  When an end follows a start, the members alive are
+    those on the open segment between two consecutive endpoint values where
+    some member starts and some member ends: a maximal clique, emitted once.
+    A vertex's range runs from the clique after the count at its start to the
+    count at its end; the first end after its start follows a start, so the
+    range is never empty, and it is consecutive by construction.
 
     Args:
         S: any interval family.
@@ -165,36 +130,26 @@ def maximal_cliques(S: IntervalFamily) -> CliqueArrangement:
     Returns:
         CliqueArrangement with 1-based consecutive vertex ranges.
     """
-    n = len(S)
-    if n == 0:
-        return CliqueArrangement((), ())
-    values = sorted({e for iv in S for e in (iv.lo, iv.hi)})
+    # (coordinate, 0 for an end or 1 for a start, vertex)
+    events = sorted(
+        [(iv.hi, 0, i) for i, iv in enumerate(S)] + [(iv.lo, 1, i) for i, iv in enumerate(S)]
+    )
+    alive: set[int] = set()
     cliques: list[frozenset[int]] = []
-    for left, right in zip(values, values[1:]):
-        alive = [i for i in range(n) if S[i].lo <= left and S[i].hi >= right]
-        if not alive:
-            continue
-        born = any(S[i].lo == left for i in alive)
-        dies = any(S[i].hi == right for i in alive)
-        if born and dies:
-            cliques.append(frozenset(alive))
-    first = [0] * n
-    last = [0] * n
-    for pos, clique in enumerate(cliques, start=1):
-        for i in clique:
-            if first[i] == 0:
-                first[i] = pos
-            last[i] = pos
-    ranges = []
-    for i in range(n):
-        a, b = first[i], last[i]
-        if a < 1:
-            raise AssertionError(f"vertex {i} missed by every maximal clique")
-        span = sum(1 for clique in cliques if i in clique)
-        if span != b - a + 1:
-            raise AssertionError(f"vertex {i} has non-consecutive clique membership")
-        ranges.append((a, b))
-    return CliqueArrangement(tuple(cliques), tuple(ranges))
+    first = [0] * len(S)
+    last = [0] * len(S)
+    after_start = False
+    for _, is_start, i in events:
+        if is_start:
+            alive.add(i)
+            first[i] = len(cliques) + 1
+        else:
+            if after_start:
+                cliques.append(frozenset(alive))
+            alive.remove(i)
+            last[i] = len(cliques)
+        after_start = bool(is_start)
+    return CliqueArrangement(tuple(cliques), tuple(zip(first, last)))
 
 
 def is_vertebrate(S: IntervalFamily) -> bool:
@@ -202,7 +157,7 @@ def is_vertebrate(S: IntervalFamily) -> bool:
 
     The empty family is vertebrate (both quantities are 0).
     """
-    return sweepline(S).m_sweep == len(maximal_cliques(S).cliques)
+    return sweepline(S) == len(maximal_cliques(S).cliques)
 
 
 def vertebrate_representation(S: IntervalFamily) -> VertebrateRep:
@@ -223,11 +178,11 @@ def vertebrate_representation(S: IntervalFamily) -> VertebrateRep:
     Raises:
         InvertebrateError: if S is not vertebrate.
     """
-    sweep = sweepline(S)
+    alpha = sweepline(S)
     arrangement = maximal_cliques(S)
     m = len(arrangement.cliques)
-    if sweep.m_sweep != m:
-        raise InvertebrateError(sweep.m_sweep, m)
+    if alpha != m:
+        raise InvertebrateError(alpha, m)
     family, rep_of = dedup(
         IntervalFamily(tuple(Interval(a - 1, b) for a, b in arrangement.vertex_range))
     )

@@ -118,7 +118,7 @@ def test_criterion_2_recognition_matches_bruteforce(acceptance_log):
     for k, fam in enumerate(fams):
         alpha = oracle_alpha(fam)
         cliques = maximal_cliques(fam).cliques
-        if sweepline(fam).m_sweep != alpha:
+        if sweepline(fam) != alpha:
             failures.append((k, "m_sweep"))
         if set(cliques) != brute_maximal_cliques(fam):
             failures.append((k, "cliques"))

@@ -179,6 +179,21 @@ def test_represent_round_trip_is_a_fixed_point(tmp_path, capsys):
     ) == pairs
 
 
+def test_check_and_represent_scale_to_ten_thousand_intervals(tmp_path, capsys):
+    # 5,000 units and 5,000 extras: a quadratic scan in recognition takes
+    # several times the bound on this size, a sort-based one well under it
+    assert main(["gen", "--kind", "vertebrate", "--m", "5000", "--seed", "0"]) == 0
+    f = tmp_path / "big.txt"
+    f.write_text(capsys.readouterr().out)
+    for command in ("check", "represent"):
+        start = time.perf_counter()
+        code, lines = run(capsys, command, str(f))
+        assert time.perf_counter() - start < 5.0, command
+        assert code == 0
+        assert field(lines, "n") == ["10000"]
+        assert field(lines, "m_cliques") == ["5000"]
+
+
 # ------------------------------------------------------------------ partition
 
 
@@ -283,12 +298,10 @@ def test_oracle_agrees_with_partition_on_three_path(capsys):
     assert verify_partition(fam, witness_assignment(lines, 3), 1)
 
 
-def test_oracle_workers_flag(capsys):
-    code, lines = run(
-        capsys, "oracle", str(FIXTURES / "star4.txt"), "--v", "1", "--workers", "2"
-    )
-    assert code == 0
-    assert field(lines, "decision") == ["yes"]
+def test_oracle_has_no_workers_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", str(FIXTURES / "star4.txt"), "--v", "1", "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_oracle_answers_a_huge_span_quickly(tmp_path, capsys):
@@ -360,6 +373,21 @@ def test_gen_invertebrate_kind_fails_check(tmp_path, capsys):
     code, lines = run(capsys, "check", str(f))
     assert code == 1
     assert field(lines, "vertebrate") == ["no"]
+
+
+def test_gen_bad_parameters_are_errors_not_internal_failures(capsys):
+    needs = "generation needs n >= 1 and max_len >= 1"
+    cases = [
+        (["--kind", "vertebrate", "--m", "0"], "vertebrate generation needs m >= 1"),
+        (["--kind", "raw-random", "--n", "0"], f"raw-random {needs}"),
+        (["--kind", "raw-random", "--max-len", "0"], f"raw-random {needs}"),
+        (["--kind", "invertebrate", "--max-len", "0"], f"invertebrate {needs}"),
+    ]
+    for argv, message in cases:
+        assert main(["gen", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == f"command gen\nerror {message}\n"
+        assert captured.err == ""
 
 
 # ------------------------------------------------------------------- plumbing

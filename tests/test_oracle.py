@@ -172,23 +172,6 @@ def test_oracle_partition_good_count_matches_literal_scan():
         assert report.decision is (literal > 0)
 
 
-def test_oracle_partition_workers_agree_with_single_scan():
-    rng = random.Random(405)
-    for _ in range(4):
-        S = random_family(rng, rng.randint(4, 9))
-        v = rng.randint(1, 2)
-        solo = oracle_partition(S, v, report_properties=True)
-        multi = oracle_partition(S, v, workers=2, report_properties=True)
-        assert solo.decision == multi.decision
-        if solo.witness is None:
-            assert multi.witness is None
-        else:
-            assert solo.witness.sides == multi.witness.sides
-        assert solo.good_count == multi.good_count
-        assert solo.all_good_group_conforming == multi.all_good_group_conforming
-        assert solo.any_good_basic == multi.any_good_basic
-
-
 def test_oracle_partition_guard():
     big = fam(*((i, i + 1) for i in range(17)))
     with pytest.raises(SizeGuardError):

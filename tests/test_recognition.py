@@ -1,6 +1,5 @@
 """Sweepline, maximal cliques, vertebrate test, compact representation."""
 
-import itertools
 import random
 
 import pytest
@@ -40,33 +39,15 @@ def random_family(rng, n_max=12):
 
 
 def test_sweepline_empty():
-    assert sweepline(IntervalFamily.from_pairs([])).m_sweep == 0
+    assert sweepline(IntervalFamily.from_pairs([])) == 0
 
 
 def test_sweepline_path3():
-    sw = sweepline(PATH3)
-    assert sw.m_sweep == 2
-    assert sw.reps == (0, 2)
-    assert sw.clique_partition == (1, 1, 2)
+    assert sweepline(PATH3) == 2
 
 
 def test_sweepline_zigzag():
-    assert sweepline(ZIGZAG).m_sweep == 2
-
-
-def test_sweepline_reps_disjoint_rounds_are_cliques():
-    rng = random.Random(10)
-    for _ in range(150):
-        S = random_family(rng)
-        sw = sweepline(S)
-        reps = [S[i] for i in sw.reps]
-        assert all(
-            not intersects(x, y) for x, y in itertools.combinations(reps, 2)
-        )
-        # every member of round i contains the round's window
-        for vtx, rnd in enumerate(sw.clique_partition):
-            w = sw.windows[rnd - 1]
-            assert S[vtx].lo <= w.lo and S[vtx].hi >= w.hi
+    assert sweepline(ZIGZAG) == 2
 
 
 def test_maximal_cliques_single():
@@ -110,7 +91,7 @@ def test_is_vertebrate_equals_alpha_vs_clique_count():
         S = random_family(rng)
         alpha = oracle_alpha(S)
         m = len(maximal_cliques(S).cliques)
-        assert sweepline(S).m_sweep == alpha
+        assert sweepline(S) == alpha
         assert alpha <= m
         assert is_vertebrate(S) == (alpha == m)
 
