@@ -13,6 +13,9 @@ encode builds the profile of a family, alpha_seq reads the independence
 number back off a profile (exactly when it is at most v, saturating above),
 and extend advances the two profiles of a 2-partition across a segment
 (s_prev, s] given only the new members, without revisiting the old ones.
+fd_head is the part of extend that depends on the segment and its new
+second-part members alone, so a caller crossing one segment from many
+predecessors can compute it once and pass it in.
 """
 
 from __future__ import annotations
@@ -113,6 +116,27 @@ def alpha_seq(r: MonotonicSeq, i: int) -> int:
     raise AssertionError("profile lost its anchor entry")
 
 
+def fd_head(
+    F: IntervalFamily, D: IntervalFamily, s_prev: int, s: int, v: int
+) -> tuple[tuple[int, ...], int, int]:
+    """The second part's new profile head across the segment (s_prev, s].
+
+    Args:
+        F, D, s_prev, s, v: as for extend.
+
+    Returns:
+        (prof, w, w_full): the raw profile of F + D at s, and how many
+        disjoint members of D, and of F + D, meet (s_prev, s).  None of them
+        depends on the predecessor profiles.
+    """
+    fd = F.intervals + D.intervals
+    return (
+        tuple(_profile(fd, s, v)),
+        _max_disjoint_meeting(D.intervals, s_prev, s),
+        _max_disjoint_meeting(fd, s_prev, s),
+    )
+
+
 def extend(
     p_prev: MonotonicSeq,
     q_prev: MonotonicSeq,
@@ -122,6 +146,7 @@ def extend(
     s_prev: int,
     s: int,
     v: int,
+    head: tuple[tuple[int, ...], int, int] | None = None,
 ) -> tuple[MonotonicSeq, MonotonicSeq]:
     """Advance a 2-partition's profiles across the segment (s_prev, s].
 
@@ -138,6 +163,8 @@ def extend(
         D: segment members inside (s_prev, s) with length > v.
         s_prev, s: segment anchors, 0 <= s_prev < s.
         v: claw bound, v >= 1.
+        head: fd_head(F, D, s_prev, s, v), if the caller already has it;
+            computed here when None.  The arguments are validated either way.
 
     Returns:
         The pair of profiles at s.  The first part's new profile starts with
@@ -161,9 +188,7 @@ def extend(
         if not (0 <= iv.lo < s_prev < iv.hi <= s):
             raise ValueError(f"{iv} does not cross s_prev={s_prev} within (0, {s})")
 
-    fd = F.intervals + D.intervals
-    w = _max_disjoint_meeting(D.intervals, s_prev, s)
-    w_full = _max_disjoint_meeting(fd, s_prev, s)
+    prof, w, w_full = fd_head(F, D, s_prev, s, v) if head is None else head
 
     p = [-1] * (v + 3)
     p[0] = s
@@ -173,7 +198,6 @@ def extend(
         else:
             p[u] = p_prev.r[u - (s - s_prev)]
 
-    prof = _profile(fd, s, v)
     q = [-1] * (v + 3)
     q[0] = s
     for u in range(1, v + 2):

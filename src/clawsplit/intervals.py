@@ -17,9 +17,11 @@ pairwise-disjoint members other than itself.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -151,14 +153,58 @@ def claw_number(S: IntervalFamily) -> int:
     S must be free of duplicate intervals (see dedup).  Equals the maximum,
     over centers c in S, of the number of pairwise-disjoint members of
     S minus {c} that intersect c.  0 for empty or edgeless families.
+
+    Each center runs the earliest-endpoint greedy of _max_disjoint_meeting
+    on the window (l, r) = c, with every pick found by bisection in the
+    family sorted once by hi and once by lo:
+
+      * the first pick is the member other than c with the smallest hi in
+        (l, r]; if there is none, every other member meeting the window
+        ends past r, and the count is 1 if some member crosses r;
+      * each later pick, from frontier f, is the member with the smallest
+        hi among those with lo >= f (a suffix minimum in lo order; c has
+        lo = l < f and is never among them).  If that member starts at or
+        past r, it does not meet the window, and its hi bounds the hi of
+        every member with lo in [f, r); so one more pick exists iff some
+        member has lo in [f, r), and it ends past r, which ends the scan.
     """
-    best = 0
     ivs = S.intervals
+    n = len(ivs)
+    by_hi = sorted((iv.hi, i) for i, iv in enumerate(ivs))
+    his = [hi for hi, _ in by_hi]
+    by_lo = sorted((iv.lo, iv.hi) for iv in ivs)
+    los = [lo for lo, _ in by_lo]
+    # suffix_min[k]: (hi, lo) of the member with the smallest hi among
+    # by_lo[k:]; prefix_max_hi[k]: the largest hi among by_lo[:k + 1].
+    suffix_min = list(accumulate(((hi, lo) for lo, hi in reversed(by_lo)), min))[::-1]
+    prefix_max_hi = list(accumulate((hi for _, hi in by_lo), max))
+
+    best = 0
     for idx, center in enumerate(ivs):
         if center.length <= best:
             continue  # a center meets at most center.length disjoint others
-        others = [iv for j, iv in enumerate(ivs) if j != idx]
-        best = max(best, _max_disjoint_meeting(others, center.lo, center.hi))
+        l, r = center.lo, center.hi
+        j = bisect_right(his, l)
+        if j < n and by_hi[j][1] == idx:
+            j += 1
+        if j == n or his[j] > r:
+            below_r = bisect_left(los, r)
+            count = 1 if below_r and prefix_max_hi[below_r - 1] > r else 0
+        else:
+            count, frontier = 1, his[j]
+            while frontier < r:
+                k = bisect_left(los, frontier)
+                if k == n:
+                    break
+                hi, lo = suffix_min[k]
+                if lo < r:
+                    count += 1
+                    frontier = hi
+                else:
+                    if k < bisect_left(los, r):
+                        count += 1
+                    break
+        best = max(best, count)
     return best
 
 

@@ -24,7 +24,10 @@ after which the profiles advance by extend.  The transition is written once,
 in _advance, which takes one predecessor state across a segment and adds its
 successors to the stage at s.  What depends on the segment alone (its short
 and long members, the crossing members, the groups to assign) is built once
-per segment pair by _segment and shared by every state that crosses it.
+per segment pair by _segment and shared by every state that crosses it.  The
+same record memoises what depends on the segment and a set of members only:
+the F+D head of the second part's new profile, per settled set, and the
+results of the two star checks, per set of visible crossing members.
 
 Members are grouped by chains of significant overlap (intersection length
 >= 2v + 1); a feasible split never separates a group, so crossing members are
@@ -40,9 +43,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from clawsplit.encoding import MonotonicSeq, alpha_seq, extend, zero_seq
+from clawsplit.encoding import MonotonicSeq, alpha_seq, extend, fd_head, zero_seq
 from clawsplit.intervals import (
     Interval,
     IntervalFamily,
@@ -111,6 +114,14 @@ class SolveResult:
 def compute_groups(S: IntervalFamily, v: int) -> GroupingInfo:
     """Group a duplicate-free family by chains of significant overlap.
 
+    One sweep over the members sorted by (lo, hi) links each member to the
+    earlier one with the largest hi, when their overlap is at least 2v + 1.
+    That member overlaps it the most of all earlier ones, so if it falls
+    short, so do they all.  Every earlier member that overlaps it by 2v + 1
+    or more contains (lo, lo + 2v + 1), and so overlaps each other such member
+    by as much: they are already pairwise linked, and one link joins the
+    member to all of them.
+
     Args:
         S: duplicate-free interval family.
         v: claw bound, v >= 1.
@@ -138,12 +149,14 @@ def compute_groups(S: IntervalFamily, v: int) -> GroupingInfo:
         return x
 
     threshold = 2 * v + 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if min(ivs[i].hi, ivs[j].hi) - max(ivs[i].lo, ivs[j].lo) >= threshold:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    reach = None  # the earlier member with the largest hi
+    for i in sorted(range(n), key=lambda k: (ivs[k].lo, ivs[k].hi)):
+        if reach is not None and min(ivs[reach].hi, ivs[i].hi) - ivs[i].lo >= threshold:
+            ri, rj = find(i), find(reach)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+        if reach is None or ivs[i].hi > ivs[reach].hi:
+            reach = i
 
     root_to_gid: dict[int, int] = {}
     group_of: list[int] = []
@@ -158,20 +171,33 @@ def compute_groups(S: IntervalFamily, v: int) -> GroupingInfo:
         group_of.append(gid)
         members[gid].append(i)
 
-    if n:
-        bound = 2 * v * v + v
-        lo = min(iv.lo for iv in ivs)
-        hi = max(iv.hi for iv in ivs)
-        # The members containing x change only at endpoints, so the points
-        # e and e + 1 of every endpoint e see each distinct set of them.
-        points = sorted({x for iv in ivs for e in iv for x in (e, e + 1) if lo < x < hi})
-        for x in points:
-            present = {group_of[i] for i in range(n) if ivs[i].lo < x < ivs[i].hi}
-            if len(present) > bound:
-                raise AssertionError(
-                    f"point {x} meets {len(present)} overlap groups, bound is {bound}"
-                )
+    _check_group_bound(ivs, group_of, v)
     return GroupingInfo(v, tuple(group_of), tuple(tuple(g) for g in members))
+
+
+def _check_group_bound(ivs: Sequence[Interval], group_of: Sequence[int], v: int) -> None:
+    """Raise AssertionError if some integer point meets members of more than
+    2v^2 + v distinct groups.
+
+    A member contains the integer point x iff lo + 1 <= x < hi, so the
+    members at x change only at those events; after the events at each
+    coordinate, the count of groups with a member present is checked.
+    """
+    bound = 2 * v * v + v
+    events = sorted(
+        [(iv.lo + 1, 1, group_of[i]) for i, iv in enumerate(ivs)]
+        + [(iv.hi, -1, group_of[i]) for i, iv in enumerate(ivs)]
+    )
+    present = [0] * (max(group_of, default=-1) + 1)
+    distinct = 0
+    for k, (x, step, gid) in enumerate(events):
+        was_present = present[gid] > 0
+        present[gid] += step
+        distinct += (present[gid] > 0) - was_present
+        if distinct > bound and (k + 1 == len(events) or events[k + 1][0] != x):
+            raise AssertionError(
+                f"point {x} meets {distinct} overlap groups, bound is {bound}"
+            )
 
 
 def crossing_family(rep: VertebrateRep, s: int) -> tuple[int, ...]:
@@ -208,8 +234,22 @@ class _Segment:
     members crossing s; shared, those crossing s_prev too; pool, those
     crossing s_prev that stop before s and so settle at this hop.  gids are
     the groups of the crossing members and members_of lists each one's
-    members.  long_meet_cache memoises, per right end b, how many disjoint
-    long members meet (s_prev, b).
+    members.
+
+    The caches memoise work that predecessor states repeat.  Each value is a
+    pure function of its key and the fields above, and the record lives only
+    while one stage is built, so a cached value is always the one a fresh
+    computation would give:
+
+      * long_meet_cache, per right end b: how many disjoint long members
+        meet (s_prev, b).
+      * head_cache, per settled_second (the sorted indices of the members
+        settled on the second side, which fix F): fd_head(F, long_fam,
+        s_prev, s, v), which reads neither predecessor profile.
+      * long_star_cache, per set of crossing members visible to the second
+        side: whether the long members center no overfull star among
+        themselves and those; short_star_cache likewise for the short
+        members and the first side.
     """
 
     ivs: Sequence[Interval]
@@ -227,6 +267,11 @@ class _Segment:
     gids: tuple[int, ...]
     members_of: dict[int, tuple[int, ...]]
     long_meet_cache: dict[int, int] = field(default_factory=dict)
+    head_cache: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = field(
+        default_factory=dict
+    )
+    long_star_cache: dict[frozenset[int], bool] = field(default_factory=dict)
+    short_star_cache: dict[frozenset[int], bool] = field(default_factory=dict)
 
 
 def _segment(
@@ -272,15 +317,21 @@ def _segment(
 
 
 def _star_bound_ok(
-    ivs: Sequence[Interval],
+    seg: _Segment,
     center_indices: Sequence[int],
-    visible: Iterable[int],
-    v: int,
+    outside: frozenset[int],
+    cache: dict[frozenset[int], bool],
 ) -> bool:
-    """mid_relation of the centers against the visible members, by index."""
-    centers = IntervalFamily(tuple(ivs[i] for i in center_indices))
-    fam = IntervalFamily(tuple(ivs[i] for i in sorted(set(visible))))
-    return mid_relation(centers, fam, v)
+    """mid_relation of the centers against themselves and the outside
+    members, by index, memoised in cache under outside."""
+    ok = cache.get(outside)
+    if ok is None:
+        ivs = seg.ivs
+        centers = IntervalFamily(tuple(ivs[i] for i in center_indices))
+        fam = IntervalFamily(tuple(ivs[i] for i in sorted(outside.union(center_indices))))
+        ok = mid_relation(centers, fam, seg.v)
+        cache[outside] = ok
+    return ok
 
 
 def _settled_ok(
@@ -337,15 +388,13 @@ def _advance(st: DPState, seg: _Segment, stage: dict[tuple, DPState]) -> None:
         if alpha_seq(q_prime, a) + floor > v:
             return
 
+    F = IntervalFamily(tuple(ivs[i] for i in settled_second))
+    head = seg.head_cache.get(settled_second)
+    if head is None:
+        head = fd_head(F, seg.long_fam, s_prev, seg.s, v)
+        seg.head_cache[settled_second] = head
     p_new, q_new = extend(
-        p_prime,
-        q_prime,
-        IntervalFamily(tuple(ivs[i] for i in settled_second)),
-        seg.short_fam,
-        seg.long_fam,
-        s_prev,
-        seg.s,
-        v,
+        p_prime, q_prime, F, seg.short_fam, seg.long_fam, s_prev, seg.s, v, head
     )
 
     forced: dict[int, bool] = {}
@@ -374,9 +423,9 @@ def _advance(st: DPState, seg: _Segment, stage: dict[tuple, DPState]) -> None:
             continue
         if not _settled_ok(ivs, settled_second, q_prime, second_new, s_prev, v):
             continue
-        if not _star_bound_ok(ivs, seg.long_idx, set(seg.long_idx) | B_prime | B, v):
+        if not _star_bound_ok(seg, seg.long_idx, B_prime | B, seg.long_star_cache):
             continue
-        if not _star_bound_ok(ivs, seg.short_idx, set(seg.short_idx) | A_prime | A, v):
+        if not _star_bound_ok(seg, seg.short_idx, A_prime | A, seg.short_star_cache):
             continue
         stage[key] = DPState(
             seg.s,

@@ -58,6 +58,19 @@ def brute_maximal_cliques(S):
     return out
 
 
+def brute_groups(S, v):
+    """Group ids of the closure of "intersection length >= 2v + 1" over all
+    pairs, numbered in order of each group's first member."""
+    n = len(S)
+    group_of = list(range(n))
+    for i, j in itertools.combinations(range(n), 2):
+        if min(S[i].hi, S[j].hi) - max(S[i].lo, S[j].lo) >= 2 * v + 1:
+            gi, gj = group_of[i], group_of[j]
+            group_of = [min(gi, gj) if g in (gi, gj) else g for g in group_of]
+    ids = {}
+    return tuple(ids.setdefault(g, len(ids)) for g in group_of)
+
+
 def first_good_assignment(S, v):
     """Lexicographically least feasible assignment by literal 2^n scan."""
     n = len(S)

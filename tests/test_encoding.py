@@ -1,5 +1,6 @@
 """Monotonic sequences: encoding, decoding, extension."""
 
+import inspect
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from clawsplit import (
     vertebrate_representation,
     zero_seq,
 )
+from clawsplit.encoding import fd_head
 
 UNITS3 = IntervalFamily.from_pairs([(0, 1), (1, 2), (2, 3)])
 EMPTY = IntervalFamily.from_pairs([])
@@ -128,6 +130,12 @@ def test_extend_rejects_misplaced_lengths():
         extend(z, z, EMPTY, EMPTY, short_in_d, 0, 3, 1)
 
 
+def test_extend_leading_parameters_are_pinned():
+    # bench/tracer.py wraps extend and reads F, s_prev and s by position
+    names = list(inspect.signature(extend).parameters)
+    assert names[:8] == ["p_prev", "q_prev", "F", "C", "D", "s_prev", "s", "v"]
+
+
 def test_extend_rejects_anchor_mismatch():
     with pytest.raises(ValueError):
         extend(zero_seq(1), zero_seq(1), EMPTY, EMPTY, EMPTY, 1, 3, 1)
@@ -206,11 +214,12 @@ def test_extension_equals_encoding_of_whole():
                 if fam[i].lo < s_prev < fam[i].hi and fam[i].hi <= s
             ]
         )
-        p_got, q_got = extend(
-            encode(P_prev, s_prev, v), encode(Q_prev, s_prev, v), F, C, D, s_prev, s, v
-        )
-        assert p_got == p_full
-        assert q_got == q_full
+        p_prev, q_prev = encode(P_prev, s_prev, v), encode(Q_prev, s_prev, v)
+        head = fd_head(F, D, s_prev, s, v)
+        for args in ((), (head,)):
+            p_got, q_got = extend(p_prev, q_prev, F, C, D, s_prev, s, v, *args)
+            assert p_got == p_full
+            assert q_got == q_full
         done += 1
 
 

@@ -1,6 +1,7 @@
 """Core interval primitives against exhaustive references."""
 
 import random
+import time
 
 import pytest
 
@@ -121,6 +122,14 @@ def test_claw_number_matches_bruteforce():
                 pairs.append(p)
         S = fam(*pairs)
         assert claw_number(S) == brute_claw(S)
+
+
+def test_claw_number_of_nested_family_is_fast():
+    # every center is longer than the best claw, 1, so none is skipped
+    S = fam(*((0, k) for k in range(1, 3001)))
+    start = time.perf_counter()
+    assert graph_claw_number(S) == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_mid_relation_empty_left_side():

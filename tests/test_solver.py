@@ -22,7 +22,8 @@ from clawsplit import (
     verify_partition,
     zero_seq,
 )
-from clawsplit.solver import _advance, _segment
+from clawsplit.solver import _advance, _check_group_bound, _segment
+from bruteforce import brute_groups
 
 PATH3_REP = vertebrate_representation(IntervalFamily.from_pairs([(0, 2), (1, 3), (2, 4)]))
 DENSE = IntervalFamily.from_pairs(
@@ -69,6 +70,40 @@ def test_compute_groups_time_does_not_grow_with_the_span():
     g = compute_groups(fam((0, 1), (0, 99999999999)), 1)
     assert time.perf_counter() - start < 0.5
     assert len(g.groups) == 2
+
+
+def test_compute_groups_matches_pairwise_closure():
+    rng = random.Random(41)
+    for _ in range(300):
+        v = rng.choice([1, 2, 3])
+        pairs = {(lo, lo + rng.randint(1, 12)) for lo in
+                 (rng.randint(-5, 30) for _ in range(rng.randint(0, 25)))}
+        S = fam(*sorted(pairs, key=lambda p: rng.random()))
+        g = compute_groups(S, v)
+        assert g.group_of == brute_groups(S, v)
+        assert g.groups == tuple(
+            tuple(i for i in range(len(S)) if g.group_of[i] == gid)
+            for gid in range(len(g.groups))
+        )
+
+
+def test_compute_groups_scales_to_nine_thousand_members():
+    # 10,000 intervals with lengths up to 6, so some members link at v = 2
+    spec = GeneratorSpec(kind="vertebrate", m=5000, density=1.0, max_len=6, seed=0)
+    rep = vertebrate_representation(generate(spec))
+    assert len(rep.family) > 8500
+    start = time.perf_counter()
+    g = compute_groups(rep.family, 2)
+    assert time.perf_counter() - start < 2.0
+    assert len(rep.family) > len(g.groups) > 8000
+
+
+def test_group_bound_check_raises_when_exceeded():
+    # at v = 1 a point may meet at most 3 groups; all 4 members contain 3
+    ivs = fam((0, 4), (1, 5), (2, 6), (2, 4)).intervals
+    _check_group_bound(ivs, (0, 0, 1, 2), 1)
+    with pytest.raises(AssertionError, match="point 3 meets 4 overlap groups, bound is 3"):
+        _check_group_bound(ivs, (0, 1, 2, 3), 1)
 
 
 def test_compute_groups_rejects_duplicates():
