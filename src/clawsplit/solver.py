@@ -34,15 +34,41 @@ Members are grouped by chains of significant overlap (intersection length
 assigned group-wise, which keeps every stage's state count within
 (s + 2)^(2(v+1)) * 2^(2v^2+v).
 
-The accepting condition is reaching any state at s = m.  Witnesses are read
-back through stored back-pointers, expanded to the input vertices through the
-representation's duplicity map, and re-verified before being returned.
+A stage keeps only non-dominated states.  States with the same
+first_crossing form a bucket; in a bucket, state X dominates state Y when
+X.p.r <= Y.p.r and X.q.r <= Y.q.r entrywise (equal keys included), and a
+stage keeps one antichain per bucket.  This drops no feasible split:
+
+  * alpha_seq(r, i) is the largest u with i <= r_u, so it is monotone in the
+    profile entries: smaller entries never give a larger count.
+  * extend builds each new entry from the ramp s - u, from fd_head (which
+    depends on the segment and the settled set only), or from a shifted
+    predecessor entry, so entrywise <= predecessors give entrywise <=
+    successors.
+  * Every profile check, the two lower bounds in _advance and _settled_ok,
+    has the form alpha_seq(profile, a) + count <= v, where count does not
+    depend on the profiles.
+  * The forced sides, the star checks, the settled sets and the candidate
+    masks depend only on first_crossing and second_crossing (the latter is
+    crossing[s] minus the former), which are equal within a bucket.
+
+So a dominating state passes every check that the dominated one passes, at
+every later stage, and its successors dominate the dominated one's.  By
+induction a stage reaches m whenever the unpruned DP does, and since only
+real states are kept, every kept state still describes a feasible split of
+the members inside (0, s).
+
+The accepting condition is reaching any state at s = m.  The witness is read
+back from the first accepting state in scan order through stored
+back-pointers, expanded to the input vertices through the representation's
+duplicity map, and re-verified before being returned.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import le
 from typing import Optional, Sequence
 
 from clawsplit.encoding import MonotonicSeq, alpha_seq, extend, fd_head, zero_seq
@@ -78,8 +104,8 @@ class DPState:
 
     first_crossing / second_crossing split the s-crossing member indices by
     committed side, with the first side being the part that holds the unit
-    (s - 1, s) when s > 0.  prev/to_first/to_second record how the state was
-    first reached, for witness reconstruction; they do not affect identity.
+    (s - 1, s) when s > 0.  prev/to_first/to_second record the hop that
+    built the state, for witness reconstruction; they do not affect identity.
     """
 
     s: int
@@ -91,9 +117,6 @@ class DPState:
     to_first: tuple[int, ...] = field(default=(), compare=False, repr=False)
     to_second: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
-    def key(self) -> tuple:
-        return (self.p.r, self.q.r, self.first_crossing)
-
 
 @dataclass
 class SolveResult:
@@ -101,7 +124,8 @@ class SolveResult:
 
     assignment is over the input family's vertices (duplicates expanded);
     rep_assignment is over the representation's members.  Both are None for
-    infeasible instances.
+    infeasible instances.  stage_state_counts[s] is the number of
+    non-dominated states the DP kept at anchor s.
     """
 
     feasible: bool
@@ -355,16 +379,33 @@ def _settled_ok(
     return True
 
 
-def _advance(st: DPState, seg: _Segment, stage: dict[tuple, DPState]) -> None:
+def _dominates(st: DPState, p: MonotonicSeq, q: MonotonicSeq) -> bool:
+    """True iff st's profiles are entrywise <= p and q."""
+    return all(map(le, st.p.r, p.r)) and all(map(le, st.q.r, q.r))
+
+
+def _advance(
+    st: DPState,
+    seg: _Segment,
+    stage: dict[frozenset[int], list[DPState]],
+    seen: set[tuple],
+) -> None:
     """The DP transition: take one state at seg.s_prev across seg into stage.
 
     The predecessor is read with its coordinates swapped, since the backbone
     run (s_prev, s] puts the unit (s - 1, s) on the opposite part from
     (s_prev - 1, s_prev).  Candidates give whole crossing groups to a side:
     a group holding a member that also crosses s_prev keeps that member's
-    committed side, and the free groups try both.  Each candidate that passes
-    every check becomes a DPState in stage under its key, unless a state
-    already holds that key; the first state to reach a key is the one kept.
+    committed side, and the free groups try both.
+
+    stage maps each first_crossing to its bucket, an antichain of kept
+    states (see the module docstring).  seen holds the keys
+    (p.r, q.r, first_crossing) of every candidate known to be dominated by,
+    or equal to, a kept state; a state is only evicted by one that
+    dominates it, so a key stays dominated once it is in seen.  A candidate
+    whose key is in seen, or that a kept state of its bucket dominates, is
+    dropped before the settled and star checks.  One that passes every
+    check joins its bucket and evicts the states it dominates.
     """
     ivs, v, s_prev = seg.ivs, seg.v, seg.s_prev
     p_prime, q_prime = st.q, st.p
@@ -414,7 +455,11 @@ def _advance(st: DPState, seg: _Segment, stage: dict[tuple, DPState]) -> None:
                 first_idx.extend(seg.members_of[g])
         A = frozenset(first_idx)
         key = (p_new.r, q_new.r, A)
-        if key in stage:
+        if key in seen:
+            continue
+        bucket = stage.get(A, ())
+        if any(_dominates(kept, p_new, q_new) for kept in bucket):
+            seen.add(key)
             continue
         B = seg.crossing - A
         first_new = [*seg.short_fam.intervals, *(ivs[i] for i in sorted(A - seg.shared))]
@@ -427,7 +472,7 @@ def _advance(st: DPState, seg: _Segment, stage: dict[tuple, DPState]) -> None:
             continue
         if not _star_bound_ok(seg, seg.short_idx, A_prime | A, seg.short_star_cache):
             continue
-        stage[key] = DPState(
+        new_state = DPState(
             seg.s,
             p_new,
             q_new,
@@ -437,6 +482,9 @@ def _advance(st: DPState, seg: _Segment, stage: dict[tuple, DPState]) -> None:
             to_first=seg.short_idx + settled_first,
             to_second=seg.long_idx + settled_second,
         )
+        stage[A] = [kept for kept in bucket if not _dominates(new_state, kept.p, kept.q)]
+        stage[A].append(new_state)
+        seen.add(key)
 
 
 def _scan_key(st: DPState) -> tuple:
@@ -464,15 +512,14 @@ def solve(rep: VertebrateRep, v: int) -> SolveResult:
     crossing = [frozenset(crossing_family(rep, s)) for s in range(m + 1)]
 
     zero = zero_seq(v)
-    base = DPState(0, zero, zero, frozenset(), frozenset())
-    stage: dict[tuple, DPState] = {base.key(): base}
     # Each finished stage, sorted once into scan order for the later anchors.
-    scans: list[list[DPState]] = [[base]]
+    scans: list[list[DPState]] = [[DPState(0, zero, zero, frozenset(), frozenset())]]
     state_cap_exp = 2 * (v + 1)
     group_cap = 1 << (2 * v * v + v)
 
     for s in range(1, m + 1):
-        stage = {}
+        stage: dict[frozenset[int], list[DPState]] = {}
+        seen: set[tuple] = set()
         for s_prev in range(s):
             if not scans[s_prev]:
                 continue
@@ -480,15 +527,15 @@ def solve(rep: VertebrateRep, v: int) -> SolveResult:
             if seg is None:
                 continue
             for st in scans[s_prev]:
-                _advance(st, seg, stage)
+                _advance(st, seg, stage, seen)
+        states = [st for bucket in stage.values() for st in bucket]
         cap = (s + 2) ** state_cap_exp * group_cap
-        if len(stage) > cap:
-            raise AssertionError(f"stage {s} holds {len(stage)} states, cap {cap}")
-        scans.append(sorted(stage.values(), key=_scan_key))
+        if len(states) > cap:
+            raise AssertionError(f"stage {s} holds {len(states)} states, cap {cap}")
+        scans.append(sorted(states, key=_scan_key))
 
-    counts = tuple(len(states) for states in scans)
-    # The witness is read back from the first state to reach anchor m.
-    accepting = next(iter(stage.values()), None)
+    counts = tuple(map(len, scans))
+    accepting = scans[m][0] if scans[m] else None
     if accepting is None:
         return SolveResult(False, None, None, counts, time.perf_counter() - start)
 

@@ -10,6 +10,7 @@ from clawsplit import (
     GeneratorSpec,
     Interval,
     IntervalFamily,
+    MonotonicSeq,
     PartitionAssignment,
     Side,
     compute_groups,
@@ -118,8 +119,9 @@ def hop(rep, v, st, s):
     seg = _segment(rep.family.intervals, group_of, crossing, st.s, s, v)
     stage = {}
     if seg is not None:
-        _advance(st, seg, stage)
-    return {state.first_crossing: state for state in stage.values()}
+        _advance(st, seg, stage, set())
+    # one predecessor gives one state per first side
+    return {A: bucket[0] for A, bucket in stage.items()}
 
 
 def base_state(v):
@@ -184,6 +186,44 @@ def test_check_transition_long_side_claw_violation():
     assert hop(rep, 1, base_state(1), 4) == {}
     # at v = 2 the same long side only needs claw 2: passes
     assert frozenset() in hop(rep, 2, base_state(2), 4)
+
+
+def test_advance_keeps_one_antichain_per_bucket():
+    # across the unit (1, 2] the new first profile is (2, 1, q_1, -1) and the
+    # new second one (2, p_1, -1, -1), read off the swapped predecessor
+    rep = vertebrate_representation(fam((0, 1), (1, 2), (2, 3)))
+    crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
+    group_of = compute_groups(rep.family, 1).group_of
+    seg = _segment(rep.family.intervals, group_of, crossing, 1, 2, 1)
+    low, high = MonotonicSeq((1, -1, -1, -1), 1, 1), MonotonicSeq((1, 0, -1, -1), 1, 1)
+    best = DPState(1, low, low, frozenset(), frozenset())
+    worse_p = DPState(1, low, high, frozenset(), frozenset())
+    worse_q = DPState(1, high, low, frozenset(), frozenset())
+
+    def advance_all(order):
+        stage, seen = {}, set()
+        for st in order:
+            _advance(st, seg, stage, seen)
+        assert set(stage) == {frozenset()}
+        return stage[frozenset()]
+
+    def kept(order):
+        return [(st.prev, st.p.r, st.q.r) for st in advance_all(order)]
+
+    best_succ = (best, (2, 1, -1, -1), (2, -1, -1, -1))
+    # incomparable successors both stay
+    assert kept([worse_p, worse_q]) == [
+        (worse_p, (2, 1, 0, -1), (2, -1, -1, -1)),
+        (worse_q, (2, 1, -1, -1), (2, 0, -1, -1)),
+    ]
+    # a dominated successor that comes second is dropped
+    assert kept([best, worse_p, worse_q]) == [best_succ]
+    # dominated successors that came first are evicted
+    assert kept([worse_p, worse_q, best]) == [best_succ]
+    # an equal key keeps the first state to reach it
+    twin = DPState(1, low, low, frozenset(), frozenset())
+    [only] = advance_all([best, twin])
+    assert only.prev is best
 
 
 def test_verify_partition_clique_one_side():
@@ -279,6 +319,16 @@ def test_solve_handles_duplicates():
     if res.feasible:
         assert len(res.assignment) == len(S)
         assert verify_partition(S, res.assignment, 1)
+
+
+def test_solve_v3_m25_is_fast():
+    # the unpruned DP holds 202,144 states in one stage here and takes minutes
+    S = generate(GeneratorSpec("vertebrate", m=25, density=2.0, max_len=3, seed=6))
+    start = time.perf_counter()
+    res = solve(vertebrate_representation(S), 3)
+    assert time.perf_counter() - start < 10.0
+    assert res.feasible
+    assert verify_partition(S, res.assignment, 3)
 
 
 def test_state_counts_within_cap():
