@@ -16,6 +16,7 @@ resolves as yes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -249,7 +250,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="clawsplit",
         description=(
@@ -263,25 +266,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="recognition quantities and vertebrate flag")
     p.add_argument("file")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("represent", help="compact representation of a vertebrate family")
     p.add_argument("file")
-    p.set_defaults(func=cmd_represent)
 
     p = sub.add_parser("partition", help="decide the claw-bounded 2-partition")
     p.add_argument("file")
     p.add_argument("--v", type=int, required=True, help="claw bound, 1..4")
     p.add_argument("--witness", action="store_true", help="print the verified witness")
     p.add_argument("--allow-large-v", action="store_true", help="lift the v cap of 4")
-    p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("oracle", help="exhaustive 2-partition scan (size-guarded)")
     p.add_argument("file")
     p.add_argument("--v", type=int, required=True, help="claw bound, 1..4")
     p.add_argument("--witness", action="store_true", help="print the verified witness")
     p.add_argument("--allow-large-v", action="store_true", help="lift the v cap of 4")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="write a seeded instance to stdout")
     p.add_argument(
@@ -294,15 +293,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=1.0, help="extras per clique")
     p.add_argument("--max-len", type=int, default=3, help="largest member length")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gen)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up on every call, so a replaced cmd_* function takes effect.
+    commands = {
+        "check": cmd_check,
+        "represent": cmd_represent,
+        "partition": cmd_partition,
+        "oracle": cmd_oracle,
+        "gen": cmd_gen,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (ParseError, _ReadError, RuntimeError) as exc:
         return _error_doc(args.command, str(exc))
     except Exception as exc:

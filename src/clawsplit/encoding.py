@@ -9,8 +9,10 @@ drops the answer by at most one).  Written as a sequence r_0..r_{v+2} with
 r_0 = s and r_{v+2} = -1, the entries strictly decrease until they bottom out
 at -1, which is what MonotonicSeq enforces.
 
-encode builds the profile of a family, alpha_seq reads the independence
-number back off a profile (exactly when it is at most v, saturating above),
+encode builds the profile of a family with _profile, one right-to-left
+greedy chain of at most v + 1 picks, each a pass over the members, rather
+than one greedy per window start.  alpha_seq reads the independence number
+back off a profile (exactly when it is at most v, saturating above),
 and extend advances the two profiles of a 2-partition across a segment
 (s_prev, s] given only the new members, without revisiting the old ones.
 fd_head is the part of extend that depends on the segment and its new
@@ -58,24 +60,41 @@ def zero_seq(v: int) -> MonotonicSeq:
 
 
 def _profile(intervals: Sequence[Interval], s: int, v: int) -> list[int]:
-    """Raw profile entries for a family inside (0, s).
+    """Raw profile entries for a family inside (0, s), by one right-to-left
+    greedy chain.
 
-    Scans window starts i = s down to 0; alpha_window grows by at most one per
-    step, and the scan stops once it exceeds v + 1 since it can never shrink
-    again.  Entry u records the largest i where the value u was reached.
+    Every member lies inside (0, s), so it meets the window (i, s) iff
+    hi > i, and alpha_window(R, i, s) is the largest number of disjoint
+    members that all end past i.  The chain starts at f_0 = s; its pick c_u
+    is the member with the largest lo among those with hi <= f_{u-1}, and
+    f_u = lo(c_u).  Entry u is H_u - 1, where H_u is the largest hi among
+    the members with hi <= f_{u-1}, and -1 once no member is left.
+
+    Proof, the last-pick existence argument of claw_number read from the
+    right.  f_u is the largest possible left end of u disjoint members:
+    order any u disjoint members right to left; the j-th of them ends by s
+    or by the start of the one before it, which by induction on j is at or
+    before f_{j-1}, so it starts at or before f_j.  Now the value at i is at
+    least u iff some u disjoint members all end past i, that is, iff the
+    leftmost of them does.  That member ends by the start of the other
+    u - 1, so at or before f_{u-1}, and thus at or before H_u; so i < H_u
+    is needed.  Conversely, the member ending at H_u and the picks
+    c_1..c_{u-1} are u disjoint members that all end past any i < H_u.  So
+    H_u - 1 is the largest i with value at least u, and, as the value grows
+    by at most one per step (see the module docstring), the largest with
+    value u.  H_u <= f_{u-1} = lo(c_{u-1}) < H_{u-1}, so the entries
+    strictly decrease; that is checked as each is set.
     """
     r = [-1] * (v + 3)
-    r[0] = s
-    prev = 0
-    for i in range(s - 1, -1, -1):
-        alpha = _max_disjoint_meeting(intervals, i, s)
-        if not prev <= alpha <= prev + 1:
-            raise AssertionError("windowed independence moved by more than one")
-        if alpha > v + 1:
+    r[0] = frontier = s
+    for u in range(1, v + 2):
+        below = [iv for iv in intervals if iv.hi <= frontier]
+        if not below:
             break
-        if alpha == prev + 1:
-            r[alpha] = i
-            prev = alpha
+        r[u] = max(iv.hi for iv in below) - 1
+        if not r[u] < r[u - 1]:
+            raise AssertionError("windowed independence moved by more than one")
+        frontier = max(iv.lo for iv in below)
     return r
 
 

@@ -24,8 +24,10 @@ after which the profiles advance by extend.  The transition is written once,
 in _advance, which takes one predecessor state across a segment and adds its
 successors to the stage at s.  What depends on the segment alone (its short
 and long members, the crossing members, the groups to assign) is built once
-per segment pair by _segment and shared by every state that crosses it.  The
-same record memoises what depends on the segment and a set of members only:
+per segment pair by _segment and shared by every state that crosses it; for
+each s_prev the record of (s_prev, s) is grown from that of (s_prev, s - 1),
+and none is built past the first dead one (see _Segment).  The same record
+memoises what depends on the segment and a set of members only:
 the F+D head of the second part's new profile, per settled set, and the
 results of the two star checks, per set of visible crossing members.
 
@@ -260,10 +262,23 @@ class _Segment:
     the groups of the crossing members and members_of lists each one's
     members.
 
+    solve grows the records of one s_prev anchor by anchor: the members of
+    (s_prev, s) are those of (s_prev, s - 1) plus the ones with hi = s and
+    lo >= s_prev, merged in index order so that witnesses do not depend on
+    how a record was built.  The long members then center no overfull star
+    among themselves iff mid_relation(long_fam, long_fam, v), a pure
+    function of the family, so it is rerun only when long members arrive.
+    A segment whose long members fail it is dead: no state crosses it.  It
+    stays dead for every later s, because its long family only grows with
+    s, and a center with v + 1 disjoint neighbours among the members of a
+    family keeps them in every superset.  So once a segment is dead, nothing
+    further is built for its s_prev.
+
     The caches memoise work that predecessor states repeat.  Each value is a
-    pure function of its key and the fields above, and the record lives only
-    while one stage is built, so a cached value is always the one a fresh
-    computation would give:
+    pure function of its key and the fields above, and each record starts
+    with empty caches (a grown record shares only its members with the one
+    it grew from), so a cached value is always the one a fresh computation
+    would give:
 
       * long_meet_cache, per right end b: how many disjoint long members
         meet (s_prev, b).
@@ -298,6 +313,17 @@ class _Segment:
     short_star_cache: dict[frozenset[int], bool] = field(default_factory=dict)
 
 
+_NO_MEMBERS: tuple[tuple[int, ...], IntervalFamily] = ((), IntervalFamily(()))
+
+
+def _joined(
+    ivs: Sequence[Interval], idx: tuple[int, ...], new: Sequence[int]
+) -> tuple[tuple[int, ...], IntervalFamily]:
+    """The indices idx and new merged in index order, with their family."""
+    merged = tuple(sorted(idx + tuple(new)))
+    return merged, IntervalFamily(tuple(ivs[i] for i in merged))
+
+
 def _segment(
     ivs: Sequence[Interval],
     group_of: Sequence[int],
@@ -305,21 +331,32 @@ def _segment(
     s_prev: int,
     s: int,
     v: int,
+    before: _Segment | None = None,
+    arriving: Sequence[int] | None = None,
 ) -> _Segment | None:
     """The record of the segment (s_prev, s], or None if no state can cross it.
 
-    crossing[t] is the set of members crossing anchor t.  No candidate can
-    pass if the long segment members already center an overfull star among
-    themselves, so such a segment yields None.
+    crossing[t] is the set of members crossing anchor t.  With before and
+    arriving left out, the members are found by a scan of the whole family.
+    Otherwise before is the record of (s_prev, s - 1), or None when
+    s = s_prev + 1, and arriving holds the members with hi = s; the record is
+    grown from before by those of them with lo >= s_prev, and the long-family
+    star check reruns only when the long members grew (see _Segment).
     """
-    short_idx: list[int] = []
-    long_idx: list[int] = []
-    for i, iv in enumerate(ivs):
+    short_new: list[int] = []
+    long_new: list[int] = []
+    for i in range(len(ivs)) if arriving is None else arriving:
+        iv = ivs[i]
         if iv.lo >= s_prev and iv.hi <= s:
-            (short_idx if iv.length <= v else long_idx).append(i)
-    long_fam = IntervalFamily(tuple(ivs[i] for i in long_idx))
-    if not mid_relation(long_fam, long_fam, v):
-        return None
+            (short_new if iv.length <= v else long_new).append(i)
+    short_idx, short_fam = (before.short_idx, before.short_fam) if before else _NO_MEMBERS
+    long_idx, long_fam = (before.long_idx, before.long_fam) if before else _NO_MEMBERS
+    if long_new:
+        long_idx, long_fam = _joined(ivs, long_idx, long_new)
+        if not mid_relation(long_fam, long_fam, v):
+            return None
+    if short_new:
+        short_idx, short_fam = _joined(ivs, short_idx, short_new)
     K_set = crossing[s]
     gids = tuple(sorted({group_of[i] for i in K_set}))
     return _Segment(
@@ -328,9 +365,9 @@ def _segment(
         v=v,
         s_prev=s_prev,
         s=s,
-        short_idx=tuple(short_idx),
-        long_idx=tuple(long_idx),
-        short_fam=IntervalFamily(tuple(ivs[i] for i in short_idx)),
+        short_idx=short_idx,
+        long_idx=long_idx,
+        short_fam=short_fam,
         long_fam=long_fam,
         crossing=K_set,
         shared=crossing[s_prev] & K_set,
@@ -517,15 +554,25 @@ def solve(rep: VertebrateRep, v: int) -> SolveResult:
     state_cap_exp = 2 * (v + 1)
     group_cap = 1 << (2 * v * v + v)
 
+    arriving: list[list[int]] = [[] for _ in range(m + 1)]
+    for i, iv in enumerate(ivs):
+        arriving[iv.hi].append(i)
+    # The record of (s_prev, s - 1) for each live s_prev, in increasing
+    # order; an s_prev leaves for good when its segment dies (see _Segment),
+    # and one whose stage is empty never joins.
+    grown: dict[int, _Segment | None] = {}
+
     for s in range(1, m + 1):
         stage: dict[frozenset[int], list[DPState]] = {}
         seen: set[tuple] = set()
-        for s_prev in range(s):
-            if not scans[s_prev]:
-                continue
-            seg = _segment(ivs, group_of, crossing, s_prev, s, v)
+        if scans[s - 1]:
+            grown[s - 1] = None
+        for s_prev, before in list(grown.items()):
+            seg = _segment(ivs, group_of, crossing, s_prev, s, v, before, arriving[s])
             if seg is None:
+                del grown[s_prev]
                 continue
+            grown[s_prev] = seg
             for st in scans[s_prev]:
                 _advance(st, seg, stage, seen)
         states = [st for bucket in stage.values() for st in bucket]

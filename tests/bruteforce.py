@@ -20,6 +20,25 @@ def brute_alpha_window(S, l, r):
     return best
 
 
+def brute_profile(intervals, s, v):
+    """Profile entries of a family inside (0, s) by a scan of every window
+    start i = s - 1 down to 0: entry u is the first i where the windowed
+    count reaches u, for u up to v + 1, and -1 where it never does."""
+    r = [-1] * (v + 3)
+    r[0] = s
+    prev = 0
+    for i in range(s - 1, -1, -1):
+        alpha = brute_alpha_window(intervals, i, s)
+        if not prev <= alpha <= prev + 1:
+            raise AssertionError("windowed independence moved by more than one")
+        if alpha > v + 1:
+            break
+        if alpha == prev + 1:
+            r[alpha] = i
+            prev = alpha
+    return r
+
+
 def brute_claw(S):
     """Max induced star size; vertices as given (duplicates distinct)."""
     n = len(S)

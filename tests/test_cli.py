@@ -407,3 +407,26 @@ def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code != 0
+
+
+def test_main_twice_in_a_row_prints_identical_lines(capsys):
+    for argv in (
+        ["partition", str(FIXTURES / "path3.txt"), "--v", "1", "--witness"],
+        ["check", str(FIXTURES / "dense-grid.txt")],
+        ["partition", str(FIXTURES / "path3.txt"), "--v", "9"],
+    ):
+        runs = [run(capsys, *argv) for _ in range(2)]
+        untimed = [
+            (code, [line for line in lines if not line[0].startswith("timing_")])
+            for code, lines in runs
+        ]
+        assert untimed[0] == untimed[1]
+
+
+def test_main_dispatches_to_the_current_command_functions(capsys, monkeypatch):
+    main(["check", str(FIXTURES / "path3.txt")])
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.file) or 7)
+    assert main(["check", "some-file"]) == 7
+    assert seen == ["some-file"]

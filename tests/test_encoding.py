@@ -19,7 +19,8 @@ from clawsplit import (
     vertebrate_representation,
     zero_seq,
 )
-from clawsplit.encoding import fd_head
+from clawsplit.encoding import _profile, fd_head
+from bruteforce import brute_alpha_window, brute_profile
 
 UNITS3 = IntervalFamily.from_pairs([(0, 1), (1, 2), (2, 3)])
 EMPTY = IntervalFamily.from_pairs([])
@@ -52,6 +53,33 @@ def test_encode_units():
 
 def test_encode_single_long():
     assert encode(IntervalFamily.from_pairs([(0, 3)]), 3, 1).r == (3, 2, -1, -1)
+
+
+def test_profile_matches_window_scan():
+    # F + D as fd_head sees it: members inside (s_prev, s) and members
+    # crossing s_prev, with repeats, empty families and s = 0 among them
+    assert _profile([], 0, 1) == brute_profile([], 0, 1) == [0, -1, -1, -1]
+    rng = random.Random(47)
+    for _ in range(3000):
+        v = rng.randint(1, 4)
+        s = rng.randint(0, 9)
+        s_prev = rng.randint(0, s - 1) if s else 0
+        D, F = [], []
+        for _ in range(rng.randint(0, 5) if s else 0):
+            lo = rng.randint(s_prev, s - 1)
+            D.append(Interval(lo, rng.randint(lo + 1, s)))
+        for _ in range(rng.randint(0, 3) if 0 < s_prev < s else 0):
+            F.append(Interval(rng.randint(0, s_prev - 1), rng.randint(s_prev + 1, s)))
+        if D and rng.random() < 0.3:
+            D.append(rng.choice(D))
+        want = brute_profile(F + D, s, v)
+        assert _profile(F + D, s, v) == want
+        if s:
+            F_fam, D_fam = IntervalFamily(tuple(F)), IntervalFamily(tuple(D))
+            prof, w, w_full = fd_head(F_fam, D_fam, s_prev, s, v)
+            assert list(prof) == want
+            assert w == brute_alpha_window(D, s_prev, s)
+            assert w_full == brute_alpha_window(F + D, s_prev, s)
 
 
 def test_encode_rejects_outside_members():

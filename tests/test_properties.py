@@ -1,10 +1,17 @@
-"""Property-based checks of the solver against the exhaustive oracle."""
+"""Property-based checks: the solver against the exhaustive oracle, and the
+command line on malformed input."""
+
+import contextlib
+import io
+import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clawsplit import (
     IntervalFamily,
+    cli,
     oracle_partition,
     solve,
     vertebrate_representation,
@@ -45,3 +52,58 @@ def test_solve_agrees_with_oracle(S, v):
     assert got.feasible == oracle_partition(S, v).decision
     if got.feasible:
         assert verify_partition(S, got.assignment, v)
+
+
+# Tokens never hold whitespace or "#", so each line keeps its fields.
+TOKEN = st.text(alphabet="0123456789-+_.abxyz", min_size=1, max_size=5)
+NUMBER = st.integers(-50, 50).map(str)
+
+
+@st.composite
+def bad_lines(draw):
+    """A line no parser may accept: a wrong field count, a field that is not
+    an integer, or an empty interval."""
+    kind = draw(st.sampled_from(["count", "token", "empty"]))
+    if kind == "count":
+        fields = draw(
+            st.lists(TOKEN | NUMBER, min_size=1, max_size=5).filter(lambda f: len(f) != 2)
+        )
+    elif kind == "token":
+        fields = [draw(NUMBER), draw(TOKEN) + "x"]
+        if draw(st.booleans()):
+            fields.reverse()
+    else:
+        lo = draw(st.integers(-50, 50))
+        fields = [str(lo), str(lo - draw(st.integers(0, 5)))]
+    return " ".join(fields)
+
+
+@st.composite
+def malformed_files(draw):
+    """File bytes that must be refused: text with at least one bad line among
+    good lines, comments and blanks, or bytes that are not UTF-8."""
+    if draw(st.booleans()):
+        raw = draw(st.binary(max_size=40))
+        cut = draw(st.integers(0, len(raw)))
+        return raw[:cut] + b"\xff" + raw[cut:]
+    good = st.tuples(st.integers(-50, 50), st.integers(1, 9)).map(
+        lambda p: f"{p[0]} {p[0] + p[1]}"
+    )
+    lines = draw(st.lists(good | st.sampled_from(["", "# note", "  "]), max_size=6))
+    lines.insert(draw(st.integers(0, len(lines))), draw(bad_lines()))
+    return "\n".join(lines).encode()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=malformed_files())
+def test_malformed_input_always_exits_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for argv in (["check", path], ["represent", path], ["partition", path, "--v", "1"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            assert code == 2, (argv, data, out.getvalue())
+            assert any(line.startswith("error ") for line in out.getvalue().splitlines())

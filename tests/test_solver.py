@@ -188,6 +188,42 @@ def test_check_transition_long_side_claw_violation():
     assert frozenset() in hop(rep, 2, base_state(2), 4)
 
 
+def test_grown_segments_match_a_fresh_build():
+    rng = random.Random(43)
+    dead_pairs = 0
+    for _ in range(150):
+        v = rng.choice([1, 1, 2])
+        rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
+        ivs = rep.family.intervals
+        crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
+        group_of = compute_groups(rep.family, v).group_of
+        for s_prev in range(rep.m):
+            grown, dead = None, False
+            for s in range(s_prev + 1, rep.m + 1):
+                fresh = _segment(ivs, group_of, crossing, s_prev, s, v)
+                if dead:
+                    assert fresh is None  # no pair after a dead one comes back
+                    continue
+                arriving = [i for i, iv in enumerate(ivs) if iv.hi == s]
+                grown = _segment(ivs, group_of, crossing, s_prev, s, v, grown, arriving)
+                assert (grown is None) == (fresh is None)
+                if grown is None:
+                    dead = True
+                    dead_pairs += 1
+                    continue
+                for seg in (grown, fresh):
+                    assert list(seg.short_idx) == sorted(seg.short_idx)
+                    assert list(seg.long_idx) == sorted(seg.long_idx)
+                    assert seg.short_fam.intervals == tuple(ivs[i] for i in seg.short_idx)
+                    assert seg.long_fam.intervals == tuple(ivs[i] for i in seg.long_idx)
+                assert grown.short_idx == fresh.short_idx
+                assert grown.long_idx == fresh.long_idx
+                assert grown.crossing == fresh.crossing
+                assert grown.shared == fresh.shared
+                assert grown.pool == fresh.pool
+    assert dead_pairs > 20
+
+
 def test_advance_keeps_one_antichain_per_bucket():
     # across the unit (1, 2] the new first profile is (2, 1, q_1, -1) and the
     # new second one (2, p_1, -1, -1), read off the swapped predecessor
@@ -329,6 +365,17 @@ def test_solve_v3_m25_is_fast():
     assert time.perf_counter() - start < 10.0
     assert res.feasible
     assert verify_partition(S, res.assignment, 3)
+
+
+def test_solve_v1_m400_sparse_is_fast():
+    # 80,200 segment pairs; most die early, and the live ones grow one
+    # anchor at a time
+    S = generate(GeneratorSpec("vertebrate", m=400, density=0.3, max_len=3, seed=1))
+    start = time.perf_counter()
+    res = solve(vertebrate_representation(S), 1)
+    assert time.perf_counter() - start < 10.0
+    assert res.feasible
+    assert verify_partition(S, res.assignment, 1)
 
 
 def test_state_counts_within_cap():
