@@ -34,6 +34,7 @@ from clawsplit.solver import (
     verify_partition,
 )
 from clawsplit.oracle import (
+    GenerationError,
     GeneratorSpec,
     OracleReport,
     SizeGuardError,
@@ -76,6 +77,7 @@ __all__ = [
     "crossing_family",
     "solve",
     "verify_partition",
+    "GenerationError",
     "GeneratorSpec",
     "OracleReport",
     "SizeGuardError",

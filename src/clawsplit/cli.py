@@ -29,7 +29,13 @@ from clawsplit.intervals import (
     Side,
     graph_claw_number,
 )
-from clawsplit.oracle import GeneratorSpec, SizeGuardError, generate, oracle_partition
+from clawsplit.oracle import (
+    GenerationError,
+    GeneratorSpec,
+    SizeGuardError,
+    generate,
+    oracle_partition,
+)
 from clawsplit.recognition import (
     InvertebrateError,
     maximal_cliques,
@@ -308,7 +314,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return commands[args.command](args)
-    except (ParseError, _ReadError, RuntimeError) as exc:
+    except (ParseError, _ReadError, GenerationError) as exc:
         return _error_doc(args.command, str(exc))
     except Exception as exc:
         # A failed internal check is an error, never a "no".

@@ -17,7 +17,9 @@ and extend advances the two profiles of a 2-partition across a segment
 (s_prev, s] given only the new members, without revisiting the old ones.
 fd_head is the part of extend that depends on the segment and its new
 second-part members alone, so a caller crossing one segment from many
-predecessors can compute it once and pass it in.
+predecessors can compute it once and pass it in.  Such a caller can also
+pass extend a table that interns the profiles it returns, so that each
+distinct profile is built, and validated, once.
 """
 
 from __future__ import annotations
@@ -166,6 +168,7 @@ def extend(
     s: int,
     v: int,
     head: tuple[tuple[int, ...], int, int] | None = None,
+    table: dict[tuple[int, ...], MonotonicSeq] | None = None,
 ) -> tuple[MonotonicSeq, MonotonicSeq]:
     """Advance a 2-partition's profiles across the segment (s_prev, s].
 
@@ -184,6 +187,11 @@ def extend(
         v: claw bound, v >= 1.
         head: fd_head(F, D, s_prev, s, v), if the caller already has it;
             computed here when None.  The arguments are validated either way.
+        table: profiles already built, by entries; when given, a returned
+            profile is taken from it if present and added to it otherwise.
+            Its keys are the entries, which fix s (entry 0) and v (their
+            count less 3), so a hit is the profile a fresh build would give,
+            and that build's validation already ran when it was added.
 
     Returns:
         The pair of profiles at s.  The first part's new profile starts with
@@ -225,4 +233,16 @@ def extend(
         else:
             q[u] = q_prev.r[u - w]
 
-    return MonotonicSeq(tuple(p), s, v), MonotonicSeq(tuple(q), s, v)
+    return _interned(tuple(p), s, v, table), _interned(tuple(q), s, v, table)
+
+
+def _interned(
+    r: tuple[int, ...], s: int, v: int, table: dict[tuple[int, ...], MonotonicSeq] | None
+) -> MonotonicSeq:
+    """MonotonicSeq(r, s, v), taken from table when it holds r."""
+    if table is None:
+        return MonotonicSeq(r, s, v)
+    seq = table.get(r)
+    if seq is None:
+        seq = table[r] = MonotonicSeq(r, s, v)
+    return seq

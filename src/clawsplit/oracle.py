@@ -40,6 +40,10 @@ class SizeGuardError(RuntimeError):
     """Raised when an exhaustive routine is asked for more than it should chew."""
 
 
+class GenerationError(RuntimeError):
+    """Raised when generate finds no instance of the requested kind."""
+
+
 def _guard(n: int, cap: int, limit: Optional[int], what: str) -> None:
     effective = cap if limit is None else limit
     if n > effective:
@@ -380,7 +384,7 @@ def generate(spec: GeneratorSpec) -> IntervalFamily:
             fam = IntervalFamily.from_pairs(_gen_raw(rng, spec.n, spec.max_len))
             if not is_vertebrate(fam):
                 return fam
-        raise RuntimeError(
+        raise GenerationError(
             f"no invertebrate instance found in 1000 draws for {spec}"
         )
     raise ValueError(f"unknown generator kind {spec.kind!r}")

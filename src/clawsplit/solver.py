@@ -31,6 +31,25 @@ memoises what depends on the segment and a set of members only:
 the F+D head of the second part's new profile, per settled set, and the
 results of the two star checks, per set of visible crossing members.
 
+It also holds one plan per predecessor bucket (see _Plan): the settled
+members and their lower-bound floors, F, the witness tuples, the forced
+groups and the candidate side assignments, each candidate with its settled
+counts and star results.  A predecessor's first_crossing fixes its
+second_crossing (crossing[s_prev] minus it), so all of a plan is a pure
+function of the segment and first_crossing, and every state of the bucket
+would compute the same values.  A candidate's counts are filled when a
+successor with its side assignment first gets past seen and the dominance
+scan, and its star results when a state first reaches them, so a plan
+holds nothing a state of its bucket did not ask for (all of a candidate's
+counts come at once, where a state stops at the first failing one).
+_advance keeps only the per-state work, in the same order: the lower
+bounds against its profiles, one extend, then per candidate seen,
+dominance, the inequalities alpha_seq(profile, a) + count <= v and the
+star results.  The candidates are tried in the same mask order, so the
+kept states, their order and seen are those of a transition that rebuilt
+everything per state.  Profiles are interned per solve (see extend), so
+each distinct profile is one MonotonicSeq, validated once.
+
 Members are grouped by chains of significant overlap (intersection length
 >= 2v + 1); a feasible split never separates a group, so crossing members are
 assigned group-wise, which keeps every stage's state count within
@@ -47,8 +66,8 @@ stage keeps one antichain per bucket.  This drops no feasible split:
     depends on the segment and the settled set only), or from a shifted
     predecessor entry, so entrywise <= predecessors give entrywise <=
     successors.
-  * Every profile check, the two lower bounds in _advance and _settled_ok,
-    has the form alpha_seq(profile, a) + count <= v, where count does not
+  * Every profile check, the two lower bounds and the split star counts in
+    _advance, has the form alpha_seq(profile, a) + count <= v, where count does not
     depend on the profiles.
   * The forced sides, the star checks, the settled sets and the candidate
     masks depend only on first_crossing and second_crossing (the latter is
@@ -260,7 +279,8 @@ class _Segment:
     members crossing s; shared, those crossing s_prev too; pool, those
     crossing s_prev that stop before s and so settle at this hop.  gids are
     the groups of the crossing members and members_of lists each one's
-    members.
+    members; both depend on s alone, so solve builds them once per anchor
+    and hands them to every segment ending there.
 
     solve grows the records of one s_prev anchor by anchor: the members of
     (s_prev, s) are those of (s_prev, s - 1) plus the ones with hi = s and
@@ -280,6 +300,10 @@ class _Segment:
     it grew from), so a cached value is always the one a fresh computation
     would give:
 
+      * plans, per predecessor first_crossing: the _Plan of every state of
+        that bucket.  A state's second_crossing is crossing[s_prev] minus
+        its first_crossing, so the bucket fixes both committed sides, and
+        everything in a plan is built from them and the fields above.
       * long_meet_cache, per right end b: how many disjoint long members
         meet (s_prev, b).
       * head_cache, per settled_second (the sorted indices of the members
@@ -305,12 +329,58 @@ class _Segment:
     pool: frozenset[int]
     gids: tuple[int, ...]
     members_of: dict[int, tuple[int, ...]]
+    plans: dict[frozenset[int], _Plan] = field(default_factory=dict)
     long_meet_cache: dict[int, int] = field(default_factory=dict)
     head_cache: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = field(
         default_factory=dict
     )
     long_star_cache: dict[frozenset[int], bool] = field(default_factory=dict)
     short_star_cache: dict[frozenset[int], bool] = field(default_factory=dict)
+
+
+@dataclass(slots=True)
+class _Candidate:
+    """One way to give a plan's free crossing groups to the two sides.
+
+    A is the first side's crossing members.  B (the rest of crossing) and
+    the settled counts are filled when a successor with this A first gets
+    past seen and the dominance scan (see _fill), and each star result
+    (None until then) when a state first reaches its check.
+    first_counts[j] is the number of disjoint new first-side members
+    meeting (s_prev, b) for the j-th settled_first member (a, b), and
+    second_counts likewise for settled_second and the new second side.
+    """
+
+    A: frozenset[int]
+    B: frozenset[int] | None = None
+    first_counts: tuple[int, ...] = ()
+    second_counts: tuple[int, ...] = ()
+    long_ok: bool | None = None
+    short_ok: bool | None = None
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What a hop across one segment does for one predecessor bucket.
+
+    settled_first and settled_second are the members settling at this hop
+    on the (swapped) first and second side, sorted, and F the second ones as
+    a family.  first_bounds and second_bounds hold (a, floor) per settled
+    member, with floor the candidate-independent part of its right-hand
+    count: b - s_prev backbone units on the first side, long_meet_cache[b]
+    on the second.  candidates lists the side assignments in mask order; it
+    is empty when the forced sides of two shared members of one group
+    disagree.
+    """
+
+    settled_first: tuple[int, ...]
+    settled_second: tuple[int, ...]
+    first_bounds: tuple[tuple[int, int], ...]
+    second_bounds: tuple[tuple[int, int], ...]
+    F: IntervalFamily
+    to_first: tuple[int, ...]
+    to_second: tuple[int, ...]
+    candidates: list[_Candidate]
 
 
 _NO_MEMBERS: tuple[tuple[int, ...], IntervalFamily] = ((), IntervalFamily(()))
@@ -324,6 +394,14 @@ def _joined(
     return merged, IntervalFamily(tuple(ivs[i] for i in merged))
 
 
+def _crossing_groups(
+    group_of: Sequence[int], K_set: frozenset[int]
+) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """The sorted groups of the members K_set, and each one's members in K_set."""
+    gids = tuple(sorted({group_of[i] for i in K_set}))
+    return gids, {g: tuple(sorted(i for i in K_set if group_of[i] == g)) for g in gids}
+
+
 def _segment(
     ivs: Sequence[Interval],
     group_of: Sequence[int],
@@ -333,6 +411,7 @@ def _segment(
     v: int,
     before: _Segment | None = None,
     arriving: Sequence[int] | None = None,
+    groups: tuple[tuple[int, ...], dict[int, tuple[int, ...]]] | None = None,
 ) -> _Segment | None:
     """The record of the segment (s_prev, s], or None if no state can cross it.
 
@@ -342,6 +421,8 @@ def _segment(
     s = s_prev + 1, and arriving holds the members with hi = s; the record is
     grown from before by those of them with lo >= s_prev, and the long-family
     star check reruns only when the long members grew (see _Segment).
+    groups is _crossing_groups(group_of, crossing[s]), computed here when
+    left out.
     """
     short_new: list[int] = []
     long_new: list[int] = []
@@ -358,7 +439,7 @@ def _segment(
     if short_new:
         short_idx, short_fam = _joined(ivs, short_idx, short_new)
     K_set = crossing[s]
-    gids = tuple(sorted({group_of[i] for i in K_set}))
+    gids, members_of = _crossing_groups(group_of, K_set) if groups is None else groups
     return _Segment(
         ivs=ivs,
         group_of=group_of,
@@ -373,7 +454,7 @@ def _segment(
         shared=crossing[s_prev] & K_set,
         pool=crossing[s_prev] - K_set,
         gids=gids,
-        members_of={g: tuple(sorted(i for i in K_set if group_of[i] == g)) for g in gids},
+        members_of=members_of,
     )
 
 
@@ -395,25 +476,82 @@ def _star_bound_ok(
     return ok
 
 
-def _settled_ok(
-    ivs: Sequence[Interval],
-    settled: Sequence[int],
-    profile: MonotonicSeq,
-    right_pool: Sequence[Interval],
-    s_prev: int,
-    v: int,
-) -> bool:
-    """Split star count for members settled on a side at this hop.
-
-    A settled member (a, b) crosses s_prev; disjoint same-side leaves meeting
-    it split at s_prev into ones counted by the predecessor profile at a and
-    ones meeting (s_prev, b) among the side's new members.
-    """
-    for i in settled:
+def _plan(seg: _Segment, st: DPState) -> _Plan:
+    """The plan of st's bucket across seg (see _Plan), read with the
+    predecessor's sides swapped as in _advance."""
+    ivs, s_prev = seg.ivs, seg.s_prev
+    A_prime, B_prime = st.second_crossing, st.first_crossing
+    settled_first = tuple(sorted(A_prime & seg.pool))
+    settled_second = tuple(sorted(B_prime & seg.pool))
+    second_bounds = []
+    for i in settled_second:
         a, b = ivs[i]
-        if alpha_seq(profile, a) + _max_disjoint_meeting(right_pool, s_prev, b) > v:
-            return False
-    return True
+        floor = seg.long_meet_cache.get(b)
+        if floor is None:
+            floor = _max_disjoint_meeting(seg.long_fam.intervals, s_prev, b)
+            seg.long_meet_cache[b] = floor
+        second_bounds.append((a, floor))
+
+    return _Plan(
+        settled_first=settled_first,
+        settled_second=settled_second,
+        first_bounds=tuple((ivs[i].lo, ivs[i].hi - s_prev) for i in settled_first),
+        second_bounds=tuple(second_bounds),
+        F=IntervalFamily(tuple(ivs[i] for i in settled_second)),
+        to_first=seg.short_idx + settled_first,
+        to_second=seg.long_idx + settled_second,
+        candidates=_candidates(seg, A_prime),
+    )
+
+
+def _candidates(seg: _Segment, A_prime: frozenset[int]) -> list[_Candidate]:
+    """The side assignments of seg's crossing groups, in mask order, when
+    the predecessor's first side (read swapped) is A_prime.
+
+    A group holding a shared member keeps that member's side; there are
+    none when two shared members of one group were committed apart.
+    """
+    forced: dict[int, bool] = {}
+    for i in seg.shared:
+        want_first = i in A_prime
+        if forced.setdefault(seg.group_of[i], want_first) != want_first:
+            return []
+    free = [g for g in seg.gids if g not in forced]
+    forced_first = [i for g, to_first in forced.items() if to_first for i in seg.members_of[g]]
+    candidates = []
+    for mask in range(1 << len(free)):
+        first_idx = list(forced_first)
+        for bit, g in enumerate(free):
+            if not (mask >> bit) & 1:
+                first_idx.extend(seg.members_of[g])
+        candidates.append(_Candidate(frozenset(first_idx)))
+    return candidates
+
+
+def _fill(seg: _Segment, plan: _Plan, cand: _Candidate) -> None:
+    """Fill cand's B and settled counts (see _Candidate)."""
+    ivs, s_prev = seg.ivs, seg.s_prev
+    cand.B = B = seg.crossing - cand.A
+    first_new = [*seg.short_fam.intervals, *(ivs[i] for i in sorted(cand.A - seg.shared))]
+    second_new = [*seg.long_fam.intervals, *(ivs[i] for i in sorted(B - seg.shared))]
+    cand.first_counts = tuple(
+        _max_disjoint_meeting(first_new, s_prev, ivs[i].hi) for i in plan.settled_first
+    )
+    cand.second_counts = tuple(
+        _max_disjoint_meeting(second_new, s_prev, ivs[i].hi) for i in plan.settled_second
+    )
+
+
+def _room(profile: MonotonicSeq, bounds: Sequence[tuple[int, int]], v: int) -> list[int] | None:
+    """v - alpha_seq(profile, a) for each (a, floor) in bounds, or None as
+    soon as some floor exceeds it."""
+    room = []
+    for a, floor in bounds:
+        left = v - alpha_seq(profile, a)
+        if floor > left:
+            return None
+        room.append(left)
+    return room
 
 
 def _dominates(st: DPState, p: MonotonicSeq, q: MonotonicSeq) -> bool:
@@ -426,6 +564,7 @@ def _advance(
     seg: _Segment,
     stage: dict[frozenset[int], list[DPState]],
     seen: set[tuple],
+    profiles: dict[tuple[int, ...], MonotonicSeq],
 ) -> None:
     """The DP transition: take one state at seg.s_prev across seg into stage.
 
@@ -433,7 +572,15 @@ def _advance(
     run (s_prev, s] puts the unit (s - 1, s) on the opposite part from
     (s_prev - 1, s_prev).  Candidates give whole crossing groups to a side:
     a group holding a member that also crosses s_prev keeps that member's
-    committed side, and the free groups try both.
+    committed side, and the free groups try both.  What depends only on the
+    segment and st's bucket comes from the bucket's plan (see _Plan), and
+    profiles interns the new profiles (see extend).
+
+    The checks, in order: the settled members' lower bounds, which need no
+    candidate; then per candidate, after extend, the split star count
+    alpha_seq(profile, a) + count <= v of each settled member (a, b), where
+    count is the number of disjoint new same-side members meeting
+    (s_prev, b), and the two star checks.
 
     stage maps each first_crossing to its bucket, an antichain of kept
     states (see the module docstring).  seen holds the keys
@@ -444,53 +591,33 @@ def _advance(
     dropped before the settled and star checks.  One that passes every
     check joins its bucket and evicts the states it dominates.
     """
-    ivs, v, s_prev = seg.ivs, seg.v, seg.s_prev
+    plan = seg.plans.get(st.first_crossing)
+    if plan is None:
+        plan = seg.plans[st.first_crossing] = _plan(seg, st)
+    v = seg.v
     p_prime, q_prime = st.q, st.p
-    A_prime, B_prime = st.second_crossing, st.first_crossing
-    settled_first = tuple(sorted(A_prime & seg.pool))
-    settled_second = tuple(sorted(B_prime & seg.pool))
 
     # Candidate-independent lower bounds: the backbone units give the first
     # side at least b - s_prev leaves right of s_prev, the long members give
     # the second side at least their own disjoint count there.
-    for i in settled_first:
-        a, b = ivs[i]
-        if alpha_seq(p_prime, a) + (b - s_prev) > v:
-            return
-    for i in settled_second:
-        a, b = ivs[i]
-        floor = seg.long_meet_cache.get(b)
-        if floor is None:
-            floor = _max_disjoint_meeting(seg.long_fam.intervals, s_prev, b)
-            seg.long_meet_cache[b] = floor
-        if alpha_seq(q_prime, a) + floor > v:
-            return
+    first_room = _room(p_prime, plan.first_bounds, v)
+    if first_room is None:
+        return
+    second_room = _room(q_prime, plan.second_bounds, v)
+    if second_room is None:
+        return
 
-    F = IntervalFamily(tuple(ivs[i] for i in settled_second))
-    head = seg.head_cache.get(settled_second)
+    head = seg.head_cache.get(plan.settled_second)
     if head is None:
-        head = fd_head(F, seg.long_fam, s_prev, seg.s, v)
-        seg.head_cache[settled_second] = head
+        head = fd_head(plan.F, seg.long_fam, seg.s_prev, seg.s, v)
+        seg.head_cache[plan.settled_second] = head
     p_new, q_new = extend(
-        p_prime, q_prime, F, seg.short_fam, seg.long_fam, s_prev, seg.s, v, head
+        p_prime, q_prime, plan.F, seg.short_fam, seg.long_fam, seg.s_prev, seg.s, v,
+        head, profiles,
     )
 
-    forced: dict[int, bool] = {}
-    for i in seg.shared:
-        want_first = i in A_prime
-        if forced.setdefault(seg.group_of[i], want_first) != want_first:
-            return
-    free = [g for g in seg.gids if g not in forced]
-    forced_first = [
-        i for g, to_first in forced.items() if to_first for i in seg.members_of[g]
-    ]
-
-    for mask in range(1 << len(free)):
-        first_idx = list(forced_first)
-        for bit, g in enumerate(free):
-            if not (mask >> bit) & 1:
-                first_idx.extend(seg.members_of[g])
-        A = frozenset(first_idx)
+    for cand in plan.candidates:
+        A = cand.A
         key = (p_new.r, q_new.r, A)
         if key in seen:
             continue
@@ -498,26 +625,33 @@ def _advance(
         if any(_dominates(kept, p_new, q_new) for kept in bucket):
             seen.add(key)
             continue
-        B = seg.crossing - A
-        first_new = [*seg.short_fam.intervals, *(ivs[i] for i in sorted(A - seg.shared))]
-        second_new = [*seg.long_fam.intervals, *(ivs[i] for i in sorted(B - seg.shared))]
-        if not _settled_ok(ivs, settled_first, p_prime, first_new, s_prev, v):
+        if cand.B is None:
+            _fill(seg, plan, cand)
+        if not all(map(le, cand.first_counts, first_room)):
             continue
-        if not _settled_ok(ivs, settled_second, q_prime, second_new, s_prev, v):
+        if not all(map(le, cand.second_counts, second_room)):
             continue
-        if not _star_bound_ok(seg, seg.long_idx, B_prime | B, seg.long_star_cache):
+        if cand.long_ok is None:
+            cand.long_ok = _star_bound_ok(
+                seg, seg.long_idx, st.first_crossing | cand.B, seg.long_star_cache
+            )
+        if not cand.long_ok:
             continue
-        if not _star_bound_ok(seg, seg.short_idx, A_prime | A, seg.short_star_cache):
+        if cand.short_ok is None:
+            cand.short_ok = _star_bound_ok(
+                seg, seg.short_idx, st.second_crossing | A, seg.short_star_cache
+            )
+        if not cand.short_ok:
             continue
         new_state = DPState(
             seg.s,
             p_new,
             q_new,
             A,
-            B,
+            cand.B,
             prev=st,
-            to_first=seg.short_idx + settled_first,
-            to_second=seg.long_idx + settled_second,
+            to_first=plan.to_first,
+            to_second=plan.to_second,
         )
         stage[A] = [kept for kept in bucket if not _dominates(new_state, kept.p, kept.q)]
         stage[A].append(new_state)
@@ -561,20 +695,23 @@ def solve(rep: VertebrateRep, v: int) -> SolveResult:
     # order; an s_prev leaves for good when its segment dies (see _Segment),
     # and one whose stage is empty never joins.
     grown: dict[int, _Segment | None] = {}
+    # Every profile the solve builds, by entries (see extend).
+    profiles: dict[tuple[int, ...], MonotonicSeq] = {}
 
     for s in range(1, m + 1):
         stage: dict[frozenset[int], list[DPState]] = {}
         seen: set[tuple] = set()
         if scans[s - 1]:
             grown[s - 1] = None
+        groups = _crossing_groups(group_of, crossing[s])
         for s_prev, before in list(grown.items()):
-            seg = _segment(ivs, group_of, crossing, s_prev, s, v, before, arriving[s])
+            seg = _segment(ivs, group_of, crossing, s_prev, s, v, before, arriving[s], groups)
             if seg is None:
                 del grown[s_prev]
                 continue
             grown[s_prev] = seg
             for st in scans[s_prev]:
-                _advance(st, seg, stage, seen)
+                _advance(st, seg, stage, seen, profiles)
         states = [st for bucket in stage.values() for st in bucket]
         cap = (s + 2) ** state_cap_exp * group_cap
         if len(states) > cap:

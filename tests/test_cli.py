@@ -1,5 +1,6 @@
 """Command-line front end: output documents, exit codes, round trips."""
 
+import os
 import subprocess
 import sys
 import time
@@ -86,6 +87,19 @@ def test_internal_failure_is_an_error_not_a_no(capsys, monkeypatch):
     assert code == 2
     assert field(lines, "error")[:2] == ["internal", "KeyError:"]
     assert fields(lines, "decision") == []
+
+
+def test_internal_runtime_error_reads_as_internal(capsys, monkeypatch):
+    def too_deep(rep, v):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "solve", too_deep)
+    code = main(["partition", str(FIXTURES / "dense-grid.txt"), "--v", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error internal RecursionError: maximum recursion depth exceeded\n" in captured.out
+    assert "decision" not in captured.out
+    assert "Traceback" in captured.err
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -390,14 +404,29 @@ def test_gen_bad_parameters_are_errors_not_internal_failures(capsys):
         assert captured.err == ""
 
 
+def test_gen_without_an_invertebrate_draw_is_a_plain_error(capsys):
+    assert main(["gen", "--kind", "invertebrate", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith(
+        "command gen\nerror no invertebrate instance found in 1000 draws "
+    )
+    assert "internal" not in captured.out
+    assert captured.err == ""
+
+
 # ------------------------------------------------------------------- plumbing
 
 
 def test_module_entry_point_runs():
+    # the child process finds the package in the repository's src, installed
+    # or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "clawsplit", "check", str(FIXTURES / "path3.txt")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "vertebrate yes" in proc.stdout

@@ -158,6 +158,20 @@ def test_extend_rejects_misplaced_lengths():
         extend(z, z, EMPTY, EMPTY, short_in_d, 0, 3, 1)
 
 
+def test_extend_interns_profiles_in_a_table():
+    z = zero_seq(1)
+    units = IntervalFamily.from_pairs([(0, 1), (1, 2)])
+    table = {}
+    p, q = extend(z, z, EMPTY, units, EMPTY, 0, 2, 1, None, table)
+    assert table == {p.r: p, q.r: q}
+    again = extend(z, z, EMPTY, units, EMPTY, 0, 2, 1, None, table)
+    assert again[0] is p and again[1] is q
+    assert extend(z, z, EMPTY, units, EMPTY, 0, 2, 1) == (p, q)
+    # the arguments are still checked when every result is in the table
+    with pytest.raises(ValueError):
+        extend(z, z, EMPTY, IntervalFamily.from_pairs([(0, 2)]), EMPTY, 0, 2, 1, None, table)
+
+
 def test_extend_leading_parameters_are_pinned():
     # bench/tracer.py wraps extend and reads F, s_prev and s by position
     names = list(inspect.signature(extend).parameters)

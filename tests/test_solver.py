@@ -23,7 +23,14 @@ from clawsplit import (
     verify_partition,
     zero_seq,
 )
-from clawsplit.solver import _advance, _check_group_bound, _segment
+from clawsplit import encoding, intervals, solver
+from clawsplit.solver import (
+    _advance,
+    _check_group_bound,
+    _crossing_groups,
+    _scan_key,
+    _segment,
+)
 from bruteforce import brute_groups
 
 PATH3_REP = vertebrate_representation(IntervalFamily.from_pairs([(0, 2), (1, 3), (2, 4)]))
@@ -119,7 +126,7 @@ def hop(rep, v, st, s):
     seg = _segment(rep.family.intervals, group_of, crossing, st.s, s, v)
     stage = {}
     if seg is not None:
-        _advance(st, seg, stage, set())
+        _advance(st, seg, stage, set(), {})
     # one predecessor gives one state per first side
     return {A: bucket[0] for A, bucket in stage.items()}
 
@@ -239,7 +246,7 @@ def test_advance_keeps_one_antichain_per_bucket():
     def advance_all(order):
         stage, seen = {}, set()
         for st in order:
-            _advance(st, seg, stage, seen)
+            _advance(st, seg, stage, seen, {})
         assert set(stage) == {frozenset()}
         return stage[frozenset()]
 
@@ -260,6 +267,91 @@ def test_advance_keeps_one_antichain_per_bucket():
     twin = DPState(1, low, low, frozenset(), frozenset())
     [only] = advance_all([best, twin])
     assert only.prev is best
+
+
+def test_bucket_plans_match_fresh_records():
+    # solve shares one grown record, and with it one plan per bucket, among
+    # all the states of a stage; a fresh record per state shares nothing
+    rng = random.Random(47)
+    advanced = plans = 0
+    for _ in range(60):
+        v = rng.choice([1, 2, 2])
+        rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
+        ivs = rep.family.intervals
+        crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
+        group_of = compute_groups(rep.family, v).group_of
+        scans = [[base_state(v)]]
+        grown = {}
+        profiles = {}
+        for s in range(1, rep.m + 1):
+            arriving = [i for i, iv in enumerate(ivs) if iv.hi == s]
+            groups = _crossing_groups(group_of, crossing[s])
+            shared, shared_seen = {}, set()
+            fresh, fresh_seen = {}, set()
+            if scans[s - 1]:
+                grown[s - 1] = None
+            for s_prev, before in list(grown.items()):
+                seg = _segment(ivs, group_of, crossing, s_prev, s, v, before, arriving, groups)
+                if seg is None:
+                    del grown[s_prev]
+                    continue
+                grown[s_prev] = seg
+                for st in scans[s_prev]:
+                    _advance(st, seg, shared, shared_seen, profiles)
+                    own = _segment(ivs, group_of, crossing, s_prev, s, v)
+                    _advance(st, own, fresh, fresh_seen, {})
+                    advanced += 1
+                plans += len(seg.plans)
+
+            def kept(stage):
+                return [
+                    (A, [(id(st.prev), st.p.r, st.q.r, st.second_crossing,
+                          st.to_first, st.to_second) for st in bucket])
+                    for A, bucket in stage.items()
+                ]
+
+            assert kept(shared) == kept(fresh)
+            assert shared_seen == fresh_seen
+            scans.append(sorted((st for b in shared.values() for st in b), key=_scan_key))
+    assert advanced > 2 * plans > 0
+
+
+def test_solve_builds_each_profile_once(monkeypatch):
+    built = []
+    post_init = MonotonicSeq.__post_init__
+
+    def counted(seq):
+        built.append(seq.r)
+        post_init(seq)
+
+    monkeypatch.setattr(MonotonicSeq, "__post_init__", counted)
+    S = generate(GeneratorSpec("vertebrate", m=20, density=2.0, max_len=3, seed=3))
+    res = solve(vertebrate_representation(S), 2)
+    assert res.feasible
+    assert len(built) > 100
+    assert len(built) == len(set(built))
+
+
+def test_solve_greedy_calls_below_the_per_state_count(monkeypatch):
+    # every _max_disjoint_meeting call of one solve, from the settled
+    # counts, the lower bounds, fd_head and the star checks; computing the
+    # settled counts once per state and candidate made 5,902 on this instance
+    greedy = intervals._max_disjoint_meeting
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return greedy(*args)
+
+    S = generate(GeneratorSpec("vertebrate", m=20, density=2.0, max_len=3, seed=3))
+    rep = vertebrate_representation(S)
+    for module in (intervals, encoding, solver):
+        monkeypatch.setattr(module, "_max_disjoint_meeting", counted)
+    res = solve(rep, 2)
+    assert res.feasible
+    assert sum(res.stage_state_counts) == 582
+    assert 0 < calls < 5902
 
 
 def test_verify_partition_clique_one_side():
