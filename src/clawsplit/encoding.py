@@ -17,15 +17,17 @@ and extend advances the two profiles of a 2-partition across a segment
 (s_prev, s] given only the new members, without revisiting the old ones.
 fd_head is the part of extend that depends on the segment and its new
 second-part members alone, so a caller crossing one segment from many
-predecessors can compute it once and pass it in.  Such a caller can also
-pass extend a table that interns the profiles it returns, so that each
-distinct profile is built, and validated, once.
+predecessors can compute it once and pass it in; it then vouches for the
+segment members too, which extend validates only when it computes the head
+itself.  Such a caller can also pass extend a table that interns the
+profiles it returns, so that each distinct profile is built, and validated,
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from clawsplit.intervals import Interval, IntervalFamily, _max_disjoint_meeting
 
@@ -137,6 +139,19 @@ def alpha_seq(r: MonotonicSeq, i: int) -> int:
     raise AssertionError("profile lost its anchor entry")
 
 
+def _check_segment_members(
+    C: Iterable[Interval], D: Iterable[Interval], s_prev: int, s: int, v: int
+) -> None:
+    """Raise ValueError unless every member of C is a short, and every member
+    of D a long, member of the segment (s_prev, s) (see extend)."""
+    for iv in C:
+        if iv.lo < s_prev or iv.hi > s or iv.length > v:
+            raise ValueError(f"{iv} is not a short segment member of ({s_prev}, {s})")
+    for iv in D:
+        if iv.lo < s_prev or iv.hi > s or iv.length <= v:
+            raise ValueError(f"{iv} is not a long segment member of ({s_prev}, {s})")
+
+
 def fd_head(
     F: IntervalFamily, D: IntervalFamily, s_prev: int, s: int, v: int
 ) -> tuple[tuple[int, ...], int, int]:
@@ -186,7 +201,12 @@ def extend(
         s_prev, s: segment anchors, 0 <= s_prev < s.
         v: claw bound, v >= 1.
         head: fd_head(F, D, s_prev, s, v), if the caller already has it;
-            computed here when None.  The arguments are validated either way.
+            computed here when None.  The anchors, the predecessor profiles
+            and F are validated either way, C and D only when head is None:
+            a caller that passes head vouches for them.  solve's _segment
+            validates each segment member with _check_segment_members when
+            it takes it, and a member valid for (s_prev, s') is valid for
+            every s > s', so its families need no check here.
         table: profiles already built, by entries; when given, a returned
             profile is taken from it if present and added to it otherwise.
             Its keys are the entries, which fix s (entry 0) and v (their
@@ -205,12 +225,8 @@ def extend(
         raise ValueError("predecessor profiles not anchored at s_prev")
     if p_prev.v != v or q_prev.v != v:
         raise ValueError("predecessor profiles built for a different claw bound")
-    for iv in C:
-        if iv.lo < s_prev or iv.hi > s or iv.length > v:
-            raise ValueError(f"{iv} is not a short segment member of ({s_prev}, {s})")
-    for iv in D:
-        if iv.lo < s_prev or iv.hi > s or iv.length <= v:
-            raise ValueError(f"{iv} is not a long segment member of ({s_prev}, {s})")
+    if head is None:
+        _check_segment_members(C, D, s_prev, s, v)
     for iv in F:
         if not (0 <= iv.lo < s_prev < iv.hi <= s):
             raise ValueError(f"{iv} does not cross s_prev={s_prev} within (0, {s})")

@@ -15,8 +15,9 @@ settled on the side they were committed to.  The checks are exactly:
 
   * the candidate sides of the s-crossing members agree with the predecessor
     on members crossing both anchors,
-  * neither side's new members can center an induced star with v + 1 leaves
-    among the members visible to them,
+  * the long members cannot center an induced star with v + 1 leaves among
+    the members visible to the second side (a short member has length at
+    most v and so meets at most v disjoint members; see _advance),
   * members settled this hop obey the split star count: leaves left of s_prev
     are counted through the predecessor profile, leaves right of it directly,
 
@@ -27,25 +28,31 @@ and long members, the crossing members, the groups to assign) is built once
 per segment pair by _segment and shared by every state that crosses it; for
 each s_prev the record of (s_prev, s) is grown from that of (s_prev, s - 1),
 and none is built past the first dead one (see _Segment).  The same record
-memoises what depends on the segment and a set of members only:
-the F+D head of the second part's new profile, per settled set, and the
-results of the two star checks, per set of visible crossing members.
+memoises what depends on the segment and a set of members only: the F+D
+head of the second part's new profile, per settled set, and the result of
+the long members' star check, per set of visible crossing members.  When
+no long member arrives at s, a grown record shares the long-member caches
+of the record it grew from and carries its heads forward with entry 0 moved
+to s; the soundness argument is in the _Segment docstring.  The side
+assignments of the crossing groups depend on s, the shared members and
+their committed sides only, so they are enumerated once per anchor and key
+(see _Anchor).
 
 It also holds one plan per predecessor bucket (see _Plan): the settled
 members and their lower-bound floors, F, the witness tuples, the forced
 groups and the candidate side assignments, each candidate with its settled
-counts and star results.  A predecessor's first_crossing fixes its
+counts and star result.  A predecessor's first_crossing fixes its
 second_crossing (crossing[s_prev] minus it), so all of a plan is a pure
 function of the segment and first_crossing, and every state of the bucket
 would compute the same values.  A candidate's counts are filled when a
 successor with its side assignment first gets past seen and the dominance
-scan, and its star results when a state first reaches them, so a plan
+scan, and its star result when a state first reaches it, so a plan
 holds nothing a state of its bucket did not ask for (all of a candidate's
 counts come at once, where a state stops at the first failing one).
 _advance keeps only the per-state work, in the same order: the lower
 bounds against its profiles, one extend, then per candidate seen,
 dominance, the inequalities alpha_seq(profile, a) + count <= v and the
-star results.  The candidates are tried in the same mask order, so the
+star result.  The candidates are tried in the same mask order, so the
 kept states, their order and seen are those of a transition that rebuilt
 everything per state.  Profiles are interned per solve (see extend), so
 each distinct profile is one MonotonicSeq, validated once.
@@ -69,7 +76,7 @@ stage keeps one antichain per bucket.  This drops no feasible split:
   * Every profile check, the two lower bounds and the split star counts in
     _advance, has the form alpha_seq(profile, a) + count <= v, where count does not
     depend on the profiles.
-  * The forced sides, the star checks, the settled sets and the candidate
+  * The forced sides, the star check, the settled sets and the candidate
     masks depend only on first_crossing and second_crossing (the latter is
     crossing[s] minus the former), which are equal within a bucket.
 
@@ -92,7 +99,14 @@ from dataclasses import dataclass, field
 from operator import le
 from typing import Optional, Sequence
 
-from clawsplit.encoding import MonotonicSeq, alpha_seq, extend, fd_head, zero_seq
+from clawsplit.encoding import (
+    MonotonicSeq,
+    _check_segment_members,
+    alpha_seq,
+    extend,
+    fd_head,
+    zero_seq,
+)
 from clawsplit.intervals import (
     Interval,
     IntervalFamily,
@@ -271,48 +285,86 @@ def verify_partition(J: IntervalFamily, assignment: PartitionAssignment, v: int)
 
 
 @dataclass(frozen=True)
+class _Anchor:
+    """What every segment ending at one anchor s shares.
+
+    gids are the sorted groups of the members crossing s, and members_of
+    lists each one's members; both depend on s alone.  sides memoises the
+    side assignments that _candidates enumerates, keyed by (shared, the
+    shared members on the first side): with group_of fixed per solve and
+    gids and members_of per anchor, the forced sides, the free groups and
+    the first sides in mask order are a pure function of that key, whatever
+    the segment's s_prev.
+    """
+
+    gids: tuple[int, ...]
+    members_of: dict[int, tuple[int, ...]]
+    sides: dict[tuple[frozenset[int], frozenset[int]], list[frozenset[int]]] = field(
+        default_factory=dict
+    )
+
+
+@dataclass(frozen=True)
 class _Segment:
     """The part of a hop across (s_prev, s] that no predecessor state changes.
 
     short_idx and long_idx are the members inside (s_prev, s) of length at
     most v and longer than v, also held as families.  crossing holds the
     members crossing s; shared, those crossing s_prev too; pool, those
-    crossing s_prev that stop before s and so settle at this hop.  gids are
-    the groups of the crossing members and members_of lists each one's
-    members; both depend on s alone, so solve builds them once per anchor
-    and hands them to every segment ending there.
+    crossing s_prev that stop before s and so settle at this hop.  anchor is
+    the _Anchor of s, which solve builds once and hands to every segment
+    ending there.
 
     solve grows the records of one s_prev anchor by anchor: the members of
     (s_prev, s) are those of (s_prev, s - 1) plus the ones with hi = s and
     lo >= s_prev, merged in index order so that witnesses do not depend on
-    how a record was built.  The long members then center no overfull star
-    among themselves iff mid_relation(long_fam, long_fam, v), a pure
-    function of the family, so it is rerun only when long members arrive.
-    A segment whose long members fail it is dead: no state crosses it.  It
-    stays dead for every later s, because its long family only grows with
-    s, and a center with v + 1 disjoint neighbours among the members of a
-    family keeps them in every superset.  So once a segment is dead, nothing
-    further is built for its s_prev.
+    how a record was built.  Each arriving member is validated as a short or
+    long member of (s_prev, s) when it is taken (see extend); it lies inside
+    (s_prev, s') for its arrival s', so it stays valid for every later s.
+    The long members center no overfull star among themselves iff
+    mid_relation(long_fam, long_fam, v), a pure function of the family, so
+    it is rerun only when long members arrive.  A segment whose long members
+    fail it is dead: no state crosses it.  It stays dead for every later s,
+    because its long family only grows with s, and a center with v + 1
+    disjoint neighbours among the members of a family keeps them in every
+    superset.  So once a segment is dead, nothing further is built for its
+    s_prev.
 
     The caches memoise work that predecessor states repeat.  Each value is a
-    pure function of its key and the fields above, and each record starts
-    with empty caches (a grown record shares only its members with the one
-    it grew from), so a cached value is always the one a fresh computation
-    would give:
+    pure function of its key and the fields above, so a cached value is
+    always the one a fresh computation would give:
 
       * plans, per predecessor first_crossing: the _Plan of every state of
         that bucket.  A state's second_crossing is crossing[s_prev] minus
         its first_crossing, so the bucket fixes both committed sides, and
-        everything in a plan is built from them and the fields above.
+        everything in a plan is built from them and the fields above.  Each
+        record starts with no plans.
       * long_meet_cache, per right end b: how many disjoint long members
         meet (s_prev, b).
+      * long_star_cache, per set of crossing members visible to the second
+        side: whether the long members center no overfull star among
+        themselves and those.
       * head_cache, per settled_second (the sorted indices of the members
         settled on the second side, which fix F): fd_head(F, long_fam,
         s_prev, s, v), which reads neither predecessor profile.
-      * long_star_cache, per set of crossing members visible to the second
-        side: whether the long members center no overfull star among
-        themselves and those; short_star_cache likewise for the short
-        members and the first side.
+
+    When a record grows from that of (s_prev, s - 1) and no long member
+    arrives, its long family is the old one, so it shares the old record's
+    long_meet_cache and long_star_cache objects: their values read only the
+    long family, s_prev and the key.  Its head_cache starts with every old
+    entry (prof, w, w_full), carried as ((s,) + prof[1:], w, w_full).  An
+    old key holds members of pool at s - 1, which end by s - 1, and so do
+    the long members; so every member of F + D ends by s - 1:
+
+      * _profile's chain takes every member below the frontier s as it did
+        below s - 1, so it picks the same members and only entry 0 moves;
+      * a member ending by s - 1 meets (s_prev, s) iff it meets
+        (s_prev, s - 1), so both greedy counts see the same members, in the
+        same order, and give the same w and w_full.
+
+    A settled tuple that gained a member with hi = s crossed s - 1 there, so
+    it is never an old key, and its head is computed fresh.  Otherwise, and
+    whenever long members arrive, a record starts with empty caches.
     """
 
     ivs: Sequence[Interval]
@@ -327,15 +379,13 @@ class _Segment:
     crossing: frozenset[int]
     shared: frozenset[int]
     pool: frozenset[int]
-    gids: tuple[int, ...]
-    members_of: dict[int, tuple[int, ...]]
+    anchor: _Anchor
     plans: dict[frozenset[int], _Plan] = field(default_factory=dict)
     long_meet_cache: dict[int, int] = field(default_factory=dict)
     head_cache: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = field(
         default_factory=dict
     )
     long_star_cache: dict[frozenset[int], bool] = field(default_factory=dict)
-    short_star_cache: dict[frozenset[int], bool] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -344,8 +394,8 @@ class _Candidate:
 
     A is the first side's crossing members.  B (the rest of crossing) and
     the settled counts are filled when a successor with this A first gets
-    past seen and the dominance scan (see _fill), and each star result
-    (None until then) when a state first reaches its check.
+    past seen and the dominance scan (see _fill), and long_ok (None until
+    then) when a state first reaches the star check.
     first_counts[j] is the number of disjoint new first-side members
     meeting (s_prev, b) for the j-th settled_first member (a, b), and
     second_counts likewise for settled_second and the new second side.
@@ -356,7 +406,6 @@ class _Candidate:
     first_counts: tuple[int, ...] = ()
     second_counts: tuple[int, ...] = ()
     long_ok: bool | None = None
-    short_ok: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -394,12 +443,13 @@ def _joined(
     return merged, IntervalFamily(tuple(ivs[i] for i in merged))
 
 
-def _crossing_groups(
-    group_of: Sequence[int], K_set: frozenset[int]
-) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
-    """The sorted groups of the members K_set, and each one's members in K_set."""
+def _crossing_groups(group_of: Sequence[int], K_set: frozenset[int]) -> _Anchor:
+    """The _Anchor of the members K_set: their sorted groups, each one's
+    members in K_set, and no side assignments yet."""
     gids = tuple(sorted({group_of[i] for i in K_set}))
-    return gids, {g: tuple(sorted(i for i in K_set if group_of[i] == g)) for g in gids}
+    return _Anchor(
+        gids, {g: tuple(sorted(i for i in K_set if group_of[i] == g)) for g in gids}
+    )
 
 
 def _segment(
@@ -411,7 +461,7 @@ def _segment(
     v: int,
     before: _Segment | None = None,
     arriving: Sequence[int] | None = None,
-    groups: tuple[tuple[int, ...], dict[int, tuple[int, ...]]] | None = None,
+    anchor: _Anchor | None = None,
 ) -> _Segment | None:
     """The record of the segment (s_prev, s], or None if no state can cross it.
 
@@ -420,9 +470,9 @@ def _segment(
     Otherwise before is the record of (s_prev, s - 1), or None when
     s = s_prev + 1, and arriving holds the members with hi = s; the record is
     grown from before by those of them with lo >= s_prev, and the long-family
-    star check reruns only when the long members grew (see _Segment).
-    groups is _crossing_groups(group_of, crossing[s]), computed here when
-    left out.
+    star check reruns, and the caches start afresh, only when the long
+    members grew (see _Segment).  anchor is _crossing_groups(group_of,
+    crossing[s]), computed here when left out.
     """
     short_new: list[int] = []
     long_new: list[int] = []
@@ -430,16 +480,28 @@ def _segment(
         iv = ivs[i]
         if iv.lo >= s_prev and iv.hi <= s:
             (short_new if iv.length <= v else long_new).append(i)
+    _check_segment_members(
+        (ivs[i] for i in short_new), (ivs[i] for i in long_new), s_prev, s, v
+    )
     short_idx, short_fam = (before.short_idx, before.short_fam) if before else _NO_MEMBERS
     long_idx, long_fam = (before.long_idx, before.long_fam) if before else _NO_MEMBERS
+    caches = {}
     if long_new:
         long_idx, long_fam = _joined(ivs, long_idx, long_new)
         if not mid_relation(long_fam, long_fam, v):
             return None
+    elif before is not None:
+        caches = dict(
+            long_meet_cache=before.long_meet_cache,
+            long_star_cache=before.long_star_cache,
+            head_cache={
+                key: ((s,) + prof[1:], w, w_full)
+                for key, (prof, w, w_full) in before.head_cache.items()
+            },
+        )
     if short_new:
         short_idx, short_fam = _joined(ivs, short_idx, short_new)
     K_set = crossing[s]
-    gids, members_of = _crossing_groups(group_of, K_set) if groups is None else groups
     return _Segment(
         ivs=ivs,
         group_of=group_of,
@@ -453,26 +515,19 @@ def _segment(
         crossing=K_set,
         shared=crossing[s_prev] & K_set,
         pool=crossing[s_prev] - K_set,
-        gids=gids,
-        members_of=members_of,
+        anchor=_crossing_groups(group_of, K_set) if anchor is None else anchor,
+        **caches,
     )
 
 
-def _star_bound_ok(
-    seg: _Segment,
-    center_indices: Sequence[int],
-    outside: frozenset[int],
-    cache: dict[frozenset[int], bool],
-) -> bool:
-    """mid_relation of the centers against themselves and the outside
-    members, by index, memoised in cache under outside."""
-    ok = cache.get(outside)
+def _long_star_ok(seg: _Segment, outside: frozenset[int]) -> bool:
+    """mid_relation of the long members against themselves and the outside
+    members, by index, memoised in seg.long_star_cache under outside."""
+    ok = seg.long_star_cache.get(outside)
     if ok is None:
         ivs = seg.ivs
-        centers = IntervalFamily(tuple(ivs[i] for i in center_indices))
-        fam = IntervalFamily(tuple(ivs[i] for i in sorted(outside.union(center_indices))))
-        ok = mid_relation(centers, fam, seg.v)
-        cache[outside] = ok
+        fam = IntervalFamily(tuple(ivs[i] for i in sorted(outside.union(seg.long_idx))))
+        ok = seg.long_star_cache[outside] = mid_relation(seg.long_fam, fam, seg.v)
     return ok
 
 
@@ -505,27 +560,47 @@ def _plan(seg: _Segment, st: DPState) -> _Plan:
 
 
 def _candidates(seg: _Segment, A_prime: frozenset[int]) -> list[_Candidate]:
-    """The side assignments of seg's crossing groups, in mask order, when
-    the predecessor's first side (read swapped) is A_prime.
+    """New candidates for the side assignments of seg's crossing groups, in
+    mask order, when the predecessor's first side (read swapped) is A_prime.
 
-    A group holding a shared member keeps that member's side; there are
-    none when two shared members of one group were committed apart.
+    The assignments read A_prime only on seg.shared, so they are memoised
+    per anchor under (seg.shared, seg.shared & A_prime) (see _Anchor); the
+    candidates are new, since their fills depend on the plan.
+    """
+    key = (seg.shared, seg.shared & A_prime)
+    sides = seg.anchor.sides.get(key)
+    if sides is None:
+        sides = seg.anchor.sides[key] = _side_assignments(seg.group_of, seg.anchor, *key)
+    return [_Candidate(A) for A in sides]
+
+
+def _side_assignments(
+    group_of: Sequence[int],
+    anchor: _Anchor,
+    shared: frozenset[int],
+    shared_first: frozenset[int],
+) -> list[frozenset[int]]:
+    """The first sides of every assignment of anchor's groups, in mask order.
+
+    A group holding a shared member keeps that member's side, the first one
+    iff the member is in shared_first; there are none when two shared
+    members of one group were committed apart.
     """
     forced: dict[int, bool] = {}
-    for i in seg.shared:
-        want_first = i in A_prime
-        if forced.setdefault(seg.group_of[i], want_first) != want_first:
+    for i in shared:
+        want_first = i in shared_first
+        if forced.setdefault(group_of[i], want_first) != want_first:
             return []
-    free = [g for g in seg.gids if g not in forced]
-    forced_first = [i for g, to_first in forced.items() if to_first for i in seg.members_of[g]]
-    candidates = []
+    free = [g for g in anchor.gids if g not in forced]
+    forced_first = [i for g, to_first in forced.items() if to_first for i in anchor.members_of[g]]
+    sides = []
     for mask in range(1 << len(free)):
         first_idx = list(forced_first)
         for bit, g in enumerate(free):
             if not (mask >> bit) & 1:
-                first_idx.extend(seg.members_of[g])
-        candidates.append(_Candidate(frozenset(first_idx)))
-    return candidates
+                first_idx.extend(anchor.members_of[g])
+        sides.append(frozenset(first_idx))
+    return sides
 
 
 def _fill(seg: _Segment, plan: _Plan, cand: _Candidate) -> None:
@@ -580,7 +655,15 @@ def _advance(
     candidate; then per candidate, after extend, the split star count
     alpha_seq(profile, a) + count <= v of each settled member (a, b), where
     count is the number of disjoint new same-side members meeting
-    (s_prev, b), and the two star checks.
+    (s_prev, b), and the star check of the long members.
+
+    The short members need no star check.  Each has length at most v, and
+    pairwise disjoint open integer intervals that meet a center (lo, hi)
+    cover disjoint unit windows inside it, so a center of length at most v
+    meets at most v of them, whatever the members around it.  The check
+    of the short members against the first side's crossing members was
+    mid_relation(short, short + crossing, v), which is True for that reason
+    (mid_relation skips every center of length <= v).
 
     stage maps each first_crossing to its bucket, an antichain of kept
     states (see the module docstring).  seen holds the keys
@@ -632,16 +715,8 @@ def _advance(
         if not all(map(le, cand.second_counts, second_room)):
             continue
         if cand.long_ok is None:
-            cand.long_ok = _star_bound_ok(
-                seg, seg.long_idx, st.first_crossing | cand.B, seg.long_star_cache
-            )
+            cand.long_ok = _long_star_ok(seg, st.first_crossing | cand.B)
         if not cand.long_ok:
-            continue
-        if cand.short_ok is None:
-            cand.short_ok = _star_bound_ok(
-                seg, seg.short_idx, st.second_crossing | A, seg.short_star_cache
-            )
-        if not cand.short_ok:
             continue
         new_state = DPState(
             seg.s,
@@ -703,9 +778,9 @@ def solve(rep: VertebrateRep, v: int) -> SolveResult:
         seen: set[tuple] = set()
         if scans[s - 1]:
             grown[s - 1] = None
-        groups = _crossing_groups(group_of, crossing[s])
+        anchor = _crossing_groups(group_of, crossing[s])
         for s_prev, before in list(grown.items()):
-            seg = _segment(ivs, group_of, crossing, s_prev, s, v, before, arriving[s], groups)
+            seg = _segment(ivs, group_of, crossing, s_prev, s, v, before, arriving[s], anchor)
             if seg is None:
                 del grown[s_prev]
                 continue

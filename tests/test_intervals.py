@@ -159,6 +159,21 @@ def test_mid_relation_self_iff_claw_bounded():
             assert mid_relation(S, S, v) == (claw_number(S) <= v)
 
 
+def test_mid_relation_passes_centers_no_longer_than_v():
+    # the solver runs no star check on a hop's short members: a center of
+    # length <= v meets at most v disjoint members, whatever surrounds it
+    rng = random.Random(61)
+    for _ in range(300):
+        v = rng.randint(1, 4)
+        R = [(lo, lo + rng.randint(1, v)) for lo in rng.sample(range(-4, 12), rng.randint(1, 5))]
+        S = [(lo, lo + rng.randint(1, 7)) for lo in (rng.randint(-6, 14) for _ in range(12))]
+        S += rng.sample(R, rng.randint(0, len(R)))
+        assert mid_relation(fam(*R), fam(*S), v)
+        for center in fam(*R):
+            others = fam(*(iv for iv in S if iv != tuple(center)))
+            assert brute_alpha_window(others, center.lo, center.hi) <= v
+
+
 def test_dedup_counts_and_representatives():
     S = fam((0, 1), (0, 1), (1, 2))
     distinct, rep_of = dedup(S)

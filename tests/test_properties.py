@@ -21,6 +21,11 @@ from clawsplit import (
 # oracle_partition refuses families of more than 16 vertices
 MAX_VERTICES = 16
 
+# Four extras on the units of (p, p + 5) that no split into two parts of
+# claw number 1 survives.  Both parts of a split restrict to a split of any
+# induced subgraph, so every family holding these answers "no" for v = 1.
+NO_GADGET_V1 = ((0, 2), (0, 3), (2, 5), (3, 5))
+
 
 @st.composite
 def vertebrate_families(draw):
@@ -28,17 +33,22 @@ def vertebrate_families(draw):
     shuffled and shifted.
 
     The m units are m disjoint members and every maximal clique holds one of
-    them, so the family is vertebrate.  Extras may repeat a unit or each
-    other, which makes duplicate vertices.
+    them, so the family is vertebrate.  About half the draws put
+    NO_GADGET_V1 on the units of (p, p + 5) before the extras.  Extras may
+    repeat a unit or each other, which makes duplicate vertices.
     """
-    m = draw(st.integers(1, 10))
+    gadget = draw(st.booleans())
+    m = draw(st.integers(5 if gadget else 1, 10))
+    pairs = [(i - 1, i) for i in range(1, m + 1)]
+    if gadget:
+        p = draw(st.integers(0, m - 5))
+        pairs += [(p + lo, p + hi) for lo, hi in NO_GADGET_V1]
     extras = draw(
         st.lists(
             st.tuples(st.integers(0, m - 1), st.integers(1, 6)),
-            max_size=MAX_VERTICES - m,
+            max_size=MAX_VERTICES - len(pairs),
         )
     )
-    pairs = [(i - 1, i) for i in range(1, m + 1)]
     pairs += [(lo, min(lo + length, m)) for lo, length in extras]
     shift = draw(st.integers(-3, 3))
     order = draw(st.permutations(range(len(pairs))))

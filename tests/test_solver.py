@@ -24,8 +24,10 @@ from clawsplit import (
     zero_seq,
 )
 from clawsplit import encoding, intervals, solver
+from clawsplit.encoding import fd_head
 from clawsplit.solver import (
     _advance,
+    _candidates,
     _check_group_bound,
     _crossing_groups,
     _scan_key,
@@ -352,6 +354,100 @@ def test_solve_greedy_calls_below_the_per_state_count(monkeypatch):
     assert res.feasible
     assert sum(res.stage_state_counts) == 582
     assert 0 < calls < 5902
+
+
+def grown_records(rep, v):
+    """(before, seg, heads_in) for every record solve's loop grows for rep,
+    once the stage at seg.s is built: before is the record seg grew from,
+    and heads_in the number of heads seg held before any state crossed it."""
+    ivs = rep.family.intervals
+    crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
+    group_of = compute_groups(rep.family, v).group_of
+    scans = [[base_state(v)]]
+    grown, profiles = {}, {}
+    for s in range(1, rep.m + 1):
+        arriving = [i for i, iv in enumerate(ivs) if iv.hi == s]
+        anchor = _crossing_groups(group_of, crossing[s])
+        stage, seen, built = {}, set(), []
+        if scans[s - 1]:
+            grown[s - 1] = None
+        for s_prev, before in list(grown.items()):
+            seg = _segment(ivs, group_of, crossing, s_prev, s, v, before, arriving, anchor)
+            if seg is None:
+                del grown[s_prev]
+                continue
+            grown[s_prev] = seg
+            built.append((before, seg, len(seg.head_cache)))
+            for st in scans[s_prev]:
+                _advance(st, seg, stage, seen, profiles)
+        yield from built
+        scans.append(sorted((st for b in stage.values() for st in b), key=_scan_key))
+
+
+def test_carried_and_shared_caches_match_fresh_values():
+    rng = random.Random(53)
+    carried = shared = 0
+    for _ in range(66):
+        v = rng.choice([1, 2, 3])
+        rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
+        ivs = rep.family.intervals
+        for before, seg, heads_in in grown_records(rep, v):
+            carried += heads_in
+            if before is not None and seg.long_meet_cache is before.long_meet_cache:
+                shared += len(seg.long_meet_cache) + len(seg.long_star_cache)
+            for key, head in seg.head_cache.items():
+                F = IntervalFamily(tuple(ivs[i] for i in key))
+                assert head == fd_head(F, seg.long_fam, seg.s_prev, seg.s, v)
+            for b, count in seg.long_meet_cache.items():
+                fresh = intervals._max_disjoint_meeting(seg.long_fam.intervals, seg.s_prev, b)
+                assert count == fresh
+            for outside, ok in seg.long_star_cache.items():
+                visible = IntervalFamily(tuple(ivs[i] for i in sorted(outside.union(seg.long_idx))))
+                assert ok == mid_relation(seg.long_fam, visible, v)
+    assert carried > 200
+    assert shared > 200
+
+
+def test_anchor_side_lists_match_a_fresh_enumeration():
+    rng = random.Random(59)
+    plans = 0
+    keys = {}
+    for _ in range(60):
+        v = rng.choice([1, 2, 3])
+        rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
+        ivs = rep.family.intervals
+        crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
+        group_of = compute_groups(rep.family, v).group_of
+        for _, seg, _ in grown_records(rep, v):
+            fresh = _segment(ivs, group_of, crossing, seg.s_prev, seg.s, v)
+            for first_crossing, plan in seg.plans.items():
+                A_prime = crossing[seg.s_prev] - first_crossing
+                assert [c.A for c in plan.candidates] == [c.A for c in _candidates(fresh, A_prime)]
+                plans += 1
+            keys[id(seg.anchor)] = len(seg.anchor.sides)
+    # most plans reuse a side list another segment at their anchor built
+    assert plans > 2 * sum(keys.values()) > 0
+
+
+def test_solve_fd_head_calls_below_the_per_segment_count(monkeypatch):
+    # on a long sparse v = 1 backbone, computing every F+D head afresh in
+    # each segment record made 673 fd_head calls on this instance
+    head = encoding.fd_head
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return head(*args)
+
+    S = generate(GeneratorSpec("vertebrate", m=40, density=0.3, max_len=3, seed=1))
+    rep = vertebrate_representation(S)
+    for module in (encoding, solver):
+        monkeypatch.setattr(module, "fd_head", counted)
+    res = solve(rep, 1)
+    assert res.feasible
+    assert sum(res.stage_state_counts) == 147
+    assert 0 < calls < 673
 
 
 def test_verify_partition_clique_one_side():
