@@ -15,9 +15,11 @@ than one greedy per window start.  alpha_seq reads the independence number
 back off a profile (exactly when it is at most v, saturating above),
 and extend advances the two profiles of a 2-partition across a segment
 (s_prev, s] given only the new members, without revisiting the old ones.
-fd_head is the part of extend that depends on the segment and its new
-second-part members alone, so a caller crossing one segment from many
-predecessors can compute it once and pass it in; it then vouches for the
+fd_head is the part of extend that depends on s_prev and the new
+second-part members alone: it leaves out the entry r_0 = s, and nothing
+else in it reads s.  So a caller crossing one segment from many
+predecessors, or growing it anchor by anchor without new second-part
+members, can compute it once and pass it in; it then vouches for the
 segment members too, which extend validates only when it computes the head
 itself.  Such a caller can also pass extend a table that interns the
 profiles it returns, so that each distinct profile is built, and validated,
@@ -161,13 +163,18 @@ def fd_head(
         F, D, s_prev, s, v: as for extend.
 
     Returns:
-        (prof, w, w_full): the raw profile of F + D at s, and how many
-        disjoint members of D, and of F + D, meet (s_prev, s).  None of them
-        depends on the predecessor profiles.
+        (head, w, w_full): the entries r_1..r_{v+1} of the raw profile of
+        F + D at s, and how many disjoint members of D, and of F + D, meet
+        (s_prev, s).  None of them depends on the predecessor profiles.
+        Entry r_0 = s is left out, and the rest does not depend on s:
+        every member of F + D ends by s and meets (s_prev, s), so the
+        profile chain and both counts see the same members at every s.  A
+        head computed at one s is thus the head at every later s for the
+        same F, D and s_prev.
     """
     fd = F.intervals + D.intervals
     return (
-        tuple(_profile(fd, s, v)),
+        tuple(_profile(fd, s, v)[1:-1]),
         _max_disjoint_meeting(D.intervals, s_prev, s),
         _max_disjoint_meeting(fd, s_prev, s),
     )
@@ -231,7 +238,7 @@ def extend(
         if not (0 <= iv.lo < s_prev < iv.hi <= s):
             raise ValueError(f"{iv} does not cross s_prev={s_prev} within (0, {s})")
 
-    prof, w, w_full = fd_head(F, D, s_prev, s, v) if head is None else head
+    fd, w, w_full = fd_head(F, D, s_prev, s, v) if head is None else head
 
     p = [-1] * (v + 3)
     p[0] = s
@@ -245,7 +252,7 @@ def extend(
     q[0] = s
     for u in range(1, v + 2):
         if u <= w_full:
-            q[u] = prof[u]
+            q[u] = fd[u - 1]
         else:
             q[u] = q_prev.r[u - w]
 

@@ -16,6 +16,7 @@ cross-checks, not production use.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -322,7 +323,7 @@ class GeneratorSpec:
 def _gen_vertebrate(rng, m: int, density: float, max_len: int) -> list[tuple[int, int]]:
     pairs = [(i - 1, i) for i in range(1, m + 1)]
     extras = round(density * m)
-    top = max(1, min(max_len, m))
+    top = min(max_len, m)
     for _ in range(extras):
         length = rng.randint(1, top)
         a = rng.randint(1, m - length + 1)
@@ -363,28 +364,33 @@ def _gen_raw(rng, n: int, max_len: int) -> list[tuple[int, int]]:
 
 
 def generate(spec: GeneratorSpec) -> IntervalFamily:
-    """Build the instance described by spec, deterministically in its seed."""
+    """Build the instance described by spec, deterministically in its seed.
+
+    Raises ValueError for an unknown kind, a density that is not a finite
+    number >= 0, a max_len below 1, or a size (m or n) below 1 that the
+    kind reads.
+    """
+    if spec.kind not in ("vertebrate", "trivially-perfect", "raw-random", "invertebrate"):
+        raise ValueError(f"unknown generator kind {spec.kind!r}")
+    if not (math.isfinite(spec.density) and spec.density >= 0):
+        raise ValueError(f"generation needs a finite density >= 0, got {spec.density!r}")
+    if spec.kind == "vertebrate" and spec.m < 1:
+        raise ValueError("vertebrate generation needs m >= 1")
+    if spec.kind != "vertebrate" and (spec.n < 1 or spec.max_len < 1):
+        raise ValueError(f"{spec.kind} generation needs n >= 1 and max_len >= 1")
+    if spec.max_len < 1:
+        raise ValueError("vertebrate generation needs max_len >= 1")
     rng = random.Random(spec.seed)
     if spec.kind == "vertebrate":
-        if spec.m < 1:
-            raise ValueError("vertebrate generation needs m >= 1")
         return IntervalFamily.from_pairs(
             _gen_vertebrate(rng, spec.m, spec.density, spec.max_len)
         )
     if spec.kind == "trivially-perfect":
-        if spec.n < 1:
-            raise ValueError("trivially-perfect generation needs n >= 1")
         return IntervalFamily.from_pairs(_gen_laminar(rng, spec.n))
-    if spec.kind in ("raw-random", "invertebrate") and (spec.n < 1 or spec.max_len < 1):
-        raise ValueError(f"{spec.kind} generation needs n >= 1 and max_len >= 1")
     if spec.kind == "raw-random":
         return IntervalFamily.from_pairs(_gen_raw(rng, spec.n, spec.max_len))
-    if spec.kind == "invertebrate":
-        for _ in range(1000):
-            fam = IntervalFamily.from_pairs(_gen_raw(rng, spec.n, spec.max_len))
-            if not is_vertebrate(fam):
-                return fam
-        raise GenerationError(
-            f"no invertebrate instance found in 1000 draws for {spec}"
-        )
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
+    for _ in range(1000):
+        fam = IntervalFamily.from_pairs(_gen_raw(rng, spec.n, spec.max_len))
+        if not is_vertebrate(fam):
+            return fam
+    raise GenerationError(f"no invertebrate instance found in 1000 draws for {spec}")

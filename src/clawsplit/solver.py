@@ -19,7 +19,9 @@ settled on the side they were committed to.  The checks are exactly:
     the members visible to the second side (a short member has length at
     most v and so meets at most v disjoint members; see _advance),
   * members settled this hop obey the split star count: leaves left of s_prev
-    are counted through the predecessor profile, leaves right of it directly,
+    are counted through the predecessor profile, leaves right of it directly
+    (on the first side their count is b - s_prev for every candidate; see
+    _advance),
 
 after which the profiles advance by extend.  The transition is written once,
 in _advance, which takes one predecessor state across a segment and adds its
@@ -31,28 +33,26 @@ and none is built past the first dead one (see _Segment).  The same record
 memoises what depends on the segment and a set of members only: the F+D
 head of the second part's new profile, per settled set, and the result of
 the long members' star check, per set of visible crossing members.  When
-no long member arrives at s, a grown record shares the long-member caches
-of the record it grew from and carries its heads forward with entry 0 moved
-to s; the soundness argument is in the _Segment docstring.  The side
-assignments of the crossing groups depend on s, the shared members and
-their committed sides only, so they are enumerated once per anchor and key
-(see _Anchor).
+no long member arrives at s, a grown record shares all three caches with
+the record it grew from; the soundness argument is in the _Segment
+docstring.  The side assignments of the crossing groups depend on s, the
+shared members and their committed sides only, so they are enumerated once
+per anchor and key (see _Anchor).
 
 It also holds one plan per predecessor bucket (see _Plan): the settled
-members and their lower-bound floors, F, the witness tuples, the forced
-groups and the candidate side assignments, each candidate with its settled
-counts and star result.  A predecessor's first_crossing fixes its
-second_crossing (crossing[s_prev] minus it), so all of a plan is a pure
-function of the segment and first_crossing, and every state of the bucket
-would compute the same values.  A candidate's counts are filled when a
-successor with its side assignment first gets past seen and the dominance
-scan, and its star result when a state first reaches it, so a plan
-holds nothing a state of its bucket did not ask for (all of a candidate's
-counts come at once, where a state stops at the first failing one).
-_advance keeps only the per-state work, in the same order: the lower
-bounds against its profiles, one extend, then per candidate seen,
-dominance, the inequalities alpha_seq(profile, a) + count <= v and the
-star result.  The candidates are tried in the same mask order, so the
+members and their lower-bound floors, F, the witness tuples and the
+candidate side assignments, each candidate with its second side's settled
+counts.  A predecessor's first_crossing fixes its second_crossing
+(crossing[s_prev] minus it), so all of a plan is a pure function of the
+segment and first_crossing, and every state of the bucket would compute
+the same values.  A candidate's counts are filled when a successor with
+its side assignment first gets past seen and the dominance scan, so a plan
+holds no count a state of its bucket did not ask for (all of a
+candidate's counts come at once, where a state stops at the first failing
+one).  _advance keeps only the per-state work, in the same order: the
+lower bounds against its profiles, one extend, then per candidate seen,
+dominance, the inequalities alpha_seq(q, a) + count <= v and the star
+check.  The candidates are tried in the same mask order, so the
 kept states, their order and seen are those of a transition that rebuilt
 everything per state.  Profiles are interned per solve (see extend), so
 each distinct profile is one MonotonicSeq, validated once.
@@ -290,18 +290,18 @@ class _Anchor:
 
     gids are the sorted groups of the members crossing s, and members_of
     lists each one's members; both depend on s alone.  sides memoises the
-    side assignments that _candidates enumerates, keyed by (shared, the
-    shared members on the first side): with group_of fixed per solve and
-    gids and members_of per anchor, the forced sides, the free groups and
-    the first sides in mask order are a pure function of that key, whatever
-    the segment's s_prev.
+    side assignments that _candidates enumerates, as (first side, second
+    side) pairs of crossing members, keyed by (shared, the shared members on
+    the first side): with group_of fixed per solve and gids and members_of
+    per anchor, the forced sides, the free groups and both sides in mask
+    order are a pure function of that key, whatever the segment's s_prev.
     """
 
     gids: tuple[int, ...]
     members_of: dict[int, tuple[int, ...]]
-    sides: dict[tuple[frozenset[int], frozenset[int]], list[frozenset[int]]] = field(
-        default_factory=dict
-    )
+    sides: dict[
+        tuple[frozenset[int], frozenset[int]], list[tuple[frozenset[int], frozenset[int]]]
+    ] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -349,22 +349,12 @@ class _Segment:
         s_prev, s, v), which reads neither predecessor profile.
 
     When a record grows from that of (s_prev, s - 1) and no long member
-    arrives, its long family is the old one, so it shares the old record's
-    long_meet_cache and long_star_cache objects: their values read only the
-    long family, s_prev and the key.  Its head_cache starts with every old
-    entry (prof, w, w_full), carried as ((s,) + prof[1:], w, w_full).  An
-    old key holds members of pool at s - 1, which end by s - 1, and so do
-    the long members; so every member of F + D ends by s - 1:
-
-      * _profile's chain takes every member below the frontier s as it did
-        below s - 1, so it picks the same members and only entry 0 moves;
-      * a member ending by s - 1 meets (s_prev, s) iff it meets
-        (s_prev, s - 1), so both greedy counts see the same members, in the
-        same order, and give the same w and w_full.
-
-    A settled tuple that gained a member with hi = s crossed s - 1 there, so
-    it is never an old key, and its head is computed fresh.  Otherwise, and
-    whenever long members arrive, a record starts with empty caches.
+    arrives, its long family is the old one, so it shares all three of the
+    old record's cache objects, not copies.  The long-member caches read
+    only the long family, s_prev and the key.  A head reads F, the long
+    family and s_prev but not s (see fd_head), so a head cached at any
+    earlier s' of the same long family is the head at s.  Whenever long
+    members arrive, a record starts with empty caches.
     """
 
     ivs: Sequence[Interval]
@@ -392,20 +382,16 @@ class _Segment:
 class _Candidate:
     """One way to give a plan's free crossing groups to the two sides.
 
-    A is the first side's crossing members.  B (the rest of crossing) and
-    the settled counts are filled when a successor with this A first gets
-    past seen and the dominance scan (see _fill), and long_ok (None until
-    then) when a state first reaches the star check.
-    first_counts[j] is the number of disjoint new first-side members
-    meeting (s_prev, b) for the j-th settled_first member (a, b), and
-    second_counts likewise for settled_second and the new second side.
+    A is the first side's crossing members and B the rest of crossing.
+    second_counts[j] is the number of disjoint new second-side members
+    meeting (s_prev, b) for the j-th settled_second member (a, b); it is
+    None until a successor with this A first gets past seen and the
+    dominance scan (see _second_counts).
     """
 
     A: frozenset[int]
-    B: frozenset[int] | None = None
-    first_counts: tuple[int, ...] = ()
-    second_counts: tuple[int, ...] = ()
-    long_ok: bool | None = None
+    B: frozenset[int]
+    second_counts: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -416,10 +402,10 @@ class _Plan:
     on the (swapped) first and second side, sorted, and F the second ones as
     a family.  first_bounds and second_bounds hold (a, floor) per settled
     member, with floor the candidate-independent part of its right-hand
-    count: b - s_prev backbone units on the first side, long_meet_cache[b]
-    on the second.  candidates lists the side assignments in mask order; it
-    is empty when the forced sides of two shared members of one group
-    disagree.
+    count: b - s_prev backbone units on the first side, which is the whole
+    count there (see _advance), and long_meet_cache[b] on the second.
+    candidates lists the side assignments in mask order; it is empty when
+    the forced sides of two shared members of one group disagree.
     """
 
     settled_first: tuple[int, ...]
@@ -469,10 +455,11 @@ def _segment(
     arriving left out, the members are found by a scan of the whole family.
     Otherwise before is the record of (s_prev, s - 1), or None when
     s = s_prev + 1, and arriving holds the members with hi = s; the record is
-    grown from before by those of them with lo >= s_prev, and the long-family
+    grown from before by those of them with lo >= s_prev; the long-family
     star check reruns, and the caches start afresh, only when the long
-    members grew (see _Segment).  anchor is _crossing_groups(group_of,
-    crossing[s]), computed here when left out.
+    members grew, and otherwise the caches are before's (see _Segment).
+    anchor is _crossing_groups(group_of, crossing[s]), computed here when
+    left out.
     """
     short_new: list[int] = []
     long_new: list[int] = []
@@ -494,10 +481,7 @@ def _segment(
         caches = dict(
             long_meet_cache=before.long_meet_cache,
             long_star_cache=before.long_star_cache,
-            head_cache={
-                key: ((s,) + prof[1:], w, w_full)
-                for key, (prof, w, w_full) in before.head_cache.items()
-            },
+            head_cache=before.head_cache,
         )
     if short_new:
         short_idx, short_fam = _joined(ivs, short_idx, short_new)
@@ -565,13 +549,13 @@ def _candidates(seg: _Segment, A_prime: frozenset[int]) -> list[_Candidate]:
 
     The assignments read A_prime only on seg.shared, so they are memoised
     per anchor under (seg.shared, seg.shared & A_prime) (see _Anchor); the
-    candidates are new, since their fills depend on the plan.
+    candidates are new, since their counts depend on the plan.
     """
     key = (seg.shared, seg.shared & A_prime)
     sides = seg.anchor.sides.get(key)
     if sides is None:
         sides = seg.anchor.sides[key] = _side_assignments(seg.group_of, seg.anchor, *key)
-    return [_Candidate(A) for A in sides]
+    return [_Candidate(A, B) for A, B in sides]
 
 
 def _side_assignments(
@@ -579,8 +563,9 @@ def _side_assignments(
     anchor: _Anchor,
     shared: frozenset[int],
     shared_first: frozenset[int],
-) -> list[frozenset[int]]:
-    """The first sides of every assignment of anchor's groups, in mask order.
+) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """The (first, second) sides of every assignment of anchor's groups, in
+    mask order.
 
     A group holding a shared member keeps that member's side, the first one
     iff the member is in shared_first; there are none when two shared
@@ -593,27 +578,25 @@ def _side_assignments(
             return []
     free = [g for g in anchor.gids if g not in forced]
     forced_first = [i for g, to_first in forced.items() if to_first for i in anchor.members_of[g]]
+    crossing = frozenset(i for members in anchor.members_of.values() for i in members)
     sides = []
     for mask in range(1 << len(free)):
         first_idx = list(forced_first)
         for bit, g in enumerate(free):
             if not (mask >> bit) & 1:
                 first_idx.extend(anchor.members_of[g])
-        sides.append(frozenset(first_idx))
+        first = frozenset(first_idx)
+        sides.append((first, crossing - first))
     return sides
 
 
-def _fill(seg: _Segment, plan: _Plan, cand: _Candidate) -> None:
-    """Fill cand's B and settled counts (see _Candidate)."""
-    ivs, s_prev = seg.ivs, seg.s_prev
-    cand.B = B = seg.crossing - cand.A
-    first_new = [*seg.short_fam.intervals, *(ivs[i] for i in sorted(cand.A - seg.shared))]
+def _second_counts(seg: _Segment, plan: _Plan, B: frozenset[int]) -> tuple[int, ...]:
+    """The second_counts of a candidate of plan with second side B (see
+    _Candidate)."""
+    ivs = seg.ivs
     second_new = [*seg.long_fam.intervals, *(ivs[i] for i in sorted(B - seg.shared))]
-    cand.first_counts = tuple(
-        _max_disjoint_meeting(first_new, s_prev, ivs[i].hi) for i in plan.settled_first
-    )
-    cand.second_counts = tuple(
-        _max_disjoint_meeting(second_new, s_prev, ivs[i].hi) for i in plan.settled_second
+    return tuple(
+        _max_disjoint_meeting(second_new, seg.s_prev, ivs[i].hi) for i in plan.settled_second
     )
 
 
@@ -653,9 +636,19 @@ def _advance(
 
     The checks, in order: the settled members' lower bounds, which need no
     candidate; then per candidate, after extend, the split star count
-    alpha_seq(profile, a) + count <= v of each settled member (a, b), where
-    count is the number of disjoint new same-side members meeting
-    (s_prev, b), and the star check of the long members.
+    alpha_seq(q, a) + count <= v of each member (a, b) settled on the
+    second side, where count is the number of disjoint new second-side
+    members meeting (s_prev, b), and the star check of the long members.
+
+    On the first side that count is b - s_prev for every candidate, so the
+    lower bound over plan.first_bounds is the whole check there.  A new
+    first-side member is short, or is in A - shared: it crosses s but not
+    s_prev.  Either way it has an integer lo >= s_prev, and it meets
+    (s_prev, b) only if lo < b.  Pairwise disjoint open intervals have
+    distinct lo, so at most b - s_prev of them meet the window.  A settled
+    member has b <= s, and the units (t - 1, t) of the backbone are members
+    (see VertebrateRep), so the b - s_prev short units inside (s_prev, b)
+    reach that bound.
 
     The short members need no star check.  Each has length at most v, and
     pairwise disjoint open integer intervals that meet a center (lo, hi)
@@ -681,10 +674,9 @@ def _advance(
     p_prime, q_prime = st.q, st.p
 
     # Candidate-independent lower bounds: the backbone units give the first
-    # side at least b - s_prev leaves right of s_prev, the long members give
+    # side exactly b - s_prev leaves right of s_prev, the long members give
     # the second side at least their own disjoint count there.
-    first_room = _room(p_prime, plan.first_bounds, v)
-    if first_room is None:
+    if _room(p_prime, plan.first_bounds, v) is None:
         return
     second_room = _room(q_prime, plan.second_bounds, v)
     if second_room is None:
@@ -708,15 +700,11 @@ def _advance(
         if any(_dominates(kept, p_new, q_new) for kept in bucket):
             seen.add(key)
             continue
-        if cand.B is None:
-            _fill(seg, plan, cand)
-        if not all(map(le, cand.first_counts, first_room)):
-            continue
+        if cand.second_counts is None:
+            cand.second_counts = _second_counts(seg, plan, cand.B)
         if not all(map(le, cand.second_counts, second_room)):
             continue
-        if cand.long_ok is None:
-            cand.long_ok = _long_star_ok(seg, st.first_crossing | cand.B)
-        if not cand.long_ok:
+        if not _long_star_ok(seg, st.first_crossing | cand.B):
             continue
         new_state = DPState(
             seg.s,

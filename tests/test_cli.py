@@ -404,6 +404,25 @@ def test_gen_bad_parameters_are_errors_not_internal_failures(capsys):
         assert captured.err == ""
 
 
+def test_gen_rejects_bad_density_and_max_len_for_every_kind(capsys):
+    kinds = ["vertebrate", "trivially-perfect", "raw-random", "invertebrate"]
+    density = "generation needs a finite density >= 0, got"
+    cases = [
+        (["--kind", kind, "--density", value], f"{density} {shown}")
+        for value, shown in [("inf", "inf"), ("nan", "nan"), ("-1", "-1.0")]
+        for kind in kinds
+    ] + [
+        (["--kind", "vertebrate", "--max-len", "0"], "vertebrate generation needs max_len >= 1"),
+        (["--kind", "trivially-perfect", "--max-len", "0"],
+         "trivially-perfect generation needs n >= 1 and max_len >= 1"),
+    ]
+    for argv, message in cases:
+        assert main(["gen", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == f"command gen\nerror {message}\n"
+        assert captured.err == ""
+
+
 def test_gen_without_an_invertebrate_draw_is_a_plain_error(capsys):
     assert main(["gen", "--kind", "invertebrate", "--n", "1"]) == 2
     captured = capsys.readouterr()

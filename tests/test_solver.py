@@ -356,6 +356,56 @@ def test_solve_greedy_calls_below_the_per_state_count(monkeypatch):
     assert 0 < calls < 5902
 
 
+def test_new_first_side_members_meet_each_settled_window_b_minus_s_prev_times():
+    # the first side's settled count, which _advance leaves to the lower
+    # bound over plan.first_bounds: the short members plus any set of
+    # new crossing members meet (s_prev, b) exactly b - s_prev times
+    rng = random.Random(67)
+    windows = 0
+    for _ in range(64):
+        v = rng.choice([1, 2, 3])
+        rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
+        ivs = rep.family.intervals
+        crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
+        group_of = compute_groups(rep.family, v).group_of
+        for s_prev in range(rep.m):
+            for s in range(s_prev + 1, rep.m + 1):
+                seg = _segment(ivs, group_of, crossing, s_prev, s, v)
+                if seg is None:
+                    continue
+                new = sorted(seg.crossing - seg.shared)
+                for _ in range(3):
+                    X = [ivs[i] for i in new if rng.random() < 0.5]
+                    for b in range(s_prev + 1, s + 1):
+                        count = intervals._max_disjoint_meeting(
+                            [*seg.short_fam.intervals, *X], s_prev, b
+                        )
+                        assert count == b - s_prev
+                        windows += 1
+    assert windows > 5000
+
+
+def test_solve_greedy_calls_on_a_split_v2_shape(monkeypatch):
+    # counting the first side's settled members anew for every candidate,
+    # as well as bounding them by b - s_prev, made 677 calls on this instance
+    greedy = intervals._max_disjoint_meeting
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return greedy(*args)
+
+    S = generate(GeneratorSpec("vertebrate", m=14, density=2.0, max_len=3, seed=1))
+    rep = vertebrate_representation(S)
+    for module in (intervals, encoding, solver):
+        monkeypatch.setattr(module, "_max_disjoint_meeting", counted)
+    res = solve(rep, 2)
+    assert res.feasible
+    assert sum(res.stage_state_counts) == 301
+    assert 0 < calls < 677
+
+
 def grown_records(rep, v):
     """(before, seg, heads_in) for every record solve's loop grows for rep,
     once the stage at seg.s is built: before is the record seg grew from,
@@ -393,6 +443,11 @@ def test_carried_and_shared_caches_match_fresh_values():
         ivs = rep.family.intervals
         for before, seg, heads_in in grown_records(rep, v):
             carried += heads_in
+            if before is not None and seg.long_idx == before.long_idx:
+                # no long member arrived: every cache is before's own object
+                assert seg.head_cache is before.head_cache
+                assert seg.long_meet_cache is before.long_meet_cache
+                assert seg.long_star_cache is before.long_star_cache
             if before is not None and seg.long_meet_cache is before.long_meet_cache:
                 shared += len(seg.long_meet_cache) + len(seg.long_star_cache)
             for key, head in seg.head_cache.items():
