@@ -203,7 +203,10 @@ def extend(
         p_prev: profile of the first part's predecessor at s_prev.
         q_prev: profile of the second part's predecessor at s_prev.
         F: second-part members with lo < s_prev < hi <= s.
-        C: segment members inside (s_prev, s) with length <= v.
+        C: segment members inside (s_prev, s) with length <= v.  They
+            enter neither profile, and extend reads them only to validate
+            them when head is None, so a caller that passes head may pass
+            an empty family.
         D: segment members inside (s_prev, s) with length > v.
         s_prev, s: segment anchors, 0 <= s_prev < s.
         v: claw bound, v >= 1.

@@ -29,15 +29,15 @@ successors to the stage at s.  What depends on the segment alone (its short
 and long members, the crossing members, the groups to assign) is built once
 per segment pair by _segment and shared by every state that crosses it; for
 each s_prev the record of (s_prev, s) is grown from that of (s_prev, s - 1),
-and none is built past the first dead one (see _Segment).  The same record
-memoises what depends on the segment and a set of members only: the F+D
-head of the second part's new profile, per settled set, and the result of
-the long members' star check, per set of visible crossing members.  When
-no long member arrives at s, a grown record shares all three caches with
-the record it grew from; the soundness argument is in the _Segment
-docstring.  The side assignments of the crossing groups depend on s, the
-shared members and their committed sides only, so they are enumerated once
-per anchor and key (see _Anchor).
+or rebuilt by a scan after a skip (see below), and none is built past the
+first dead one (see _Segment).  The same record memoises what depends on
+the segment and a set of members only: the F+D head of the second part's
+new profile, per settled set, and the result of the long members' star
+check, per set of visible crossing members.  When no long member arrives
+at s, a grown record shares all three caches with the record it grew from;
+the soundness argument is in the _Segment docstring.  The side assignments
+of the crossing groups depend on s, the shared members and their committed
+sides only, so they are enumerated once per anchor and key (see _Anchor).
 
 It also holds one plan per predecessor bucket (see _Plan): the settled
 members and their lower-bound floors, F, the witness tuples and the
@@ -56,6 +56,16 @@ check.  The candidates are tried in the same mask order, so the
 kept states, their order and seen are those of a transition that rebuilt
 everything per state.  Profiles are interned per solve (see extend), so
 each distinct profile is one MonotonicSeq, validated once.
+
+Far predecessors cost next to nothing.  A hop (s_prev, s] is old when
+s_prev lies far enough left of s, and of the last v + 1 disjoint long
+members before s, that no member crossing s_prev reaches s, the new
+profiles are read from s alone, and the checks split into a part read from
+the predecessor alone and a part read from s alone (see _last_old).  Every
+state at an old s_prev then adds either nothing or one common set of
+successors, and old pairs come first, so once one of them has added a
+state at s, _stages skips the other old pairs at s; the stage, seen and
+every back-pointer are what they would have been.
 
 Members are grouped by chains of significant overlap (intersection length
 >= 2v + 1); a feasible split never separates a group, so crossing members are
@@ -309,13 +319,15 @@ class _Segment:
     """The part of a hop across (s_prev, s] that no predecessor state changes.
 
     short_idx and long_idx are the members inside (s_prev, s) of length at
-    most v and longer than v, also held as families.  crossing holds the
+    most v and longer than v, the long ones also held as a family (the short
+    ones enter no profile or count: extend reads its C argument only to
+    validate it, and _advance passes a head).  crossing holds the
     members crossing s; shared, those crossing s_prev too; pool, those
     crossing s_prev that stop before s and so settle at this hop.  anchor is
-    the _Anchor of s, which solve builds once and hands to every segment
+    the _Anchor of s, which _stages builds once and hands to every segment
     ending there.
 
-    solve grows the records of one s_prev anchor by anchor: the members of
+    _stages grows the records of one s_prev anchor by anchor: the members of
     (s_prev, s) are those of (s_prev, s - 1) plus the ones with hi = s and
     lo >= s_prev, merged in index order so that witnesses do not depend on
     how a record was built.  Each arriving member is validated as a short or
@@ -328,7 +340,10 @@ class _Segment:
     because its long family only grows with s, and a center with v + 1
     disjoint neighbours among the members of a family keeps them in every
     superset.  So once a segment is dead, nothing further is built for its
-    s_prev.
+    s_prev.  When _stages skips an old pair (see _last_old), the s_prev
+    keeps its last record, and its next record is built by a scan of the
+    whole family: the same members in the same order, found dead if any
+    skipped anchor had killed it.
 
     The caches memoise work that predecessor states repeat.  Each value is a
     pure function of its key and the fields above, so a cached value is
@@ -364,7 +379,6 @@ class _Segment:
     s: int
     short_idx: tuple[int, ...]
     long_idx: tuple[int, ...]
-    short_fam: IntervalFamily
     long_fam: IntervalFamily
     crossing: frozenset[int]
     shared: frozenset[int]
@@ -418,15 +432,7 @@ class _Plan:
     candidates: list[_Candidate]
 
 
-_NO_MEMBERS: tuple[tuple[int, ...], IntervalFamily] = ((), IntervalFamily(()))
-
-
-def _joined(
-    ivs: Sequence[Interval], idx: tuple[int, ...], new: Sequence[int]
-) -> tuple[tuple[int, ...], IntervalFamily]:
-    """The indices idx and new merged in index order, with their family."""
-    merged = tuple(sorted(idx + tuple(new)))
-    return merged, IntervalFamily(tuple(ivs[i] for i in merged))
+_NO_MEMBERS = IntervalFamily(())
 
 
 def _crossing_groups(group_of: Sequence[int], K_set: frozenset[int]) -> _Anchor:
@@ -470,11 +476,12 @@ def _segment(
     _check_segment_members(
         (ivs[i] for i in short_new), (ivs[i] for i in long_new), s_prev, s, v
     )
-    short_idx, short_fam = (before.short_idx, before.short_fam) if before else _NO_MEMBERS
-    long_idx, long_fam = (before.long_idx, before.long_fam) if before else _NO_MEMBERS
+    short_idx = before.short_idx if before else ()
+    long_idx, long_fam = (before.long_idx, before.long_fam) if before else ((), _NO_MEMBERS)
     caches = {}
     if long_new:
-        long_idx, long_fam = _joined(ivs, long_idx, long_new)
+        long_idx = tuple(sorted(long_idx + tuple(long_new)))
+        long_fam = IntervalFamily(tuple(ivs[i] for i in long_idx))
         if not mid_relation(long_fam, long_fam, v):
             return None
     elif before is not None:
@@ -484,7 +491,7 @@ def _segment(
             head_cache=before.head_cache,
         )
     if short_new:
-        short_idx, short_fam = _joined(ivs, short_idx, short_new)
+        short_idx = tuple(sorted(short_idx + tuple(short_new)))
     K_set = crossing[s]
     return _Segment(
         ivs=ivs,
@@ -494,7 +501,6 @@ def _segment(
         s=s,
         short_idx=short_idx,
         long_idx=long_idx,
-        short_fam=short_fam,
         long_fam=long_fam,
         crossing=K_set,
         shared=crossing[s_prev] & K_set,
@@ -687,7 +693,7 @@ def _advance(
         head = fd_head(plan.F, seg.long_fam, seg.s_prev, seg.s, v)
         seg.head_cache[plan.settled_second] = head
     p_new, q_new = extend(
-        p_prime, q_prime, plan.F, seg.short_fam, seg.long_fam, seg.s_prev, seg.s, v,
+        p_prime, q_prime, plan.F, _NO_MEMBERS, seg.long_fam, seg.s_prev, seg.s, v,
         head, profiles,
     )
 
@@ -726,6 +732,155 @@ def _scan_key(st: DPState) -> tuple:
     return (st.q.r, st.p.r, tuple(sorted(st.first_crossing)))
 
 
+def _last_old(ivs: Sequence[Interval], m: int, v: int) -> list[int]:
+    """last_old[s] is the largest s_prev whose hop (s_prev, s] is old, or -1.
+
+    With L the longest member and T = max(3L - 3, v + 1), a hop is old when
+    s - s_prev >= T and s_prev <= g(s) - L + 1.  g(s) is the left end of the
+    (v + 1)-th pick of _profile's right-to-left greedy chain over the long
+    members with hi <= s (the pick is the largest lo among the members with
+    hi at or before the frontier, and the frontier moves to it); when the
+    chain makes fewer than v + 1 picks, no hop into s is old.  Both bounds
+    grow with s (more members can only move the chain's picks right), so
+    the old s_prev at s are a prefix of the anchors, and a longer one at
+    every later s.  best_lo[x] is the largest lo of a long member with
+    hi <= x, from one sweep over the members by hi; the chain is then v + 1
+    lookups per anchor.
+
+    Claim: at s, every state X at an old s_prev adds either nothing or
+    exactly the same successors (s, ramp, q, A, B); which of the two hangs
+    on checks that read X and s_prev but no candidate.  A member crossing
+    an anchor t starts at t - L + 1 or later and ends by t + L - 1.  Long
+    members exist only if L > v >= 1, so L >= 2, and T >= 3L - 3 gives
+    s - s_prev >= L and >= 2L - 2.
+
+      * Every member crossing s_prev ends by s_prev + L - 1 < s, so shared
+        is empty: the candidates are every assignment of crossing[s]'s
+        groups, in the same mask order, for every old s_prev.
+      * s - s_prev >= v + 1, so p_new is the ramp s - u.
+      * Let c_1..c_{v+1} be the picks behind g(s), and D the long members
+        inside (s_prev, s).  Each c_u starts at g(s) or later, so at s_prev
+        or later, and is in D.  A member that starts before s_prev (each of
+        F, and each long member outside D with hi <= s) ends by
+        s_prev + L - 1 <= g(s) < hi(c_u), and starts before lo(c_u).  At
+        step u <= v + 1, c_u lies at or before the frontier, so the largest
+        hi there exceeds g(s) and the largest lo is lo(c_u): both belong to
+        members of D, in the chain over F + D as in the chain over all long
+        members with hi <= s.  So the two chains agree on entries
+        1..v + 1, and fd_head's entries are read from s alone.
+        c_1..c_{v+1} are disjoint members of D meeting (s_prev, s), so
+        w_full >= w >= v + 1, and every entry of q_new comes from the head.
+        The successor profiles are the same for every old s_prev and X.
+      * The lower bounds read X's profiles and the settled members only.
+        A new second-side member, in B, crosses s and so starts at
+        s - L + 1 or later, while a settled member (a, b) ends by
+        s_prev + L - 1 <= s - L + 1; so no member of B meets (s_prev, b),
+        and each second-side count equals its floor, which the lower bound
+        has already checked.
+      * The star check's centers are members of D.  One that meets a member
+        of X.first_crossing (which crosses s_prev) starts by s_prev + L - 2;
+        one that meets a member of B ends at s - L + 2 or later.  A center
+        doing both would be longer than s - s_prev - 2L + 3 >= L, so none
+        does.  So the check passes iff (1) every center passes against
+        D + X.first_crossing, and (2) every center meeting B passes against
+        D + B: a center meeting no member of B sees the same members in
+        (1) as in the full check, and one meeting B sees no member of
+        X.first_crossing, so (1) asks it less than (2).  (1) reads no
+        candidate.  A center meeting B starts at s - 2L + 2 or later, and
+        each of its leaves ends past that and so starts at s - 3L + 3 >=
+        s_prev or later: (2) reads B and the long members with hi <= s
+        that start at s - 3L + 3 or later, which lie in D for every old
+        s_prev.
+
+    So an old X whose candidate-independent checks fail adds nothing, and
+    one whose checks pass would keep, into an empty stage, exactly the
+    candidates whose B passes the part near s, with the common profiles.
+    _stages visits s_prev in increasing order, so old pairs come first,
+    into an empty stage and an empty seen; a state that adds nothing adds
+    nothing to seen either (a key enters seen only when dominated by, or
+    kept as, a state of the stage).  After the first old state that adds a
+    successor, every later old state either fails a check that reads no
+    candidate, or finds each key it would keep already in seen and drops
+    every other candidate at part (2) of the star check, its bucket still
+    empty; either way it touches neither stage nor seen.  Skipping every
+    old pair once the stage is non-empty therefore leaves the stage, seen
+    and every back-pointer as they were.
+    """
+    L = max((iv.length for iv in ivs), default=0)
+    best_lo = [-1] * (m + 1)
+    for iv in ivs:
+        if iv.length > v and iv.lo > best_lo[iv.hi]:
+            best_lo[iv.hi] = iv.lo
+    for x in range(1, m + 1):
+        best_lo[x] = max(best_lo[x], best_lo[x - 1])
+    T = max(3 * L - 3, v + 1)
+    last_old = [-1] * (m + 1)
+    for s in range(m + 1):
+        g = s
+        for _ in range(v + 1):
+            g = best_lo[g]
+            if g < 0:
+                break
+        else:
+            last_old[s] = min(s - T, g - L + 1)
+    return last_old
+
+
+def _stages(rep: VertebrateRep, v: int) -> list[list[DPState]]:
+    """Every stage of the DP for rep, from s = 0 to m, each in scan order."""
+    ivs = rep.family.intervals
+    m = rep.m
+    group_of = compute_groups(rep.family, v).group_of
+    crossing = [frozenset(crossing_family(rep, s)) for s in range(m + 1)]
+    last_old = _last_old(ivs, m, v)
+
+    zero = zero_seq(v)
+    # Each finished stage, sorted once into scan order for the later anchors.
+    scans: list[list[DPState]] = [[DPState(0, zero, zero, frozenset(), frozenset())]]
+    state_cap_exp = 2 * (v + 1)
+    group_cap = 1 << (2 * v * v + v)
+
+    arriving: list[list[int]] = [[] for _ in range(m + 1)]
+    for i, iv in enumerate(ivs):
+        arriving[iv.hi].append(i)
+    # The latest record built for each live s_prev, in increasing order; an
+    # s_prev leaves for good when its segment dies (see _Segment), and one
+    # whose stage is empty never joins.  The record is that of
+    # (s_prev, s - 1) unless the pair was skipped as old (see _last_old);
+    # such a stale record is rebuilt by a full scan when next needed.
+    grown: dict[int, _Segment | None] = {}
+    # Every profile the solve builds, by entries (see extend).
+    profiles: dict[tuple[int, ...], MonotonicSeq] = {}
+
+    for s in range(1, m + 1):
+        stage: dict[frozenset[int], list[DPState]] = {}
+        seen: set[tuple] = set()
+        if scans[s - 1]:
+            grown[s - 1] = None
+        anchor = _crossing_groups(group_of, crossing[s])
+        for s_prev, before in list(grown.items()):
+            if stage and s_prev <= last_old[s]:
+                continue
+            if before is None or before.s == s - 1:
+                seg = _segment(
+                    ivs, group_of, crossing, s_prev, s, v, before, arriving[s], anchor
+                )
+            else:
+                seg = _segment(ivs, group_of, crossing, s_prev, s, v, anchor=anchor)
+            if seg is None:
+                del grown[s_prev]
+                continue
+            grown[s_prev] = seg
+            for st in scans[s_prev]:
+                _advance(st, seg, stage, seen, profiles)
+        states = [st for bucket in stage.values() for st in bucket]
+        cap = (s + 2) ** state_cap_exp * group_cap
+        if len(states) > cap:
+            raise AssertionError(f"stage {s} holds {len(states)} states, cap {cap}")
+        scans.append(sorted(states, key=_scan_key))
+    return scans
+
+
 def solve(rep: VertebrateRep, v: int) -> SolveResult:
     """Decide whether the represented graph splits into two claw-<= v parts.
 
@@ -740,53 +895,13 @@ def solve(rep: VertebrateRep, v: int) -> SolveResult:
     start = time.perf_counter()
     if v < 1:
         raise ValueError(f"claw bound v={v}: need v >= 1")
-    ivs = rep.family.intervals
-    m = rep.m
-    group_of = compute_groups(rep.family, v).group_of
-    crossing = [frozenset(crossing_family(rep, s)) for s in range(m + 1)]
-
-    zero = zero_seq(v)
-    # Each finished stage, sorted once into scan order for the later anchors.
-    scans: list[list[DPState]] = [[DPState(0, zero, zero, frozenset(), frozenset())]]
-    state_cap_exp = 2 * (v + 1)
-    group_cap = 1 << (2 * v * v + v)
-
-    arriving: list[list[int]] = [[] for _ in range(m + 1)]
-    for i, iv in enumerate(ivs):
-        arriving[iv.hi].append(i)
-    # The record of (s_prev, s - 1) for each live s_prev, in increasing
-    # order; an s_prev leaves for good when its segment dies (see _Segment),
-    # and one whose stage is empty never joins.
-    grown: dict[int, _Segment | None] = {}
-    # Every profile the solve builds, by entries (see extend).
-    profiles: dict[tuple[int, ...], MonotonicSeq] = {}
-
-    for s in range(1, m + 1):
-        stage: dict[frozenset[int], list[DPState]] = {}
-        seen: set[tuple] = set()
-        if scans[s - 1]:
-            grown[s - 1] = None
-        anchor = _crossing_groups(group_of, crossing[s])
-        for s_prev, before in list(grown.items()):
-            seg = _segment(ivs, group_of, crossing, s_prev, s, v, before, arriving[s], anchor)
-            if seg is None:
-                del grown[s_prev]
-                continue
-            grown[s_prev] = seg
-            for st in scans[s_prev]:
-                _advance(st, seg, stage, seen, profiles)
-        states = [st for bucket in stage.values() for st in bucket]
-        cap = (s + 2) ** state_cap_exp * group_cap
-        if len(states) > cap:
-            raise AssertionError(f"stage {s} holds {len(states)} states, cap {cap}")
-        scans.append(sorted(states, key=_scan_key))
-
+    scans = _stages(rep, v)
     counts = tuple(map(len, scans))
-    accepting = scans[m][0] if scans[m] else None
+    accepting = scans[-1][0] if scans[-1] else None
     if accepting is None:
         return SolveResult(False, None, None, counts, time.perf_counter() - start)
 
-    sides: list[Side | None] = [None] * len(ivs)
+    sides: list[Side | None] = [None] * len(rep.family)
     st: DPState | None = accepting
     first_label = Side.FIRST
     while st is not None and st.prev is not None:

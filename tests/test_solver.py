@@ -220,10 +220,10 @@ def test_grown_segments_match_a_fresh_build():
                     dead = True
                     dead_pairs += 1
                     continue
+                inside = [i for i, iv in enumerate(ivs) if iv.lo >= s_prev and iv.hi <= s]
                 for seg in (grown, fresh):
-                    assert list(seg.short_idx) == sorted(seg.short_idx)
+                    assert seg.short_idx == tuple(i for i in inside if ivs[i].length <= v)
                     assert list(seg.long_idx) == sorted(seg.long_idx)
-                    assert seg.short_fam.intervals == tuple(ivs[i] for i in seg.short_idx)
                     assert seg.long_fam.intervals == tuple(ivs[i] for i in seg.long_idx)
                 assert grown.short_idx == fresh.short_idx
                 assert grown.long_idx == fresh.long_idx
@@ -378,7 +378,7 @@ def test_new_first_side_members_meet_each_settled_window_b_minus_s_prev_times():
                     X = [ivs[i] for i in new if rng.random() < 0.5]
                     for b in range(s_prev + 1, s + 1):
                         count = intervals._max_disjoint_meeting(
-                            [*seg.short_fam.intervals, *X], s_prev, b
+                            [*(ivs[i] for i in seg.short_idx), *X], s_prev, b
                         )
                         assert count == b - s_prev
                         windows += 1
@@ -406,14 +406,17 @@ def test_solve_greedy_calls_on_a_split_v2_shape(monkeypatch):
     assert 0 < calls < 677
 
 
-def grown_records(rep, v):
-    """(before, seg, heads_in) for every record solve's loop grows for rep,
-    once the stage at seg.s is built: before is the record seg grew from,
-    and heads_in the number of heads seg held before any state crossed it."""
+def grown_records(rep, v, scans=None):
+    """(before, seg, heads_in, preds) for every record solve's loop would
+    grow for rep if it skipped no old pair, once the stage at seg.s is
+    built: before is the record seg grew from, heads_in the number of heads
+    seg held before any state crossed it, and preds the states at seg.s_prev.
+    scans, when given, receives every stage of this walk in scan order."""
     ivs = rep.family.intervals
     crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
     group_of = compute_groups(rep.family, v).group_of
-    scans = [[base_state(v)]]
+    scans = [] if scans is None else scans
+    scans.append([base_state(v)])
     grown, profiles = {}, {}
     for s in range(1, rep.m + 1):
         arriving = [i for i, iv in enumerate(ivs) if iv.hi == s]
@@ -427,7 +430,7 @@ def grown_records(rep, v):
                 del grown[s_prev]
                 continue
             grown[s_prev] = seg
-            built.append((before, seg, len(seg.head_cache)))
+            built.append((before, seg, len(seg.head_cache), scans[s_prev]))
             for st in scans[s_prev]:
                 _advance(st, seg, stage, seen, profiles)
         yield from built
@@ -441,7 +444,7 @@ def test_carried_and_shared_caches_match_fresh_values():
         v = rng.choice([1, 2, 3])
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
         ivs = rep.family.intervals
-        for before, seg, heads_in in grown_records(rep, v):
+        for before, seg, heads_in, _ in grown_records(rep, v):
             carried += heads_in
             if before is not None and seg.long_idx == before.long_idx:
                 # no long member arrived: every cache is before's own object
@@ -473,7 +476,7 @@ def test_anchor_side_lists_match_a_fresh_enumeration():
         ivs = rep.family.intervals
         crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
         group_of = compute_groups(rep.family, v).group_of
-        for _, seg, _ in grown_records(rep, v):
+        for _, seg, _, _ in grown_records(rep, v):
             fresh = _segment(ivs, group_of, crossing, seg.s_prev, seg.s, v)
             for first_crossing, plan in seg.plans.items():
                 A_prime = crossing[seg.s_prev] - first_crossing
@@ -482,6 +485,132 @@ def test_anchor_side_lists_match_a_fresh_enumeration():
             keys[id(seg.anchor)] = len(seg.anchor.sides)
     # most plans reuse a side list another segment at their anchor built
     assert plans > 2 * sum(keys.values()) > 0
+
+
+def long_rep(rng, m_max):
+    """A seeded representation with members of length up to 2-7, long
+    enough (m up to m_max) to hold old hops (see solver._last_old)."""
+    spec = GeneratorSpec(
+        kind="vertebrate", m=rng.randint(10, m_max), density=rng.choice([0.3, 0.6, 1.0]),
+        max_len=rng.randint(2, 7), seed=rng.randint(0, 10 ** 6),
+    )
+    return vertebrate_representation(generate(spec))
+
+
+# Generated instances (m, density, max_len, seed) on which the looser rule
+# "s - s_prev >= max(L - 1, v + 1) and s_prev <= g(s)" gives two old states
+# at one s different successor sets at v = 1.  Random instances show that
+# in under 1% of draws.
+LOOSER_RULE_FAILS = [(27, 1.5, 6, 494581), (19, 0.6, 7, 572387), (29, 1.0, 5, 641281)]
+
+
+def test_old_pairs_add_nothing_or_one_common_successor_set():
+    # each state at an old s_prev, advanced alone into a fresh stage, adds
+    # no successor or the same ones as every other such state at that s
+    # (see solver._last_old); this is what lets solve skip old pairs.  Most
+    # random instances are at v = 1, where old pairs are most numerous and
+    # most varied for their cost.
+    rng = random.Random(71)
+    cases = [
+        (1, vertebrate_representation(generate(GeneratorSpec("vertebrate", m=m, density=d, max_len=ml, seed=seed))))
+        for m, d, ml, seed in LOOSER_RULE_FAILS
+    ]
+    for k in range(120):
+        v = 1 if k % 10 else 2 + k // 10 % 2
+        cases.append((v, long_rep(rng, 36 if v == 1 else 26)))
+    old_pairs = adding = 0
+    for v, rep in cases:
+        last_old = solver._last_old(rep.family.intervals, rep.m, v)
+        common = {}
+        for _, seg, _, preds in grown_records(rep, v):
+            if seg.s_prev > last_old[seg.s]:
+                continue
+            for X in preds:
+                alone = {}
+                _advance(X, seg, alone, set(), {})
+                keys = {
+                    (st.p.r, st.q.r, st.first_crossing, st.second_crossing)
+                    for bucket in alone.values() for st in bucket
+                }
+                old_pairs += 1
+                if keys:
+                    adding += 1
+                    assert common.setdefault(seg.s, keys) == keys
+    assert old_pairs > adding > 3000
+
+
+def unskipped_witness(scans, n):
+    """The rep_assignment solve reads from the first accepting state of
+    scans, or None when the last stage is empty."""
+    if not scans[-1]:
+        return None
+    sides = [None] * n
+    st, label = scans[-1][0], Side.FIRST
+    while st.prev is not None:
+        for i in st.to_first:
+            sides[i] = label
+        for i in st.to_second:
+            sides[i] = label.other()
+        label, st = label.other(), st.prev
+    return PartitionAssignment(tuple(sides))
+
+
+def test_solve_stages_match_the_unskipped_walk(monkeypatch):
+    def key(st):
+        return (st.s, st.p.r, st.q.r, st.first_crossing, st.second_crossing)
+
+    def kept(scans):
+        return [
+            [(key(st), st.prev and key(st.prev), st.to_first, st.to_second) for st in stage]
+            for stage in scans
+        ]
+
+    stages, segment = solver._stages, solver._segment
+    solved, built = [], 0
+
+    def kept_stages(*args):
+        solved.append(stages(*args))
+        return solved[-1]
+
+    def counted(*args, **kwargs):
+        nonlocal built
+        built += 1
+        return segment(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_stages", kept_stages)
+    monkeypatch.setattr(solver, "_segment", counted)
+    rng = random.Random(73)
+    walked = 0
+    for k in range(40):
+        v = 1 + k % 2
+        rep = long_rep(rng, 60 if v == 1 else 40)
+        walk = []
+        walked += sum(1 for _ in grown_records(rep, v, walk))
+        res = solve(rep, v)
+        assert kept(solved[-1]) == kept(walk)
+        assert res.stage_state_counts == tuple(map(len, walk))
+        assert res.rep_assignment == unskipped_witness(walk, len(rep.family))
+    assert walked > 10000
+    # solve skipped old pairs, so it built fewer records than the walk
+    assert built < walked
+
+
+def test_solve_v1_m400_skips_old_pairs(monkeypatch):
+    # advancing every live pair made 21,447 _segment and 81,120 _advance
+    # calls on this instance
+    calls = {"_segment": 0, "_advance": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(solver, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    S = generate(GeneratorSpec("vertebrate", m=400, density=0.3, max_len=3, seed=1))
+    res = solve(vertebrate_representation(S), 1)
+    assert res.feasible
+    assert sum(res.stage_state_counts) == 1538
+    assert calls["_segment"] < 10000
+    assert calls["_advance"] < 40000
 
 
 def test_solve_fd_head_calls_below_the_per_segment_count(monkeypatch):
@@ -611,8 +740,9 @@ def test_solve_v3_m25_is_fast():
 
 
 def test_solve_v1_m400_sparse_is_fast():
-    # 80,200 segment pairs; most die early, and the live ones grow one
-    # anchor at a time
+    # 80,200 segment pairs; the far ones are old and mostly skipped (see
+    # test_solve_v1_m400_skips_old_pairs), and the rest grow one anchor at
+    # a time
     S = generate(GeneratorSpec("vertebrate", m=400, density=0.3, max_len=3, seed=1))
     start = time.perf_counter()
     res = solve(vertebrate_representation(S), 1)
