@@ -20,10 +20,10 @@ second-part members alone: it leaves out the entry r_0 = s, and nothing
 else in it reads s.  So a caller crossing one segment from many
 predecessors, or growing it anchor by anchor without new second-part
 members, can compute it once and pass it in; it then vouches for the
-segment members too, which extend validates only when it computes the head
-itself.  Such a caller can also pass extend a table that interns the
-profiles it returns, so that each distinct profile is built, and validated,
-once.
+segment members (the solver validates its long ones and passes no short
+one), which extend validates only when it computes the head itself.  Such
+a caller can also pass extend a table that interns the profiles it
+returns, so that each distinct profile is built, and validated, once.
 """
 
 from __future__ import annotations
@@ -214,9 +214,9 @@ def extend(
             computed here when None.  The anchors, the predecessor profiles
             and F are validated either way, C and D only when head is None:
             a caller that passes head vouches for them.  solve's _segment
-            validates each segment member with _check_segment_members when
-            it takes it, and a member valid for (s_prev, s') is valid for
-            every s > s', so its families need no check here.
+            validates each long member with _check_segment_members when it
+            takes it, and one valid for (s_prev, s') is valid for every
+            s > s', so D needs no check here; C it passes empty.
         table: profiles already built, by entries; when given, a returned
             profile is taken from it if present and added to it otherwise.
             Its keys are the entries, which fix s (entry 0) and v (their

@@ -25,8 +25,8 @@ settled on the side they were committed to.  The checks are exactly:
 
 after which the profiles advance by extend.  The transition is written once,
 in _advance, which takes one predecessor state across a segment and adds its
-successors to the stage at s.  What depends on the segment alone (its short
-and long members, the crossing members, the groups to assign) is built once
+successors to the stage at s.  What depends on the segment alone (its long
+members, the crossing members, the groups to assign) is built once
 per segment pair by _segment and shared by every state that crosses it; for
 each s_prev the record of (s_prev, s) is grown from that of (s_prev, s - 1),
 or rebuilt by a scan after a skip (see below), and none is built past the
@@ -40,9 +40,9 @@ of the crossing groups depend on s, the shared members and their committed
 sides only, so they are enumerated once per anchor and key (see _Anchor).
 
 It also holds one plan per predecessor bucket (see _Plan): the settled
-members and their lower-bound floors, F, the witness tuples and the
-candidate side assignments, each candidate with its second side's settled
-counts.  A predecessor's first_crossing fixes its second_crossing
+members' lower-bound floors, the second side's settled members as F, and
+the candidate side assignments, each candidate with its second side's
+settled counts.  A predecessor's first_crossing fixes its second_crossing
 (crossing[s_prev] minus it), so all of a plan is a pure function of the
 segment and first_crossing, and every state of the bucket would compute
 the same values.  A candidate's counts are filled when a successor with
@@ -97,9 +97,10 @@ real states are kept, every kept state still describes a feasible split of
 the members inside (0, s).
 
 The accepting condition is reaching any state at s = m.  The witness is read
-back from the first accepting state in scan order through stored
-back-pointers, expanded to the input vertices through the representation's
-duplicity map, and re-verified before being returned.
+back from the first accepting state in scan order through back-pointers
+and committed sides alone (see _witness), expanded to the input vertices
+through the representation's duplicity map, and re-verified before being
+returned.
 """
 
 from __future__ import annotations
@@ -149,8 +150,9 @@ class DPState:
 
     first_crossing / second_crossing split the s-crossing member indices by
     committed side, with the first side being the part that holds the unit
-    (s - 1, s) when s > 0.  prev/to_first/to_second record the hop that
-    built the state, for witness reconstruction; they do not affect identity.
+    (s - 1, s) when s > 0.  prev is the state the hop that built this one
+    left from, for witness reconstruction (see _witness); it does not
+    affect identity.
     """
 
     s: int
@@ -159,8 +161,6 @@ class DPState:
     first_crossing: frozenset[int]
     second_crossing: frozenset[int]
     prev: Optional["DPState"] = field(default=None, compare=False, repr=False)
-    to_first: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    to_second: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass
@@ -318,19 +318,18 @@ class _Anchor:
 class _Segment:
     """The part of a hop across (s_prev, s] that no predecessor state changes.
 
-    short_idx and long_idx are the members inside (s_prev, s) of length at
-    most v and longer than v, the long ones also held as a family (the short
-    ones enter no profile or count: extend reads its C argument only to
-    validate it, and _advance passes a head).  crossing holds the
+    long_idx are the members inside (s_prev, s) longer than v, also held as a
+    family.  No record holds the short ones: they enter no profile, count or
+    check (see _advance), and _witness finds them by hi.  crossing holds the
     members crossing s; shared, those crossing s_prev too; pool, those
     crossing s_prev that stop before s and so settle at this hop.  anchor is
     the _Anchor of s, which _stages builds once and hands to every segment
     ending there.
 
-    _stages grows the records of one s_prev anchor by anchor: the members of
-    (s_prev, s) are those of (s_prev, s - 1) plus the ones with hi = s and
-    lo >= s_prev, merged in index order so that witnesses do not depend on
-    how a record was built.  Each arriving member is validated as a short or
+    _stages grows the records of one s_prev anchor by anchor: the long
+    members of (s_prev, s) are those of (s_prev, s - 1) plus the ones with
+    hi = s and lo >= s_prev, merged in index order so that a record does not
+    depend on how it was built.  Each arriving long member is validated as a
     long member of (s_prev, s) when it is taken (see extend); it lies inside
     (s_prev, s') for its arrival s', so it stays valid for every later s.
     The long members center no overfull star among themselves iff
@@ -377,7 +376,6 @@ class _Segment:
     v: int
     s_prev: int
     s: int
-    short_idx: tuple[int, ...]
     long_idx: tuple[int, ...]
     long_fam: IntervalFamily
     crossing: frozenset[int]
@@ -412,9 +410,9 @@ class _Candidate:
 class _Plan:
     """What a hop across one segment does for one predecessor bucket.
 
-    settled_first and settled_second are the members settling at this hop
-    on the (swapped) first and second side, sorted, and F the second ones as
-    a family.  first_bounds and second_bounds hold (a, floor) per settled
+    settled_second are the members settling at this hop on the (swapped)
+    second side, sorted, and F the same members as a family.  first_bounds
+    and second_bounds hold (a, floor) per settled
     member, with floor the candidate-independent part of its right-hand
     count: b - s_prev backbone units on the first side, which is the whole
     count there (see _advance), and long_meet_cache[b] on the second.
@@ -422,13 +420,10 @@ class _Plan:
     the forced sides of two shared members of one group disagree.
     """
 
-    settled_first: tuple[int, ...]
     settled_second: tuple[int, ...]
     first_bounds: tuple[tuple[int, int], ...]
     second_bounds: tuple[tuple[int, int], ...]
     F: IntervalFamily
-    to_first: tuple[int, ...]
-    to_second: tuple[int, ...]
     candidates: list[_Candidate]
 
 
@@ -458,25 +453,21 @@ def _segment(
     """The record of the segment (s_prev, s], or None if no state can cross it.
 
     crossing[t] is the set of members crossing anchor t.  With before and
-    arriving left out, the members are found by a scan of the whole family.
-    Otherwise before is the record of (s_prev, s - 1), or None when
+    arriving left out, the long members are found by a scan of the whole
+    family.  Otherwise before is the record of (s_prev, s - 1), or None when
     s = s_prev + 1, and arriving holds the members with hi = s; the record is
-    grown from before by those of them with lo >= s_prev; the long-family
+    grown from before by the long ones with lo >= s_prev; the long-family
     star check reruns, and the caches start afresh, only when the long
     members grew, and otherwise the caches are before's (see _Segment).
     anchor is _crossing_groups(group_of, crossing[s]), computed here when
     left out.
     """
-    short_new: list[int] = []
-    long_new: list[int] = []
-    for i in range(len(ivs)) if arriving is None else arriving:
-        iv = ivs[i]
-        if iv.lo >= s_prev and iv.hi <= s:
-            (short_new if iv.length <= v else long_new).append(i)
-    _check_segment_members(
-        (ivs[i] for i in short_new), (ivs[i] for i in long_new), s_prev, s, v
-    )
-    short_idx = before.short_idx if before else ()
+    long_new = [
+        i
+        for i in (range(len(ivs)) if arriving is None else arriving)
+        if ivs[i].lo >= s_prev and ivs[i].hi <= s and ivs[i].length > v
+    ]
+    _check_segment_members((), (ivs[i] for i in long_new), s_prev, s, v)
     long_idx, long_fam = (before.long_idx, before.long_fam) if before else ((), _NO_MEMBERS)
     caches = {}
     if long_new:
@@ -490,8 +481,6 @@ def _segment(
             long_star_cache=before.long_star_cache,
             head_cache=before.head_cache,
         )
-    if short_new:
-        short_idx = tuple(sorted(short_idx + tuple(short_new)))
     K_set = crossing[s]
     return _Segment(
         ivs=ivs,
@@ -499,7 +488,6 @@ def _segment(
         v=v,
         s_prev=s_prev,
         s=s,
-        short_idx=short_idx,
         long_idx=long_idx,
         long_fam=long_fam,
         crossing=K_set,
@@ -526,7 +514,6 @@ def _plan(seg: _Segment, st: DPState) -> _Plan:
     predecessor's sides swapped as in _advance."""
     ivs, s_prev = seg.ivs, seg.s_prev
     A_prime, B_prime = st.second_crossing, st.first_crossing
-    settled_first = tuple(sorted(A_prime & seg.pool))
     settled_second = tuple(sorted(B_prime & seg.pool))
     second_bounds = []
     for i in settled_second:
@@ -538,13 +525,10 @@ def _plan(seg: _Segment, st: DPState) -> _Plan:
         second_bounds.append((a, floor))
 
     return _Plan(
-        settled_first=settled_first,
         settled_second=settled_second,
-        first_bounds=tuple((ivs[i].lo, ivs[i].hi - s_prev) for i in settled_first),
+        first_bounds=tuple((ivs[i].lo, ivs[i].hi - s_prev) for i in sorted(A_prime & seg.pool)),
         second_bounds=tuple(second_bounds),
         F=IntervalFamily(tuple(ivs[i] for i in settled_second)),
-        to_first=seg.short_idx + settled_first,
-        to_second=seg.long_idx + settled_second,
         candidates=_candidates(seg, A_prime),
     )
 
@@ -712,16 +696,7 @@ def _advance(
             continue
         if not _long_star_ok(seg, st.first_crossing | cand.B):
             continue
-        new_state = DPState(
-            seg.s,
-            p_new,
-            q_new,
-            A,
-            cand.B,
-            prev=st,
-            to_first=plan.to_first,
-            to_second=plan.to_second,
-        )
+        new_state = DPState(seg.s, p_new, q_new, A, cand.B, prev=st)
         stage[A] = [kept for kept in bucket if not _dominates(new_state, kept.p, kept.q)]
         stage[A].append(new_state)
         seen.add(key)
@@ -826,6 +801,14 @@ def _last_old(ivs: Sequence[Interval], m: int, v: int) -> list[int]:
     return last_old
 
 
+def _arriving(ivs: Sequence[Interval], m: int) -> list[list[int]]:
+    """arriving[t] lists the members with hi = t, in index order."""
+    arriving: list[list[int]] = [[] for _ in range(m + 1)]
+    for i, iv in enumerate(ivs):
+        arriving[iv.hi].append(i)
+    return arriving
+
+
 def _stages(rep: VertebrateRep, v: int) -> list[list[DPState]]:
     """Every stage of the DP for rep, from s = 0 to m, each in scan order."""
     ivs = rep.family.intervals
@@ -840,9 +823,7 @@ def _stages(rep: VertebrateRep, v: int) -> list[list[DPState]]:
     state_cap_exp = 2 * (v + 1)
     group_cap = 1 << (2 * v * v + v)
 
-    arriving: list[list[int]] = [[] for _ in range(m + 1)]
-    for i, iv in enumerate(ivs):
-        arriving[iv.hi].append(i)
+    arriving = _arriving(ivs, m)
     # The latest record built for each live s_prev, in increasing order; an
     # s_prev leaves for good when its segment dies (see _Segment), and one
     # whose stage is empty never joins.  The record is that of
@@ -881,6 +862,36 @@ def _stages(rep: VertebrateRep, v: int) -> list[list[DPState]]:
     return scans
 
 
+def _witness(rep: VertebrateRep, v: int, accepting: DPState) -> list[Side | None]:
+    """The member sides of the split on accepting's back-pointer chain,
+    accepting's first side as Side.FIRST, in O(n + m).
+
+    The hop from prev to st places the members with hi in (prev.s, st.s] as
+    _advance committed them, with labels alternating along the chain: one
+    with lo >= prev.s lies inside the segment, and takes the hop's label if
+    its length is at most v and the other label if not; any other one
+    crosses prev.s and settles on its committed side, read swapped: the
+    hop's label iff it is in prev.second_crossing.  A chain runs from 0 to
+    m, so each member's hi lies in exactly one hop: it lies inside exactly
+    one segment or settles from exactly one pool, and gets that hop's side.
+    """
+    ivs = rep.family.intervals
+    arriving = _arriving(ivs, rep.m)
+    sides: list[Side | None] = [None] * len(ivs)
+    st, label = accepting, Side.FIRST
+    while st.prev is not None:
+        prev, other = st.prev, label.other()
+        for t in range(prev.s + 1, st.s + 1):
+            for i in arriving[t]:
+                iv = ivs[i]
+                if iv.lo >= prev.s:
+                    sides[i] = label if iv.length <= v else other
+                else:
+                    sides[i] = label if i in prev.second_crossing else other
+        st, label = prev, other
+    return sides
+
+
 def solve(rep: VertebrateRep, v: int) -> SolveResult:
     """Decide whether the represented graph splits into two claw-<= v parts.
 
@@ -901,16 +912,7 @@ def solve(rep: VertebrateRep, v: int) -> SolveResult:
     if accepting is None:
         return SolveResult(False, None, None, counts, time.perf_counter() - start)
 
-    sides: list[Side | None] = [None] * len(rep.family)
-    st: DPState | None = accepting
-    first_label = Side.FIRST
-    while st is not None and st.prev is not None:
-        for i in st.to_first:
-            sides[i] = first_label
-        for i in st.to_second:
-            sides[i] = first_label.other()
-        first_label = first_label.other()
-        st = st.prev
+    sides = _witness(rep, v, accepting)
     if not all(side is not None for side in sides):
         raise AssertionError("witness walk missed a member")
 

@@ -451,6 +451,38 @@ def test_module_entry_point_runs():
     assert "vertebrate yes" in proc.stdout
 
 
+def test_partition_under_python_O_prints_the_same_lines(tmp_path):
+    # the invariant checks raise rather than assert, so -O changes nothing a
+    # run prints; the generated v = 1 instance has long hops (max_len 4)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def lines(*argv, optimize=False):
+        proc = subprocess.run(
+            [sys.executable, *(["-O"] if optimize else []), "-m", "clawsplit", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        out = [line for line in proc.stdout.splitlines() if not line.startswith("timing_")]
+        return proc.returncode, out
+
+    gen_code, gen_out = lines(
+        "gen", "--kind", "vertebrate", "--m", "40", "--density", "0.3", "--max-len", "4",
+        "--seed", "1",
+    )
+    assert gen_code == 0
+    long_hops = tmp_path / "long-hops.txt"
+    long_hops.write_text("\n".join(gen_out) + "\n")
+    for instance, v in ((FIXTURES / "gen-10021.txt", "2"), (long_hops, "1")):
+        argv = ("partition", str(instance), "--v", v, "--witness")
+        plain = lines(*argv)
+        assert plain[0] == 0
+        assert "decision yes" in plain[1]
+        assert sum(line.startswith("witness ") for line in plain[1]) > 10
+        assert lines(*argv, optimize=True) == plain
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -222,10 +222,9 @@ def test_grown_segments_match_a_fresh_build():
                     continue
                 inside = [i for i, iv in enumerate(ivs) if iv.lo >= s_prev and iv.hi <= s]
                 for seg in (grown, fresh):
-                    assert seg.short_idx == tuple(i for i in inside if ivs[i].length <= v)
+                    assert seg.long_idx == tuple(i for i in inside if ivs[i].length > v)
                     assert list(seg.long_idx) == sorted(seg.long_idx)
                     assert seg.long_fam.intervals == tuple(ivs[i] for i in seg.long_idx)
-                assert grown.short_idx == fresh.short_idx
                 assert grown.long_idx == fresh.long_idx
                 assert grown.crossing == fresh.crossing
                 assert grown.shared == fresh.shared
@@ -308,7 +307,7 @@ def test_bucket_plans_match_fresh_records():
             def kept(stage):
                 return [
                     (A, [(id(st.prev), st.p.r, st.q.r, st.second_crossing,
-                          st.to_first, st.to_second) for st in bucket])
+                          solver._witness(rep, v, st)) for st in bucket])
                     for A, bucket in stage.items()
                 ]
 
@@ -373,13 +372,14 @@ def test_new_first_side_members_meet_each_settled_window_b_minus_s_prev_times():
                 seg = _segment(ivs, group_of, crossing, s_prev, s, v)
                 if seg is None:
                     continue
+                short = [
+                    iv for iv in ivs if iv.lo >= s_prev and iv.hi <= s and iv.length <= v
+                ]
                 new = sorted(seg.crossing - seg.shared)
                 for _ in range(3):
                     X = [ivs[i] for i in new if rng.random() < 0.5]
                     for b in range(s_prev + 1, s + 1):
-                        count = intervals._max_disjoint_meeting(
-                            [*(ivs[i] for i in seg.short_idx), *X], s_prev, b
-                        )
+                        count = intervals._max_disjoint_meeting([*short, *X], s_prev, b)
                         assert count == b - s_prev
                         windows += 1
     assert windows > 5000
@@ -539,20 +539,12 @@ def test_old_pairs_add_nothing_or_one_common_successor_set():
     assert old_pairs > adding > 3000
 
 
-def unskipped_witness(scans, n):
+def unskipped_witness(rep, v, scans):
     """The rep_assignment solve reads from the first accepting state of
     scans, or None when the last stage is empty."""
     if not scans[-1]:
         return None
-    sides = [None] * n
-    st, label = scans[-1][0], Side.FIRST
-    while st.prev is not None:
-        for i in st.to_first:
-            sides[i] = label
-        for i in st.to_second:
-            sides[i] = label.other()
-        label, st = label.other(), st.prev
-    return PartitionAssignment(tuple(sides))
+    return PartitionAssignment(tuple(solver._witness(rep, v, scans[-1][0])))
 
 
 def test_solve_stages_match_the_unskipped_walk(monkeypatch):
@@ -560,10 +552,7 @@ def test_solve_stages_match_the_unskipped_walk(monkeypatch):
         return (st.s, st.p.r, st.q.r, st.first_crossing, st.second_crossing)
 
     def kept(scans):
-        return [
-            [(key(st), st.prev and key(st.prev), st.to_first, st.to_second) for st in stage]
-            for stage in scans
-        ]
+        return [[(key(st), st.prev and key(st.prev)) for st in stage] for stage in scans]
 
     stages, segment = solver._stages, solver._segment
     solved, built = [], 0
@@ -589,7 +578,7 @@ def test_solve_stages_match_the_unskipped_walk(monkeypatch):
         res = solve(rep, v)
         assert kept(solved[-1]) == kept(walk)
         assert res.stage_state_counts == tuple(map(len, walk))
-        assert res.rep_assignment == unskipped_witness(walk, len(rep.family))
+        assert res.rep_assignment == unskipped_witness(rep, v, walk)
     assert walked > 10000
     # solve skipped old pairs, so it built fewer records than the walk
     assert built < walked
@@ -703,6 +692,45 @@ def test_solve_witness_swap_stays_good():
         res = solve(rep, 1)
         if res.feasible:
             assert verify_partition(S, res.assignment.swapped(), 1)
+
+
+def test_solve_witness_honours_every_commitment_on_the_accepting_chain(monkeypatch):
+    # each state on the chain committed its crossing members to a side, and
+    # each hop put the members inside it on a side by their length; the
+    # witness must keep every one of those choices.  v = 3 stays at m <= 12,
+    # where its stages stay small.
+    stages, solved = solver._stages, []
+
+    def kept_stages(*args):
+        solved.append(stages(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(solver, "_stages", kept_stages)
+    rng = random.Random(79)
+    hops = 0
+    for _ in range(200):
+        v = rng.randint(1, 3)
+        spec = GeneratorSpec(
+            kind="vertebrate", m=rng.randint(6, 30 if v < 3 else 12),
+            density=rng.choice([0.3, 0.6, 1.0]), max_len=rng.randint(2, 6),
+            seed=rng.randint(0, 10 ** 6),
+        )
+        rep = vertebrate_representation(generate(spec))
+        res = solve(rep, v)
+        if not res.feasible:
+            continue
+        sides = res.rep_assignment.sides
+        st, label = solved[-1][-1][0], Side.FIRST
+        while st.prev is not None:
+            prev, other = st.prev, label.other()
+            assert all(sides[i] == label for i in st.first_crossing)
+            assert all(sides[i] == other for i in st.second_crossing)
+            for i, iv in enumerate(rep.family.intervals):
+                if iv.lo >= prev.s and iv.hi <= st.s:
+                    assert sides[i] == (label if iv.length <= v else other)
+            hops += 1
+            st, label = prev, other
+    assert hops > 600
 
 
 def test_solve_matches_oracle_small():
