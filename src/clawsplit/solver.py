@@ -26,24 +26,27 @@ settled on the side they were committed to.  The checks are exactly:
 after which the profiles advance by extend.  The transition is written once,
 in _advance, which takes one predecessor state across a segment and adds its
 successors to the stage at s.  What depends on the segment alone (its long
-members, the crossing members, the groups to assign) is built once
-per segment pair by _segment and shared by every state that crosses it; for
-each s_prev the record of (s_prev, s) is grown from that of (s_prev, s - 1),
-or rebuilt by a scan after a skip (see below), and none is built past the
-first dead one (see _Segment).  The same record memoises what depends on
-the segment and a set of members only: the F+D head of the second part's
-new profile, per settled set, and the result of the long members' star
-check, per set of visible crossing members.  When no long member arrives
-at s, a grown record shares all three caches with the record it grew from;
-the soundness argument is in the _Segment docstring.  The side assignments
-of the crossing groups depend on s, the shared members and their committed
+members, the crossing members, the groups to assign) is built once per
+segment pair by _segment and shared by every state that crosses it.  A
+segment is dead when its long members center an overfull star among
+themselves, and no state crosses it.  Deadness is decided once per solve:
+_live_from gives, for each s, the least s_prev whose segment is live, and
+_stages drops every smaller s_prev for good.  Each live s_prev's record is
+grown from its latest one by the members that arrived since (see
+_segment).  The same record memoises what depends on the segment and a set
+of members only: the F+D head of the second part's new profile, per
+settled set, and the result of the long members' star check, per set of
+visible crossing members.  When no long member arrives between two
+records, the later one shares all three caches with the earlier; the
+soundness argument is in the _Segment docstring.  The side assignments of
+the crossing groups depend on s, the shared members and their committed
 sides only, so they are enumerated once per anchor and key (see _Anchor).
 
 It also holds one plan per predecessor bucket (see _Plan): the settled
 members' lower-bound floors, the second side's settled members as F, and
 the candidate side assignments, each candidate with its second side's
-settled counts.  A predecessor's first_crossing fixes its second_crossing
-(crossing[s_prev] minus it), so all of a plan is a pure function of the
+settled counts.  A predecessor's other side is crossing[s_prev] minus its
+first_crossing, so all of a plan is a pure function of the
 segment and first_crossing, and every state of the bucket would compute
 the same values.  A candidate's counts are filled when a successor with
 its side assignment first gets past seen and the dominance scan, so a plan
@@ -87,8 +90,8 @@ stage keeps one antichain per bucket.  This drops no feasible split:
     _advance, has the form alpha_seq(profile, a) + count <= v, where count does not
     depend on the profiles.
   * The forced sides, the star check, the settled sets and the candidate
-    masks depend only on first_crossing and second_crossing (the latter is
-    crossing[s] minus the former), which are equal within a bucket.
+    masks depend only on first_crossing and the other side, crossing[s]
+    minus it, which are equal within a bucket.
 
 So a dominating state passes every check that the dominated one passes, at
 every later stage, and its successors dominate the dominated one's.  By
@@ -125,6 +128,7 @@ from clawsplit.intervals import (
     Side,
     _max_disjoint_meeting,
     dedup,
+    intersects,
     mid_relation,
 )
 from clawsplit.recognition import VertebrateRep
@@ -148,18 +152,17 @@ class GroupingInfo:
 class DPState:
     """One reachable profile-and-commitment combination at anchor s.
 
-    first_crossing / second_crossing split the s-crossing member indices by
-    committed side, with the first side being the part that holds the unit
-    (s - 1, s) when s > 0.  prev is the state the hop that built this one
-    left from, for witness reconstruction (see _witness); it does not
-    affect identity.
+    first_crossing holds the s-crossing member indices committed to the
+    first side, the part that holds the unit (s - 1, s) when s > 0; the
+    other s-crossing members are committed to the second side.  prev is the
+    state the hop that built this one left from, for witness reconstruction
+    (see _witness); it does not affect identity.
     """
 
     s: int
     p: MonotonicSeq
     q: MonotonicSeq
     first_crossing: frozenset[int]
-    second_crossing: frozenset[int]
     prev: Optional["DPState"] = field(default=None, compare=False, repr=False)
 
 
@@ -298,6 +301,7 @@ def verify_partition(J: IntervalFamily, assignment: PartitionAssignment, v: int)
 class _Anchor:
     """What every segment ending at one anchor s shares.
 
+    group_of maps each member to its overlap group (see compute_groups).
     gids are the sorted groups of the members crossing s, and members_of
     lists each one's members; both depend on s alone.  sides memoises the
     side assignments that _candidates enumerates, as (first side, second
@@ -307,6 +311,7 @@ class _Anchor:
     order are a pure function of that key, whatever the segment's s_prev.
     """
 
+    group_of: Sequence[int]
     gids: tuple[int, ...]
     members_of: dict[int, tuple[int, ...]]
     sides: dict[
@@ -320,37 +325,27 @@ class _Segment:
 
     long_idx are the members inside (s_prev, s) longer than v, also held as a
     family.  No record holds the short ones: they enter no profile, count or
-    check (see _advance), and _witness finds them by hi.  crossing holds the
-    members crossing s; shared, those crossing s_prev too; pool, those
-    crossing s_prev that stop before s and so settle at this hop.  anchor is
-    the _Anchor of s, which _stages builds once and hands to every segment
-    ending there.
+    check (see _advance), and _witness finds them by hi.  shared holds the
+    members crossing both s_prev and s; pool, those crossing s_prev that stop
+    before s and so settle at this hop.  anchor is the _Anchor of s, which
+    _stages builds once and hands to every segment ending there.  _stages
+    builds records only for live segments (see _live_from).
 
-    _stages grows the records of one s_prev anchor by anchor: the long
-    members of (s_prev, s) are those of (s_prev, s - 1) plus the ones with
-    hi = s and lo >= s_prev, merged in index order so that a record does not
-    depend on how it was built.  Each arriving long member is validated as a
-    long member of (s_prev, s) when it is taken (see extend); it lies inside
-    (s_prev, s') for its arrival s', so it stays valid for every later s.
-    The long members center no overfull star among themselves iff
-    mid_relation(long_fam, long_fam, v), a pure function of the family, so
-    it is rerun only when long members arrive.  A segment whose long members
-    fail it is dead: no state crosses it.  It stays dead for every later s,
-    because its long family only grows with s, and a center with v + 1
-    disjoint neighbours among the members of a family keeps them in every
-    superset.  So once a segment is dead, nothing further is built for its
-    s_prev.  When _stages skips an old pair (see _last_old), the s_prev
-    keeps its last record, and its next record is built by a scan of the
-    whole family: the same members in the same order, found dead if any
-    skipped anchor had killed it.
+    _stages grows the records of one s_prev from its latest one, that of
+    some (s_prev, s'): the long members of (s_prev, s) are those of
+    (s_prev, s') plus the ones with hi in (s', s] and lo >= s_prev, merged
+    in index order so that a record does not depend on how it was built.
+    Each arriving long member is validated as a long member of the segment
+    it joins when it is taken (see extend), and stays valid for every later
+    s.
 
     The caches memoise work that predecessor states repeat.  Each value is a
     pure function of its key and the fields above, so a cached value is
     always the one a fresh computation would give:
 
       * plans, per predecessor first_crossing: the _Plan of every state of
-        that bucket.  A state's second_crossing is crossing[s_prev] minus
-        its first_crossing, so the bucket fixes both committed sides, and
+        that bucket.  A state's second side is crossing[s_prev] minus its
+        first_crossing, so the bucket fixes both committed sides, and
         everything in a plan is built from them and the fields above.  Each
         record starts with no plans.
       * long_meet_cache, per right end b: how many disjoint long members
@@ -362,9 +357,9 @@ class _Segment:
         settled on the second side, which fix F): fd_head(F, long_fam,
         s_prev, s, v), which reads neither predecessor profile.
 
-    When a record grows from that of (s_prev, s - 1) and no long member
-    arrives, its long family is the old one, so it shares all three of the
-    old record's cache objects, not copies.  The long-member caches read
+    When a record grows from that of (s_prev, s') and no long member
+    arrives in (s', s], its long family is the old one, so it shares all
+    three of the old record's cache objects, not copies.  The long-member caches read
     only the long family, s_prev and the key.  A head reads F, the long
     family and s_prev but not s (see fd_head), so a head cached at any
     earlier s' of the same long family is the head at s.  Whenever long
@@ -372,13 +367,11 @@ class _Segment:
     """
 
     ivs: Sequence[Interval]
-    group_of: Sequence[int]
     v: int
     s_prev: int
     s: int
     long_idx: tuple[int, ...]
     long_fam: IntervalFamily
-    crossing: frozenset[int]
     shared: frozenset[int]
     pool: frozenset[int]
     anchor: _Anchor
@@ -435,37 +428,36 @@ def _crossing_groups(group_of: Sequence[int], K_set: frozenset[int]) -> _Anchor:
     members in K_set, and no side assignments yet."""
     gids = tuple(sorted({group_of[i] for i in K_set}))
     return _Anchor(
-        gids, {g: tuple(sorted(i for i in K_set if group_of[i] == g)) for g in gids}
+        group_of, gids, {g: tuple(sorted(i for i in K_set if group_of[i] == g)) for g in gids}
     )
 
 
 def _segment(
     ivs: Sequence[Interval],
-    group_of: Sequence[int],
     crossing: Sequence[frozenset[int]],
+    arriving: Sequence[Sequence[int]],
     s_prev: int,
     s: int,
     v: int,
+    anchor: _Anchor,
     before: _Segment | None = None,
-    arriving: Sequence[int] | None = None,
-    anchor: _Anchor | None = None,
-) -> _Segment | None:
-    """The record of the segment (s_prev, s], or None if no state can cross it.
+) -> _Segment:
+    """The record of the live segment (s_prev, s].
 
-    crossing[t] is the set of members crossing anchor t.  With before and
-    arriving left out, the long members are found by a scan of the whole
-    family.  Otherwise before is the record of (s_prev, s - 1), or None when
-    s = s_prev + 1, and arriving holds the members with hi = s; the record is
-    grown from before by the long ones with lo >= s_prev; the long-family
-    star check reruns, and the caches start afresh, only when the long
-    members grew, and otherwise the caches are before's (see _Segment).
-    anchor is _crossing_groups(group_of, crossing[s]), computed here when
-    left out.
+    crossing[t] is the set of members crossing anchor t, and arriving[t]
+    lists the members with hi = t (see _arriving).  before is an earlier
+    record of s_prev, or None to grow from nothing; the record is grown
+    from it by the long members with hi in (before.s, s] (in (s_prev, s]
+    without before) and lo >= s_prev.  The caches start afresh when the
+    long members grew, and are before's otherwise (see _Segment).  anchor is
+    _crossing_groups(group_of, crossing[s]).
     """
+    after = s_prev if before is None else before.s
     long_new = [
         i
-        for i in (range(len(ivs)) if arriving is None else arriving)
-        if ivs[i].lo >= s_prev and ivs[i].hi <= s and ivs[i].length > v
+        for t in range(after + 1, s + 1)
+        for i in arriving[t]
+        if ivs[i].lo >= s_prev and ivs[i].length > v
     ]
     _check_segment_members((), (ivs[i] for i in long_new), s_prev, s, v)
     long_idx, long_fam = (before.long_idx, before.long_fam) if before else ((), _NO_MEMBERS)
@@ -473,27 +465,22 @@ def _segment(
     if long_new:
         long_idx = tuple(sorted(long_idx + tuple(long_new)))
         long_fam = IntervalFamily(tuple(ivs[i] for i in long_idx))
-        if not mid_relation(long_fam, long_fam, v):
-            return None
     elif before is not None:
         caches = dict(
             long_meet_cache=before.long_meet_cache,
             long_star_cache=before.long_star_cache,
             head_cache=before.head_cache,
         )
-    K_set = crossing[s]
     return _Segment(
         ivs=ivs,
-        group_of=group_of,
         v=v,
         s_prev=s_prev,
         s=s,
         long_idx=long_idx,
         long_fam=long_fam,
-        crossing=K_set,
-        shared=crossing[s_prev] & K_set,
-        pool=crossing[s_prev] - K_set,
-        anchor=_crossing_groups(group_of, K_set) if anchor is None else anchor,
+        shared=crossing[s_prev] & crossing[s],
+        pool=crossing[s_prev] - crossing[s],
+        anchor=anchor,
         **caches,
     )
 
@@ -513,8 +500,7 @@ def _plan(seg: _Segment, st: DPState) -> _Plan:
     """The plan of st's bucket across seg (see _Plan), read with the
     predecessor's sides swapped as in _advance."""
     ivs, s_prev = seg.ivs, seg.s_prev
-    A_prime, B_prime = st.second_crossing, st.first_crossing
-    settled_second = tuple(sorted(B_prime & seg.pool))
+    settled_second = tuple(sorted(st.first_crossing & seg.pool))
     second_bounds = []
     for i in settled_second:
         a, b = ivs[i]
@@ -526,30 +512,32 @@ def _plan(seg: _Segment, st: DPState) -> _Plan:
 
     return _Plan(
         settled_second=settled_second,
-        first_bounds=tuple((ivs[i].lo, ivs[i].hi - s_prev) for i in sorted(A_prime & seg.pool)),
+        first_bounds=tuple(
+            (ivs[i].lo, ivs[i].hi - s_prev) for i in sorted(seg.pool - st.first_crossing)
+        ),
         second_bounds=tuple(second_bounds),
         F=IntervalFamily(tuple(ivs[i] for i in settled_second)),
-        candidates=_candidates(seg, A_prime),
+        candidates=_candidates(seg, seg.shared - st.first_crossing),
     )
 
 
-def _candidates(seg: _Segment, A_prime: frozenset[int]) -> list[_Candidate]:
+def _candidates(seg: _Segment, shared_first: frozenset[int]) -> list[_Candidate]:
     """New candidates for the side assignments of seg's crossing groups, in
-    mask order, when the predecessor's first side (read swapped) is A_prime.
+    mask order, when shared_first are the shared members on the first side
+    (the predecessor's second side, read swapped).
 
-    The assignments read A_prime only on seg.shared, so they are memoised
-    per anchor under (seg.shared, seg.shared & A_prime) (see _Anchor); the
-    candidates are new, since their counts depend on the plan.
+    The assignments are memoised per anchor under (seg.shared,
+    shared_first) (see _Anchor); the candidates are new, since their counts
+    depend on the plan.
     """
-    key = (seg.shared, seg.shared & A_prime)
+    key = (seg.shared, shared_first)
     sides = seg.anchor.sides.get(key)
     if sides is None:
-        sides = seg.anchor.sides[key] = _side_assignments(seg.group_of, seg.anchor, *key)
+        sides = seg.anchor.sides[key] = _side_assignments(seg.anchor, *key)
     return [_Candidate(A, B) for A, B in sides]
 
 
 def _side_assignments(
-    group_of: Sequence[int],
     anchor: _Anchor,
     shared: frozenset[int],
     shared_first: frozenset[int],
@@ -564,7 +552,7 @@ def _side_assignments(
     forced: dict[int, bool] = {}
     for i in shared:
         want_first = i in shared_first
-        if forced.setdefault(group_of[i], want_first) != want_first:
+        if forced.setdefault(anchor.group_of[i], want_first) != want_first:
             return []
     free = [g for g in anchor.gids if g not in forced]
     forced_first = [i for g, to_first in forced.items() if to_first for i in anchor.members_of[g]]
@@ -696,7 +684,7 @@ def _advance(
             continue
         if not _long_star_ok(seg, st.first_crossing | cand.B):
             continue
-        new_state = DPState(seg.s, p_new, q_new, A, cand.B, prev=st)
+        new_state = DPState(seg.s, p_new, q_new, A, prev=st)
         stage[A] = [kept for kept in bucket if not _dominates(new_state, kept.p, kept.q)]
         stage[A].append(new_state)
         seen.add(key)
@@ -801,6 +789,56 @@ def _last_old(ivs: Sequence[Interval], m: int, v: int) -> list[int]:
     return last_old
 
 
+def _live_from(
+    ivs: Sequence[Interval], arriving: Sequence[Sequence[int]], m: int, v: int
+) -> list[int]:
+    """live_from[s] is the least s_prev whose segment (s_prev, s] is live.
+
+    A segment is dead when its long members (inside (s_prev, s), longer
+    than v) center an overfull star among themselves, that is when
+    mid_relation(long, long, v) fails; arriving[t] lists the members with
+    hi = t.  One sweep over s carries the frontier f = live_from[s - 1] and
+    the long members inside (f, s), and rechecks only where long members
+    arrive:
+
+      * Deadness is monotone in both s_prev and s.  A smaller s_prev or a
+        larger s only adds long members, and a center with v + 1 disjoint
+        neighbours among a family keeps them in every superset.  So the
+        dead s_prev at s are a prefix of the anchors, and live_from never
+        decreases: every s_prev < live_from[s - 1] is dead at s too.
+      * For every f' >= f, the long members of (f', s) are some of those of
+        (f, s - 1), which center no overfull star, plus arriving ones.  A
+        new overfull star has an arriving member as its center or as a
+        leaf, and every leaf meets its center, so only the centers that
+        meet an arriving member can fail.  With no long member arriving,
+        (f, s) is live.
+      * Moving the frontier only removes members, the leftmost ones, so the
+        same check over the remaining members decides the next s_prev.
+        Every s_prev up to the least lo has the same long members as f, so
+        when the check fails the frontier moves just past that lo.
+      * The (s_prev, s) with s_prev < live_from[s] add no state anyway:
+        _long_star_ok checks the long members against themselves and more,
+        and fails wherever this check fails.  So the frontier only prunes
+        work; _stages drops those s_prev for good.
+    """
+    live_from = [0] * (m + 1)
+    f = 0
+    long: list[Interval] = []  # the long members inside (f, s)
+    for s in range(1, m + 1):
+        new = [ivs[i] for i in arriving[s] if ivs[i].length > v and ivs[i].lo >= f]
+        long += new
+        while new and not mid_relation(
+            IntervalFamily(tuple(c for c in long if any(intersects(c, a) for a in new))),
+            IntervalFamily(tuple(long)),
+            v,
+        ):
+            f = min(iv.lo for iv in long) + 1
+            long = [iv for iv in long if iv.lo >= f]
+            new = [iv for iv in new if iv.lo >= f]
+        live_from[s] = f
+    return live_from
+
+
 def _arriving(ivs: Sequence[Interval], m: int) -> list[list[int]]:
     """arriving[t] lists the members with hi = t, in index order."""
     arriving: list[list[int]] = [[] for _ in range(m + 1)]
@@ -815,20 +853,21 @@ def _stages(rep: VertebrateRep, v: int) -> list[list[DPState]]:
     m = rep.m
     group_of = compute_groups(rep.family, v).group_of
     crossing = [frozenset(crossing_family(rep, s)) for s in range(m + 1)]
+    arriving = _arriving(ivs, m)
     last_old = _last_old(ivs, m, v)
+    live_from = _live_from(ivs, arriving, m, v)
 
     zero = zero_seq(v)
     # Each finished stage, sorted once into scan order for the later anchors.
-    scans: list[list[DPState]] = [[DPState(0, zero, zero, frozenset(), frozenset())]]
+    scans: list[list[DPState]] = [[DPState(0, zero, zero, frozenset())]]
     state_cap_exp = 2 * (v + 1)
     group_cap = 1 << (2 * v * v + v)
 
-    arriving = _arriving(ivs, m)
     # The latest record built for each live s_prev, in increasing order; an
-    # s_prev leaves for good when its segment dies (see _Segment), and one
+    # s_prev leaves for good once its segment dies (see _live_from), and one
     # whose stage is empty never joins.  The record is that of
-    # (s_prev, s - 1) unless the pair was skipped as old (see _last_old);
-    # such a stale record is rebuilt by a full scan when next needed.
+    # (s_prev, s - 1), or an earlier one when old pairs were skipped (see
+    # _last_old); _segment grows either kind by the members arrived since.
     grown: dict[int, _Segment | None] = {}
     # Every profile the solve builds, by entries (see extend).
     profiles: dict[tuple[int, ...], MonotonicSeq] = {}
@@ -840,18 +879,12 @@ def _stages(rep: VertebrateRep, v: int) -> list[list[DPState]]:
             grown[s - 1] = None
         anchor = _crossing_groups(group_of, crossing[s])
         for s_prev, before in list(grown.items()):
-            if stage and s_prev <= last_old[s]:
-                continue
-            if before is None or before.s == s - 1:
-                seg = _segment(
-                    ivs, group_of, crossing, s_prev, s, v, before, arriving[s], anchor
-                )
-            else:
-                seg = _segment(ivs, group_of, crossing, s_prev, s, v, anchor=anchor)
-            if seg is None:
+            if s_prev < live_from[s]:
                 del grown[s_prev]
                 continue
-            grown[s_prev] = seg
+            if stage and s_prev <= last_old[s]:
+                continue
+            seg = grown[s_prev] = _segment(ivs, crossing, arriving, s_prev, s, v, anchor, before)
             for st in scans[s_prev]:
                 _advance(st, seg, stage, seen, profiles)
         states = [st for bucket in stage.values() for st in bucket]
@@ -871,7 +904,7 @@ def _witness(rep: VertebrateRep, v: int, accepting: DPState) -> list[Side | None
     with lo >= prev.s lies inside the segment, and takes the hop's label if
     its length is at most v and the other label if not; any other one
     crosses prev.s and settles on its committed side, read swapped: the
-    hop's label iff it is in prev.second_crossing.  A chain runs from 0 to
+    other label iff it is in prev.first_crossing.  A chain runs from 0 to
     m, so each member's hi lies in exactly one hop: it lies inside exactly
     one segment or settles from exactly one pool, and gets that hop's side.
     """
@@ -887,7 +920,7 @@ def _witness(rep: VertebrateRep, v: int, accepting: DPState) -> list[Side | None
                 if iv.lo >= prev.s:
                     sides[i] = label if iv.length <= v else other
                 else:
-                    sides[i] = label if i in prev.second_crossing else other
+                    sides[i] = other if i in prev.first_crossing else label
         st, label = prev, other
     return sides
 

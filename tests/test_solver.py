@@ -121,20 +121,46 @@ def test_compute_groups_rejects_duplicates():
         compute_groups(fam((0, 3), (0, 3)), 1)
 
 
+def crossings(rep):
+    """crossing[t]: the members crossing anchor t, for every anchor of rep."""
+    return [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
+
+
+def second_crossing(crossing, st):
+    """The members crossing st.s that st committed to its second side."""
+    return crossing[st.s] - st.first_crossing
+
+
+def segment_builder(rep, v):
+    """build(s_prev, s, before=None): the record of (s_prev, s] that
+    _segment grows from before, or from nothing, with a fresh anchor."""
+    ivs = rep.family.intervals
+    crossing = crossings(rep)
+    arriving = solver._arriving(ivs, rep.m)
+    group_of = compute_groups(rep.family, v).group_of
+
+    def build(s_prev, s, before=None):
+        anchor = _crossing_groups(group_of, crossing[s])
+        return _segment(ivs, crossing, arriving, s_prev, s, v, anchor, before)
+
+    return build
+
+
+def live_from(rep, v):
+    ivs = rep.family.intervals
+    return solver._live_from(ivs, solver._arriving(ivs, rep.m), rep.m, v)
+
+
 def hop(rep, v, st, s):
     """Successors of st at anchor s, by committed first side, via the DP's transition."""
-    crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
-    group_of = compute_groups(rep.family, v).group_of
-    seg = _segment(rep.family.intervals, group_of, crossing, st.s, s, v)
     stage = {}
-    if seg is not None:
-        _advance(st, seg, stage, set(), {})
+    _advance(st, segment_builder(rep, v)(st.s, s), stage, set(), {})
     # one predecessor gives one state per first side
     return {A: bucket[0] for A, bucket in stage.items()}
 
 
 def base_state(v):
-    return DPState(0, zero_seq(v), zero_seq(v), frozenset(), frozenset())
+    return DPState(0, zero_seq(v), zero_seq(v), frozenset())
 
 
 def test_crossing_family():
@@ -162,15 +188,16 @@ def test_check_transition_rejects_side_disagreement():
     rep = vertebrate_representation(
         fam((0, 1), (1, 2), (2, 3), (0, 3))  # member 3 spans everything
     )
+    crossing = crossings(rep)
     first = hop(rep, 1, base_state(1), 1)
     assert frozenset({3}) in first
     st1 = first[frozenset({3})]
-    assert st1.second_crossing == frozenset()
+    assert second_crossing(crossing, st1) == frozenset()
     # crossing member 3 was committed to the first part; condition 2 under the
     # part swap forces it into the SECOND coordinate at the next anchor
     out = hop(rep, 1, st1, 2)
     keep, flip = frozenset(), frozenset({3})
-    assert keep in out and out[keep].second_crossing == frozenset({3})
+    assert keep in out and second_crossing(crossing, out[keep]) == frozenset({3})
     assert flip not in out
 
 
@@ -192,57 +219,63 @@ def test_check_transition_long_side_claw_violation():
     # disjoint pair (0,2),(2,4) and all three have length > 1
     pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (2, 4), (0, 4)]
     rep = vertebrate_representation(fam(*pairs))
+    # the segment is dead, and the star check rejects every successor too
+    assert live_from(rep, 1)[4] > 0
     assert hop(rep, 1, base_state(1), 4) == {}
     # at v = 2 the same long side only needs claw 2: passes
     assert frozenset() in hop(rep, 2, base_state(2), 4)
 
 
 def test_grown_segments_match_a_fresh_build():
+    # s_prev >= live_from[s] iff the long members of (s_prev, s) center no
+    # overfull star among themselves; a live record grown from any earlier
+    # record of its s_prev, the latest or one several anchors back (as after
+    # skipped old pairs), holds the members a fresh scan finds
     rng = random.Random(43)
-    dead_pairs = 0
+    dead_pairs = skipped = 0
     for _ in range(150):
-        v = rng.choice([1, 1, 2])
+        v = rng.choice([1, 1, 2, 3])
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
         ivs = rep.family.intervals
-        crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
-        group_of = compute_groups(rep.family, v).group_of
+        crossing = crossings(rep)
+        build = segment_builder(rep, v)
+        frontier = live_from(rep, v)
         for s_prev in range(rep.m):
-            grown, dead = None, False
+            records = []
             for s in range(s_prev + 1, rep.m + 1):
-                fresh = _segment(ivs, group_of, crossing, s_prev, s, v)
-                if dead:
-                    assert fresh is None  # no pair after a dead one comes back
-                    continue
-                arriving = [i for i, iv in enumerate(ivs) if iv.hi == s]
-                grown = _segment(ivs, group_of, crossing, s_prev, s, v, grown, arriving)
-                assert (grown is None) == (fresh is None)
-                if grown is None:
-                    dead = True
+                inside = [i for i, iv in enumerate(ivs) if iv.lo >= s_prev and iv.hi <= s]
+                long_idx = tuple(i for i in inside if ivs[i].length > v)
+                long_fam = IntervalFamily(tuple(ivs[i] for i in long_idx))
+                live = mid_relation(long_fam, long_fam, v)
+                assert (s_prev >= frontier[s]) == live
+                if not live:
                     dead_pairs += 1
                     continue
-                inside = [i for i, iv in enumerate(ivs) if iv.lo >= s_prev and iv.hi <= s]
-                for seg in (grown, fresh):
-                    assert seg.long_idx == tuple(i for i in inside if ivs[i].length > v)
-                    assert list(seg.long_idx) == sorted(seg.long_idx)
-                    assert seg.long_fam.intervals == tuple(ivs[i] for i in seg.long_idx)
-                assert grown.long_idx == fresh.long_idx
-                assert grown.crossing == fresh.crossing
-                assert grown.shared == fresh.shared
-                assert grown.pool == fresh.pool
+                fresh = build(s_prev, s)
+                grown = [build(s_prev, s, before) for before in records]
+                skipped += len(grown[:-1])
+                for seg in (fresh, *grown):
+                    assert seg.long_idx == long_idx
+                    assert seg.long_fam.intervals == long_fam.intervals
+                    assert seg.shared == crossing[s_prev] & crossing[s]
+                    assert seg.pool == crossing[s_prev] - crossing[s]
+                for before, seg in zip(records, grown):
+                    if seg.long_idx == before.long_idx:
+                        assert seg.head_cache is before.head_cache
+                records.append(grown[-1] if grown else fresh)
     assert dead_pairs > 20
+    assert skipped > 1000
 
 
 def test_advance_keeps_one_antichain_per_bucket():
     # across the unit (1, 2] the new first profile is (2, 1, q_1, -1) and the
     # new second one (2, p_1, -1, -1), read off the swapped predecessor
     rep = vertebrate_representation(fam((0, 1), (1, 2), (2, 3)))
-    crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
-    group_of = compute_groups(rep.family, 1).group_of
-    seg = _segment(rep.family.intervals, group_of, crossing, 1, 2, 1)
+    seg = segment_builder(rep, 1)(1, 2)
     low, high = MonotonicSeq((1, -1, -1, -1), 1, 1), MonotonicSeq((1, 0, -1, -1), 1, 1)
-    best = DPState(1, low, low, frozenset(), frozenset())
-    worse_p = DPState(1, low, high, frozenset(), frozenset())
-    worse_q = DPState(1, high, low, frozenset(), frozenset())
+    best = DPState(1, low, low, frozenset())
+    worse_p = DPState(1, low, high, frozenset())
+    worse_q = DPState(1, high, low, frozenset())
 
     def advance_all(order):
         stage, seen = {}, set()
@@ -265,7 +298,7 @@ def test_advance_keeps_one_antichain_per_bucket():
     # dominated successors that came first are evicted
     assert kept([worse_p, worse_q, best]) == [best_succ]
     # an equal key keeps the first state to reach it
-    twin = DPState(1, low, low, frozenset(), frozenset())
+    twin = DPState(1, low, low, frozenset())
     [only] = advance_all([best, twin])
     assert only.prev is best
 
@@ -278,42 +311,25 @@ def test_bucket_plans_match_fresh_records():
     for _ in range(60):
         v = rng.choice([1, 2, 2])
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
-        ivs = rep.family.intervals
-        crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
-        group_of = compute_groups(rep.family, v).group_of
-        scans = [[base_state(v)]]
-        grown = {}
-        profiles = {}
-        for s in range(1, rep.m + 1):
-            arriving = [i for i, iv in enumerate(ivs) if iv.hi == s]
-            groups = _crossing_groups(group_of, crossing[s])
-            shared, shared_seen = {}, set()
+        crossing = crossings(rep)
+        build = segment_builder(rep, v)
+
+        def kept(stage):
+            return [
+                (A, [(id(st.prev), st.p.r, st.q.r, second_crossing(crossing, st),
+                      solver._witness(rep, v, st)) for st in bucket])
+                for A, bucket in stage.items()
+            ]
+
+        for built, shared, shared_seen in walk_stages(rep, v, []):
             fresh, fresh_seen = {}, set()
-            if scans[s - 1]:
-                grown[s - 1] = None
-            for s_prev, before in list(grown.items()):
-                seg = _segment(ivs, group_of, crossing, s_prev, s, v, before, arriving, groups)
-                if seg is None:
-                    del grown[s_prev]
-                    continue
-                grown[s_prev] = seg
-                for st in scans[s_prev]:
-                    _advance(st, seg, shared, shared_seen, profiles)
-                    own = _segment(ivs, group_of, crossing, s_prev, s, v)
-                    _advance(st, own, fresh, fresh_seen, {})
+            for _, seg, _, preds in built:
+                for st in preds:
+                    _advance(st, build(seg.s_prev, seg.s), fresh, fresh_seen, {})
                     advanced += 1
                 plans += len(seg.plans)
-
-            def kept(stage):
-                return [
-                    (A, [(id(st.prev), st.p.r, st.q.r, st.second_crossing,
-                          solver._witness(rep, v, st)) for st in bucket])
-                    for A, bucket in stage.items()
-                ]
-
             assert kept(shared) == kept(fresh)
             assert shared_seen == fresh_seen
-            scans.append(sorted((st for b in shared.values() for st in b), key=_scan_key))
     assert advanced > 2 * plans > 0
 
 
@@ -365,17 +381,18 @@ def test_new_first_side_members_meet_each_settled_window_b_minus_s_prev_times():
         v = rng.choice([1, 2, 3])
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
         ivs = rep.family.intervals
-        crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
-        group_of = compute_groups(rep.family, v).group_of
+        crossing = crossings(rep)
+        build = segment_builder(rep, v)
+        frontier = live_from(rep, v)
         for s_prev in range(rep.m):
             for s in range(s_prev + 1, rep.m + 1):
-                seg = _segment(ivs, group_of, crossing, s_prev, s, v)
-                if seg is None:
+                if s_prev < frontier[s]:
                     continue
+                seg = build(s_prev, s)
                 short = [
                     iv for iv in ivs if iv.lo >= s_prev and iv.hi <= s and iv.length <= v
                 ]
-                new = sorted(seg.crossing - seg.shared)
+                new = sorted(crossing[s] - seg.shared)
                 for _ in range(3):
                     X = [ivs[i] for i in new if rng.random() < 0.5]
                     for b in range(s_prev + 1, s + 1):
@@ -406,35 +423,41 @@ def test_solve_greedy_calls_on_a_split_v2_shape(monkeypatch):
     assert 0 < calls < 677
 
 
-def grown_records(rep, v, scans=None):
-    """(before, seg, heads_in, preds) for every record solve's loop would
-    grow for rep if it skipped no old pair, once the stage at seg.s is
-    built: before is the record seg grew from, heads_in the number of heads
-    seg held before any state crossed it, and preds the states at seg.s_prev.
-    scans, when given, receives every stage of this walk in scan order."""
+def walk_stages(rep, v, scans):
+    """Run solve's loop over rep without skipping old pairs, yielding
+    (built, stage, seen) once the stage at each s >= 1 is built.  built
+    lists (before, seg, heads_in, preds) for every record grown at s:
+    before is the record seg grew from, heads_in the number of heads seg
+    held before any state crossed it, and preds the states at seg.s_prev.
+    scans receives every stage of this walk in scan order."""
     ivs = rep.family.intervals
-    crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
+    crossing = crossings(rep)
+    arriving = solver._arriving(ivs, rep.m)
+    frontier = solver._live_from(ivs, arriving, rep.m, v)
     group_of = compute_groups(rep.family, v).group_of
-    scans = [] if scans is None else scans
     scans.append([base_state(v)])
     grown, profiles = {}, {}
     for s in range(1, rep.m + 1):
-        arriving = [i for i, iv in enumerate(ivs) if iv.hi == s]
         anchor = _crossing_groups(group_of, crossing[s])
         stage, seen, built = {}, set(), []
         if scans[s - 1]:
             grown[s - 1] = None
         for s_prev, before in list(grown.items()):
-            seg = _segment(ivs, group_of, crossing, s_prev, s, v, before, arriving, anchor)
-            if seg is None:
+            if s_prev < frontier[s]:
                 del grown[s_prev]
                 continue
-            grown[s_prev] = seg
+            seg = grown[s_prev] = _segment(ivs, crossing, arriving, s_prev, s, v, anchor, before)
             built.append((before, seg, len(seg.head_cache), scans[s_prev]))
             for st in scans[s_prev]:
                 _advance(st, seg, stage, seen, profiles)
-        yield from built
+        yield built, stage, seen
         scans.append(sorted((st for b in stage.values() for st in b), key=_scan_key))
+
+
+def grown_records(rep, v, scans=None):
+    """(before, seg, heads_in, preds) for every record of walk_stages."""
+    for built, _, _ in walk_stages(rep, v, [] if scans is None else scans):
+        yield from built
 
 
 def test_carried_and_shared_caches_match_fresh_values():
@@ -473,14 +496,14 @@ def test_anchor_side_lists_match_a_fresh_enumeration():
     for _ in range(60):
         v = rng.choice([1, 2, 3])
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
-        ivs = rep.family.intervals
-        crossing = [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
-        group_of = compute_groups(rep.family, v).group_of
+        build = segment_builder(rep, v)
         for _, seg, _, _ in grown_records(rep, v):
-            fresh = _segment(ivs, group_of, crossing, seg.s_prev, seg.s, v)
+            fresh = build(seg.s_prev, seg.s)
             for first_crossing, plan in seg.plans.items():
-                A_prime = crossing[seg.s_prev] - first_crossing
-                assert [c.A for c in plan.candidates] == [c.A for c in _candidates(fresh, A_prime)]
+                shared_first = fresh.shared - first_crossing
+                assert [c.A for c in plan.candidates] == [
+                    c.A for c in _candidates(fresh, shared_first)
+                ]
                 plans += 1
             keys[id(seg.anchor)] = len(seg.anchor.sides)
     # most plans reuse a side list another segment at their anchor built
@@ -521,6 +544,7 @@ def test_old_pairs_add_nothing_or_one_common_successor_set():
     old_pairs = adding = 0
     for v, rep in cases:
         last_old = solver._last_old(rep.family.intervals, rep.m, v)
+        crossing = crossings(rep)
         common = {}
         for _, seg, _, preds in grown_records(rep, v):
             if seg.s_prev > last_old[seg.s]:
@@ -529,7 +553,7 @@ def test_old_pairs_add_nothing_or_one_common_successor_set():
                 alone = {}
                 _advance(X, seg, alone, set(), {})
                 keys = {
-                    (st.p.r, st.q.r, st.first_crossing, st.second_crossing)
+                    (st.p.r, st.q.r, st.first_crossing, second_crossing(crossing, st))
                     for bucket in alone.values() for st in bucket
                 }
                 old_pairs += 1
@@ -548,10 +572,10 @@ def unskipped_witness(rep, v, scans):
 
 
 def test_solve_stages_match_the_unskipped_walk(monkeypatch):
-    def key(st):
-        return (st.s, st.p.r, st.q.r, st.first_crossing, st.second_crossing)
+    def kept(scans, crossing):
+        def key(st):
+            return (st.s, st.p.r, st.q.r, st.first_crossing, second_crossing(crossing, st))
 
-    def kept(scans):
         return [[(key(st), st.prev and key(st.prev)) for st in stage] for stage in scans]
 
     stages, segment = solver._stages, solver._segment
@@ -576,7 +600,8 @@ def test_solve_stages_match_the_unskipped_walk(monkeypatch):
         walk = []
         walked += sum(1 for _ in grown_records(rep, v, walk))
         res = solve(rep, v)
-        assert kept(solved[-1]) == kept(walk)
+        crossing = crossings(rep)
+        assert kept(solved[-1], crossing) == kept(walk, crossing)
         assert res.stage_state_counts == tuple(map(len, walk))
         assert res.rep_assignment == unskipped_witness(rep, v, walk)
     assert walked > 10000
@@ -600,6 +625,43 @@ def test_solve_v1_m400_skips_old_pairs(monkeypatch):
     assert sum(res.stage_state_counts) == 1538
     assert calls["_segment"] < 10000
     assert calls["_advance"] < 40000
+
+
+def test_every_record_stages_builds_is_live(monkeypatch):
+    # deciding liveness inside _segment returned None for 260 of the
+    # records asked for on this instance; the frontier asks for none of them
+    segment = solver._segment
+    records = []
+
+    def kept(*args, **kwargs):
+        records.append(segment(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(solver, "_segment", kept)
+    S = generate(GeneratorSpec("vertebrate", m=400, density=0.3, max_len=3, seed=1))
+    assert solve(vertebrate_representation(S), 1).feasible
+    assert len(records) > 1000
+    assert all(seg is not None for seg in records)
+    families = {seg.long_idx: seg.long_fam for seg in records}
+    assert all(mid_relation(fam, fam, 1) for fam in families.values())
+
+
+def test_solve_mid_relation_calls_on_a_dense_v2_instance(monkeypatch):
+    # rechecking each grown record's long family whenever long members
+    # arrived made 745 mid_relation calls on this instance
+    check = intervals.mid_relation
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return check(*args)
+
+    monkeypatch.setattr(solver, "mid_relation", counted)
+    S = generate(GeneratorSpec("vertebrate", m=40, density=2.0, max_len=3, seed=6))
+    res = solve(vertebrate_representation(S), 2)
+    assert res.feasible
+    assert 0 < calls < 745
 
 
 def test_solve_fd_head_calls_below_the_per_segment_count(monkeypatch):
@@ -720,11 +782,12 @@ def test_solve_witness_honours_every_commitment_on_the_accepting_chain(monkeypat
         if not res.feasible:
             continue
         sides = res.rep_assignment.sides
+        crossing = crossings(rep)
         st, label = solved[-1][-1][0], Side.FIRST
         while st.prev is not None:
             prev, other = st.prev, label.other()
             assert all(sides[i] == label for i in st.first_crossing)
-            assert all(sides[i] == other for i in st.second_crossing)
+            assert all(sides[i] == other for i in second_crossing(crossing, st))
             for i, iv in enumerate(rep.family.intervals):
                 if iv.lo >= prev.s and iv.hi <= st.s:
                     assert sides[i] == (label if iv.length <= v else other)
