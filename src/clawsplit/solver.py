@@ -52,13 +52,22 @@ the same values.  A candidate's counts are filled when a successor with
 its side assignment first gets past seen and the dominance scan, so a plan
 holds no count a state of its bucket did not ask for (all of a
 candidate's counts come at once, where a state stops at the first failing
-one).  _advance keeps only the per-state work, in the same order: the
-lower bounds against its profiles, one extend, then per candidate seen,
-dominance, the inequalities alpha_seq(q, a) + count <= v and the star
-check.  The candidates are tried in the same mask order, so the
-kept states, their order and seen are those of a transition that rebuilt
-everything per state.  Profiles are interned per solve (see extend), so
-each distinct profile is one MonotonicSeq, validated once.
+one).  _advance keeps only the per-state work: the second side's lower
+bounds, one extend, then per candidate seen, dominance, the inequalities
+alpha_seq(q, a) + count <= v and the star check, with the candidates in
+mask order.  Profiles are interned per solve (see extend), so each
+distinct profile is one MonotonicSeq, validated once.
+
+Not every state of a bucket crosses.  A hop reads less of a predecessor
+than the stage keeps: once s - s_prev >= v + 1 its first new profile is
+the ramp s - u, and the predecessor's q is read only by the first side's
+lower bounds.  _cross advances only the bucket's movers (see _movers):
+the states that pass those bounds and that no sibling dominates on what
+the hop reads.  The movers are cached per bucket, k = max(0, v + 1 -
+(s - s_prev)) and first_bounds; once every member crossing s_prev has
+ended and the hop is at least v + 1 long, that key stops changing, and
+one list serves every farther anchor.  The stage keeps the same keys as
+if every state had crossed (see _movers).
 
 Far predecessors cost next to nothing.  A hop (s_prev, s] is old when
 s_prev lies far enough left of s, and of the last v + 1 disjoint long
@@ -86,9 +95,10 @@ stage keeps one antichain per bucket.  This drops no feasible split:
     depends on the segment and the settled set only), or from a shifted
     predecessor entry, so entrywise <= predecessors give entrywise <=
     successors.
-  * Every profile check, the two lower bounds and the split star counts in
-    _advance, has the form alpha_seq(profile, a) + count <= v, where count does not
-    depend on the profiles.
+  * Every profile check, the two lower bounds (in _movers and _advance)
+    and the split star counts in _advance, has the form
+    alpha_seq(profile, a) + count <= v, where count does not depend on the
+    profiles.
   * The forced sides, the star check, the settled sets and the candidate
     masks depend only on first_crossing and the other side, crossing[s]
     minus it, which are equal within a bucket.
@@ -408,7 +418,7 @@ class _Plan:
     and second_bounds hold (a, floor) per settled
     member, with floor the candidate-independent part of its right-hand
     count: b - s_prev backbone units on the first side, which is the whole
-    count there (see _advance), and long_meet_cache[b] on the second.
+    count there (see _movers), and long_meet_cache[b] on the second.
     candidates lists the side assignments in mask order; it is empty when
     the forced sides of two shared members of one group disagree.
     """
@@ -496,11 +506,12 @@ def _long_star_ok(seg: _Segment, outside: frozenset[int]) -> bool:
     return ok
 
 
-def _plan(seg: _Segment, st: DPState) -> _Plan:
-    """The plan of st's bucket across seg (see _Plan), read with the
-    predecessor's sides swapped as in _advance."""
+def _plan(seg: _Segment, first_crossing: frozenset[int]) -> _Plan:
+    """The plan across seg of the bucket of predecessors with this
+    first_crossing (see _Plan), read with the predecessor's sides swapped
+    as in _advance."""
     ivs, s_prev = seg.ivs, seg.s_prev
-    settled_second = tuple(sorted(st.first_crossing & seg.pool))
+    settled_second = tuple(sorted(first_crossing & seg.pool))
     second_bounds = []
     for i in settled_second:
         a, b = ivs[i]
@@ -513,11 +524,11 @@ def _plan(seg: _Segment, st: DPState) -> _Plan:
     return _Plan(
         settled_second=settled_second,
         first_bounds=tuple(
-            (ivs[i].lo, ivs[i].hi - s_prev) for i in sorted(seg.pool - st.first_crossing)
+            (ivs[i].lo, ivs[i].hi - s_prev) for i in sorted(seg.pool - first_crossing)
         ),
         second_bounds=tuple(second_bounds),
         F=IntervalFamily(tuple(ivs[i] for i in settled_second)),
-        candidates=_candidates(seg, seg.shared - st.first_crossing),
+        candidates=_candidates(seg, seg.shared - first_crossing),
     )
 
 
@@ -598,6 +609,7 @@ def _dominates(st: DPState, p: MonotonicSeq, q: MonotonicSeq) -> bool:
 def _advance(
     st: DPState,
     seg: _Segment,
+    plan: _Plan,
     stage: dict[frozenset[int], list[DPState]],
     seen: set[tuple],
     profiles: dict[tuple[int, ...], MonotonicSeq],
@@ -609,24 +621,16 @@ def _advance(
     (s_prev - 1, s_prev).  Candidates give whole crossing groups to a side:
     a group holding a member that also crosses s_prev keeps that member's
     committed side, and the free groups try both.  What depends only on the
-    segment and st's bucket comes from the bucket's plan (see _Plan), and
-    profiles interns the new profiles (see extend).
+    segment and st's bucket comes from plan, the bucket's plan (see _Plan),
+    and profiles interns the new profiles (see extend).
 
-    The checks, in order: the settled members' lower bounds, which need no
-    candidate; then per candidate, after extend, the split star count
-    alpha_seq(q, a) + count <= v of each member (a, b) settled on the
-    second side, where count is the number of disjoint new second-side
-    members meeting (s_prev, b), and the star check of the long members.
-
-    On the first side that count is b - s_prev for every candidate, so the
-    lower bound over plan.first_bounds is the whole check there.  A new
-    first-side member is short, or is in A - shared: it crosses s but not
-    s_prev.  Either way it has an integer lo >= s_prev, and it meets
-    (s_prev, b) only if lo < b.  Pairwise disjoint open intervals have
-    distinct lo, so at most b - s_prev of them meet the window.  A settled
-    member has b <= s, and the units (t - 1, t) of the backbone are members
-    (see VertebrateRep), so the b - s_prev short units inside (s_prev, b)
-    reach that bound.
+    The checks, in order: the lower bounds of the members settled on the
+    second side, which need no candidate; then per candidate, after
+    extend, the split star count alpha_seq(q, a) + count <= v of each of
+    those members (a, b), where count is the number of disjoint new
+    second-side members meeting (s_prev, b), and the star check of the long
+    members.  The first side's settled members were checked when st was
+    picked as a mover (see _movers), and need no more.
 
     The short members need no star check.  Each has length at most v, and
     pairwise disjoint open integer intervals that meet a center (lo, hi)
@@ -645,17 +649,11 @@ def _advance(
     dropped before the settled and star checks.  One that passes every
     check joins its bucket and evicts the states it dominates.
     """
-    plan = seg.plans.get(st.first_crossing)
-    if plan is None:
-        plan = seg.plans[st.first_crossing] = _plan(seg, st)
     v = seg.v
     p_prime, q_prime = st.q, st.p
 
-    # Candidate-independent lower bounds: the backbone units give the first
-    # side exactly b - s_prev leaves right of s_prev, the long members give
-    # the second side at least their own disjoint count there.
-    if _room(p_prime, plan.first_bounds, v) is None:
-        return
+    # Candidate-independent lower bound: the long members give the second
+    # side at least their own disjoint count right of s_prev.
     second_room = _room(q_prime, plan.second_bounds, v)
     if second_room is None:
         return
@@ -688,6 +686,123 @@ def _advance(
         stage[A] = [kept for kept in bucket if not _dominates(new_state, kept.p, kept.q)]
         stage[A].append(new_state)
         seen.add(key)
+
+
+@dataclass(frozen=True)
+class _Bucket:
+    """The states of one finished stage with one first_crossing, in scan
+    order, and their movers per (k, first_bounds) (see _movers)."""
+
+    states: list[DPState]
+    movers: dict[tuple[int, tuple[tuple[int, int], ...]], list[DPState]] = field(
+        default_factory=dict
+    )
+
+
+def _buckets(scan: Sequence[DPState]) -> dict[frozenset[int], _Bucket]:
+    """The states of scan by first_crossing, in scan order, the buckets in
+    the order of their first states."""
+    buckets: dict[frozenset[int], _Bucket] = {}
+    for st in scan:
+        bucket = buckets.get(st.first_crossing)
+        if bucket is None:
+            bucket = buckets[st.first_crossing] = _Bucket([])
+        bucket.states.append(st)
+    return buckets
+
+
+def _movers(
+    states: Sequence[DPState], first_bounds: Sequence[tuple[int, int]], k: int, v: int
+) -> list[DPState]:
+    """The states of one bucket that a hop advances, in scan order.
+
+    first_bounds are the (a, floor) pairs of the members that settle on
+    the first side (see _Plan), and k = max(0, v + 1 - (s - s_prev)).  A
+    state Y moves when it passes the first side's lower bounds and no other
+    passing state X has X.p.r <= Y.p.r entrywise and X.q.r[1..k] <=
+    Y.q.r[1..k]; of states with equal such projections, the first in scan
+    order moves.  This is the maxima-of-vectors filter (Kung, Luccio and
+    Preparata, "On Finding the Maxima of a Set of Vectors", JACM 1975), as
+    one scan that keeps the minimal projections met so far: a later one
+    that some kept one is <= is dropped, and one that is kept drops the
+    kept ones it is <=.
+
+    The lower bounds are the whole first-side check.  There the count of
+    the split star check is b - s_prev for every candidate.  A new
+    first-side member is short, or is in A - shared: it crosses s but not
+    s_prev.  Either way it has an integer lo >= s_prev, and it meets
+    (s_prev, b) only if lo < b.  Pairwise disjoint open intervals have
+    distinct lo, so at most b - s_prev of them meet the window.  A settled
+    member has b <= s, and the units (t - 1, t) of the backbone are members
+    (see VertebrateRep), so the b - s_prev short units inside (s_prev, b)
+    reach that bound.
+
+    Dropping a state changes no key of the stage.  For one plan, what
+    _advance adds from a passing state Y depends on Y only through:
+
+      * the first-side lower bounds, read from Y.q, which Y and X pass;
+      * second_room, v - alpha_seq(Y.p, a) per settled second-side member,
+        which is antitone in Y.p;
+      * p_new, whose entry u is the ramp s - u for u <= s - s_prev and
+        Y.q.r[u - (s - s_prev)] otherwise, so it reads Y.q.r[1..k] and is
+        otherwise the ramp;
+      * q_new, which is the plan's head, then entries of Y.p.
+
+    Each of these is monotone (see extend and alpha_seq in the module
+    docstring), and the candidates, their counts and the star check are
+    the plan's.  So when X is <= Y on the projection, every candidate A
+    whose successor of Y passes the second-side counts and the star check
+    gives X a successor that passes them too (the same counts, at least
+    Y's room, the same star check) and is entrywise <= Y's.  That order
+    is transitive and every dropped state has a mover <= it, so every
+    valid successor of a dropped state is <= a valid successor of a mover.
+
+    A finished stage holds exactly the minimal keys (p.r, q.r, A) among
+    the valid successors of the states advanced into it, one state per
+    key, whatever the order they come in.  seen is a pure cache: it holds
+    only keys that a kept state is <= (a kept state is evicted only by one
+    that is <= it).  So a successor is dropped only when a kept state is
+    <= it, and is kept, evicting what it is <=, only when none is.
+    Dropping Y takes away only valid successors that are >= one that
+    stays, so the minimal keys stay the same.  For the same reason the
+    stage is empty after each s_prev exactly when it would have been, so
+    _last_old's skip and its proof still hold.  Back-pointers may differ
+    only where a dropped Y was the first to reach a kept key; solve
+    re-verifies every witness read from them.
+    """
+    kept: list[tuple[tuple[int, ...], DPState]] = []
+    for st in states:
+        if _room(st.q, first_bounds, v) is None:
+            continue
+        proj = st.p.r + st.q.r[1 : k + 1]
+        if any(all(map(le, other, proj)) for other, _ in kept):
+            continue
+        kept = [(other, x) for other, x in kept if not all(map(le, proj, other))]
+        kept.append((proj, st))
+    return [st for _, st in kept]
+
+
+def _cross(
+    seg: _Segment,
+    buckets: dict[frozenset[int], _Bucket],
+    stage: dict[frozenset[int], list[DPState]],
+    seen: set[tuple],
+    profiles: dict[tuple[int, ...], MonotonicSeq],
+) -> None:
+    """Take the states at seg.s_prev, by bucket (see _buckets), across seg
+    into stage: per bucket its plan, then _advance on each of its movers
+    (see _movers), each list built once per bucket, k and first_bounds."""
+    k = max(0, seg.v + 1 - (seg.s - seg.s_prev))
+    for first_crossing, bucket in buckets.items():
+        plan = seg.plans.get(first_crossing)
+        if plan is None:
+            plan = seg.plans[first_crossing] = _plan(seg, first_crossing)
+        key = (k, plan.first_bounds)
+        movers = bucket.movers.get(key)
+        if movers is None:
+            movers = bucket.movers[key] = _movers(bucket.states, plan.first_bounds, k, seg.v)
+        for st in movers:
+            _advance(st, seg, plan, stage, seen, profiles)
 
 
 def _scan_key(st: DPState) -> tuple:
@@ -860,8 +975,11 @@ def _stages(rep: VertebrateRep, v: int) -> list[list[DPState]]:
     zero = zero_seq(v)
     # Each finished stage, sorted once into scan order for the later anchors.
     scans: list[list[DPState]] = [[DPState(0, zero, zero, frozenset())]]
+    # The cap is (s + 2)^state_cap_exp * 2^group_cap_bits; a count of at
+    # most group_cap_bits bits lies below it, so the cap is built only for
+    # larger counts (at v = 16000 the power of two alone has 512M bits).
     state_cap_exp = 2 * (v + 1)
-    group_cap = 1 << (2 * v * v + v)
+    group_cap_bits = 2 * v * v + v
 
     # The latest record built for each live s_prev, in increasing order; an
     # s_prev leaves for good once its segment dies (see _live_from), and one
@@ -869,6 +987,9 @@ def _stages(rep: VertebrateRep, v: int) -> list[list[DPState]]:
     # (s_prev, s - 1), or an earlier one when old pairs were skipped (see
     # _last_old); _segment grows either kind by the members arrived since.
     grown: dict[int, _Segment | None] = {}
+    # The stage at each s_prev in grown by bucket, with its cached movers
+    # (see _Bucket); it leaves with its s_prev.
+    buckets: dict[int, dict[frozenset[int], _Bucket]] = {}
     # Every profile the solve builds, by entries (see extend).
     profiles: dict[tuple[int, ...], MonotonicSeq] = {}
 
@@ -877,20 +998,21 @@ def _stages(rep: VertebrateRep, v: int) -> list[list[DPState]]:
         seen: set[tuple] = set()
         if scans[s - 1]:
             grown[s - 1] = None
+            buckets[s - 1] = _buckets(scans[s - 1])
         anchor = _crossing_groups(group_of, crossing[s])
         for s_prev, before in list(grown.items()):
             if s_prev < live_from[s]:
-                del grown[s_prev]
+                del grown[s_prev], buckets[s_prev]
                 continue
             if stage and s_prev <= last_old[s]:
                 continue
             seg = grown[s_prev] = _segment(ivs, crossing, arriving, s_prev, s, v, anchor, before)
-            for st in scans[s_prev]:
-                _advance(st, seg, stage, seen, profiles)
+            _cross(seg, buckets[s_prev], stage, seen, profiles)
         states = [st for bucket in stage.values() for st in bucket]
-        cap = (s + 2) ** state_cap_exp * group_cap
-        if len(states) > cap:
-            raise AssertionError(f"stage {s} holds {len(states)} states, cap {cap}")
+        if len(states).bit_length() > group_cap_bits:
+            cap = (s + 2) ** state_cap_exp << group_cap_bits
+            if len(states) > cap:
+                raise AssertionError(f"stage {s} holds {len(states)} states, cap {cap}")
         scans.append(sorted(states, key=_scan_key))
     return scans
 

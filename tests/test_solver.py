@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -27,9 +28,13 @@ from clawsplit import encoding, intervals, solver
 from clawsplit.encoding import fd_head
 from clawsplit.solver import (
     _advance,
+    _buckets,
     _candidates,
     _check_group_bound,
+    _cross,
     _crossing_groups,
+    _movers,
+    _plan,
     _scan_key,
     _segment,
 )
@@ -152,9 +157,11 @@ def live_from(rep, v):
 
 
 def hop(rep, v, st, s):
-    """Successors of st at anchor s, by committed first side, via the DP's transition."""
+    """Successors of st at anchor s, by committed first side, via the DP's
+    step: the movers filter, which checks the first side's lower bounds,
+    then the transition."""
     stage = {}
-    _advance(st, segment_builder(rep, v)(st.s, s), stage, set(), {})
+    _cross(segment_builder(rep, v)(st.s, s), _buckets([st]), stage, set(), {})
     # one predecessor gives one state per first side
     return {A: bucket[0] for A, bucket in stage.items()}
 
@@ -272,6 +279,7 @@ def test_advance_keeps_one_antichain_per_bucket():
     # new second one (2, p_1, -1, -1), read off the swapped predecessor
     rep = vertebrate_representation(fam((0, 1), (1, 2), (2, 3)))
     seg = segment_builder(rep, 1)(1, 2)
+    plan = _plan(seg, frozenset())
     low, high = MonotonicSeq((1, -1, -1, -1), 1, 1), MonotonicSeq((1, 0, -1, -1), 1, 1)
     best = DPState(1, low, low, frozenset())
     worse_p = DPState(1, low, high, frozenset())
@@ -280,7 +288,7 @@ def test_advance_keeps_one_antichain_per_bucket():
     def advance_all(order):
         stage, seen = {}, set()
         for st in order:
-            _advance(st, seg, stage, seen, {})
+            _advance(st, seg, plan, stage, seen, {})
         assert set(stage) == {frozenset()}
         return stage[frozenset()]
 
@@ -303,9 +311,19 @@ def test_advance_keeps_one_antichain_per_bucket():
     assert only.prev is best
 
 
-def test_bucket_plans_match_fresh_records():
+def pass_first_bounds(states, first_bounds, k, v):
+    """A stand-in for solver._movers that moves every state passing the
+    first side's lower bounds, as the DP did before the movers filter."""
+    return [st for st in states if solver._room(st.q, first_bounds, v) is not None]
+
+
+def test_bucket_plans_match_fresh_records(monkeypatch):
     # solve shares one grown record, and with it one plan per bucket, among
-    # all the states of a stage; a fresh record per state shares nothing
+    # all the states of a stage; a fresh record per state shares nothing.
+    # Every state that passes the first side's lower bounds crosses here,
+    # so each plan serves all of those in its bucket (the movers filter is
+    # tested on its own)
+    monkeypatch.setattr(solver, "_movers", pass_first_bounds)
     rng = random.Random(47)
     advanced = plans = 0
     for _ in range(60):
@@ -324,9 +342,14 @@ def test_bucket_plans_match_fresh_records():
         for built, shared, shared_seen in walk_stages(rep, v, []):
             fresh, fresh_seen = {}, set()
             for _, seg, _, preds in built:
-                for st in preds:
-                    _advance(st, build(seg.s_prev, seg.s), fresh, fresh_seen, {})
-                    advanced += 1
+                for first_crossing, bucket in preds.items():
+                    for st in bucket.states:
+                        own = build(seg.s_prev, seg.s)
+                        plan = _plan(own, first_crossing)
+                        if solver._room(st.q, plan.first_bounds, v) is None:
+                            continue
+                        _advance(st, own, plan, fresh, fresh_seen, {})
+                        advanced += 1
                 plans += len(seg.plans)
             assert kept(shared) == kept(fresh)
             assert shared_seen == fresh_seen
@@ -428,7 +451,8 @@ def walk_stages(rep, v, scans):
     (built, stage, seen) once the stage at each s >= 1 is built.  built
     lists (before, seg, heads_in, preds) for every record grown at s:
     before is the record seg grew from, heads_in the number of heads seg
-    held before any state crossed it, and preds the states at seg.s_prev.
+    held before any state crossed it, and preds the states at seg.s_prev
+    by bucket (see solver._buckets), which solver._cross took across seg.
     scans receives every stage of this walk in scan order."""
     ivs = rep.family.intervals
     crossing = crossings(rep)
@@ -436,22 +460,27 @@ def walk_stages(rep, v, scans):
     frontier = solver._live_from(ivs, arriving, rep.m, v)
     group_of = compute_groups(rep.family, v).group_of
     scans.append([base_state(v)])
-    grown, profiles = {}, {}
+    grown, buckets, profiles = {}, {}, {}
     for s in range(1, rep.m + 1):
         anchor = _crossing_groups(group_of, crossing[s])
         stage, seen, built = {}, set(), []
         if scans[s - 1]:
             grown[s - 1] = None
+            buckets[s - 1] = _buckets(scans[s - 1])
         for s_prev, before in list(grown.items()):
             if s_prev < frontier[s]:
-                del grown[s_prev]
+                del grown[s_prev], buckets[s_prev]
                 continue
             seg = grown[s_prev] = _segment(ivs, crossing, arriving, s_prev, s, v, anchor, before)
-            built.append((before, seg, len(seg.head_cache), scans[s_prev]))
-            for st in scans[s_prev]:
-                _advance(st, seg, stage, seen, profiles)
+            built.append((before, seg, len(seg.head_cache), buckets[s_prev]))
+            _cross(seg, buckets[s_prev], stage, seen, profiles)
         yield built, stage, seen
         scans.append(sorted((st for b in stage.values() for st in b), key=_scan_key))
+
+
+def states_of(preds):
+    """Every state of preds, a walk_stages bucket map, bucket by bucket."""
+    return [st for bucket in preds.values() for st in bucket.states]
 
 
 def grown_records(rep, v, scans=None):
@@ -549,9 +578,9 @@ def test_old_pairs_add_nothing_or_one_common_successor_set():
         for _, seg, _, preds in grown_records(rep, v):
             if seg.s_prev > last_old[seg.s]:
                 continue
-            for X in preds:
+            for X in states_of(preds):
                 alone = {}
-                _advance(X, seg, alone, set(), {})
+                _cross(seg, _buckets([X]), alone, set(), {})
                 keys = {
                     (st.p.r, st.q.r, st.first_crossing, second_crossing(crossing, st))
                     for bucket in alone.values() for st in bucket
@@ -609,6 +638,65 @@ def test_solve_stages_match_the_unskipped_walk(monkeypatch):
     assert built < walked
 
 
+def test_movers_filter_on_hand_built_states():
+    # v = 1 profiles at s_prev = 3; the bound (1, 1) needs q.r[1] < 1
+    low, mid, high = (MonotonicSeq((3, r1, -1, -1), 3, 1) for r1 in (0, 1, 2))
+
+    def state(p, q):
+        return DPState(3, p, q, frozenset())
+
+    bound = ((1, 1),)
+    # a dominator that fails the first-side bounds does not hide Y
+    X, Y = state(low, mid), state(mid, low)
+    assert _movers([X, Y], (), 0, 1) == [X]
+    assert _movers([X, Y], bound, 0, 1) == [Y]
+    # of two equal projections, the first in scan order moves
+    A, B = state(low, mid), state(low, high)
+    assert _movers([A, B], (), 0, 1) == [A]
+    assert _movers([B, A], (), 0, 1) == [B]
+    # when k > 0 the prefix q.r[1..k] counts: A now dominates B, and a
+    # state that p alone would drop is incomparable
+    assert _movers([B, A], (), 1, 1) == [A]
+    C, D = state(low, high), state(mid, mid)
+    assert _movers([C, D], (), 0, 1) == [C]
+    assert _movers([C, D], (), 1, 1) == [C, D]
+
+
+def test_movers_keep_every_stage_key_of_advancing_every_state(monkeypatch):
+    # advancing every state of every bucket that passes the first side's
+    # lower bounds, as the DP did before the movers filter, gives the same
+    # keys in every stage, in scan order
+    movers = solver._movers
+    skipped = 0
+
+    def counted(states, first_bounds, k, v):
+        nonlocal skipped
+        kept = movers(states, first_bounds, k, v)
+        skipped += len(pass_first_bounds(states, first_bounds, k, v)) - len(kept)
+        return kept
+
+    def keys(scans):
+        return [[(st.p.r, st.q.r, st.first_crossing) for st in stage] for stage in scans]
+
+    rng = random.Random(79)
+    for n in range(64):
+        v = 1 + n % 3
+        if n % 2:
+            rep = long_rep(rng, 30 if v == 1 else 18)
+        else:
+            rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
+        filtered, unfiltered = [], []
+        monkeypatch.setattr(solver, "_movers", counted)
+        for _ in walk_stages(rep, v, filtered):
+            pass
+        monkeypatch.setattr(solver, "_movers", pass_first_bounds)
+        for _ in walk_stages(rep, v, unfiltered):
+            pass
+        assert keys(filtered) == keys(unfiltered)
+    # the filter skipped 27,776 passing states on these instances
+    assert skipped > 20000
+
+
 def test_solve_v1_m400_skips_old_pairs(monkeypatch):
     # advancing every live pair made 21,447 _segment and 81,120 _advance
     # calls on this instance
@@ -662,6 +750,25 @@ def test_solve_mid_relation_calls_on_a_dense_v2_instance(monkeypatch):
     res = solve(vertebrate_representation(S), 2)
     assert res.feasible
     assert 0 < calls < 745
+
+
+def test_solve_advance_calls_on_a_dense_v2_instance(monkeypatch):
+    # advancing every state of every bucket made 11,137 _advance calls on
+    # this instance
+    advance = solver._advance
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return advance(*args)
+
+    monkeypatch.setattr(solver, "_advance", counted)
+    S = generate(GeneratorSpec("vertebrate", m=40, density=2.0, max_len=3, seed=6))
+    res = solve(vertebrate_representation(S), 2)
+    assert res.feasible
+    assert sum(res.stage_state_counts) == 1126
+    assert 0 < calls < 4000
 
 
 def test_solve_fd_head_calls_below_the_per_segment_count(monkeypatch):
@@ -840,6 +947,19 @@ def test_solve_v1_m400_sparse_is_fast():
     assert time.perf_counter() - start < 10.0
     assert res.feasible
     assert verify_partition(S, res.assignment, 1)
+
+
+def test_solve_at_a_huge_v_builds_no_cap_of_2v2_bits():
+    # the stage cap (s + 2)^(2(v + 1)) * 2^(2v^2 + v) built at every stage
+    # made a traced peak of about 206 MB here
+    tracemalloc.start()
+    try:
+        res = solve(PATH3_REP, 16000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.feasible
+    assert peak < 10 * 2 ** 20
 
 
 def test_state_counts_within_cap():
