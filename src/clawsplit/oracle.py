@@ -35,6 +35,7 @@ from clawsplit.solver import compute_groups, verify_partition
 _ALPHA_CAP = 20
 _CLAW_CAP = 18
 _PARTITION_CAP = 16
+_GEN_CAP = 1_000_000  # members one generate call may ask for
 
 
 class SizeGuardError(RuntimeError):
@@ -367,8 +368,9 @@ def generate(spec: GeneratorSpec) -> IntervalFamily:
     """Build the instance described by spec, deterministically in its seed.
 
     Raises ValueError for an unknown kind, a density that is not a finite
-    number >= 0, a max_len below 1, or a size (m or n) below 1 that the
-    kind reads.
+    number >= 0, a max_len below 1, a size (m or n) below 1 that the kind
+    reads, or a spec asking for more than _GEN_CAP members, before
+    drawing anything.
     """
     if spec.kind not in ("vertebrate", "trivially-perfect", "raw-random", "invertebrate"):
         raise ValueError(f"unknown generator kind {spec.kind!r}")
@@ -380,6 +382,13 @@ def generate(spec: GeneratorSpec) -> IntervalFamily:
         raise ValueError(f"{spec.kind} generation needs n >= 1 and max_len >= 1")
     if spec.max_len < 1:
         raise ValueError("vertebrate generation needs max_len >= 1")
+    # m + density * m stays a float, so a huge density compares as inf or
+    # a large float here instead of overflowing in round().
+    members = spec.m + spec.density * spec.m if spec.kind == "vertebrate" else spec.n
+    if members > _GEN_CAP:
+        raise ValueError(
+            f"{spec.kind} generation asks for {members:.6g} members, at most {_GEN_CAP}"
+        )
     rng = random.Random(spec.seed)
     if spec.kind == "vertebrate":
         return IntervalFamily.from_pairs(

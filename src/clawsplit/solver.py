@@ -42,21 +42,21 @@ soundness argument is in the _Segment docstring.  The side assignments of
 the crossing groups depend on s, the shared members and their committed
 sides only, so they are enumerated once per anchor and key (see _Anchor).
 
-It also holds one plan per predecessor bucket (see _Plan): the settled
-members' lower-bound floors, the second side's settled members as F, and
-the candidate side assignments, each candidate with its second side's
-settled counts.  A predecessor's other side is crossing[s_prev] minus its
-first_crossing, so all of a plan is a pure function of the
-segment and first_crossing, and every state of the bucket would compute
-the same values.  A candidate's counts are filled when a successor with
-its side assignment first gets past seen and the dominance scan, so a plan
-holds no count a state of its bucket did not ask for (all of a
-candidate's counts come at once, where a state stops at the first failing
-one).  _advance keeps only the per-state work: the second side's lower
-bounds, one extend, then per candidate seen, dominance, the inequalities
-alpha_seq(q, a) + count <= v and the star check, with the candidates in
-mask order.  Profiles are interned per solve (see extend), so each
-distinct profile is one MonotonicSeq, validated once.
+_cross builds one plan per predecessor bucket (see _Plan): the settled
+members' lower-bound floors, the second side's settled members as F, the
+candidate side assignments (A, B), and the second side's settled counts
+per B.  A predecessor's other side is crossing[s_prev] minus its
+first_crossing, so all of a plan is a pure function of the segment and
+first_crossing, and every state of the bucket would compute the same
+values.  The counts of a B are filled when a successor with that side
+assignment first gets past its bucket's covers, so a plan holds no count a
+state of its bucket did not ask for (all of a B's counts come at once,
+where a state stops at the first failing one).  _advance keeps only the
+per-state work: the second side's lower bounds, one extend, then per
+candidate the bucket's covers, the inequalities alpha_seq(q, a) + count
+<= v and the star check, with the candidates in mask order.  Profiles are
+interned per solve (see extend), so each distinct profile is one
+MonotonicSeq, validated once.
 
 Not every state of a bucket crosses.  A hop reads less of a predecessor
 than the stage keeps: once s - s_prev >= v + 1 its first new profile is
@@ -76,8 +76,8 @@ profiles are read from s alone, and the checks split into a part read from
 the predecessor alone and a part read from s alone (see _last_old).  Every
 state at an old s_prev then adds either nothing or one common set of
 successors, and old pairs come first, so once one of them has added a
-state at s, _stages skips the other old pairs at s; the stage, seen and
-every back-pointer are what they would have been.
+state at s, _stages skips the other old pairs at s; the stage, its
+buckets' seen sets and every back-pointer are what they would have been.
 
 Members are grouped by chains of significant overlap (intersection length
 >= 2v + 1); a feasible split never separates a group, so crossing members are
@@ -87,7 +87,8 @@ assigned group-wise, which keeps every stage's state count within
 A stage keeps only non-dominated states.  States with the same
 first_crossing form a bucket; in a bucket, state X dominates state Y when
 X.p.r <= Y.p.r and X.q.r <= Y.q.r entrywise (equal keys included), and a
-stage keeps one antichain per bucket.  This drops no feasible split:
+stage keeps one antichain per bucket (see _Bucket).  This drops no
+feasible split:
 
   * alpha_seq(r, i) is the largest u with i <= r_u, so it is monotone in the
     profile entries: smaller entries never give a larger count.
@@ -137,6 +138,7 @@ from clawsplit.intervals import (
     PartitionAssignment,
     Side,
     _max_disjoint_meeting,
+    claw_number,
     dedup,
     intersects,
     mid_relation,
@@ -292,8 +294,9 @@ def crossing_family(rep: VertebrateRep, s: int) -> tuple[int, ...]:
 def verify_partition(J: IntervalFamily, assignment: PartitionAssignment, v: int) -> bool:
     """True iff both parts of the assignment have claw number at most v.
 
-    Each part is dedup'd before the star check; duplicate intervals are
-    adjacent twins, which for v >= 1 never change whether a part passes.
+    Each part is dedup'd before claw_number, which needs distinct members;
+    duplicate intervals are adjacent twins, which for v >= 1 never change
+    whether a part passes.
     """
     if len(assignment) != len(J):
         raise ValueError(
@@ -302,7 +305,7 @@ def verify_partition(J: IntervalFamily, assignment: PartitionAssignment, v: int)
     for side in (Side.FIRST, Side.SECOND):
         part = J.subfamily(assignment.part(side))
         distinct, _ = dedup(part)
-        if not mid_relation(distinct, distinct, v):
+        if claw_number(distinct) > v:
             return False
     return True
 
@@ -314,8 +317,8 @@ class _Anchor:
     group_of maps each member to its overlap group (see compute_groups).
     gids are the sorted groups of the members crossing s, and members_of
     lists each one's members; both depend on s alone.  sides memoises the
-    side assignments that _candidates enumerates, as (first side, second
-    side) pairs of crossing members, keyed by (shared, the shared members on
+    side assignments that _plan reads, as (first side, second side) pairs
+    of crossing members, keyed by (shared, the shared members on
     the first side): with group_of fixed per solve and gids and members_of
     per anchor, the forced sides, the free groups and both sides in mask
     order are a pure function of that key, whatever the segment's s_prev.
@@ -353,11 +356,6 @@ class _Segment:
     pure function of its key and the fields above, so a cached value is
     always the one a fresh computation would give:
 
-      * plans, per predecessor first_crossing: the _Plan of every state of
-        that bucket.  A state's second side is crossing[s_prev] minus its
-        first_crossing, so the bucket fixes both committed sides, and
-        everything in a plan is built from them and the fields above.  Each
-        record starts with no plans.
       * long_meet_cache, per right end b: how many disjoint long members
         meet (s_prev, b).
       * long_star_cache, per set of crossing members visible to the second
@@ -385,7 +383,6 @@ class _Segment:
     shared: frozenset[int]
     pool: frozenset[int]
     anchor: _Anchor
-    plans: dict[frozenset[int], _Plan] = field(default_factory=dict)
     long_meet_cache: dict[int, int] = field(default_factory=dict)
     head_cache: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = field(
         default_factory=dict
@@ -393,41 +390,33 @@ class _Segment:
     long_star_cache: dict[frozenset[int], bool] = field(default_factory=dict)
 
 
-@dataclass(slots=True)
-class _Candidate:
-    """One way to give a plan's free crossing groups to the two sides.
-
-    A is the first side's crossing members and B the rest of crossing.
-    second_counts[j] is the number of disjoint new second-side members
-    meeting (s_prev, b) for the j-th settled_second member (a, b); it is
-    None until a successor with this A first gets past seen and the
-    dominance scan (see _second_counts).
-    """
-
-    A: frozenset[int]
-    B: frozenset[int]
-    second_counts: tuple[int, ...] | None = None
-
-
 @dataclass(frozen=True)
 class _Plan:
     """What a hop across one segment does for one predecessor bucket.
 
-    settled_second are the members settling at this hop on the (swapped)
-    second side, sorted, and F the same members as a family.  first_bounds
-    and second_bounds hold (a, floor) per settled
+    A state's second side is crossing[s_prev] minus its first_crossing, so
+    the bucket fixes both committed sides, and everything in a plan is built
+    from them and the segment.  settled_second are the members settling at
+    this hop on the (swapped) second side, sorted, and F the same members as
+    a family.  first_bounds and second_bounds hold (a, floor) per settled
     member, with floor the candidate-independent part of its right-hand
     count: b - s_prev backbone units on the first side, which is the whole
-    count there (see _movers), and long_meet_cache[b] on the second.
-    candidates lists the side assignments in mask order; it is empty when
-    the forced sides of two shared members of one group disagree.
+    count there (see _movers), and long_meet_cache[b] on the second.  sides
+    is the anchor's list of side assignments (A, B) in mask order, A the
+    first side's crossing members and B the rest of crossing; it is empty
+    when the forced sides of two shared members of one group disagree.
+    second_counts[B][j] is the number of disjoint new second-side members
+    meeting (s_prev, b) for the j-th settled_second member (a, b), filled
+    when a successor with that B first gets past its bucket's covers (see
+    _second_counts); distinct A give distinct B.
     """
 
     settled_second: tuple[int, ...]
     first_bounds: tuple[tuple[int, int], ...]
     second_bounds: tuple[tuple[int, int], ...]
     F: IntervalFamily
-    candidates: list[_Candidate]
+    sides: list[tuple[frozenset[int], frozenset[int]]]
+    second_counts: dict[frozenset[int], tuple[int, ...]] = field(default_factory=dict)
 
 
 _NO_MEMBERS = IntervalFamily(())
@@ -509,7 +498,8 @@ def _long_star_ok(seg: _Segment, outside: frozenset[int]) -> bool:
 def _plan(seg: _Segment, first_crossing: frozenset[int]) -> _Plan:
     """The plan across seg of the bucket of predecessors with this
     first_crossing (see _Plan), read with the predecessor's sides swapped
-    as in _advance."""
+    as in _advance.  Its side assignments are memoised per anchor under
+    (seg.shared, the shared members on the first side) (see _Anchor)."""
     ivs, s_prev = seg.ivs, seg.s_prev
     settled_second = tuple(sorted(first_crossing & seg.pool))
     second_bounds = []
@@ -520,7 +510,10 @@ def _plan(seg: _Segment, first_crossing: frozenset[int]) -> _Plan:
             floor = _max_disjoint_meeting(seg.long_fam.intervals, s_prev, b)
             seg.long_meet_cache[b] = floor
         second_bounds.append((a, floor))
-
+    key = (seg.shared, seg.shared - first_crossing)
+    sides = seg.anchor.sides.get(key)
+    if sides is None:
+        sides = seg.anchor.sides[key] = _side_assignments(seg.anchor, *key)
     return _Plan(
         settled_second=settled_second,
         first_bounds=tuple(
@@ -528,24 +521,8 @@ def _plan(seg: _Segment, first_crossing: frozenset[int]) -> _Plan:
         ),
         second_bounds=tuple(second_bounds),
         F=IntervalFamily(tuple(ivs[i] for i in settled_second)),
-        candidates=_candidates(seg, seg.shared - first_crossing),
+        sides=sides,
     )
-
-
-def _candidates(seg: _Segment, shared_first: frozenset[int]) -> list[_Candidate]:
-    """New candidates for the side assignments of seg's crossing groups, in
-    mask order, when shared_first are the shared members on the first side
-    (the predecessor's second side, read swapped).
-
-    The assignments are memoised per anchor under (seg.shared,
-    shared_first) (see _Anchor); the candidates are new, since their counts
-    depend on the plan.
-    """
-    key = (seg.shared, shared_first)
-    sides = seg.anchor.sides.get(key)
-    if sides is None:
-        sides = seg.anchor.sides[key] = _side_assignments(seg.anchor, *key)
-    return [_Candidate(A, B) for A, B in sides]
 
 
 def _side_assignments(
@@ -580,8 +557,7 @@ def _side_assignments(
 
 
 def _second_counts(seg: _Segment, plan: _Plan, B: frozenset[int]) -> tuple[int, ...]:
-    """The second_counts of a candidate of plan with second side B (see
-    _Candidate)."""
+    """The second_counts of plan for the second side B (see _Plan)."""
     ivs = seg.ivs
     second_new = [*seg.long_fam.intervals, *(ivs[i] for i in sorted(B - seg.shared))]
     return tuple(
@@ -601,17 +577,60 @@ def _room(profile: MonotonicSeq, bounds: Sequence[tuple[int, int]], v: int) -> l
     return room
 
 
-def _dominates(st: DPState, p: MonotonicSeq, q: MonotonicSeq) -> bool:
-    """True iff st's profiles are entrywise <= p and q."""
-    return all(map(le, st.p.r, p.r)) and all(map(le, st.q.r, q.r))
+@dataclass(slots=True)
+class _Bucket:
+    """An antichain of (vector, state) pairs under the entrywise order of
+    the vectors, all of one length: no kept vector is <= another.
+
+    covers(vec) is True when a kept vector is <= vec, equal ones included.
+    add(vec, state) keeps a vector that nothing covers and evicts the kept
+    ones it is <=, so the states stay in insertion order, less the evicted
+    ones.  seen caches vectors known to be covered.  It holds only vectors
+    that a kept one is <=, and a kept vector is evicted only by one that is
+    <= it, so a vector stays covered once it is in seen.
+
+    A stage lives in one bucket per first_crossing, of the vectors p.r +
+    q.r of its states, from its first insertion (see _advance) to its last
+    read.  _finish drops vecs and seen, which only insertion reads, and
+    puts the states in scan order.  Later anchors read the states and cache
+    their movers per (k, first_bounds) (see _movers) until the bucket's
+    s_prev leaves _stages' grown.  _movers runs its filter through a bucket
+    of projections.
+    """
+
+    vecs: list[tuple[int, ...]] | None = field(default_factory=list)
+    states: list[DPState] = field(default_factory=list)
+    seen: set[tuple[int, ...]] | None = field(default_factory=set)
+    movers: dict[tuple[int, tuple[tuple[int, int], ...]], list[DPState]] = field(
+        default_factory=dict
+    )
+
+    def covers(self, vec: tuple[int, ...]) -> bool:
+        """True iff some kept vector is <= vec entrywise."""
+        if vec in self.seen:
+            return True
+        if any(all(map(le, kept, vec)) for kept in self.vecs):
+            self.seen.add(vec)
+            return True
+        return False
+
+    def add(self, vec: tuple[int, ...], state: DPState) -> None:
+        """Keep state under vec, which the bucket does not cover, and evict
+        every state whose vector vec is <=."""
+        keep = [j for j, kept in enumerate(self.vecs) if not all(map(le, vec, kept))]
+        if len(keep) < len(self.vecs):
+            self.vecs = [self.vecs[j] for j in keep]
+            self.states = [self.states[j] for j in keep]
+        self.vecs.append(vec)
+        self.states.append(state)
+        self.seen.add(vec)
 
 
 def _advance(
     st: DPState,
     seg: _Segment,
     plan: _Plan,
-    stage: dict[frozenset[int], list[DPState]],
-    seen: set[tuple],
+    stage: dict[frozenset[int], _Bucket],
     profiles: dict[tuple[int, ...], MonotonicSeq],
 ) -> None:
     """The DP transition: take one state at seg.s_prev across seg into stage.
@@ -640,14 +659,11 @@ def _advance(
     mid_relation(short, short + crossing, v), which is True for that reason
     (mid_relation skips every center of length <= v).
 
-    stage maps each first_crossing to its bucket, an antichain of kept
-    states (see the module docstring).  seen holds the keys
-    (p.r, q.r, first_crossing) of every candidate known to be dominated by,
-    or equal to, a kept state; a state is only evicted by one that
-    dominates it, so a key stays dominated once it is in seen.  A candidate
-    whose key is in seen, or that a kept state of its bucket dominates, is
-    dropped before the settled and star checks.  One that passes every
-    check joins its bucket and evicts the states it dominates.
+    stage maps each first_crossing to its bucket (see _Bucket), an
+    antichain of the vectors p.r + q.r of its kept states; every candidate
+    has the vector of the one p_new and q_new.  A candidate that its bucket
+    covers is dropped before the settled and star checks.  One that passes
+    every check joins its bucket, which evicts the states it dominates.
     """
     v = seg.v
     p_prime, q_prime = st.q, st.p
@@ -667,48 +683,21 @@ def _advance(
         head, profiles,
     )
 
-    for cand in plan.candidates:
-        A = cand.A
-        key = (p_new.r, q_new.r, A)
-        if key in seen:
+    vec = p_new.r + q_new.r
+    for A, B in plan.sides:
+        bucket = stage.get(A)
+        if bucket is not None and bucket.covers(vec):
             continue
-        bucket = stage.get(A, ())
-        if any(_dominates(kept, p_new, q_new) for kept in bucket):
-            seen.add(key)
+        counts = plan.second_counts.get(B)
+        if counts is None:
+            counts = plan.second_counts[B] = _second_counts(seg, plan, B)
+        if not all(map(le, counts, second_room)):
             continue
-        if cand.second_counts is None:
-            cand.second_counts = _second_counts(seg, plan, cand.B)
-        if not all(map(le, cand.second_counts, second_room)):
+        if not _long_star_ok(seg, st.first_crossing | B):
             continue
-        if not _long_star_ok(seg, st.first_crossing | cand.B):
-            continue
-        new_state = DPState(seg.s, p_new, q_new, A, prev=st)
-        stage[A] = [kept for kept in bucket if not _dominates(new_state, kept.p, kept.q)]
-        stage[A].append(new_state)
-        seen.add(key)
-
-
-@dataclass(frozen=True)
-class _Bucket:
-    """The states of one finished stage with one first_crossing, in scan
-    order, and their movers per (k, first_bounds) (see _movers)."""
-
-    states: list[DPState]
-    movers: dict[tuple[int, tuple[tuple[int, int], ...]], list[DPState]] = field(
-        default_factory=dict
-    )
-
-
-def _buckets(scan: Sequence[DPState]) -> dict[frozenset[int], _Bucket]:
-    """The states of scan by first_crossing, in scan order, the buckets in
-    the order of their first states."""
-    buckets: dict[frozenset[int], _Bucket] = {}
-    for st in scan:
-        bucket = buckets.get(st.first_crossing)
         if bucket is None:
-            bucket = buckets[st.first_crossing] = _Bucket([])
-        bucket.states.append(st)
-    return buckets
+            bucket = stage[A] = _Bucket()
+        bucket.add(vec, DPState(seg.s, p_new, q_new, A, prev=st))
 
 
 def _movers(
@@ -722,10 +711,10 @@ def _movers(
     passing state X has X.p.r <= Y.p.r entrywise and X.q.r[1..k] <=
     Y.q.r[1..k]; of states with equal such projections, the first in scan
     order moves.  This is the maxima-of-vectors filter (Kung, Luccio and
-    Preparata, "On Finding the Maxima of a Set of Vectors", JACM 1975), as
-    one scan that keeps the minimal projections met so far: a later one
-    that some kept one is <= is dropped, and one that is kept drops the
-    kept ones it is <=.
+    Preparata, "On Finding the Maxima of a Set of Vectors", JACM 1975), run
+    as one scan through a _Bucket of projections: a later one that the
+    bucket covers is dropped, and one that it keeps evicts the kept ones it
+    is <=.
 
     The lower bounds are the whole first-side check.  There the count of
     the split star check is b - s_prev for every candidate.  A new
@@ -759,10 +748,10 @@ def _movers(
 
     A finished stage holds exactly the minimal keys (p.r, q.r, A) among
     the valid successors of the states advanced into it, one state per
-    key, whatever the order they come in.  seen is a pure cache: it holds
-    only keys that a kept state is <= (a kept state is evicted only by one
-    that is <= it).  So a successor is dropped only when a kept state is
-    <= it, and is kept, evicting what it is <=, only when none is.
+    key, whatever the order they come in.  Each bucket's seen is a pure
+    cache (see _Bucket), so a successor is dropped only when a kept state
+    of its bucket is <= it, and is kept, evicting what it is <=, only when
+    none is.
     Dropping Y takes away only valid successors that are >= one that
     stays, so the minimal keys stay the same.  For the same reason the
     stage is empty after each s_prev exactly when it would have been, so
@@ -770,44 +759,49 @@ def _movers(
     only where a dropped Y was the first to reach a kept key; solve
     re-verifies every witness read from them.
     """
-    kept: list[tuple[tuple[int, ...], DPState]] = []
+    kept = _Bucket()
     for st in states:
         if _room(st.q, first_bounds, v) is None:
             continue
         proj = st.p.r + st.q.r[1 : k + 1]
-        if any(all(map(le, other, proj)) for other, _ in kept):
-            continue
-        kept = [(other, x) for other, x in kept if not all(map(le, proj, other))]
-        kept.append((proj, st))
-    return [st for _, st in kept]
+        if not kept.covers(proj):
+            kept.add(proj, st)
+    return kept.states
 
 
 def _cross(
     seg: _Segment,
-    buckets: dict[frozenset[int], _Bucket],
-    stage: dict[frozenset[int], list[DPState]],
-    seen: set[tuple],
+    preds: dict[frozenset[int], _Bucket],
+    stage: dict[frozenset[int], _Bucket],
     profiles: dict[tuple[int, ...], MonotonicSeq],
 ) -> None:
-    """Take the states at seg.s_prev, by bucket (see _buckets), across seg
-    into stage: per bucket its plan, then _advance on each of its movers
-    (see _movers), each list built once per bucket, k and first_bounds."""
+    """Take the finished stage at seg.s_prev (see _finish) across seg into
+    stage: per bucket its plan, then _advance on each of its movers (see
+    _movers), each list built once per bucket, k and first_bounds."""
     k = max(0, seg.v + 1 - (seg.s - seg.s_prev))
-    for first_crossing, bucket in buckets.items():
-        plan = seg.plans.get(first_crossing)
-        if plan is None:
-            plan = seg.plans[first_crossing] = _plan(seg, first_crossing)
+    for first_crossing, bucket in preds.items():
+        plan = _plan(seg, first_crossing)
         key = (k, plan.first_bounds)
         movers = bucket.movers.get(key)
         if movers is None:
             movers = bucket.movers[key] = _movers(bucket.states, plan.first_bounds, k, seg.v)
         for st in movers:
-            _advance(st, seg, plan, stage, seen, profiles)
+            _advance(st, seg, plan, stage, profiles)
 
 
 def _scan_key(st: DPState) -> tuple:
     """Deterministic scan order: swapped profiles, then committed sides."""
     return (st.q.r, st.p.r, tuple(sorted(st.first_crossing)))
+
+
+def _finish(stage: dict[frozenset[int], _Bucket]) -> dict[frozenset[int], _Bucket]:
+    """stage made ready for the later anchors: each bucket's states in scan
+    order and its vecs and seen dropped, the buckets in the order of their
+    first states."""
+    for bucket in stage.values():
+        bucket.states.sort(key=_scan_key)
+        bucket.vecs = bucket.seen = None
+    return dict(sorted(stage.items(), key=lambda item: _scan_key(item[1].states[0])))
 
 
 def _last_old(ivs: Sequence[Interval], m: int, v: int) -> list[int]:
@@ -874,15 +868,16 @@ def _last_old(ivs: Sequence[Interval], m: int, v: int) -> list[int]:
     one whose checks pass would keep, into an empty stage, exactly the
     candidates whose B passes the part near s, with the common profiles.
     _stages visits s_prev in increasing order, so old pairs come first,
-    into an empty stage and an empty seen; a state that adds nothing adds
-    nothing to seen either (a key enters seen only when dominated by, or
-    kept as, a state of the stage).  After the first old state that adds a
+    into an empty stage, which has no bucket and so no seen.  A state that
+    adds nothing makes no bucket: a bucket is made for its first kept
+    state, and a vector enters its seen only when covered by, or kept as,
+    one of its states (see _Bucket).  After the first old state that adds a
     successor, every later old state either fails a check that reads no
-    candidate, or finds each key it would keep already in seen and drops
-    every other candidate at part (2) of the star check, its bucket still
-    empty; either way it touches neither stage nor seen.  Skipping every
-    old pair once the stage is non-empty therefore leaves the stage, seen
-    and every back-pointer as they were.
+    candidate, or finds each vector it would keep already in its bucket's
+    seen and drops every other candidate at part (2) of the star check,
+    before any bucket of that A is made; either way it touches no bucket.
+    Skipping every old pair once the stage is non-empty therefore leaves
+    the stage, its buckets' seen sets and every back-pointer as they were.
     """
     L = max((iv.length for iv in ivs), default=0)
     best_lo = [-1] * (m + 1)
@@ -962,8 +957,9 @@ def _arriving(ivs: Sequence[Interval], m: int) -> list[list[int]]:
     return arriving
 
 
-def _stages(rep: VertebrateRep, v: int) -> list[list[DPState]]:
-    """Every stage of the DP for rep, from s = 0 to m, each in scan order."""
+def _stages(rep: VertebrateRep, v: int) -> list[dict[frozenset[int], _Bucket]]:
+    """Every stage of the DP for rep, from s = 0 to m, each by bucket (see
+    _finish)."""
     ivs = rep.family.intervals
     m = rep.m
     group_of = compute_groups(rep.family, v).group_of
@@ -973,8 +969,9 @@ def _stages(rep: VertebrateRep, v: int) -> list[list[DPState]]:
     live_from = _live_from(ivs, arriving, m, v)
 
     zero = zero_seq(v)
-    # Each finished stage, sorted once into scan order for the later anchors.
-    scans: list[list[DPState]] = [[DPState(0, zero, zero, frozenset())]]
+    stages: list[dict[frozenset[int], _Bucket]] = [
+        {frozenset(): _Bucket(states=[DPState(0, zero, zero, frozenset())])}
+    ]
     # The cap is (s + 2)^state_cap_exp * 2^group_cap_bits; a count of at
     # most group_cap_bits bits lies below it, so the cap is built only for
     # larger counts (at v = 16000 the power of two alone has 512M bits).
@@ -982,39 +979,37 @@ def _stages(rep: VertebrateRep, v: int) -> list[list[DPState]]:
     group_cap_bits = 2 * v * v + v
 
     # The latest record built for each live s_prev, in increasing order; an
-    # s_prev leaves for good once its segment dies (see _live_from), and one
-    # whose stage is empty never joins.  The record is that of
-    # (s_prev, s - 1), or an earlier one when old pairs were skipped (see
-    # _last_old); _segment grows either kind by the members arrived since.
+    # s_prev leaves for good once its segment dies (see _live_from), and its
+    # stage's buckets drop their movers then; one whose stage is empty never
+    # joins.  The record is that of (s_prev, s - 1), or an earlier one when
+    # old pairs were skipped (see _last_old); _segment grows either kind by
+    # the members arrived since.
     grown: dict[int, _Segment | None] = {}
-    # The stage at each s_prev in grown by bucket, with its cached movers
-    # (see _Bucket); it leaves with its s_prev.
-    buckets: dict[int, dict[frozenset[int], _Bucket]] = {}
     # Every profile the solve builds, by entries (see extend).
     profiles: dict[tuple[int, ...], MonotonicSeq] = {}
 
     for s in range(1, m + 1):
-        stage: dict[frozenset[int], list[DPState]] = {}
-        seen: set[tuple] = set()
-        if scans[s - 1]:
+        stage: dict[frozenset[int], _Bucket] = {}
+        if stages[s - 1]:
             grown[s - 1] = None
-            buckets[s - 1] = _buckets(scans[s - 1])
         anchor = _crossing_groups(group_of, crossing[s])
         for s_prev, before in list(grown.items()):
             if s_prev < live_from[s]:
-                del grown[s_prev], buckets[s_prev]
+                del grown[s_prev]
+                for bucket in stages[s_prev].values():
+                    bucket.movers.clear()
                 continue
             if stage and s_prev <= last_old[s]:
                 continue
             seg = grown[s_prev] = _segment(ivs, crossing, arriving, s_prev, s, v, anchor, before)
-            _cross(seg, buckets[s_prev], stage, seen, profiles)
-        states = [st for bucket in stage.values() for st in bucket]
-        if len(states).bit_length() > group_cap_bits:
+            _cross(seg, stages[s_prev], stage, profiles)
+        count = sum(len(bucket.states) for bucket in stage.values())
+        if count.bit_length() > group_cap_bits:
             cap = (s + 2) ** state_cap_exp << group_cap_bits
-            if len(states) > cap:
-                raise AssertionError(f"stage {s} holds {len(states)} states, cap {cap}")
-        scans.append(sorted(states, key=_scan_key))
-    return scans
+            if count > cap:
+                raise AssertionError(f"stage {s} holds {count} states, cap {cap}")
+        stages.append(_finish(stage))
+    return stages
 
 
 def _witness(rep: VertebrateRep, v: int, accepting: DPState) -> list[Side | None]:
@@ -1061,11 +1056,11 @@ def solve(rep: VertebrateRep, v: int) -> SolveResult:
     start = time.perf_counter()
     if v < 1:
         raise ValueError(f"claw bound v={v}: need v >= 1")
-    scans = _stages(rep, v)
-    counts = tuple(map(len, scans))
-    accepting = scans[-1][0] if scans[-1] else None
-    if accepting is None:
+    stages = _stages(rep, v)
+    counts = tuple(sum(len(bucket.states) for bucket in stage.values()) for stage in stages)
+    if not stages[-1]:
         return SolveResult(False, None, None, counts, time.perf_counter() - start)
+    accepting = next(iter(stages[-1].values())).states[0]
 
     sides = _witness(rep, v, accepting)
     if not all(side is not None for side in sides):

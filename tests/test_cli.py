@@ -396,6 +396,12 @@ def test_gen_bad_parameters_are_errors_not_internal_failures(capsys):
         (["--kind", "raw-random", "--n", "0"], f"raw-random {needs}"),
         (["--kind", "raw-random", "--max-len", "0"], f"raw-random {needs}"),
         (["--kind", "invertebrate", "--max-len", "0"], f"invertebrate {needs}"),
+        (["--kind", "vertebrate", "--m", "6", "--density", "1e300"],
+         "vertebrate generation asks for 6e+300 members, at most 1000000"),
+        (["--kind", "vertebrate", "--m", "10", "--density", "1e308"],
+         "vertebrate generation asks for inf members, at most 1000000"),
+        (["--kind", "raw-random", "--n", "1000001"],
+         "raw-random generation asks for 1e+06 members, at most 1000000"),
     ]
     for argv, message in cases:
         assert main(["gen", *argv]) == 2

@@ -18,6 +18,7 @@ from clawsplit import (
     crossing_family,
     generate,
     mid_relation,
+    oracle_claw,
     oracle_partition,
     solve,
     vertebrate_representation,
@@ -28,15 +29,15 @@ from clawsplit import encoding, intervals, solver
 from clawsplit.encoding import fd_head
 from clawsplit.solver import (
     _advance,
-    _buckets,
-    _candidates,
+    _Bucket,
     _check_group_bound,
     _cross,
     _crossing_groups,
+    _finish,
     _movers,
     _plan,
-    _scan_key,
     _segment,
+    _side_assignments,
 )
 from bruteforce import brute_groups
 
@@ -161,13 +162,24 @@ def hop(rep, v, st, s):
     step: the movers filter, which checks the first side's lower bounds,
     then the transition."""
     stage = {}
-    _cross(segment_builder(rep, v)(st.s, s), _buckets([st]), stage, set(), {})
+    _cross(segment_builder(rep, v)(st.s, s), preds_of(st), stage, {})
     # one predecessor gives one state per first side
-    return {A: bucket[0] for A, bucket in stage.items()}
+    return {A: bucket.states[0] for A, bucket in stage.items()}
 
 
 def base_state(v):
     return DPState(0, zero_seq(v), zero_seq(v), frozenset())
+
+
+def preds_of(st):
+    """A finished stage holding st alone (see solver._finish)."""
+    return {st.first_crossing: _Bucket(states=[st])}
+
+
+def first_state(stage):
+    """The first state of a finished stage in scan order, which solve
+    accepts from at s = m."""
+    return next(iter(stage.values())).states[0]
 
 
 def test_crossing_family():
@@ -286,11 +298,11 @@ def test_advance_keeps_one_antichain_per_bucket():
     worse_q = DPState(1, high, low, frozenset())
 
     def advance_all(order):
-        stage, seen = {}, set()
+        stage = {}
         for st in order:
-            _advance(st, seg, plan, stage, seen, {})
+            _advance(st, seg, plan, stage, {})
         assert set(stage) == {frozenset()}
-        return stage[frozenset()]
+        return stage[frozenset()].states
 
     def kept(order):
         return [(st.prev, st.p.r, st.q.r) for st in advance_all(order)]
@@ -311,6 +323,27 @@ def test_advance_keeps_one_antichain_per_bucket():
     assert only.prev is best
 
 
+def test_bucket_keeps_an_antichain_and_what_it_covers():
+    bucket = _Bucket()
+    bucket.add((1, 2), "x")
+    # an equal vector is covered, and so is a larger one, not a smaller one
+    assert bucket.covers((1, 2))
+    assert bucket.covers((1, 3))
+    assert not bucket.covers((0, 5))
+    # incomparable vectors are all kept, in insertion order
+    bucket.add((2, 1), "y")
+    bucket.add((0, 5), "z")
+    assert bucket.states == ["x", "y", "z"]
+    # (1, 1) evicts the two it is <=; what they covered stays covered
+    assert not bucket.covers((1, 1))
+    bucket.add((1, 1), "w")
+    assert bucket.vecs == [(0, 5), (1, 1)]
+    assert bucket.states == ["z", "w"]
+    assert bucket.covers((1, 2)) and bucket.covers((2, 1)) and bucket.covers((1, 3))
+    assert not bucket.covers((0, 4))
+    assert (0, 4) not in bucket.seen
+
+
 def pass_first_bounds(states, first_bounds, k, v):
     """A stand-in for solver._movers that moves every state passing the
     first side's lower bounds, as the DP did before the movers filter."""
@@ -324,8 +357,17 @@ def test_bucket_plans_match_fresh_records(monkeypatch):
     # so each plan serves all of those in its bucket (the movers filter is
     # tested on its own)
     monkeypatch.setattr(solver, "_movers", pass_first_bounds)
+    make_plan = solver._plan
+    plans = 0
+
+    def counted(*args):
+        nonlocal plans
+        plans += 1
+        return make_plan(*args)
+
+    monkeypatch.setattr(solver, "_plan", counted)
     rng = random.Random(47)
-    advanced = plans = 0
+    advanced = 0
     for _ in range(60):
         v = rng.choice([1, 2, 2])
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
@@ -335,12 +377,15 @@ def test_bucket_plans_match_fresh_records(monkeypatch):
         def kept(stage):
             return [
                 (A, [(id(st.prev), st.p.r, st.q.r, second_crossing(crossing, st),
-                      solver._witness(rep, v, st)) for st in bucket])
+                      solver._witness(rep, v, st)) for st in bucket.states])
                 for A, bucket in stage.items()
             ]
 
-        for built, shared, shared_seen in walk_stages(rep, v, []):
-            fresh, fresh_seen = {}, set()
+        def seen(stage):
+            return {A: bucket.seen for A, bucket in stage.items()}
+
+        for built, shared in walk_stages(rep, v, []):
+            fresh = {}
             for _, seg, _, preds in built:
                 for first_crossing, bucket in preds.items():
                     for st in bucket.states:
@@ -348,11 +393,10 @@ def test_bucket_plans_match_fresh_records(monkeypatch):
                         plan = _plan(own, first_crossing)
                         if solver._room(st.q, plan.first_bounds, v) is None:
                             continue
-                        _advance(st, own, plan, fresh, fresh_seen, {})
+                        _advance(st, own, plan, fresh, {})
                         advanced += 1
-                plans += len(seg.plans)
             assert kept(shared) == kept(fresh)
-            assert shared_seen == fresh_seen
+            assert seen(shared) == seen(fresh)
     assert advanced > 2 * plans > 0
 
 
@@ -446,46 +490,45 @@ def test_solve_greedy_calls_on_a_split_v2_shape(monkeypatch):
     assert 0 < calls < 677
 
 
-def walk_stages(rep, v, scans):
+def walk_stages(rep, v, stages):
     """Run solve's loop over rep without skipping old pairs, yielding
-    (built, stage, seen) once the stage at each s >= 1 is built.  built
-    lists (before, seg, heads_in, preds) for every record grown at s:
-    before is the record seg grew from, heads_in the number of heads seg
-    held before any state crossed it, and preds the states at seg.s_prev
-    by bucket (see solver._buckets), which solver._cross took across seg.
-    scans receives every stage of this walk in scan order."""
+    (built, stage) once the stage at each s >= 1 is built, before it is
+    finished.  built lists (before, seg, heads_in, preds) for every record
+    grown at s: before is the record seg grew from, heads_in the number of
+    heads seg held before any state crossed it, and preds the finished
+    stage at seg.s_prev, which solver._cross took across seg.  stages
+    receives every finished stage of this walk (see solver._finish)."""
     ivs = rep.family.intervals
     crossing = crossings(rep)
     arriving = solver._arriving(ivs, rep.m)
     frontier = solver._live_from(ivs, arriving, rep.m, v)
     group_of = compute_groups(rep.family, v).group_of
-    scans.append([base_state(v)])
-    grown, buckets, profiles = {}, {}, {}
+    stages.append(preds_of(base_state(v)))
+    grown, profiles = {}, {}
     for s in range(1, rep.m + 1):
         anchor = _crossing_groups(group_of, crossing[s])
-        stage, seen, built = {}, set(), []
-        if scans[s - 1]:
+        stage, built = {}, []
+        if stages[s - 1]:
             grown[s - 1] = None
-            buckets[s - 1] = _buckets(scans[s - 1])
         for s_prev, before in list(grown.items()):
             if s_prev < frontier[s]:
-                del grown[s_prev], buckets[s_prev]
+                del grown[s_prev]
                 continue
             seg = grown[s_prev] = _segment(ivs, crossing, arriving, s_prev, s, v, anchor, before)
-            built.append((before, seg, len(seg.head_cache), buckets[s_prev]))
-            _cross(seg, buckets[s_prev], stage, seen, profiles)
-        yield built, stage, seen
-        scans.append(sorted((st for b in stage.values() for st in b), key=_scan_key))
+            built.append((before, seg, len(seg.head_cache), stages[s_prev]))
+            _cross(seg, stages[s_prev], stage, profiles)
+        yield built, stage
+        stages.append(_finish(stage))
 
 
 def states_of(preds):
-    """Every state of preds, a walk_stages bucket map, bucket by bucket."""
+    """Every state of preds, a finished stage, bucket by bucket."""
     return [st for bucket in preds.values() for st in bucket.states]
 
 
-def grown_records(rep, v, scans=None):
+def grown_records(rep, v, stages=None):
     """(before, seg, heads_in, preds) for every record of walk_stages."""
-    for built, _, _ in walk_stages(rep, v, [] if scans is None else scans):
+    for built, _ in walk_stages(rep, v, [] if stages is None else stages):
         yield from built
 
 
@@ -518,25 +561,33 @@ def test_carried_and_shared_caches_match_fresh_values():
     assert shared > 200
 
 
-def test_anchor_side_lists_match_a_fresh_enumeration():
+def test_anchor_side_lists_match_a_fresh_enumeration(monkeypatch):
+    make_plan = solver._plan
+    made = []
+
+    def kept(seg, first_crossing):
+        made.append((seg, first_crossing, make_plan(seg, first_crossing)))
+        return made[-1][2]
+
+    monkeypatch.setattr(solver, "_plan", kept)
     rng = random.Random(59)
     plans = 0
-    keys = {}
+    anchors = {}
     for _ in range(60):
         v = rng.choice([1, 2, 3])
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
         build = segment_builder(rep, v)
-        for _, seg, _, _ in grown_records(rep, v):
+        for _ in grown_records(rep, v):
+            pass
+        for seg, first_crossing, plan in made:
             fresh = build(seg.s_prev, seg.s)
-            for first_crossing, plan in seg.plans.items():
-                shared_first = fresh.shared - first_crossing
-                assert [c.A for c in plan.candidates] == [
-                    c.A for c in _candidates(fresh, shared_first)
-                ]
-                plans += 1
-            keys[id(seg.anchor)] = len(seg.anchor.sides)
+            shared_first = fresh.shared - first_crossing
+            assert plan.sides == _side_assignments(fresh.anchor, fresh.shared, shared_first)
+            plans += 1
+            anchors[id(seg.anchor)] = seg.anchor
+        made.clear()
     # most plans reuse a side list another segment at their anchor built
-    assert plans > 2 * sum(keys.values()) > 0
+    assert plans > 2 * sum(len(anchor.sides) for anchor in anchors.values()) > 0
 
 
 def long_rep(rng, m_max):
@@ -580,10 +631,10 @@ def test_old_pairs_add_nothing_or_one_common_successor_set():
                 continue
             for X in states_of(preds):
                 alone = {}
-                _cross(seg, _buckets([X]), alone, set(), {})
+                _cross(seg, preds_of(X), alone, {})
                 keys = {
                     (st.p.r, st.q.r, st.first_crossing, second_crossing(crossing, st))
-                    for bucket in alone.values() for st in bucket
+                    for bucket in alone.values() for st in bucket.states
                 }
                 old_pairs += 1
                 if keys:
@@ -592,20 +643,25 @@ def test_old_pairs_add_nothing_or_one_common_successor_set():
     assert old_pairs > adding > 3000
 
 
-def unskipped_witness(rep, v, scans):
+def unskipped_witness(rep, v, stages):
     """The rep_assignment solve reads from the first accepting state of
-    scans, or None when the last stage is empty."""
-    if not scans[-1]:
+    stages, or None when the last stage is empty."""
+    if not stages[-1]:
         return None
-    return PartitionAssignment(tuple(solver._witness(rep, v, scans[-1][0])))
+    return PartitionAssignment(tuple(solver._witness(rep, v, first_state(stages[-1]))))
 
 
 def test_solve_stages_match_the_unskipped_walk(monkeypatch):
-    def kept(scans, crossing):
+    # every bucket of every stage, in order, with its states in scan order
+    def kept(stages, crossing):
         def key(st):
             return (st.s, st.p.r, st.q.r, st.first_crossing, second_crossing(crossing, st))
 
-        return [[(key(st), st.prev and key(st.prev)) for st in stage] for stage in scans]
+        return [
+            [(A, [(key(st), st.prev and key(st.prev)) for st in bucket.states])
+             for A, bucket in stage.items()]
+            for stage in stages
+        ]
 
     stages, segment = solver._stages, solver._segment
     solved, built = [], 0
@@ -631,7 +687,7 @@ def test_solve_stages_match_the_unskipped_walk(monkeypatch):
         res = solve(rep, v)
         crossing = crossings(rep)
         assert kept(solved[-1], crossing) == kept(walk, crossing)
-        assert res.stage_state_counts == tuple(map(len, walk))
+        assert res.stage_state_counts == tuple(len(states_of(stage)) for stage in walk)
         assert res.rep_assignment == unskipped_witness(rep, v, walk)
     assert walked > 10000
     # solve skipped old pairs, so it built fewer records than the walk
@@ -675,8 +731,9 @@ def test_movers_keep_every_stage_key_of_advancing_every_state(monkeypatch):
         skipped += len(pass_first_bounds(states, first_bounds, k, v)) - len(kept)
         return kept
 
-    def keys(scans):
-        return [[(st.p.r, st.q.r, st.first_crossing) for st in stage] for stage in scans]
+    def keys(stages):
+        return [[(st.p.r, st.q.r, st.first_crossing) for st in states_of(stage)]
+                for stage in stages]
 
     rng = random.Random(79)
     for n in range(64):
@@ -771,6 +828,25 @@ def test_solve_advance_calls_on_a_dense_v2_instance(monkeypatch):
     assert 0 < calls < 4000
 
 
+def test_solve_movers_calls_on_a_dense_v2_instance(monkeypatch):
+    # filtering each bucket afresh at every visit made 1,391 _movers calls
+    # on this instance, one per bucket visit
+    movers = solver._movers
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return movers(*args)
+
+    monkeypatch.setattr(solver, "_movers", counted)
+    S = generate(GeneratorSpec("vertebrate", m=40, density=2.0, max_len=3, seed=6))
+    res = solve(vertebrate_representation(S), 2)
+    assert res.feasible
+    assert sum(res.stage_state_counts) == 1126
+    assert 0 < calls < 700
+
+
 def test_solve_fd_head_calls_below_the_per_segment_count(monkeypatch):
     # on a long sparse v = 1 backbone, computing every F+D head afresh in
     # each segment record made 673 fd_head calls on this instance
@@ -809,6 +885,22 @@ def test_verify_partition_path3_split():
     path = fam((0, 2), (1, 3), (2, 4))
     split = PartitionAssignment((Side.FIRST, Side.SECOND, Side.FIRST))
     assert verify_partition(path, split, 1)
+
+
+def test_verify_partition_matches_the_oracle_claw_of_each_part():
+    rng = random.Random(83)
+    answers = set()
+    for _ in range(300):
+        v = rng.randint(1, 3)
+        S = fam(*((lo, lo + rng.randint(1, 5)) for lo in
+                  (rng.randint(0, 12) for _ in range(rng.randint(1, 14)))))
+        split = PartitionAssignment(tuple(rng.choice(list(Side)) for _ in range(len(S))))
+        want = all(
+            oracle_claw(S.subfamily(split.part(side))) <= v for side in (Side.FIRST, Side.SECOND)
+        )
+        assert verify_partition(S, split, v) == want
+        answers.add(want)
+    assert answers == {True, False}
 
 
 def test_verify_partition_checks_length():
@@ -890,7 +982,7 @@ def test_solve_witness_honours_every_commitment_on_the_accepting_chain(monkeypat
             continue
         sides = res.rep_assignment.sides
         crossing = crossings(rep)
-        st, label = solved[-1][-1][0], Side.FIRST
+        st, label = first_state(solved[-1][-1]), Side.FIRST
         while st.prev is not None:
             prev, other = st.prev, label.other()
             assert all(sides[i] == label for i in st.first_crossing)
