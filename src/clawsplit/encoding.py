@@ -23,7 +23,8 @@ members, can compute it once and pass it in; it then vouches for the
 segment members (the solver validates its long ones and passes no short
 one), which extend validates only when it computes the head itself.  Such
 a caller can also pass extend a table that interns the profiles it
-returns, so that each distinct profile is built, and validated, once.
+returns, so that each distinct profile is built, and validated, once, and a
+floor below which it sets every entry to -1 before interning.
 """
 
 from __future__ import annotations
@@ -191,6 +192,7 @@ def extend(
     v: int,
     head: tuple[tuple[int, ...], int, int] | None = None,
     table: dict[tuple[int, ...], MonotonicSeq] | None = None,
+    floor: int = 0,
 ) -> tuple[MonotonicSeq, MonotonicSeq]:
     """Advance a 2-partition's profiles across the segment (s_prev, s].
 
@@ -222,6 +224,11 @@ def extend(
             Its keys are the entries, which fix s (entry 0) and v (their
             count less 3), so a hit is the profile a fresh build would give,
             and that build's validation already ran when it was added.
+        floor: every entry of both new profiles below floor, 0 <= floor <= s,
+            is set to -1 before the profile is interned (so r_0 = s stays).
+            The default 0 changes no entry.  The solver passes the least lo
+            of the members crossing s, below which no later check reads a
+            profile (see solver._advance).
 
     Returns:
         The pair of profiles at s.  The first part's new profile starts with
@@ -231,6 +238,8 @@ def extend(
     """
     if not 0 <= s_prev < s:
         raise ValueError(f"segment ({s_prev}, {s}] is not ordered")
+    if not 0 <= floor <= s:
+        raise ValueError(f"floor {floor} outside [0, {s}]")
     if p_prev.s != s_prev or q_prev.s != s_prev:
         raise ValueError("predecessor profiles not anchored at s_prev")
     if p_prev.v != v or q_prev.v != v:
@@ -243,21 +252,24 @@ def extend(
 
     fd, w, w_full = fd_head(F, D, s_prev, s, v) if head is None else head
 
+    # Both raw profiles strictly decrease until they bottom out at -1, and
+    # -1 < floor, so the entries below floor are a suffix: each loop stops
+    # at the first one and leaves the rest at -1.
     p = [-1] * (v + 3)
     p[0] = s
     for u in range(1, v + 2):
-        if u <= s - s_prev:
-            p[u] = s - u
-        else:
-            p[u] = p_prev.r[u - (s - s_prev)]
+        x = s - u if u <= s - s_prev else p_prev.r[u - (s - s_prev)]
+        if x < floor:
+            break
+        p[u] = x
 
     q = [-1] * (v + 3)
     q[0] = s
     for u in range(1, v + 2):
-        if u <= w_full:
-            q[u] = fd[u - 1]
-        else:
-            q[u] = q_prev.r[u - w]
+        x = fd[u - 1] if u <= w_full else q_prev.r[u - w]
+        if x < floor:
+            break
+        q[u] = x
 
     return _interned(tuple(p), s, v, table), _interned(tuple(q), s, v, table)
 

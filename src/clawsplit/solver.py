@@ -79,10 +79,19 @@ successors, and old pairs come first, so once one of them has added a
 state at s, _stages skips the other old pairs at s; the stage, its
 buckets' seen sets and every back-pointer are what they would have been.
 
+No check reads a profile entry below floor(s), the least lo among the
+members crossing s (s when none does): profiles are read only as
+alpha_seq(r, a), with a the lo of a member crossing the anchor the profile
+is read at, and floor never decreases with s.  So extend sets every such
+entry to -1 before it interns the profile, which merges states that differ
+only there and changes no decision (the proof is in _advance).  Every kept
+entry then lies in [floor(s), s - 1] or is -1, at most L values with L the
+longest member.
+
 Members are grouped by chains of significant overlap (intersection length
 >= 2v + 1); a feasible split never separates a group, so crossing members are
 assigned group-wise, which keeps every stage's state count within
-(s + 2)^(2(v+1)) * 2^(2v^2+v).
+(L + 2)^(2(v+1)) * 2^(2v^2+v), whatever s and m are.
 
 A stage keeps only non-dominated states.  States with the same
 first_crossing form a bucket; in a bucket, state X dominates state Y when
@@ -95,7 +104,8 @@ feasible split:
   * extend builds each new entry from the ramp s - u, from fd_head (which
     depends on the segment and the settled set only), or from a shifted
     predecessor entry, so entrywise <= predecessors give entrywise <=
-    successors.
+    successors.  The clamp to floor(s) keeps that order: it maps an entry
+    x to x or to -1 by whether x >= floor(s), which is monotone in x.
   * Every profile check, the two lower bounds (in _movers and _advance)
     and the split star counts in _advance, has the form
     alpha_seq(profile, a) + count <= v, where count does not depend on the
@@ -316,7 +326,9 @@ class _Anchor:
 
     group_of maps each member to its overlap group (see compute_groups).
     gids are the sorted groups of the members crossing s, and members_of
-    lists each one's members; both depend on s alone.  sides memoises the
+    lists each one's members; both depend on s alone.  floor is the least lo
+    of the members crossing s, or s when none does: extend sets every
+    profile entry below it to -1 (see _advance).  sides memoises the
     side assignments that _plan reads, as (first side, second side) pairs
     of crossing members, keyed by (shared, the shared members on
     the first side): with group_of fixed per solve and gids and members_of
@@ -327,6 +339,7 @@ class _Anchor:
     group_of: Sequence[int]
     gids: tuple[int, ...]
     members_of: dict[int, tuple[int, ...]]
+    floor: int
     sides: dict[
         tuple[frozenset[int], frozenset[int]], list[tuple[frozenset[int], frozenset[int]]]
     ] = field(default_factory=dict)
@@ -422,13 +435,40 @@ class _Plan:
 _NO_MEMBERS = IntervalFamily(())
 
 
-def _crossing_groups(group_of: Sequence[int], K_set: frozenset[int]) -> _Anchor:
-    """The _Anchor of the members K_set: their sorted groups, each one's
-    members in K_set, and no side assignments yet."""
+def _crossing_groups(group_of: Sequence[int], K_set: frozenset[int], floor: int) -> _Anchor:
+    """The _Anchor of the members K_set, with the given floor: their sorted
+    groups, each one's members in K_set, and no side assignments yet."""
     gids = tuple(sorted({group_of[i] for i in K_set}))
     return _Anchor(
-        group_of, gids, {g: tuple(sorted(i for i in K_set if group_of[i] == g)) for g in gids}
+        group_of,
+        gids,
+        {g: tuple(sorted(i for i in K_set if group_of[i] == g)) for g in gids},
+        floor,
     )
+
+
+def _crossings(
+    ivs: Sequence[Interval], arriving: Sequence[Sequence[int]], m: int
+) -> tuple[list[frozenset[int]], list[int]]:
+    """(crossing, floor): crossing[s] is the set of members crossing the
+    anchor s, as crossing_family gives it, and floor[s] the least lo among
+    them, or s when none does; arriving[t] lists the members with hi = t.
+
+    One sweep over the anchors: the members with lo < s < hi are those that
+    started at an anchor before s and have not arrived by s.  floor never
+    decreases: a member crossing s' > s with lo < s crosses s too.
+    """
+    starting: list[list[int]] = [[] for _ in range(m + 1)]
+    for i, iv in enumerate(ivs):
+        starting[iv.lo].append(i)
+    crossing, floor = [], []
+    active: set[int] = set()
+    for s in range(m + 1):
+        active.difference_update(arriving[s])
+        crossing.append(frozenset(active))
+        floor.append(min((ivs[i].lo for i in active), default=s))
+        active.update(starting[s])
+    return crossing, floor
 
 
 def _segment(
@@ -485,13 +525,35 @@ def _segment(
 
 
 def _long_star_ok(seg: _Segment, outside: frozenset[int]) -> bool:
-    """mid_relation of the long members against themselves and the outside
-    members, by index, memoised in seg.long_star_cache under outside."""
+    """mid_relation(long, long + outside, v) on the long members of the live
+    segment seg, memoised in seg.long_star_cache under outside.
+
+    Only the centers that meet an outside member are checked.  _stages
+    builds records only for live segments (see _live_from), so no long
+    member meets v + 1 disjoint other long members.  The leaves of an
+    overfull star centered on a long member are then not all long: one is
+    an outside member, and it meets the center.  Each checked center is
+    given only the members that meet it, the only ones
+    _max_disjoint_meeting can count, and is left out by index.  The outside
+    members cross s_prev or s, so none of them is a long member, and the
+    representation holds no two equal members: leaving the center out by
+    index is leaving it out by value, as mid_relation does.
+    """
     ok = seg.long_star_cache.get(outside)
     if ok is None:
         ivs = seg.ivs
-        fam = IntervalFamily(tuple(ivs[i] for i in sorted(outside.union(seg.long_idx))))
-        ok = seg.long_star_cache[outside] = mid_relation(seg.long_fam, fam, seg.v)
+        near = [ivs[i] for i in outside]
+        ok = True
+        for c in seg.long_idx:
+            center = ivs[c]
+            leaves = [x for x in near if intersects(x, center)]
+            if not leaves:
+                continue
+            leaves += (ivs[i] for i in seg.long_idx if i != c and intersects(ivs[i], center))
+            if _max_disjoint_meeting(leaves, center.lo, center.hi) > seg.v:
+                ok = False
+                break
+        seg.long_star_cache[outside] = ok
     return ok
 
 
@@ -664,6 +726,33 @@ def _advance(
     has the vector of the one p_new and q_new.  A candidate that its bucket
     covers is dropped before the settled and star checks.  One that passes
     every check joins its bucket, which evicts the states it dominates.
+
+    extend sets every entry of p_new and q_new below floor(s) =
+    seg.anchor.floor to -1 before it interns them; call that c_s.  It
+    changes no check, at this hop or any later one:
+
+      * A check reads a profile only in _room, as alpha_seq(r, a): the
+        lower bounds here and in _movers, and the split star counts here.
+        There r is a profile at the hop's s_prev = t, and a is the lo of a
+        settling member, which crosses t, so a >= floor(t) >= 0.
+        alpha_seq(r, a) is the largest u with a <= r_u.  An entry below
+        floor(t) fails that test, as -1 does, so alpha_seq(c_t(r), a) =
+        alpha_seq(r, a).
+      * floor never decreases (see _crossings), so for t >= s, c_s then c_t
+        is c_t.  extend copies predecessor entries unchanged and builds the
+        others without them, so c_t(extend(c_s(r))) = c_t(extend(r)): the
+        entries extend carries forward differ only where c_t sets both to
+        -1.  By induction over the hops, every profile the DP builds at t
+        is c_t of the one the unclamped DP builds from the same choices,
+        and so passes exactly the checks that one passes.
+
+    c_s keeps MonotonicSeq's shape: r_0 = s >= floor(s) stays, and the
+    entries below floor(s) are a suffix of the strictly decreasing ones.
+    c_s is monotone, so entrywise <= profiles stay entrywise <=, and the
+    dominance argument of the module docstring holds for the clamped
+    vectors.  Each kept entry lies in [floor(s), s - 1] or is -1, and a
+    member crossing s has lo >= s - L + 1, with L the longest member: so an
+    entry takes at most L values, whatever s and m are.
     """
     v = seg.v
     p_prime, q_prime = st.q, st.p
@@ -680,7 +769,7 @@ def _advance(
         seg.head_cache[plan.settled_second] = head
     p_new, q_new = extend(
         p_prime, q_prime, plan.F, _NO_MEMBERS, seg.long_fam, seg.s_prev, seg.s, v,
-        head, profiles,
+        head, profiles, seg.anchor.floor,
     )
 
     vec = p_new.r + q_new.r
@@ -738,7 +827,8 @@ def _movers(
       * q_new, which is the plan's head, then entries of Y.p.
 
     Each of these is monotone (see extend and alpha_seq in the module
-    docstring), and the candidates, their counts and the star check are
+    docstring; the clamp of p_new and q_new to floor(s) reads s alone and is
+    monotone too), and the candidates, their counts and the star check are
     the plan's.  So when X is <= Y on the projection, every candidate A
     whose successor of Y passes the second-side counts and the star check
     gives X a successor that passes them too (the same counts, at least
@@ -842,7 +932,8 @@ def _last_old(ivs: Sequence[Interval], m: int, v: int) -> list[int]:
         1..v + 1, and fd_head's entries are read from s alone.
         c_1..c_{v+1} are disjoint members of D meeting (s_prev, s), so
         w_full >= w >= v + 1, and every entry of q_new comes from the head.
-        The successor profiles are the same for every old s_prev and X.
+        The successor profiles are the same for every old s_prev and X, and
+        so are their clamps (see _advance), which read floor(s) alone.
       * The lower bounds read X's profiles and the settled members only.
         A new second-side member, in B, crosses s and so starts at
         s - L + 1 or later, while a settled member (a, b) ends by
@@ -926,10 +1017,11 @@ def _live_from(
         same check over the remaining members decides the next s_prev.
         Every s_prev up to the least lo has the same long members as f, so
         when the check fails the frontier moves just past that lo.
-      * The (s_prev, s) with s_prev < live_from[s] add no state anyway:
-        _long_star_ok checks the long members against themselves and more,
-        and fails wherever this check fails.  So the frontier only prunes
-        work; _stages drops those s_prev for good.
+      * The (s_prev, s) with s_prev < live_from[s] add no state: the long
+        members of every successor's second side would center an overfull
+        star among themselves.  _stages drops those s_prev for good and
+        builds no record for them, and _long_star_ok, which checks only the
+        centers meeting an outside member, relies on that.
     """
     live_from = [0] * (m + 1)
     f = 0
@@ -963,8 +1055,8 @@ def _stages(rep: VertebrateRep, v: int) -> list[dict[frozenset[int], _Bucket]]:
     ivs = rep.family.intervals
     m = rep.m
     group_of = compute_groups(rep.family, v).group_of
-    crossing = [frozenset(crossing_family(rep, s)) for s in range(m + 1)]
     arriving = _arriving(ivs, m)
+    crossing, floor = _crossings(ivs, arriving, m)
     last_old = _last_old(ivs, m, v)
     live_from = _live_from(ivs, arriving, m, v)
 
@@ -972,9 +1064,11 @@ def _stages(rep: VertebrateRep, v: int) -> list[dict[frozenset[int], _Bucket]]:
     stages: list[dict[frozenset[int], _Bucket]] = [
         {frozenset(): _Bucket(states=[DPState(0, zero, zero, frozenset())])}
     ]
-    # The cap is (s + 2)^state_cap_exp * 2^group_cap_bits; a count of at
-    # most group_cap_bits bits lies below it, so the cap is built only for
-    # larger counts (at v = 16000 the power of two alone has 512M bits).
+    # The cap is (L + 2)^state_cap_exp * 2^group_cap_bits, with L the
+    # longest member (see _advance); a count of at most group_cap_bits bits
+    # lies below it, so the cap is built only for larger counts (at
+    # v = 16000 the power of two alone has 512M bits).
+    longest = max((iv.length for iv in ivs), default=0)
     state_cap_exp = 2 * (v + 1)
     group_cap_bits = 2 * v * v + v
 
@@ -992,7 +1086,7 @@ def _stages(rep: VertebrateRep, v: int) -> list[dict[frozenset[int], _Bucket]]:
         stage: dict[frozenset[int], _Bucket] = {}
         if stages[s - 1]:
             grown[s - 1] = None
-        anchor = _crossing_groups(group_of, crossing[s])
+        anchor = _crossing_groups(group_of, crossing[s], floor[s])
         for s_prev, before in list(grown.items()):
             if s_prev < live_from[s]:
                 del grown[s_prev]
@@ -1005,7 +1099,7 @@ def _stages(rep: VertebrateRep, v: int) -> list[dict[frozenset[int], _Bucket]]:
             _cross(seg, stages[s_prev], stage, profiles)
         count = sum(len(bucket.states) for bucket in stage.values())
         if count.bit_length() > group_cap_bits:
-            cap = (s + 2) ** state_cap_exp << group_cap_bits
+            cap = (longest + 2) ** state_cap_exp << group_cap_bits
             if count > cap:
                 raise AssertionError(f"stage {s} holds {count} states, cap {cap}")
         stages.append(_finish(stage))

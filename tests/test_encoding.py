@@ -181,6 +181,9 @@ def test_extend_leading_parameters_are_pinned():
 def test_extend_rejects_anchor_mismatch():
     with pytest.raises(ValueError):
         extend(zero_seq(1), zero_seq(1), EMPTY, EMPTY, EMPTY, 1, 3, 1)
+    # a floor past s would clamp the anchor entry r_0 = s
+    with pytest.raises(ValueError):
+        extend(zero_seq(1), zero_seq(1), EMPTY, EMPTY, EMPTY, 0, 1, 1, floor=2)
 
 
 def random_rep(rng, m_max=9):
@@ -224,8 +227,10 @@ def build_basic_partition(rng, rep, s, v):
 
 def test_extension_equals_encoding_of_whole():
     # build a run-structured partition directly, encode its pieces, and
-    # check the extension formulas reproduce the full encodings
+    # check the extension formulas reproduce the full encodings, and with a
+    # floor, the full encodings with every entry below it set to -1
     rng = random.Random(22)
+    floors = random.Random(23)
     done = 0
     while done < 150:
         v = rng.choice([1, 2])
@@ -262,6 +267,10 @@ def test_extension_equals_encoding_of_whole():
             p_got, q_got = extend(p_prev, q_prev, F, C, D, s_prev, s, v, *args)
             assert p_got == p_full
             assert q_got == q_full
+        floor = floors.randint(0, s)
+        p_cut, q_cut = extend(p_prev, q_prev, F, C, D, s_prev, s, v, floor=floor)
+        for got, full in ((p_cut, p_full), (q_cut, q_full)):
+            assert got.r == tuple(x if x >= floor else -1 for x in full.r)
         done += 1
 
 

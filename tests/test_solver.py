@@ -3,6 +3,7 @@
 import random
 import time
 import tracemalloc
+from operator import le
 
 import pytest
 
@@ -132,6 +133,12 @@ def crossings(rep):
     return [frozenset(crossing_family(rep, t)) for t in range(rep.m + 1)]
 
 
+def crossings_and_floors(rep):
+    """(crossing, floor) of solver._crossings for every anchor of rep."""
+    ivs = rep.family.intervals
+    return solver._crossings(ivs, solver._arriving(ivs, rep.m), rep.m)
+
+
 def second_crossing(crossing, st):
     """The members crossing st.s that st committed to its second side."""
     return crossing[st.s] - st.first_crossing
@@ -141,12 +148,12 @@ def segment_builder(rep, v):
     """build(s_prev, s, before=None): the record of (s_prev, s] that
     _segment grows from before, or from nothing, with a fresh anchor."""
     ivs = rep.family.intervals
-    crossing = crossings(rep)
+    crossing, floor = crossings_and_floors(rep)
     arriving = solver._arriving(ivs, rep.m)
     group_of = compute_groups(rep.family, v).group_of
 
     def build(s_prev, s, before=None):
-        anchor = _crossing_groups(group_of, crossing[s])
+        anchor = _crossing_groups(group_of, crossing[s], floor[s])
         return _segment(ivs, crossing, arriving, s_prev, s, v, anchor, before)
 
     return build
@@ -193,12 +200,29 @@ def test_crossing_family_range_check():
         crossing_family(PATH3_REP, 3)
 
 
+def test_crossings_sweep_matches_crossing_family():
+    rng = random.Random(101)
+    anchors = 0
+    for _ in range(100):
+        rep = vertebrate_representation(random_rep(rng, m_max=12, n_max=30))
+        crossing, floor = crossings_and_floors(rep)
+        assert len(crossing) == len(floor) == rep.m + 1
+        for s in range(rep.m + 1):
+            assert crossing[s] == frozenset(crossing_family(rep, s))
+            assert floor[s] == min((rep.family[i].lo for i in crossing[s]), default=s)
+            anchors += 1
+        assert floor == sorted(floor)
+    assert anchors > 500
+
+
 def test_check_transition_single_unit():
+    # the raw first profile is the ramp (1, 0, -1, -1); nothing crosses
+    # anchor 1, so its floor is 1 and the entry 0 below it is clamped
     rep = vertebrate_representation(fam((0, 5)))
     out = hop(rep, 1, base_state(1), 1)
     assert set(out) == {frozenset()}
     st = out[frozenset()]
-    assert st.p.r == (1, 0, -1, -1)
+    assert st.p.r == (1, -1, -1, -1)
     assert st.q.r == (1, -1, -1, -1)
 
 
@@ -233,16 +257,42 @@ def test_check_transition_rejects_overfull_star_side():
     assert frozenset() in hop(rep, 3, base_state(3), 3)
 
 
-def test_check_transition_long_side_claw_violation():
+def test_check_transition_long_side_claw_violation(monkeypatch):
     # the long side of one segment can fail on its own: (0,4) meets the
     # disjoint pair (0,2),(2,4) and all three have length > 1
     pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (2, 4), (0, 4)]
     rep = vertebrate_representation(fam(*pairs))
-    # the segment is dead, and the star check rejects every successor too
+    # the segment is dead, and solve never builds its record
     assert live_from(rep, 1)[4] > 0
-    assert hop(rep, 1, base_state(1), 4) == {}
+    segment, built = solver._segment, []
+
+    def kept(*args, **kwargs):
+        built.append(segment(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "_segment", kept)
+    solve(rep, 1)
+    assert built and (0, 4) not in {(seg.s_prev, seg.s) for seg in built}
     # at v = 2 the same long side only needs claw 2: passes
     assert frozenset() in hop(rep, 2, base_state(2), 4)
+
+
+def test_check_transition_star_completed_by_an_outside_member():
+    # on the live segment (0, 3] the long members (0,2),(0,3) center no
+    # overfull star among themselves, but (2,4), which crosses 3, completes
+    # the star (0,3) -> (0,2),(2,4) when it joins the long side
+    rep = vertebrate_representation(
+        fam((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2), (0, 3), (2, 4))
+    )
+    x = rep.family.intervals.index(Interval(2, 4))
+    assert live_from(rep, 1)[3] == 0
+    seg = segment_builder(rep, 1)(0, 3)
+    long_fam = seg.long_fam
+    assert mid_relation(long_fam, long_fam, 1)
+    assert not solver._long_star_ok(seg, frozenset({x}))
+    assert not mid_relation(long_fam, IntervalFamily(long_fam.intervals + (Interval(2, 4),)), 1)
+    # only the successor that puts (2,4) on the short side survives
+    assert set(hop(rep, 1, base_state(1), 3)) == {frozenset({x})}
 
 
 def test_grown_segments_match_a_fresh_build():
@@ -288,10 +338,15 @@ def test_grown_segments_match_a_fresh_build():
 
 def test_advance_keeps_one_antichain_per_bucket():
     # across the unit (1, 2] the new first profile is (2, 1, q_1, -1) and the
-    # new second one (2, p_1, -1, -1), read off the swapped predecessor
-    rep = vertebrate_representation(fam((0, 1), (1, 2), (2, 3)))
+    # new second one (2, p_1, -1, -1), read off the swapped predecessor.
+    # (0,3) crosses both anchors, so the floor at 2 is 0 and nothing is
+    # clamped; committed to the second side at 1, it is forced to the first
+    # one at 2
+    rep = vertebrate_representation(fam((0, 1), (1, 2), (2, 3), (0, 3)))
     seg = segment_builder(rep, 1)(1, 2)
+    assert seg.anchor.floor == 0
     plan = _plan(seg, frozenset())
+    forced = frozenset({3})
     low, high = MonotonicSeq((1, -1, -1, -1), 1, 1), MonotonicSeq((1, 0, -1, -1), 1, 1)
     best = DPState(1, low, low, frozenset())
     worse_p = DPState(1, low, high, frozenset())
@@ -301,8 +356,8 @@ def test_advance_keeps_one_antichain_per_bucket():
         stage = {}
         for st in order:
             _advance(st, seg, plan, stage, {})
-        assert set(stage) == {frozenset()}
-        return stage[frozenset()].states
+        assert set(stage) == {forced}
+        return stage[forced].states
 
     def kept(order):
         return [(st.prev, st.p.r, st.q.r) for st in advance_all(order)]
@@ -355,7 +410,9 @@ def test_bucket_plans_match_fresh_records(monkeypatch):
     # all the states of a stage; a fresh record per state shares nothing.
     # Every state that passes the first side's lower bounds crosses here,
     # so each plan serves all of those in its bucket (the movers filter is
-    # tested on its own)
+    # tested on its own).  The clamp leaves few states per bucket at v <= 2
+    # (4,070 advanced for 3,041 plans on the first 60 instances), so 60
+    # larger ones at v = 3 follow
     monkeypatch.setattr(solver, "_movers", pass_first_bounds)
     make_plan = solver._plan
     plans = 0
@@ -368,9 +425,12 @@ def test_bucket_plans_match_fresh_records(monkeypatch):
     monkeypatch.setattr(solver, "_plan", counted)
     rng = random.Random(47)
     advanced = 0
-    for _ in range(60):
-        v = rng.choice([1, 2, 2])
-        rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
+    for k in range(120):
+        if k < 60:
+            v, m_max, n_max = rng.choice([1, 2, 2]), 10, 24
+        else:
+            v, m_max, n_max = 3, 12, 30
+        rep = vertebrate_representation(random_rep(rng, m_max=m_max, n_max=n_max))
         crossing = crossings(rep)
         build = segment_builder(rep, v)
 
@@ -409,7 +469,8 @@ def test_solve_builds_each_profile_once(monkeypatch):
         post_init(seq)
 
     monkeypatch.setattr(MonotonicSeq, "__post_init__", counted)
-    S = generate(GeneratorSpec("vertebrate", m=20, density=2.0, max_len=3, seed=3))
+    # at m = 20 the clamped DP builds only 64 distinct profiles
+    S = generate(GeneratorSpec("vertebrate", m=60, density=2.0, max_len=3, seed=3))
     res = solve(vertebrate_representation(S), 2)
     assert res.feasible
     assert len(built) > 100
@@ -419,7 +480,8 @@ def test_solve_builds_each_profile_once(monkeypatch):
 def test_solve_greedy_calls_below_the_per_state_count(monkeypatch):
     # every _max_disjoint_meeting call of one solve, from the settled
     # counts, the lower bounds, fd_head and the star checks; computing the
-    # settled counts once per state and candidate made 5,902 on this instance
+    # settled counts once per state and candidate made 5,902 on this
+    # instance, and the DP kept 582 states before the clamp
     greedy = intervals._max_disjoint_meeting
     calls = 0
 
@@ -434,7 +496,7 @@ def test_solve_greedy_calls_below_the_per_state_count(monkeypatch):
         monkeypatch.setattr(module, "_max_disjoint_meeting", counted)
     res = solve(rep, 2)
     assert res.feasible
-    assert sum(res.stage_state_counts) == 582
+    assert sum(res.stage_state_counts) == 140
     assert 0 < calls < 5902
 
 
@@ -471,7 +533,8 @@ def test_new_first_side_members_meet_each_settled_window_b_minus_s_prev_times():
 
 def test_solve_greedy_calls_on_a_split_v2_shape(monkeypatch):
     # counting the first side's settled members anew for every candidate,
-    # as well as bounding them by b - s_prev, made 677 calls on this instance
+    # as well as bounding them by b - s_prev, made 677 calls on this
+    # instance, and the DP kept 301 states before the clamp
     greedy = intervals._max_disjoint_meeting
     calls = 0
 
@@ -486,7 +549,7 @@ def test_solve_greedy_calls_on_a_split_v2_shape(monkeypatch):
         monkeypatch.setattr(module, "_max_disjoint_meeting", counted)
     res = solve(rep, 2)
     assert res.feasible
-    assert sum(res.stage_state_counts) == 301
+    assert sum(res.stage_state_counts) == 62
     assert 0 < calls < 677
 
 
@@ -499,14 +562,14 @@ def walk_stages(rep, v, stages):
     stage at seg.s_prev, which solver._cross took across seg.  stages
     receives every finished stage of this walk (see solver._finish)."""
     ivs = rep.family.intervals
-    crossing = crossings(rep)
+    crossing, floor = crossings_and_floors(rep)
     arriving = solver._arriving(ivs, rep.m)
     frontier = solver._live_from(ivs, arriving, rep.m, v)
     group_of = compute_groups(rep.family, v).group_of
     stages.append(preds_of(base_state(v)))
     grown, profiles = {}, {}
     for s in range(1, rep.m + 1):
-        anchor = _crossing_groups(group_of, crossing[s])
+        anchor = _crossing_groups(group_of, crossing[s], floor[s])
         stage, built = {}, []
         if stages[s - 1]:
             grown[s - 1] = None
@@ -694,6 +757,82 @@ def test_solve_stages_match_the_unskipped_walk(monkeypatch):
     assert built < walked
 
 
+def clamped(r, floor):
+    """The profile entries r with every one below floor set to -1."""
+    return tuple(x if x >= floor else -1 for x in r)
+
+
+def minimal(vecs):
+    """The vectors of vecs that no other one is <= entrywise."""
+    return {x for x in vecs if not any(y != x and all(map(le, y, x)) for y in vecs)}
+
+
+def test_clamped_stages_are_the_minimal_clamped_keys_of_an_unclamped_run(monkeypatch):
+    # with every floor 0, extend clamps nothing and the DP runs unclamped;
+    # clamping is monotone and clamping at s then at t >= s is clamping at
+    # t, so each clamped stage holds, per bucket, exactly the minimal keys
+    # among the clamped keys of the unclamped stage
+    crossings_of = solver._crossings
+
+    def unclamped(ivs, arriving, m):
+        crossing, floor = crossings_of(ivs, arriving, m)
+        return crossing, [0] * len(floor)
+
+    rng = random.Random(89)
+    stages_checked = merged = 0
+    for k in range(150):
+        v = 1 + k % 3
+        if k % 2:
+            rep = long_rep(rng, 30 if v == 1 else 16)
+        else:
+            rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
+        _, floor = crossings_and_floors(rep)
+        stages = solver._stages(rep, v)
+        with monkeypatch.context() as patched:
+            patched.setattr(solver, "_crossings", unclamped)
+            raw_stages = solver._stages(rep, v)
+        for s, (stage, raw) in enumerate(zip(stages, raw_stages)):
+            assert set(stage) == set(raw)
+            for A, bucket in raw.items():
+                keys = {clamped(st.p.r, floor[s]) + clamped(st.q.r, floor[s]) for st in bucket.states}
+                kept = [st.p.r + st.q.r for st in stage[A].states]
+                assert len(kept) == len(set(kept))
+                assert set(kept) == minimal(keys)
+                merged += len(bucket.states) - len(kept)
+            stages_checked += 1
+    assert stages_checked > 1500
+    assert merged > 20000
+
+
+def test_long_star_check_matches_mid_relation_on_live_records():
+    # _long_star_ok checks only the centers meeting an outside member; on a
+    # live segment that is the whole mid_relation(long, long + outside, v)
+    rng = random.Random(97)
+    checked = rejected = 0
+    for k in range(80):
+        v = 1 + k % 3
+        rep = long_rep(rng, 20)
+        ivs = rep.family.intervals
+        crossing, _ = crossings_and_floors(rep)
+        build = segment_builder(rep, v)
+        frontier = live_from(rep, v)
+        for s in range(1, rep.m + 1):
+            for s_prev in range(frontier[s], s):
+                seg = build(s_prev, s)
+                near = sorted(crossing[s_prev] | crossing[s])
+                for _ in range(3):
+                    outside = frozenset(i for i in near if rng.random() < 0.5)
+                    visible = IntervalFamily(
+                        tuple(ivs[i] for i in sorted(outside.union(seg.long_idx)))
+                    )
+                    want = mid_relation(seg.long_fam, visible, v)
+                    assert solver._long_star_ok(seg, outside) == want
+                    checked += 1
+                    rejected += not want
+    assert checked > 10000
+    assert rejected > 300
+
+
 def test_movers_filter_on_hand_built_states():
     # v = 1 profiles at s_prev = 3; the bound (1, 1) needs q.r[1] < 1
     low, mid, high = (MonotonicSeq((3, r1, -1, -1), 3, 1) for r1 in (0, 1, 2))
@@ -736,9 +875,11 @@ def test_movers_keep_every_stage_key_of_advancing_every_state(monkeypatch):
                 for stage in stages]
 
     rng = random.Random(79)
-    for n in range(64):
-        v = 1 + n % 3
-        if n % 2:
+    for n in range(96):
+        v = 1 + n % 3 if n < 64 else 4
+        if n >= 64:
+            rep = long_rep(rng, 30)
+        elif n % 2:
             rep = long_rep(rng, 30 if v == 1 else 18)
         else:
             rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
@@ -750,13 +891,15 @@ def test_movers_keep_every_stage_key_of_advancing_every_state(monkeypatch):
         for _ in walk_stages(rep, v, unfiltered):
             pass
         assert keys(filtered) == keys(unfiltered)
-    # the filter skipped 27,776 passing states on these instances
+    # the filter skipped 27,776 passing states on the first 64 instances
+    # before the clamp, and 4,149 with it; the 32 at v = 4 with long
+    # members, where buckets stay large, make up the rest
     assert skipped > 20000
 
 
 def test_solve_v1_m400_skips_old_pairs(monkeypatch):
     # advancing every live pair made 21,447 _segment and 81,120 _advance
-    # calls on this instance
+    # calls on this instance, and the DP kept 1,538 states before the clamp
     calls = {"_segment": 0, "_advance": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(solver, name), **kwargs):
@@ -767,7 +910,7 @@ def test_solve_v1_m400_skips_old_pairs(monkeypatch):
     S = generate(GeneratorSpec("vertebrate", m=400, density=0.3, max_len=3, seed=1))
     res = solve(vertebrate_representation(S), 1)
     assert res.feasible
-    assert sum(res.stage_state_counts) == 1538
+    assert sum(res.stage_state_counts) == 619
     assert calls["_segment"] < 10000
     assert calls["_advance"] < 40000
 
@@ -811,7 +954,7 @@ def test_solve_mid_relation_calls_on_a_dense_v2_instance(monkeypatch):
 
 def test_solve_advance_calls_on_a_dense_v2_instance(monkeypatch):
     # advancing every state of every bucket made 11,137 _advance calls on
-    # this instance
+    # this instance, and the DP kept 1,126 states before the clamp
     advance = solver._advance
     calls = 0
 
@@ -824,13 +967,14 @@ def test_solve_advance_calls_on_a_dense_v2_instance(monkeypatch):
     S = generate(GeneratorSpec("vertebrate", m=40, density=2.0, max_len=3, seed=6))
     res = solve(vertebrate_representation(S), 2)
     assert res.feasible
-    assert sum(res.stage_state_counts) == 1126
+    assert sum(res.stage_state_counts) == 232
     assert 0 < calls < 4000
 
 
 def test_solve_movers_calls_on_a_dense_v2_instance(monkeypatch):
     # filtering each bucket afresh at every visit made 1,391 _movers calls
-    # on this instance, one per bucket visit
+    # on this instance, one per bucket visit, and the DP kept 1,126 states
+    # before the clamp
     movers = solver._movers
     calls = 0
 
@@ -843,13 +987,14 @@ def test_solve_movers_calls_on_a_dense_v2_instance(monkeypatch):
     S = generate(GeneratorSpec("vertebrate", m=40, density=2.0, max_len=3, seed=6))
     res = solve(vertebrate_representation(S), 2)
     assert res.feasible
-    assert sum(res.stage_state_counts) == 1126
+    assert sum(res.stage_state_counts) == 232
     assert 0 < calls < 700
 
 
 def test_solve_fd_head_calls_below_the_per_segment_count(monkeypatch):
     # on a long sparse v = 1 backbone, computing every F+D head afresh in
-    # each segment record made 673 fd_head calls on this instance
+    # each segment record made 673 fd_head calls on this instance, and the
+    # DP kept 147 states before the clamp
     head = encoding.fd_head
     calls = 0
 
@@ -864,7 +1009,7 @@ def test_solve_fd_head_calls_below_the_per_segment_count(monkeypatch):
         monkeypatch.setattr(module, "fd_head", counted)
     res = solve(rep, 1)
     assert res.feasible
-    assert sum(res.stage_state_counts) == 147
+    assert sum(res.stage_state_counts) == 64
     assert 0 < calls < 673
 
 
@@ -958,8 +1103,10 @@ def test_solve_witness_swap_stays_good():
 def test_solve_witness_honours_every_commitment_on_the_accepting_chain(monkeypatch):
     # each state on the chain committed its crossing members to a side, and
     # each hop put the members inside it on a side by their length; the
-    # witness must keep every one of those choices.  v = 3 stays at m <= 12,
-    # where its stages stay small.
+    # witness must keep every one of those choices.  With the clamp, a key
+    # at s is often reached first from the farthest live predecessor, so
+    # the first 200 chains make about one hop each; 150 dense v = 1
+    # backbones, whose segments die soon, add chains of many short hops.
     stages, solved = solver._stages, []
 
     def kept_stages(*args):
@@ -969,11 +1116,14 @@ def test_solve_witness_honours_every_commitment_on_the_accepting_chain(monkeypat
     monkeypatch.setattr(solver, "_stages", kept_stages)
     rng = random.Random(79)
     hops = 0
-    for _ in range(200):
-        v = rng.randint(1, 3)
+    for k in range(350):
+        if k < 200:
+            v, m_max, densities, max_len = rng.randint(1, 3), 30, [0.3, 0.6, 1.0], 6
+        else:
+            v, m_max, densities, max_len = 1, 60, [1.5, 2.0], 3
         spec = GeneratorSpec(
-            kind="vertebrate", m=rng.randint(6, 30 if v < 3 else 12),
-            density=rng.choice([0.3, 0.6, 1.0]), max_len=rng.randint(2, 6),
+            kind="vertebrate", m=rng.randint(6, m_max),
+            density=rng.choice(densities), max_len=rng.randint(2, max_len),
             seed=rng.randint(0, 10 ** 6),
         )
         rep = vertebrate_representation(generate(spec))
@@ -1055,11 +1205,21 @@ def test_solve_at_a_huge_v_builds_no_cap_of_2v2_bits():
 
 
 def test_state_counts_within_cap():
+    # every kept profile entry lies in [floor(s), s - 1] or is -1, at most
+    # L values with L the longest member, so no stage reaches the cap
+    # (L + 2)^(2(v + 1)) * 2^(2v^2 + v) that _stages checks, whatever s is
     rng = random.Random(33)
-    for v in (1, 2):
-        for _ in range(10):
-            S = random_rep(rng)
-            res = solve(vertebrate_representation(S), v)
-            cap_tail = 2 ** (2 * v * v + v)
-            for s, count in enumerate(res.stage_state_counts):
-                assert count <= (s + 2) ** (2 * (v + 1)) * cap_tail
+    stages_checked = 0
+    for k in range(60):
+        v = 1 + k % 3
+        rep = long_rep(rng, 30 if v == 1 else 20)
+        _, floor = crossings_and_floors(rep)
+        longest = max(iv.length for iv in rep.family)
+        cap = (longest + 2) ** (2 * (v + 1)) * 2 ** (2 * v * v + v)
+        for s, stage in enumerate(solver._stages(rep, v)):
+            assert len(states_of(stage)) < cap
+            for st in states_of(stage):
+                for entry in st.p.r[1:] + st.q.r[1:]:
+                    assert entry == -1 or floor[s] <= entry < s
+            stages_checked += 1
+    assert stages_checked > 1000
