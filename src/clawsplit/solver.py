@@ -25,38 +25,39 @@ settled on the side they were committed to.  The checks are exactly:
 
 after which the profiles advance by extend.  The transition is written once,
 in _advance, which takes one predecessor state across a segment and adds its
-successors to the stage at s.  What depends on the segment alone (its long
-members, the crossing members, the groups to assign) is built once per
-segment pair by _segment and shared by every state that crosses it.  A
-segment is dead when its long members center an overfull star among
+successors to the stage at s.  What a hop reads of its segment, beside s, is
+held in a record (see _Segment): s_prev, the long members, the crossing
+members that settle (pool) and those that do not (shared), and memos of
+work that predecessor states repeat.  A record lives as long as what it
+reads: _stages replaces s_prev's record only when a member it reads
+arrives, a long member with lo >= s_prev or a member of crossing[s_prev]
+that ends, and at every other anchor the same object serves again.  What
+depends on s (the groups of the members crossing s, their floor and the
+side assignments, enumerated once per key) is held by the _Anchor of s,
+which _stages builds once and passes beside every record crossing into s.
+A segment is dead when its long members center an overfull star among
 themselves, and no state crosses it.  Deadness is decided once per solve:
 _live_from gives, for each s, the least s_prev whose segment is live, and
-_stages drops every smaller s_prev for good.  Each live s_prev's record is
-grown from its latest one by the members that arrived since (see
-_segment).  The same record memoises what depends on the segment and a set
-of members only: the F+D head of the second part's new profile, per
-settled set, and the result of the long members' star check, per set of
-visible crossing members.  When no long member arrives between two
-records, the later one shares all three caches with the earlier; the
-soundness argument is in the _Segment docstring.  The side assignments of
-the crossing groups depend on s, the shared members and their committed
-sides only, so they are enumerated once per anchor and key (see _Anchor).
+_stages drops every smaller s_prev for good.
 
-_cross builds one plan per predecessor bucket (see _Plan): the settled
-members' lower-bound floors, the second side's settled members as F, the
-candidate side assignments (A, B), and the second side's settled counts
-per B.  A predecessor's other side is crossing[s_prev] minus its
-first_crossing, so all of a plan is a pure function of the segment and
+_cross takes each predecessor bucket across a record with the bucket's plan
+(see _Plan): the settled members' lower-bound floors, the second side's
+settled members as F, and the second side's settled counts per second side
+B.  A predecessor's other side is crossing[s_prev] minus its
+first_crossing, so a plan is a pure function of the record and
 first_crossing, and every state of the bucket would compute the same
-values.  The counts of a B are filled when a successor with that side
-assignment first gets past its bucket's covers, so a plan holds no count a
-state of its bucket did not ask for (all of a B's counts come at once,
-where a state stops at the first failing one).  _advance keeps only the
-per-state work: the second side's lower bounds, one extend, then per
-candidate the bucket's covers, the inequalities alpha_seq(q, a) + count
-<= v and the star check, with the candidates in mask order.  Profiles are
-interned per solve (see extend), so each distinct profile is one
-MonotonicSeq, validated once.
+values.  The record memoises it, so a plan is built once per record and
+bucket, however many anchors the record serves; the candidate side
+assignments (A, B) come from the anchor, under a key the plan holds.  The
+counts of a B are filled when a successor with that side assignment first
+gets past its bucket's covers, so a plan holds no count a state of its
+bucket did not ask for (all of a B's counts come at once, where a state
+stops at the first failing one).  _advance keeps only the per-state work:
+the second side's lower bounds, one extend, then per candidate the
+bucket's covers, the inequalities alpha_seq(q, a) + count <= v and the
+star check, with the candidates in mask order.  Profiles are interned per
+solve (see extend), so each distinct profile is one MonotonicSeq,
+validated once.
 
 Not every state of a bucket crosses.  A hop reads less of a predecessor
 than the stage keeps: once s - s_prev >= v + 1 its first new profile is
@@ -130,7 +131,7 @@ returned.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import le
 from typing import Optional, Sequence
 
@@ -322,20 +323,22 @@ def verify_partition(J: IntervalFamily, assignment: PartitionAssignment, v: int)
 
 @dataclass(frozen=True)
 class _Anchor:
-    """What every segment ending at one anchor s shares.
+    """What every hop into one anchor s shares.
 
     group_of maps each member to its overlap group (see compute_groups).
     gids are the sorted groups of the members crossing s, and members_of
     lists each one's members; both depend on s alone.  floor is the least lo
     of the members crossing s, or s when none does: extend sets every
-    profile entry below it to -1 (see _advance).  sides memoises the
-    side assignments that _plan reads, as (first side, second side) pairs
-    of crossing members, keyed by (shared, the shared members on
-    the first side): with group_of fixed per solve and gids and members_of
-    per anchor, the forced sides, the free groups and both sides in mask
-    order are a pure function of that key, whatever the segment's s_prev.
+    profile entry below it to -1 (see _advance).  sides memoises the side
+    assignments that _cross reads, as (first side, second side) pairs of
+    crossing members, keyed by a plan's side_key, (shared, the shared
+    members on the first side): with group_of fixed per solve and gids and
+    members_of per anchor, the forced sides, the free groups and both sides
+    in mask order are a pure function of that key, whatever the record's
+    s_prev.
     """
 
+    s: int
     group_of: Sequence[int]
     gids: tuple[int, ...]
     members_of: dict[int, tuple[int, ...]]
@@ -347,27 +350,32 @@ class _Anchor:
 
 @dataclass(frozen=True)
 class _Segment:
-    """The part of a hop across (s_prev, s] that no predecessor state changes.
+    """What a hop out of s_prev reads of its segment (s_prev, s], beside s.
 
     long_idx are the members inside (s_prev, s) longer than v, also held as a
     family.  No record holds the short ones: they enter no profile, count or
     check (see _advance), and _witness finds them by hi.  shared holds the
     members crossing both s_prev and s; pool, those crossing s_prev that stop
-    before s and so settle at this hop.  anchor is the _Anchor of s, which
-    _stages builds once and hands to every segment ending there.  _stages
-    builds records only for live segments (see _live_from).
+    before s and so settle at this hop.  The hop's _Anchor, which holds s, is
+    passed beside the record (see _cross).  _stages builds records only for
+    live segments (see _live_from).
 
-    _stages grows the records of one s_prev from its latest one, that of
-    some (s_prev, s'): the long members of (s_prev, s) are those of
-    (s_prev, s') plus the ones with hi in (s', s] and lo >= s_prev, merged
-    in index order so that a record does not depend on how it was built.
-    Each arriving long member is validated as a long member of the segment
-    it joins when it is taken (see extend), and stays valid for every later
-    s.
+    A record serves every anchor s at which these fields are what a fresh
+    build for (s_prev, s] gives.  They change only when a member the record
+    reads arrives, that is when s passes its hi: a long member with lo >=
+    s_prev joins long_idx, and a member of crossing[s_prev] moves from
+    shared to pool.  _segment looks at the members arrived since the
+    record's last anchor and returns the record itself when neither kind
+    came; otherwise it builds the next record, with the arriving long
+    members merged in index order, so that a record does not depend on how
+    it was built.  Each arriving long member is validated as a long member
+    of the segment it joins when it is taken (see extend), and stays valid
+    for every later s.
 
-    The caches memoise work that predecessor states repeat.  Each value is a
-    pure function of its key and the fields above, so a cached value is
-    always the one a fresh computation would give:
+    The memos hold work that predecessor states repeat.  Each value is a
+    pure function of its key and the fields above, none of which is s, so a
+    value memoised at any anchor the record served is the one a fresh
+    computation at s would give:
 
       * long_meet_cache, per right end b: how many disjoint long members
         meet (s_prev, b).
@@ -376,70 +384,76 @@ class _Segment:
         themselves and those.
       * head_cache, per settled_second (the sorted indices of the members
         settled on the second side, which fix F): fd_head(F, long_fam,
-        s_prev, s, v), which reads neither predecessor profile.
+        s_prev, s, v), which reads neither predecessor profile, nor s (see
+        fd_head).
+      * plans, per first_crossing: the bucket's _Plan, whose fields read
+        pool, shared, s_prev and long_meet_cache, and whose second_counts
+        read the long family, shared, s_prev and the settled members under
+        their key B (see _Plan).
 
-    When a record grows from that of (s_prev, s') and no long member
-    arrives in (s', s], its long family is the old one, so it shares all
-    three of the old record's cache objects, not copies.  The long-member caches read
-    only the long family, s_prev and the key.  A head reads F, the long
-    family and s_prev but not s (see fd_head), so a head cached at any
-    earlier s' of the same long family is the head at s.  Whenever long
-    members arrive, a record starts with empty caches.
+    The first three read only the long family, s_prev and their key.  So
+    when only members of crossing[s_prev] end, the next record keeps those
+    three objects and starts with no plans; when a long member arrives, it
+    starts with every memo empty.
     """
 
     ivs: Sequence[Interval]
     v: int
     s_prev: int
-    s: int
     long_idx: tuple[int, ...]
     long_fam: IntervalFamily
     shared: frozenset[int]
     pool: frozenset[int]
-    anchor: _Anchor
     long_meet_cache: dict[int, int] = field(default_factory=dict)
     head_cache: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = field(
         default_factory=dict
     )
     long_star_cache: dict[frozenset[int], bool] = field(default_factory=dict)
+    plans: dict[frozenset[int], _Plan] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """What a hop across one segment does for one predecessor bucket.
+    """What a hop across one record does for one predecessor bucket.
 
     A state's second side is crossing[s_prev] minus its first_crossing, so
     the bucket fixes both committed sides, and everything in a plan is built
-    from them and the segment.  settled_second are the members settling at
+    from them and the record.  settled_second are the members settling at
     this hop on the (swapped) second side, sorted, and F the same members as
     a family.  first_bounds and second_bounds hold (a, floor) per settled
     member, with floor the candidate-independent part of its right-hand
     count: b - s_prev backbone units on the first side, which is the whole
-    count there (see _movers), and long_meet_cache[b] on the second.  sides
-    is the anchor's list of side assignments (A, B) in mask order, A the
-    first side's crossing members and B the rest of crossing; it is empty
-    when the forced sides of two shared members of one group disagree.
-    second_counts[B][j] is the number of disjoint new second-side members
-    meeting (s_prev, b) for the j-th settled_second member (a, b), filled
-    when a successor with that B first gets past its bucket's covers (see
-    _second_counts); distinct A give distinct B.
+    count there (see _movers), and long_meet_cache[b] on the second.
+    side_key is the key under which _cross reads the candidate side
+    assignments (A, B) from the anchor's sides (see _Anchor), the one part
+    of a bucket's hop that depends on s.  second_counts[B][j] is the
+    number of disjoint new second-side members meeting (s_prev, b) for the
+    j-th settled_second member (a, b), filled when a successor with that B
+    first gets past its bucket's covers (see _second_counts); distinct A
+    give distinct B.  The new members are the long ones and B - shared, so
+    a B gives the same counts at every anchor the record serves.
     """
 
     settled_second: tuple[int, ...]
     first_bounds: tuple[tuple[int, int], ...]
     second_bounds: tuple[tuple[int, int], ...]
     F: IntervalFamily
-    sides: list[tuple[frozenset[int], frozenset[int]]]
+    side_key: tuple[frozenset[int], frozenset[int]]
     second_counts: dict[frozenset[int], tuple[int, ...]] = field(default_factory=dict)
 
 
 _NO_MEMBERS = IntervalFamily(())
 
 
-def _crossing_groups(group_of: Sequence[int], K_set: frozenset[int], floor: int) -> _Anchor:
-    """The _Anchor of the members K_set, with the given floor: their sorted
-    groups, each one's members in K_set, and no side assignments yet."""
+def _crossing_groups(
+    group_of: Sequence[int], s: int, K_set: frozenset[int], floor: int
+) -> _Anchor:
+    """The _Anchor of s, with K_set the members crossing s and the given
+    floor: their sorted groups, each one's members in K_set, and no side
+    assignments yet."""
     gids = tuple(sorted({group_of[i] for i in K_set}))
     return _Anchor(
+        s,
         group_of,
         gids,
         {g: tuple(sorted(i for i in K_set if group_of[i] == g)) for g in gids},
@@ -476,52 +490,38 @@ def _segment(
     crossing: Sequence[frozenset[int]],
     arriving: Sequence[Sequence[int]],
     s_prev: int,
+    after: int,
     s: int,
     v: int,
-    anchor: _Anchor,
     before: _Segment | None = None,
 ) -> _Segment:
     """The record of the live segment (s_prev, s].
 
     crossing[t] is the set of members crossing anchor t, and arriving[t]
-    lists the members with hi = t (see _arriving).  before is an earlier
-    record of s_prev, or None to grow from nothing; the record is grown
-    from it by the long members with hi in (before.s, s] (in (s_prev, s]
-    without before) and lo >= s_prev.  The caches start afresh when the
-    long members grew, and are before's otherwise (see _Segment).  anchor is
-    _crossing_groups(group_of, crossing[s]).
+    lists the members with hi = t (see _arriving).  before is the record of
+    s_prev at anchor after, or None, with after = s_prev, to build from
+    nothing.  Of the members with hi in (after, s], those with lo < s_prev
+    end a member of crossing[s_prev], and those with lo >= s_prev and length
+    > v are new long members.  With neither, before serves s too and is
+    returned; with ended members only, the next record keeps before's long
+    family and its memos of it (see _Segment).
     """
-    after = s_prev if before is None else before.s
-    long_new = [
-        i
-        for t in range(after + 1, s + 1)
-        for i in arriving[t]
-        if ivs[i].lo >= s_prev and ivs[i].length > v
-    ]
+    long_new, ended = [], before is None
+    for t in range(after + 1, s + 1):
+        for i in arriving[t]:
+            if ivs[i].lo < s_prev:
+                ended = True
+            elif ivs[i].length > v:
+                long_new.append(i)
+    if not (ended or long_new):
+        return before
+    settle = dict(shared=crossing[s_prev] & crossing[s], pool=crossing[s_prev] - crossing[s])
+    if not long_new and before is not None:
+        return replace(before, **settle, plans={})
     _check_segment_members((), (ivs[i] for i in long_new), s_prev, s, v)
-    long_idx, long_fam = (before.long_idx, before.long_fam) if before else ((), _NO_MEMBERS)
-    caches = {}
-    if long_new:
-        long_idx = tuple(sorted(long_idx + tuple(long_new)))
-        long_fam = IntervalFamily(tuple(ivs[i] for i in long_idx))
-    elif before is not None:
-        caches = dict(
-            long_meet_cache=before.long_meet_cache,
-            long_star_cache=before.long_star_cache,
-            head_cache=before.head_cache,
-        )
-    return _Segment(
-        ivs=ivs,
-        v=v,
-        s_prev=s_prev,
-        s=s,
-        long_idx=long_idx,
-        long_fam=long_fam,
-        shared=crossing[s_prev] & crossing[s],
-        pool=crossing[s_prev] - crossing[s],
-        anchor=anchor,
-        **caches,
-    )
+    long_idx = tuple(sorted((before.long_idx if before else ()) + tuple(long_new)))
+    long_fam = IntervalFamily(tuple(ivs[i] for i in long_idx))
+    return _Segment(ivs=ivs, v=v, s_prev=s_prev, long_idx=long_idx, long_fam=long_fam, **settle)
 
 
 def _long_star_ok(seg: _Segment, outside: frozenset[int]) -> bool:
@@ -560,8 +560,7 @@ def _long_star_ok(seg: _Segment, outside: frozenset[int]) -> bool:
 def _plan(seg: _Segment, first_crossing: frozenset[int]) -> _Plan:
     """The plan across seg of the bucket of predecessors with this
     first_crossing (see _Plan), read with the predecessor's sides swapped
-    as in _advance.  Its side assignments are memoised per anchor under
-    (seg.shared, the shared members on the first side) (see _Anchor)."""
+    as in _advance."""
     ivs, s_prev = seg.ivs, seg.s_prev
     settled_second = tuple(sorted(first_crossing & seg.pool))
     second_bounds = []
@@ -572,10 +571,6 @@ def _plan(seg: _Segment, first_crossing: frozenset[int]) -> _Plan:
             floor = _max_disjoint_meeting(seg.long_fam.intervals, s_prev, b)
             seg.long_meet_cache[b] = floor
         second_bounds.append((a, floor))
-    key = (seg.shared, seg.shared - first_crossing)
-    sides = seg.anchor.sides.get(key)
-    if sides is None:
-        sides = seg.anchor.sides[key] = _side_assignments(seg.anchor, *key)
     return _Plan(
         settled_second=settled_second,
         first_bounds=tuple(
@@ -583,7 +578,7 @@ def _plan(seg: _Segment, first_crossing: frozenset[int]) -> _Plan:
         ),
         second_bounds=tuple(second_bounds),
         F=IntervalFamily(tuple(ivs[i] for i in settled_second)),
-        sides=sides,
+        side_key=(seg.shared, seg.shared - first_crossing),
     )
 
 
@@ -692,10 +687,13 @@ def _advance(
     st: DPState,
     seg: _Segment,
     plan: _Plan,
+    anchor: _Anchor,
+    sides: Sequence[tuple[frozenset[int], frozenset[int]]],
     stage: dict[frozenset[int], _Bucket],
     profiles: dict[tuple[int, ...], MonotonicSeq],
 ) -> None:
-    """The DP transition: take one state at seg.s_prev across seg into stage.
+    """The DP transition: take one state at seg.s_prev across seg into
+    stage, the stage at anchor.s.
 
     The predecessor is read with its coordinates swapped, since the backbone
     run (s_prev, s] puts the unit (s - 1, s) on the opposite part from
@@ -703,7 +701,8 @@ def _advance(
     a group holding a member that also crosses s_prev keeps that member's
     committed side, and the free groups try both.  What depends only on the
     segment and st's bucket comes from plan, the bucket's plan (see _Plan),
-    and profiles interns the new profiles (see extend).
+    sides are the candidate side assignments (A, B) of that bucket at
+    anchor, and profiles interns the new profiles (see extend).
 
     The checks, in order: the lower bounds of the members settled on the
     second side, which need no candidate; then per candidate, after
@@ -728,7 +727,7 @@ def _advance(
     every check joins its bucket, which evicts the states it dominates.
 
     extend sets every entry of p_new and q_new below floor(s) =
-    seg.anchor.floor to -1 before it interns them; call that c_s.  It
+    anchor.floor to -1 before it interns them; call that c_s.  It
     changes no check, at this hop or any later one:
 
       * A check reads a profile only in _room, as alpha_seq(r, a): the
@@ -763,17 +762,18 @@ def _advance(
     if second_room is None:
         return
 
+    s = anchor.s
     head = seg.head_cache.get(plan.settled_second)
     if head is None:
-        head = fd_head(plan.F, seg.long_fam, seg.s_prev, seg.s, v)
+        head = fd_head(plan.F, seg.long_fam, seg.s_prev, s, v)
         seg.head_cache[plan.settled_second] = head
     p_new, q_new = extend(
-        p_prime, q_prime, plan.F, _NO_MEMBERS, seg.long_fam, seg.s_prev, seg.s, v,
-        head, profiles, seg.anchor.floor,
+        p_prime, q_prime, plan.F, _NO_MEMBERS, seg.long_fam, seg.s_prev, s, v,
+        head, profiles, anchor.floor,
     )
 
     vec = p_new.r + q_new.r
-    for A, B in plan.sides:
+    for A, B in sides:
         bucket = stage.get(A)
         if bucket is not None and bucket.covers(vec):
             continue
@@ -786,7 +786,7 @@ def _advance(
             continue
         if bucket is None:
             bucket = stage[A] = _Bucket()
-        bucket.add(vec, DPState(seg.s, p_new, q_new, A, prev=st))
+        bucket.add(vec, DPState(s, p_new, q_new, A, prev=st))
 
 
 def _movers(
@@ -829,7 +829,9 @@ def _movers(
     Each of these is monotone (see extend and alpha_seq in the module
     docstring; the clamp of p_new and q_new to floor(s) reads s alone and is
     monotone too), and the candidates, their counts and the star check are
-    the plan's.  So when X is <= Y on the projection, every candidate A
+    the same for every state of the bucket: the anchor's side assignments
+    under the plan's side_key, the plan's counts and the record's star
+    check.  So when X is <= Y on the projection, every candidate A
     whose successor of Y passes the second-side counts and the star check
     gives X a successor that passes them too (the same counts, at least
     Y's room, the same star check) and is entrywise <= Y's.  That order
@@ -861,22 +863,30 @@ def _movers(
 
 def _cross(
     seg: _Segment,
+    anchor: _Anchor,
     preds: dict[frozenset[int], _Bucket],
     stage: dict[frozenset[int], _Bucket],
     profiles: dict[tuple[int, ...], MonotonicSeq],
 ) -> None:
     """Take the finished stage at seg.s_prev (see _finish) across seg into
-    stage: per bucket its plan, then _advance on each of its movers (see
-    _movers), each list built once per bucket, k and first_bounds."""
-    k = max(0, seg.v + 1 - (seg.s - seg.s_prev))
+    stage, the stage at anchor.s: per bucket its plan, memoised in seg, and
+    its side assignments, memoised in anchor, then _advance on each of its
+    movers (see _movers), each list built once per bucket, k and
+    first_bounds."""
+    k = max(0, seg.v + 1 - (anchor.s - seg.s_prev))
     for first_crossing, bucket in preds.items():
-        plan = _plan(seg, first_crossing)
+        plan = seg.plans.get(first_crossing)
+        if plan is None:
+            plan = seg.plans[first_crossing] = _plan(seg, first_crossing)
+        sides = anchor.sides.get(plan.side_key)
+        if sides is None:
+            sides = anchor.sides[plan.side_key] = _side_assignments(anchor, *plan.side_key)
         key = (k, plan.first_bounds)
         movers = bucket.movers.get(key)
         if movers is None:
             movers = bucket.movers[key] = _movers(bucket.states, plan.first_bounds, k, seg.v)
         for st in movers:
-            _advance(st, seg, plan, stage, profiles)
+            _advance(st, seg, plan, anchor, sides, stage, profiles)
 
 
 def _scan_key(st: DPState) -> tuple:
@@ -1072,22 +1082,23 @@ def _stages(rep: VertebrateRep, v: int) -> list[dict[frozenset[int], _Bucket]]:
     state_cap_exp = 2 * (v + 1)
     group_cap_bits = 2 * v * v + v
 
-    # The latest record built for each live s_prev, in increasing order; an
-    # s_prev leaves for good once its segment dies (see _live_from), and its
-    # stage's buckets drop their movers then; one whose stage is empty never
-    # joins.  The record is that of (s_prev, s - 1), or an earlier one when
-    # old pairs were skipped (see _last_old); _segment grows either kind by
-    # the members arrived since.
-    grown: dict[int, _Segment | None] = {}
+    # The latest record of each live s_prev and the anchor it was last
+    # brought to, in increasing order; an s_prev leaves for good once its
+    # segment dies (see _live_from), and its stage's buckets drop their
+    # movers then; one whose stage is empty never joins.  The anchor is
+    # s - 1, or an earlier one when old pairs were skipped (see _last_old);
+    # _segment brings the record to s from either by the members arrived
+    # since.
+    grown: dict[int, tuple[_Segment | None, int]] = {}
     # Every profile the solve builds, by entries (see extend).
     profiles: dict[tuple[int, ...], MonotonicSeq] = {}
 
     for s in range(1, m + 1):
         stage: dict[frozenset[int], _Bucket] = {}
         if stages[s - 1]:
-            grown[s - 1] = None
-        anchor = _crossing_groups(group_of, crossing[s], floor[s])
-        for s_prev, before in list(grown.items()):
+            grown[s - 1] = (None, s - 1)
+        anchor = _crossing_groups(group_of, s, crossing[s], floor[s])
+        for s_prev, (before, after) in list(grown.items()):
             if s_prev < live_from[s]:
                 del grown[s_prev]
                 for bucket in stages[s_prev].values():
@@ -1095,8 +1106,9 @@ def _stages(rep: VertebrateRep, v: int) -> list[dict[frozenset[int], _Bucket]]:
                 continue
             if stage and s_prev <= last_old[s]:
                 continue
-            seg = grown[s_prev] = _segment(ivs, crossing, arriving, s_prev, s, v, anchor, before)
-            _cross(seg, stages[s_prev], stage, profiles)
+            seg = _segment(ivs, crossing, arriving, s_prev, after, s, v, before)
+            grown[s_prev] = (seg, s)
+            _cross(seg, anchor, stages[s_prev], stage, profiles)
         count = sum(len(bucket.states) for bucket in stage.values())
         if count.bit_length() > group_cap_bits:
             cap = (longest + 2) ** state_cap_exp << group_cap_bits

@@ -330,10 +330,11 @@ def test_criterion_5_scaling_smoke(acceptance_log):
         times.append(dt)
         if dt >= 60.0:
             failures.append((seed, f"{dt:.1f}s"))
-        exp = 2 * (2 + 1)
-        group_cap = 2 ** (2 * 2 * 2 + 2)
+        # (L + 2)^(2(v+1)) * 2^(2v^2+v) at v = 2, with L the longest member
+        longest = max(iv.length for iv in rep.family.intervals)
+        cap = (longest + 2) ** (2 * (2 + 1)) * 2 ** (2 * 2 * 2 + 2)
         for s, count in enumerate(result.stage_state_counts):
-            if count > (s + 2) ** exp * group_cap:
+            if count > cap:
                 failures.append((seed, "state cap", s, count))
         if result.feasible and not verify_partition(
             fam, result.assignment, 2

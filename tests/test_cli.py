@@ -489,6 +489,30 @@ def test_partition_under_python_O_prints_the_same_lines(tmp_path):
         assert lines(*argv, optimize=True) == plain
 
 
+def test_partition_output_does_not_depend_on_the_hash_seed():
+    # the solver keeps its memos in dicts and sets, whose iteration order
+    # may follow the hash seed; no such order may reach the output
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["partition", str(FIXTURES / "gen-10021.txt"), "--v", "2", "--witness"]
+
+    def lines(hash_seed):
+        proc = subprocess.run(
+            [sys.executable, "-m", "clawsplit", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+        )
+        out = [line for line in proc.stdout.splitlines() if not line.startswith("timing_")]
+        return proc.returncode, out
+
+    code, out = lines("0")
+    assert code == 0
+    assert "decision yes" in out
+    assert sum(line.startswith("witness ") for line in out) > 10
+    assert lines("1") == (code, out)
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

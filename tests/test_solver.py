@@ -3,6 +3,7 @@
 import random
 import time
 import tracemalloc
+from collections import namedtuple
 from operator import le
 
 import pytest
@@ -145,18 +146,26 @@ def second_crossing(crossing, st):
 
 
 def segment_builder(rep, v):
-    """build(s_prev, s, before=None): the record of (s_prev, s] that
-    _segment grows from before, or from nothing, with a fresh anchor."""
+    """build(s_prev, s, before=None, after=None): the record of (s_prev, s]
+    that _segment brings from before, the record of s_prev at anchor after,
+    or builds from nothing."""
     ivs = rep.family.intervals
-    crossing, floor = crossings_and_floors(rep)
+    crossing, _ = crossings_and_floors(rep)
     arriving = solver._arriving(ivs, rep.m)
-    group_of = compute_groups(rep.family, v).group_of
 
-    def build(s_prev, s, before=None):
-        anchor = _crossing_groups(group_of, crossing[s], floor[s])
-        return _segment(ivs, crossing, arriving, s_prev, s, v, anchor, before)
+    def build(s_prev, s, before=None, after=None):
+        assert (before is None) == (after is None)
+        after = s_prev if before is None else after
+        return _segment(ivs, crossing, arriving, s_prev, after, s, v, before)
 
     return build
+
+
+def anchor_builder(rep, v):
+    """anchor_at(s): a fresh _Anchor of s, with no side assignments yet."""
+    crossing, floor = crossings_and_floors(rep)
+    group_of = compute_groups(rep.family, v).group_of
+    return lambda s: _crossing_groups(group_of, s, crossing[s], floor[s])
 
 
 def live_from(rep, v):
@@ -169,7 +178,7 @@ def hop(rep, v, st, s):
     step: the movers filter, which checks the first side's lower bounds,
     then the transition."""
     stage = {}
-    _cross(segment_builder(rep, v)(st.s, s), preds_of(st), stage, {})
+    _cross(segment_builder(rep, v)(st.s, s), anchor_builder(rep, v)(s), preds_of(st), stage, {})
     # one predecessor gives one state per first side
     return {A: bucket.states[0] for A, bucket in stage.items()}
 
@@ -266,13 +275,13 @@ def test_check_transition_long_side_claw_violation(monkeypatch):
     assert live_from(rep, 1)[4] > 0
     segment, built = solver._segment, []
 
-    def kept(*args, **kwargs):
-        built.append(segment(*args, **kwargs))
-        return built[-1]
+    def kept(ivs, crossing, arriving, s_prev, after, s, v, before):
+        built.append((s_prev, s))
+        return segment(ivs, crossing, arriving, s_prev, after, s, v, before)
 
     monkeypatch.setattr(solver, "_segment", kept)
     solve(rep, 1)
-    assert built and (0, 4) not in {(seg.s_prev, seg.s) for seg in built}
+    assert built and (0, 4) not in built
     # at v = 2 the same long side only needs claw 2: passes
     assert frozenset() in hop(rep, 2, base_state(2), 4)
 
@@ -297,11 +306,13 @@ def test_check_transition_star_completed_by_an_outside_member():
 
 def test_grown_segments_match_a_fresh_build():
     # s_prev >= live_from[s] iff the long members of (s_prev, s) center no
-    # overfull star among themselves; a live record grown from any earlier
+    # overfull star among themselves; a live record brought from any earlier
     # record of its s_prev, the latest or one several anchors back (as after
-    # skipped old pairs), holds the members a fresh scan finds
+    # skipped old pairs), holds the members a fresh scan finds.  It is that
+    # record itself exactly when no member it reads arrived, and it keeps
+    # the long family's memos whenever no long member arrived
     rng = random.Random(43)
-    dead_pairs = skipped = 0
+    dead_pairs = skipped = carried = kept_memos = 0
     for _ in range(150):
         v = rng.choice([1, 1, 2, 3])
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
@@ -321,19 +332,28 @@ def test_grown_segments_match_a_fresh_build():
                     dead_pairs += 1
                     continue
                 fresh = build(s_prev, s)
-                grown = [build(s_prev, s, before) for before in records]
+                grown = [build(s_prev, s, before, after) for before, after in records]
                 skipped += len(grown[:-1])
                 for seg in (fresh, *grown):
                     assert seg.long_idx == long_idx
                     assert seg.long_fam.intervals == long_fam.intervals
                     assert seg.shared == crossing[s_prev] & crossing[s]
                     assert seg.pool == crossing[s_prev] - crossing[s]
-                for before, seg in zip(records, grown):
-                    if seg.long_idx == before.long_idx:
+                for (before, _), seg in zip(records, grown):
+                    same = seg.long_idx == before.long_idx
+                    assert (seg is before) == (same and seg.pool == before.pool)
+                    carried += seg is before
+                    if same and seg is not before:
                         assert seg.head_cache is before.head_cache
-                records.append(grown[-1] if grown else fresh)
+                        assert seg.long_meet_cache is before.long_meet_cache
+                        assert seg.long_star_cache is before.long_star_cache
+                        assert seg.plans == {} and seg.plans is not before.plans
+                        kept_memos += 1
+                records.append((grown[-1] if grown else fresh, s))
     assert dead_pairs > 20
     assert skipped > 1000
+    assert carried > 1000
+    assert kept_memos > 100
 
 
 def test_advance_keeps_one_antichain_per_bucket():
@@ -344,8 +364,10 @@ def test_advance_keeps_one_antichain_per_bucket():
     # one at 2
     rep = vertebrate_representation(fam((0, 1), (1, 2), (2, 3), (0, 3)))
     seg = segment_builder(rep, 1)(1, 2)
-    assert seg.anchor.floor == 0
+    anchor = anchor_builder(rep, 1)(2)
+    assert anchor.floor == 0
     plan = _plan(seg, frozenset())
+    sides = _side_assignments(anchor, *plan.side_key)
     forced = frozenset({3})
     low, high = MonotonicSeq((1, -1, -1, -1), 1, 1), MonotonicSeq((1, 0, -1, -1), 1, 1)
     best = DPState(1, low, low, frozenset())
@@ -355,7 +377,7 @@ def test_advance_keeps_one_antichain_per_bucket():
     def advance_all(order):
         stage = {}
         for st in order:
-            _advance(st, seg, plan, stage, {})
+            _advance(st, seg, plan, anchor, sides, stage, {})
         assert set(stage) == {forced}
         return stage[forced].states
 
@@ -432,7 +454,7 @@ def test_bucket_plans_match_fresh_records(monkeypatch):
             v, m_max, n_max = 3, 12, 30
         rep = vertebrate_representation(random_rep(rng, m_max=m_max, n_max=n_max))
         crossing = crossings(rep)
-        build = segment_builder(rep, v)
+        build, anchor_at = segment_builder(rep, v), anchor_builder(rep, v)
 
         def kept(stage):
             return [
@@ -444,16 +466,18 @@ def test_bucket_plans_match_fresh_records(monkeypatch):
         def seen(stage):
             return {A: bucket.seen for A, bucket in stage.items()}
 
-        for built, shared in walk_stages(rep, v, []):
+        for hops, shared in walk_stages(rep, v, []):
             fresh = {}
-            for _, seg, _, preds in built:
-                for first_crossing, bucket in preds.items():
+            for step in hops:
+                s_prev, s = step.seg.s_prev, step.anchor.s
+                for first_crossing, bucket in step.preds.items():
                     for st in bucket.states:
-                        own = build(seg.s_prev, seg.s)
+                        own, anchor = build(s_prev, s), anchor_at(s)
                         plan = _plan(own, first_crossing)
                         if solver._room(st.q, plan.first_bounds, v) is None:
                             continue
-                        _advance(st, own, plan, fresh, {})
+                        sides = _side_assignments(anchor, *plan.side_key)
+                        _advance(st, own, plan, anchor, sides, fresh, {})
                         advanced += 1
             assert kept(shared) == kept(fresh)
             assert seen(shared) == seen(fresh)
@@ -553,34 +577,40 @@ def test_solve_greedy_calls_on_a_split_v2_shape(monkeypatch):
     assert 0 < calls < 677
 
 
+# One hop of walk_stages: seg, the record of s_prev that _segment brought
+# from before (None when built from nothing), crossed into anchor, with
+# heads_in the number of heads seg held before this hop and preds the
+# finished stage at s_prev.
+Hop = namedtuple("Hop", "before seg anchor heads_in preds")
+
+
 def walk_stages(rep, v, stages):
     """Run solve's loop over rep without skipping old pairs, yielding
-    (built, stage) once the stage at each s >= 1 is built, before it is
-    finished.  built lists (before, seg, heads_in, preds) for every record
-    grown at s: before is the record seg grew from, heads_in the number of
-    heads seg held before any state crossed it, and preds the finished
-    stage at seg.s_prev, which solver._cross took across seg.  stages
-    receives every finished stage of this walk (see solver._finish)."""
+    (hops, stage) once the stage at each s >= 1 is built, before it is
+    finished.  hops lists a Hop for every s_prev that solver._cross took
+    into s.  stages receives every finished stage of this walk (see
+    solver._finish)."""
     ivs = rep.family.intervals
-    crossing, floor = crossings_and_floors(rep)
+    crossing, _ = crossings_and_floors(rep)
     arriving = solver._arriving(ivs, rep.m)
     frontier = solver._live_from(ivs, arriving, rep.m, v)
-    group_of = compute_groups(rep.family, v).group_of
+    anchor_at = anchor_builder(rep, v)
     stages.append(preds_of(base_state(v)))
     grown, profiles = {}, {}
     for s in range(1, rep.m + 1):
-        anchor = _crossing_groups(group_of, crossing[s], floor[s])
-        stage, built = {}, []
+        anchor = anchor_at(s)
+        stage, hops = {}, []
         if stages[s - 1]:
             grown[s - 1] = None
         for s_prev, before in list(grown.items()):
             if s_prev < frontier[s]:
                 del grown[s_prev]
                 continue
-            seg = grown[s_prev] = _segment(ivs, crossing, arriving, s_prev, s, v, anchor, before)
-            built.append((before, seg, len(seg.head_cache), stages[s_prev]))
-            _cross(seg, stages[s_prev], stage, profiles)
-        yield built, stage
+            after = s_prev if before is None else s - 1
+            seg = grown[s_prev] = _segment(ivs, crossing, arriving, s_prev, after, s, v, before)
+            hops.append(Hop(before, seg, anchor, len(seg.head_cache), stages[s_prev]))
+            _cross(seg, anchor, stages[s_prev], stage, profiles)
+        yield hops, stage
         stages.append(_finish(stage))
 
 
@@ -589,10 +619,10 @@ def states_of(preds):
     return [st for bucket in preds.values() for st in bucket.states]
 
 
-def grown_records(rep, v, stages=None):
-    """(before, seg, heads_in, preds) for every record of walk_stages."""
-    for built, _ in walk_stages(rep, v, [] if stages is None else stages):
-        yield from built
+def walked_hops(rep, v, stages=None):
+    """Every Hop of walk_stages."""
+    for hops, _ in walk_stages(rep, v, [] if stages is None else stages):
+        yield from hops
 
 
 def test_carried_and_shared_caches_match_fresh_values():
@@ -602,7 +632,7 @@ def test_carried_and_shared_caches_match_fresh_values():
         v = rng.choice([1, 2, 3])
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
         ivs = rep.family.intervals
-        for before, seg, heads_in, _ in grown_records(rep, v):
+        for before, seg, anchor, heads_in, _ in walked_hops(rep, v):
             carried += heads_in
             if before is not None and seg.long_idx == before.long_idx:
                 # no long member arrived: every cache is before's own object
@@ -613,7 +643,7 @@ def test_carried_and_shared_caches_match_fresh_values():
                 shared += len(seg.long_meet_cache) + len(seg.long_star_cache)
             for key, head in seg.head_cache.items():
                 F = IntervalFamily(tuple(ivs[i] for i in key))
-                assert head == fd_head(F, seg.long_fam, seg.s_prev, seg.s, v)
+                assert head == fd_head(F, seg.long_fam, seg.s_prev, anchor.s, v)
             for b, count in seg.long_meet_cache.items():
                 fresh = intervals._max_disjoint_meeting(seg.long_fam.intervals, seg.s_prev, b)
                 assert count == fresh
@@ -624,33 +654,82 @@ def test_carried_and_shared_caches_match_fresh_values():
     assert shared > 200
 
 
+def test_carried_plans_match_fresh_records(monkeypatch):
+    # a record serves every anchor until a member it reads arrives, and
+    # builds each bucket's plan once; at every anchor it served, each plan
+    # it used, counts filled at any anchor included, is the one a record
+    # built there from nothing gives
+    cross = solver._cross
+    visits = []
+    hits = 0
+
+    def kept(seg, anchor, preds, *rest):
+        nonlocal hits
+        hits += sum(first_crossing in seg.plans for first_crossing in preds)
+        visits.append((seg, anchor.s, list(preds)))
+        return cross(seg, anchor, preds, *rest)
+
+    monkeypatch.setattr(solver, "_cross", kept)
+    rng = random.Random(61)
+    plans = counts = 0
+    for k in range(60):
+        v = 1 + k % 3
+        if k % 2:
+            rep = long_rep(rng, 30 if v == 1 else 18)
+        else:
+            rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
+        solve(rep, v)
+        build = segment_builder(rep, v)
+        for seg, s, first_crossings in visits:
+            own = build(seg.s_prev, s)
+            for first_crossing in first_crossings:
+                plan, fresh = seg.plans[first_crossing], _plan(own, first_crossing)
+                assert plan.settled_second == fresh.settled_second
+                assert plan.first_bounds == fresh.first_bounds
+                assert plan.second_bounds == fresh.second_bounds
+                assert plan.F.intervals == fresh.F.intervals
+                assert plan.side_key == fresh.side_key
+                for B, got in plan.second_counts.items():
+                    assert got == solver._second_counts(own, fresh, B)
+                    counts += 1
+                plans += 1
+        visits.clear()
+    # 4,604 of the 8,893 plans used were built at an earlier anchor, by a
+    # record carried from there
+    assert hits > 4000
+    assert plans > hits
+    assert counts > 4000
+
+
 def test_anchor_side_lists_match_a_fresh_enumeration(monkeypatch):
-    make_plan = solver._plan
+    # the side assignments each advanced state reads from its anchor are
+    # those of a fresh anchor and record for its bucket
+    advance = solver._advance
     made = []
 
-    def kept(seg, first_crossing):
-        made.append((seg, first_crossing, make_plan(seg, first_crossing)))
-        return made[-1][2]
+    def kept(st, seg, plan, anchor, sides, *rest):
+        made.append((st.first_crossing, seg.s_prev, anchor, sides))
+        return advance(st, seg, plan, anchor, sides, *rest)
 
-    monkeypatch.setattr(solver, "_plan", kept)
+    monkeypatch.setattr(solver, "_advance", kept)
     rng = random.Random(59)
-    plans = 0
+    lookups = 0
     anchors = {}
     for _ in range(60):
         v = rng.choice([1, 2, 3])
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
-        build = segment_builder(rep, v)
-        for _ in grown_records(rep, v):
+        build, anchor_at = segment_builder(rep, v), anchor_builder(rep, v)
+        for _ in walked_hops(rep, v):
             pass
-        for seg, first_crossing, plan in made:
-            fresh = build(seg.s_prev, seg.s)
+        for first_crossing, s_prev, anchor, sides in made:
+            fresh = build(s_prev, anchor.s)
             shared_first = fresh.shared - first_crossing
-            assert plan.sides == _side_assignments(fresh.anchor, fresh.shared, shared_first)
-            plans += 1
-            anchors[id(seg.anchor)] = seg.anchor
+            assert sides == _side_assignments(anchor_at(anchor.s), fresh.shared, shared_first)
+            lookups += 1
+            anchors[id(anchor)] = anchor
         made.clear()
-    # most plans reuse a side list another segment at their anchor built
-    assert plans > 2 * sum(len(anchor.sides) for anchor in anchors.values()) > 0
+    # most lookups reuse a side list another record at their anchor built
+    assert lookups > 2 * sum(len(anchor.sides) for anchor in anchors.values()) > 0
 
 
 def long_rep(rng, m_max):
@@ -689,12 +768,12 @@ def test_old_pairs_add_nothing_or_one_common_successor_set():
         last_old = solver._last_old(rep.family.intervals, rep.m, v)
         crossing = crossings(rep)
         common = {}
-        for _, seg, _, preds in grown_records(rep, v):
-            if seg.s_prev > last_old[seg.s]:
+        for _, seg, anchor, _, preds in walked_hops(rep, v):
+            if seg.s_prev > last_old[anchor.s]:
                 continue
             for X in states_of(preds):
                 alone = {}
-                _cross(seg, preds_of(X), alone, {})
+                _cross(seg, anchor, preds_of(X), alone, {})
                 keys = {
                     (st.p.r, st.q.r, st.first_crossing, second_crossing(crossing, st))
                     for bucket in alone.values() for st in bucket.states
@@ -702,7 +781,7 @@ def test_old_pairs_add_nothing_or_one_common_successor_set():
                 old_pairs += 1
                 if keys:
                     adding += 1
-                    assert common.setdefault(seg.s, keys) == keys
+                    assert common.setdefault(anchor.s, keys) == keys
     assert old_pairs > adding > 3000
 
 
@@ -746,7 +825,7 @@ def test_solve_stages_match_the_unskipped_walk(monkeypatch):
         v = 1 + k % 2
         rep = long_rep(rng, 60 if v == 1 else 40)
         walk = []
-        walked += sum(1 for _ in grown_records(rep, v, walk))
+        walked += sum(1 for _ in walked_hops(rep, v, walk))
         res = solve(rep, v)
         crossing = crossings(rep)
         assert kept(solved[-1], crossing) == kept(walk, crossing)
@@ -913,6 +992,41 @@ def test_solve_v1_m400_skips_old_pairs(monkeypatch):
     assert sum(res.stage_state_counts) == 619
     assert calls["_segment"] < 10000
     assert calls["_advance"] < 40000
+
+
+@pytest.mark.parametrize(
+    "m, density, seed, v, states, plans, records",
+    [
+        # building every record and plan afresh at each anchor made 9,342
+        # plans and 6,235 records on this instance
+        (400, 0.3, 1, 1, 619, 1834, 1196),
+        # and 1,391 plans and 431 records on this one
+        (40, 2.0, 6, 2, 232, 886, 267),
+    ],
+)
+def test_solve_plans_and_records_built(monkeypatch, m, density, seed, v, states, plans, records):
+    # a plan is built once per record and bucket, and a record once per
+    # arrival of a member it reads; records counts the distinct records
+    # _cross took states across
+    make_plan, cross = solver._plan, solver._cross
+    built, crossed = [], {}
+
+    def counted(*args):
+        built.append(None)
+        return make_plan(*args)
+
+    def kept(seg, *rest):
+        crossed[id(seg)] = seg
+        return cross(seg, *rest)
+
+    monkeypatch.setattr(solver, "_plan", counted)
+    monkeypatch.setattr(solver, "_cross", kept)
+    S = generate(GeneratorSpec("vertebrate", m=m, density=density, max_len=3, seed=seed))
+    res = solve(vertebrate_representation(S), v)
+    assert res.feasible
+    assert sum(res.stage_state_counts) == states
+    assert len(built) == plans
+    assert len(crossed) == records
 
 
 def test_every_record_stages_builds_is_live(monkeypatch):
