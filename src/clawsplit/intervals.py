@@ -18,9 +18,9 @@ pairwise-disjoint members other than itself.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -81,6 +81,9 @@ class IntervalFamily:
     multiplicity is populated by dedup: it maps each distinct interval to how
     many copies the pre-dedup family contained.  Families built directly from
     input leave it None.
+
+    orders is the family's one endpoint order, computed on first use and kept
+    for the family's life; every recognition pass reads it instead of sorting.
     """
 
     intervals: tuple[Interval, ...]
@@ -101,6 +104,18 @@ class IntervalFamily:
 
     def subfamily(self, indices: Iterable[int]) -> "IntervalFamily":
         return IntervalFamily(tuple(self.intervals[i] for i in indices))
+
+    @cached_property
+    def orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(by_hi, by_lo): the member indices sorted by (hi, index) and by
+        (lo, index).  The sorts are stable, so equal keys keep index order."""
+        his = [iv.hi for iv in self.intervals]
+        los = [iv.lo for iv in self.intervals]
+        n = len(his)
+        return (
+            tuple(sorted(range(n), key=his.__getitem__)),
+            tuple(sorted(range(n), key=los.__getitem__)),
+        )
 
 
 def intersects(x: Interval, y: Interval) -> bool:
@@ -150,42 +165,57 @@ def alpha_window(S: IntervalFamily, l: int, r: int) -> int:
 def claw_number(S: IntervalFamily) -> int:
     """Largest t such that S contains an induced star with t leaves.
 
-    S must be free of duplicate intervals (see dedup).  Equals the maximum,
-    over centers c in S, of the number of pairwise-disjoint members of
-    S minus {c} that intersect c.  0 for empty or edgeless families.
+    Each member is its own vertex, so repeated members are allowed and the
+    answer is the claw number of the graph S represents.  Equals the maximum,
+    over centers c in S, of the number of pairwise-disjoint members of S
+    other than c itself that intersect c.  0 for empty or edgeless families.
 
     Each center runs the earliest-endpoint greedy of _max_disjoint_meeting
     on the window (l, r) = c, with every pick found by bisection in the
-    family sorted once by hi and once by lo:
+    family's endpoint orders (S.orders), so nothing is sorted here:
 
-      * the first pick is the member other than c with the smallest hi in
-        (l, r]; if there is none, every other member meeting the window
-        ends past r, and the count is 1 if some member crosses r;
+      * the first pick is the member other than c (by index) with the
+        smallest hi in (l, r]; if there is none, every other member meeting
+        the window ends past r, and the count is 1 if some member crosses r;
       * each later pick, from frontier f, is the member with the smallest
         hi among those with lo >= f (a suffix minimum in lo order; c has
         lo = l < f and is never among them).  If that member starts at or
         past r, it does not meet the window, and its hi bounds the hi of
         every member with lo in [f, r); so one more pick exists iff some
         member has lo in [f, r), and it ends past r, which ends the scan.
+
+    Ties: the lo order breaks equal lo by index, not by hi.  Every search
+    in it is a bisect_left, which lands at the start of a group of equal lo,
+    and suffix_min at a group's start and prefix_max_hi just before it are
+    the minimum and maximum over whole groups, so neither depends on the
+    order inside a group.
+
+    Repeated members: a twin of c (same lo and hi) has lo = l, below every
+    later frontier, so it can only be c's first pick; it is picked only when
+    no member other than c ends in (l, r), and then the count is 1 with
+    frontier r.  A copy of a pick has lo below the new frontier and is never
+    picked again.  So, against the distinct members alone, twins lift a
+    center's count only from 0 to 1: adjacent twins form an edge but never
+    join a larger star, since a leaf set is pairwise disjoint.
     """
     ivs = S.intervals
     n = len(ivs)
-    by_hi = sorted((iv.hi, i) for i, iv in enumerate(ivs))
-    his = [hi for hi, _ in by_hi]
-    by_lo = sorted((iv.lo, iv.hi) for iv in ivs)
-    los = [lo for lo, _ in by_lo]
+    by_hi, by_lo = S.orders
+    his = [ivs[i].hi for i in by_hi]
+    ordered = [ivs[i] for i in by_lo]
+    los = [iv.lo for iv in ordered]
     # suffix_min[k]: (hi, lo) of the member with the smallest hi among
-    # by_lo[k:]; prefix_max_hi[k]: the largest hi among by_lo[:k + 1].
-    suffix_min = list(accumulate(((hi, lo) for lo, hi in reversed(by_lo)), min))[::-1]
-    prefix_max_hi = list(accumulate((hi for _, hi in by_lo), max))
+    # ordered[k:]; prefix_max_hi[k]: the largest hi among ordered[:k + 1].
+    suffix_min = list(accumulate(((iv.hi, iv.lo) for iv in reversed(ordered)), min))[::-1]
+    prefix_max_hi = list(accumulate((iv.hi for iv in ordered), max))
 
     best = 0
     for idx, center in enumerate(ivs):
-        if center.length <= best:
-            continue  # a center meets at most center.length disjoint others
         l, r = center.lo, center.hi
+        if r - l <= best:
+            continue  # a center meets at most r - l disjoint others
         j = bisect_right(his, l)
-        if j < n and by_hi[j][1] == idx:
+        if j < n and by_hi[j] == idx:
             j += 1
         if j == n or his[j] > r:
             below_r = bisect_left(los, r)
@@ -234,8 +264,36 @@ def mid_relation(R: IntervalFamily, S: IntervalFamily, v: int) -> bool:
     return True
 
 
+def _number_pairs(
+    pairs: Iterable[tuple[int, int]],
+) -> tuple[dict[tuple[int, int], int], list[int], list[int], list[int]]:
+    """Number the distinct (lo, hi) pairs in order of first occurrence.
+
+    Returns:
+        (index_of, first, count, rep_of): index_of maps each distinct pair to
+        its number, in that order; first[k] is the position of pair k's first
+        occurrence and count[k] how often it occurs; rep_of maps each position
+        to the number of its pair.
+    """
+    index_of: dict[tuple[int, int], int] = {}
+    first: list[int] = []
+    count: list[int] = []
+    rep_of: list[int] = []
+    for position, pair in enumerate(pairs):
+        k = index_of.setdefault(pair, len(first))
+        if k == len(first):
+            first.append(position)
+            count.append(0)
+        count[k] += 1
+        rep_of.append(k)
+    return index_of, first, count, rep_of
+
+
 def dedup(S: IntervalFamily) -> tuple[IntervalFamily, tuple[int, ...]]:
     """Collapse duplicate intervals, keeping first occurrences.
+
+    Members are keyed by their plain (lo, hi) pairs (_number_pairs), which
+    hash far faster than Interval objects, and counted in the same pass.
 
     Args:
         S: any interval family.
@@ -247,18 +305,10 @@ def dedup(S: IntervalFamily) -> tuple[IntervalFamily, tuple[int, ...]]:
         PartitionAssignment on the dedup'd family expands to the original by
         giving every copy the side of its representative (expand_assignment).
     """
-    index_of: dict[Interval, int] = {}
-    distinct: list[Interval] = []
-    rep_of: list[int] = []
-    for iv in S.intervals:
-        pos = index_of.get(iv)
-        if pos is None:
-            pos = len(distinct)
-            index_of[iv] = pos
-            distinct.append(iv)
-        rep_of.append(pos)
-    counts = Counter(S.intervals)
-    family = IntervalFamily(tuple(distinct), multiplicity=dict(counts))
+    ivs = S.intervals
+    _, first, count, rep_of = _number_pairs((iv.lo, iv.hi) for iv in ivs)
+    distinct = tuple(ivs[i] for i in first)
+    family = IntervalFamily(distinct, multiplicity=dict(zip(distinct, count)))
     return family, tuple(rep_of)
 
 
@@ -270,14 +320,9 @@ def expand_assignment(rep_of: Sequence[int], assignment: PartitionAssignment) ->
 def graph_claw_number(S: IntervalFamily) -> int:
     """Claw number of the graph represented by S, duplicates included.
 
-    Duplicate intervals are adjacent twins: they can form an edge (a star with
-    one leaf) but never join a larger star, because any leaf set is pairwise
-    disjoint while a duplicate intersects everything its twin intersects.  So
-    the answer is claw_number of the dedup'd family, bumped to 1 when that is
-    0 but some interval repeats.
+    claw_number counts each copy of a repeated interval as its own vertex,
+    so this is claw_number(S); its docstring shows why that equals the claw
+    number of the dedup'd family, bumped to 1 when that is 0 but some
+    interval repeats.
     """
-    distinct, _ = dedup(S)
-    base = claw_number(distinct)
-    if base == 0 and len(distinct) < len(S):
-        return 1
-    return base
+    return claw_number(S)

@@ -1,12 +1,16 @@
 """Recognition of vertebrate interval families and their compact form.
 
 An interval family is vertebrate when its independence number equals its
-number of maximal cliques.  Each quantity comes from one sort of the
-endpoints.  The independence number is the earliest-endpoint greedy over the
-whole line, `_max_disjoint_meeting` in intervals.py, whose docstring says
-why that greedy is optimal.  The maximal cliques come from an event sweep
-over the sorted endpoints: the members alive between a start and the end
-that follows it form a maximal clique.
+number of maximal cliques.  Both quantities, and the claw number that `check`
+reports beside them, come from one left-to-right pass over the endpoints in
+the family's one endpoint order, `IntervalFamily.orders`: the member indices
+sorted by (hi, index) and by (lo, index), computed on first use and shared by
+every pass over that family.  The independence number is the
+earliest-endpoint greedy down the hi order (see `_max_disjoint_meeting` in
+intervals.py for why that greedy is optimal).  The maximal cliques come from
+merging the two orders into one event sweep, in the manner of Gupta, Lee and
+Leung (Networks 1982): the members alive between a start and the end that
+follows it form a maximal clique.
 
 For a vertebrate family the maximal cliques, ordered left to right, induce a
 compact normalized family: a vertex lying in cliques a..b becomes the open
@@ -24,8 +28,7 @@ from clawsplit.intervals import (
     Interval,
     IntervalFamily,
     PartitionAssignment,
-    _max_disjoint_meeting,
-    dedup,
+    _number_pairs,
     expand_assignment,
 )
 
@@ -89,9 +92,10 @@ class VertebrateRep:
             if iv.lo < 0 or iv.hi > self.m:
                 raise ValueError(f"interval {iv} outside (0, {self.m})")
         for i, idx in enumerate(self.backbone, start=1):
-            if self.family[idx] != Interval(i - 1, i):
-                raise ValueError(f"backbone slot {i} holds {self.family[idx]}")
-        if len(set(self.family.intervals)) != len(self.family):
+            iv = self.family[idx]
+            if iv.lo != i - 1 or iv.hi != i:
+                raise ValueError(f"backbone slot {i} holds {iv}")
+        if len({(iv.lo, iv.hi) for iv in self.family}) != len(self.family):
             raise ValueError("representation family contains duplicates")
 
     def expand(self, assignment: PartitionAssignment) -> PartitionAssignment:
@@ -100,29 +104,43 @@ class VertebrateRep:
 
 
 def sweepline(S: IntervalFamily) -> int:
-    """Independence number of S: the earliest-endpoint greedy over all of S.
+    """Independence number of S: the earliest-endpoint greedy down S's hi order.
 
-    Every member meets the open window (min lo, max hi), so the greedy of
-    `_max_disjoint_meeting` over that window counts a largest set of pairwise
-    disjoint members.  0 for the empty family.
+    The greedy of `_max_disjoint_meeting` with the window (min lo, max hi),
+    which every member meets, so its window filter drops nothing and the
+    greedy reads the hi order of S.orders directly: take each member that
+    starts at or after the end of the last one taken.  Ties in hi go by
+    index, as there.  0 for the empty family.
     """
-    if not len(S):
-        return 0
-    return _max_disjoint_meeting(
-        S.intervals, min(iv.lo for iv in S), max(iv.hi for iv in S)
-    )
+    ivs = S.intervals
+    count = 0
+    frontier = None
+    for i in S.orders[0]:
+        iv = ivs[i]
+        if frontier is None or iv.lo >= frontier:
+            count += 1
+            frontier = iv.hi
+    return count
 
 
 def maximal_cliques(S: IntervalFamily) -> CliqueArrangement:
     """All maximal cliques of S, left to right, by one sweep over the endpoints.
 
-    At a shared coordinate ends sort before starts, since open intervals that
-    touch are disjoint.  When an end follows a start, the members alive are
-    those on the open segment between two consecutive endpoint values where
-    some member starts and some member ends: a maximal clique, emitted once.
-    A vertex's range runs from the clique after the count at its start to the
-    count at its end; the first end after its start follows a start, so the
-    range is never empty, and it is consecutive by construction.
+    The sweep merges the two orders of S.orders: before each end, every
+    start strictly below its hi is taken, so at a shared coordinate ends come
+    before starts, since open intervals that touch are disjoint.  When an end
+    follows a start, the members alive are those on the open segment between
+    two consecutive endpoint values where some member starts and some member
+    ends: a maximal clique, emitted once.  A vertex's range runs from the
+    clique after the count at its start to the count at its end; the first
+    end after its start follows a start, so the range is never empty, and it
+    is consecutive by construction.
+
+    Ties: events of equal (coordinate, kind) come in index order, but their
+    order never matters.  A run of ends changes no count until the next
+    start, and a run of starts adds its members to the same clique and gives
+    each the same first clique; so every clique and range is fixed by the
+    coordinates alone.
 
     Args:
         S: any interval family.
@@ -130,25 +148,26 @@ def maximal_cliques(S: IntervalFamily) -> CliqueArrangement:
     Returns:
         CliqueArrangement with 1-based consecutive vertex ranges.
     """
-    # (coordinate, 0 for an end or 1 for a start, vertex)
-    events = sorted(
-        [(iv.hi, 0, i) for i, iv in enumerate(S)] + [(iv.lo, 1, i) for i, iv in enumerate(S)]
-    )
+    ivs = S.intervals
+    n = len(ivs)
+    by_hi, by_lo = S.orders
     alive: set[int] = set()
     cliques: list[frozenset[int]] = []
-    first = [0] * len(S)
-    last = [0] * len(S)
-    after_start = False
-    for _, is_start, i in events:
-        if is_start:
-            alive.add(i)
-            first[i] = len(cliques) + 1
-        else:
-            if after_start:
-                cliques.append(frozenset(alive))
-            alive.remove(i)
-            last[i] = len(cliques)
-        after_start = bool(is_start)
+    first = [0] * n
+    last = [0] * n
+    k = 0
+    for i in by_hi:
+        hi = ivs[i].hi
+        opened = k
+        while k < n and ivs[by_lo[k]].lo < hi:
+            j = by_lo[k]
+            alive.add(j)
+            first[j] = len(cliques) + 1
+            k += 1
+        if k > opened:
+            cliques.append(frozenset(alive))
+        alive.remove(i)
+        last[i] = len(cliques)
     return CliqueArrangement(tuple(cliques), tuple(zip(first, last)))
 
 
@@ -166,7 +185,9 @@ def vertebrate_representation(S: IntervalFamily) -> VertebrateRep:
     Each vertex with clique range (a, b) maps to the interval (a - 1, b);
     vertices whose ranges coincide (exact duplicates included) are merged into
     one representative, since equal clique ranges mean equal closed
-    neighbourhoods.  multiplicity and rep_of recover the input graph exactly.
+    neighbourhoods.  The ranges are merged as plain pairs, in order of first
+    occurrence, before any Interval is built, so one Interval is built per
+    distinct range.  multiplicity and rep_of recover the input graph exactly.
 
     Args:
         S: a vertebrate interval family.
@@ -183,27 +204,22 @@ def vertebrate_representation(S: IntervalFamily) -> VertebrateRep:
     m = len(arrangement.cliques)
     if alpha != m:
         raise InvertebrateError(alpha, m)
-    family, rep_of = dedup(
-        IntervalFamily(tuple(Interval(a - 1, b) for a, b in arrangement.vertex_range))
+    index_of, origin, count, rep_of = _number_pairs(
+        (a - 1, b) for a, b in arrangement.vertex_range
     )
-    # dedup numbers the distinct intervals in order of first occurrence.
-    origin: list[int] = []
-    for vertex, pos in enumerate(rep_of):
-        if pos == len(origin):
-            origin.append(vertex)
-    index_of = {iv: pos for pos, iv in enumerate(family)}
+    intervals = tuple(Interval(lo, hi) for lo, hi in index_of)
+    family = IntervalFamily(intervals, multiplicity=dict(zip(intervals, count)))
     backbone = []
     for i in range(1, m + 1):
-        unit = Interval(i - 1, i)
-        pos = index_of.get(unit)
+        pos = index_of.get((i - 1, i))
         if pos is None:
-            raise AssertionError(f"backbone unit {unit} missing from a vertebrate family")
+            raise AssertionError(f"backbone unit ({i - 1}, {i}) missing from a vertebrate family")
         backbone.append(pos)
     return VertebrateRep(
         family=family,
         m=m,
         backbone=tuple(backbone),
         origin_map=tuple(origin),
-        rep_of=rep_of,
+        rep_of=tuple(rep_of),
         source=S,
     )

@@ -150,7 +150,6 @@ from clawsplit.intervals import (
     Side,
     _max_disjoint_meeting,
     claw_number,
-    dedup,
     intersects,
     mid_relation,
 )
@@ -305,18 +304,17 @@ def crossing_family(rep: VertebrateRep, s: int) -> tuple[int, ...]:
 def verify_partition(J: IntervalFamily, assignment: PartitionAssignment, v: int) -> bool:
     """True iff both parts of the assignment have claw number at most v.
 
-    Each part is dedup'd before claw_number, which needs distinct members;
-    duplicate intervals are adjacent twins, which for v >= 1 never change
-    whether a part passes.
+    claw_number takes each part as it is, duplicates included, and counts
+    each copy as its own vertex.  Duplicate intervals are adjacent twins:
+    they can lift a part's claw number only from 0 to 1, so for v >= 1
+    whether a part passes is the same as for its distinct members.
     """
     if len(assignment) != len(J):
         raise ValueError(
             f"assignment covers {len(assignment)} vertices, family has {len(J)}"
         )
     for side in (Side.FIRST, Side.SECOND):
-        part = J.subfamily(assignment.part(side))
-        distinct, _ = dedup(part)
-        if claw_number(distinct) > v:
+        if claw_number(J.subfamily(assignment.part(side))) > v:
             return False
     return True
 

@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from clawsplit import PartitionAssignment, Side, cli, solver, verify_partition
+from clawsplit import (
+    PartitionAssignment,
+    Side,
+    cli,
+    intervals,
+    recognition,
+    solver,
+    verify_partition,
+)
 from clawsplit.cli import main, parse_instance_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -531,6 +539,46 @@ def test_main_twice_in_a_row_prints_identical_lines(capsys):
             for code, lines in runs
         ]
         assert untimed[0] == untimed[1]
+
+
+def test_traced_layers_fire_through_their_module_attributes(capsys, monkeypatch):
+    # bench/tracer.py wraps these by name at every clawsplit module attribute
+    # that holds them, and a traced bench run fails if a wrapper never fires;
+    # so each command must still reach them through those attributes
+    originals = {
+        "sweepline": recognition.sweepline,
+        "maximal_cliques": recognition.maximal_cliques,
+        "vertebrate_representation": recognition.vertebrate_representation,
+        "graph_claw_number": intervals.graph_claw_number,
+    }
+    fired = set()
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            fired.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [mod for name, mod in sorted(sys.modules.items())
+               if mod is not None and (name == "clawsplit" or name.startswith("clawsplit."))]
+    for name, fn in originals.items():
+        wrapper = wrap(name, fn)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    path3 = str(FIXTURES / "path3.txt")
+    for argv, want in (
+        (["check", path3], {"sweepline", "maximal_cliques", "graph_claw_number"}),
+        (["represent", path3], {"sweepline", "maximal_cliques", "vertebrate_representation"}),
+        (["partition", path3, "--v", "1"],
+         {"sweepline", "maximal_cliques", "vertebrate_representation"}),
+    ):
+        fired.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert want <= fired, (argv[0], fired)
 
 
 def test_main_dispatches_to_the_current_command_functions(capsys, monkeypatch):

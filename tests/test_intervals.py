@@ -117,11 +117,36 @@ def test_claw_number_matches_bruteforce():
         while len(pairs) < n:
             lo = rng.randint(0, 8)
             p = (lo, lo + rng.randint(1, 5))
-            if p not in seen:  # claw_number wants distinct members
+            if p not in seen:  # repeated members: test_claw_number_counts_each_copy
                 seen.add(p)
                 pairs.append(p)
         S = fam(*pairs)
         assert claw_number(S) == brute_claw(S)
+
+
+def test_claw_number_counts_each_copy(tie_heavy_families):
+    # a repeated member is its own vertex: twins lift a count only from 0
+    # to 1, so the raw family gives dedup's answer with graph_claw_number's
+    # bump, and the vertex-wise brute force
+    lifted = 0
+    for S in tie_heavy_families:
+        distinct, _ = dedup(S)
+        base = claw_number(distinct)
+        bumped = 1 if base == 0 and len(distinct) < len(S) else base
+        lifted += bumped != base
+        assert claw_number(S) == bumped == brute_claw(S)
+        assert graph_claw_number(S) == bumped
+    assert lifted > 20
+
+
+def test_orders_are_the_index_tie_broken_sorts_computed_once(tie_heavy_families):
+    for S in tie_heavy_families:
+        by_hi, by_lo = S.orders
+        assert list(by_hi) == sorted(range(len(S)), key=lambda i: (S[i].hi, i))
+        assert list(by_lo) == sorted(range(len(S)), key=lambda i: (S[i].lo, i))
+        assert S.orders is S.orders
+    with pytest.raises(AttributeError):
+        S.orders = ((), ())
 
 
 def test_claw_number_of_nested_family_is_fast():

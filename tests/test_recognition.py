@@ -1,6 +1,10 @@
 """Sweepline, maximal cliques, vertebrate test, compact representation."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from clawsplit import (
     Interval,
     IntervalFamily,
     InvertebrateError,
+    alpha_window,
     generate,
     graph_claw_number,
     intersects,
@@ -20,6 +25,8 @@ from clawsplit import (
     vertebrate_representation,
 )
 from bruteforce import brute_maximal_cliques
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PATH3 = IntervalFamily.from_pairs([(0, 2), (1, 3), (2, 4)])
 ZIGZAG = IntervalFamily.from_pairs([(0, 2), (1, 4), (3, 6), (5, 7)])  # alpha 2, three cliques
@@ -66,17 +73,32 @@ def test_maximal_cliques_zigzag():
     assert arr.cliques == (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}))
 
 
+def assert_cliques_match_bruteforce(S):
+    arr = maximal_cliques(S)
+    assert set(arr.cliques) == brute_maximal_cliques(S)
+    # consecutive ranges, and each emitted exactly once
+    assert len(set(arr.cliques)) == len(arr.cliques)
+    for vtx, (a, b) in enumerate(arr.vertex_range):
+        for i, clique in enumerate(arr.cliques, start=1):
+            assert (vtx in clique) == (a <= i <= b)
+
+
 def test_maximal_cliques_match_bruteforce():
     rng = random.Random(11)
     for _ in range(200):
-        S = random_family(rng, n_max=10)
-        arr = maximal_cliques(S)
-        assert set(arr.cliques) == brute_maximal_cliques(S)
-        # consecutive ranges, and each emitted exactly once
-        assert len(set(arr.cliques)) == len(arr.cliques)
-        for vtx, (a, b) in enumerate(arr.vertex_range):
-            for i, clique in enumerate(arr.cliques, start=1):
-                assert (vtx in clique) == (a <= i <= b)
+        assert_cliques_match_bruteforce(random_family(rng, n_max=10))
+
+
+def test_sweepline_and_cliques_on_tie_heavy_families(tie_heavy_families):
+    # repeated members and shared or touching endpoints: every tie of the
+    # shared endpoint orders
+    for S in tie_heavy_families:
+        if len(S):
+            line = (min(iv.lo for iv in S), max(iv.hi for iv in S))
+            assert sweepline(S) == alpha_window(S, *line)
+        else:
+            assert sweepline(S) == 0
+        assert_cliques_match_bruteforce(S)
 
 
 def test_is_vertebrate_examples():
@@ -106,6 +128,51 @@ def test_representation_path3():
 def test_representation_single():
     rep = vertebrate_representation(IntervalFamily.from_pairs([(0, 5)]))
     assert rep.family.intervals == (Interval(0, 1),)
+
+
+# Bad fields for a PATH3 representation, and what VertebrateRep says of each:
+# members past either end, a backbone slot holding a member with the wrong
+# hi, then one with the wrong lo, and a duplicate member.
+BAD_REPRESENTATIONS = """
+import dataclasses
+from clawsplit import IntervalFamily, vertebrate_representation
+
+rep = vertebrate_representation(IntervalFamily.from_pairs([(0, 2), (1, 3), (2, 4)]))
+for change in (
+    dict(family=IntervalFamily.from_pairs([(-1, 1), (0, 2), (1, 2)])),
+    dict(family=IntervalFamily.from_pairs([(0, 1), (0, 3), (1, 2)])),
+    dict(backbone=(1, 2)),
+    dict(backbone=(0, 1)),
+    dict(family=IntervalFamily.from_pairs([(0, 1), (0, 2), (1, 2), (0, 2)])),
+):
+    try:
+        dataclasses.replace(rep, **change)
+    except ValueError as exc:
+        print("ValueError", exc)
+    else:
+        print("accepted", change)
+"""
+BAD_REPRESENTATION_ERRORS = [
+    "ValueError interval Interval(lo=-1, hi=1) outside (0, 2)",
+    "ValueError interval Interval(lo=0, hi=3) outside (0, 2)",
+    "ValueError backbone slot 1 holds Interval(lo=0, hi=2)",
+    "ValueError backbone slot 2 holds Interval(lo=0, hi=2)",
+    "ValueError representation family contains duplicates",
+]
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_representation_checks_reject_bad_members(optimize):
+    # the checks raise rather than assert, so they hold under -O too
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c", BAD_REPRESENTATIONS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == BAD_REPRESENTATION_ERRORS
 
 
 def test_representation_rejects_invertebrate():
