@@ -55,23 +55,36 @@ class ParseError(ValueError):
 
 
 def parse_instance_text(text: str) -> IntervalFamily:
-    """Parse instance text; raises ParseError with a 1-based line number."""
-    pairs: list[tuple[int, int]] = []
+    """Parse instance text; raises ParseError with a 1-based line number.
+
+    The members go straight into the family's lo and hi columns; no Interval
+    object is built (see IntervalFamily).
+    """
+    los: list[int] = []
+    his: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(line_no, f"expected two integers, got {len(parts)} fields")
         try:
-            lo, hi = int(parts[0]), int(parts[1])
+            lo_text, hi_text = raw.split()
+            lo, hi = int(lo_text), int(hi_text)
         except ValueError:
-            raise ParseError(line_no, f"expected two integers, got {line!r}") from None
+            # Not two integers alone: a blank line, a comment or an error.  A
+            # line that is two integers alone holds no '#', so this reading
+            # gives it the same two integers.
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(line_no, f"expected two integers, got {len(parts)} fields")
+            try:
+                lo, hi = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(line_no, f"expected two integers, got {line!r}") from None
         if lo >= hi:
             raise ParseError(line_no, f"interval ({lo}, {hi}) is empty: need lo < hi")
-        pairs.append((lo, hi))
-    return IntervalFamily.from_pairs(pairs)
+        los.append(lo)
+        his.append(hi)
+    return IntervalFamily._from_columns(tuple(los), tuple(his))
 
 
 class _ReadError(Exception):
@@ -108,15 +121,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     fam = load_instance(args.file)
     alpha = sweepline(fam)
-    cliques = maximal_cliques(fam).cliques
-    vertebrate = alpha == len(cliques)
+    m_cliques = maximal_cliques(fam).count
+    vertebrate = alpha == m_cliques
     psi = graph_claw_number(fam)
     _emit(
         [
             "command check",
             f"n {len(fam)}",
             f"m_sweep {alpha}",
-            f"m_cliques {len(cliques)}",
+            f"m_cliques {m_cliques}",
             f"vertebrate {'yes' if vertebrate else 'no'}",
             f"psi {psi}",
             f"timing_total_s {time.perf_counter() - t0:.6f}",
@@ -143,8 +156,9 @@ def cmd_represent(args: argparse.Namespace) -> int:
         f"m_cliques {rep.m}",
         "vertebrate yes",
     ]
-    for j in range(len(fam)):
-        iv = rep.family[rep.rep_of[j]]
+    members = rep.family.intervals
+    for j, r in enumerate(rep.rep_of):
+        iv = members[r]
         lines.append(f"representation {j} {iv.lo} {iv.hi}")
     for i in range(1, rep.m + 1):
         member = rep.backbone[i - 1]
@@ -251,7 +265,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         f"# kind {spec.kind} m {spec.m} n {spec.n} density {spec.density!r} "
         f"max_len {spec.max_len} seed {spec.seed}",
     ]
-    lines.extend(f"{iv.lo} {iv.hi}" for iv in fam)
+    lines.extend(f"{lo} {hi}" for lo, hi in zip(fam.los, fam.his))
     _emit(lines)
     return 0
 

@@ -18,7 +18,7 @@ pairwise-disjoint members other than itself.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
@@ -74,27 +74,84 @@ class PartitionAssignment:
         return PartitionAssignment(tuple(s.other() for s in self.sides))
 
 
-@dataclass(frozen=True)
 class IntervalFamily:
-    """Indexed sequence of intervals; vertex i of the graph is intervals[i].
+    """Indexed sequence of intervals; vertex i of the graph is member i.
+
+    A family is held in one of two forms and derives the other on first
+    read, keeping it for the family's life, as it does orders:
+
+      * intervals, a tuple of Interval objects: what IntervalFamily(intervals)
+        is given, and what the solver's many small families are read as;
+      * los and his, two tuples of ints, member i being (los[i], his[i]):
+        what from_pairs, the instance parser and subfamily build, and what
+        every recognition pass, claw count and dedup reads.
+
+    So a parsed family builds its Interval objects only when a caller reads
+    intervals, iterates or indexes, and a family built from intervals builds
+    its columns only when a pass reads them.  Equality, hash, len and repr
+    do not depend on the form a family was built in.  Families are
+    immutable: assigning an attribute raises FrozenInstanceError, an
+    AttributeError.
 
     multiplicity is populated by dedup: it maps each distinct interval to how
     many copies the pre-dedup family contained.  Families built directly from
-    input leave it None.
+    input leave it None.  It takes no part in equality.
 
     orders is the family's one endpoint order, computed on first use and kept
     for the family's life; every recognition pass reads it instead of sorting.
     """
 
-    intervals: tuple[Interval, ...]
-    multiplicity: Mapping[Interval, int] | None = field(default=None, compare=False)
+    multiplicity: Mapping[Interval, int] | None
+
+    def __init__(
+        self, intervals: Iterable[Interval], multiplicity: Mapping[Interval, int] | None = None
+    ) -> None:
+        known = self.__dict__
+        known["intervals"] = tuple(intervals)
+        known["multiplicity"] = multiplicity
+
+    @classmethod
+    def _from_columns(cls, los: tuple[int, ...], his: tuple[int, ...]) -> "IntervalFamily":
+        """A family on columns the caller has checked: lo < hi throughout."""
+        family = cls.__new__(cls)
+        known = family.__dict__
+        known["los"] = los
+        known["his"] = his
+        known["multiplicity"] = None
+        return family
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "IntervalFamily":
-        return cls(tuple(Interval(lo, hi) for lo, hi in pairs))
+        los: list[int] = []
+        his: list[int] = []
+        for lo, hi in pairs:
+            if lo >= hi:
+                raise ValueError(f"interval ({lo}, {hi}) is empty: need lo < hi")
+            los.append(lo)
+            his.append(hi)
+        return cls._from_columns(tuple(los), tuple(his))
+
+    @cached_property
+    def intervals(self) -> tuple[Interval, ...]:
+        return tuple(map(Interval, self.los, self.his))
+
+    @cached_property
+    def los(self) -> tuple[int, ...]:
+        return tuple(iv.lo for iv in self.intervals)
+
+    @cached_property
+    def his(self) -> tuple[int, ...]:
+        return tuple(iv.hi for iv in self.intervals)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        known = self.__dict__
+        return len(known["his"] if "his" in known else known["intervals"])
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.intervals)
@@ -102,15 +159,31 @@ class IntervalFamily:
     def __getitem__(self, index: int) -> Interval:
         return self.intervals[index]
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if "intervals" in self.__dict__ and "intervals" in other.__dict__:
+            return self.intervals == other.intervals
+        return self.los == other.los and self.his == other.his
+
+    def __hash__(self) -> int:
+        return hash((self.los, self.his))
+
+    def __repr__(self) -> str:
+        return f"IntervalFamily(intervals={self.intervals!r}, multiplicity={self.multiplicity!r})"
+
     def subfamily(self, indices: Iterable[int]) -> "IntervalFamily":
-        return IntervalFamily(tuple(self.intervals[i] for i in indices))
+        picked = tuple(indices)
+        los, his = self.los, self.his
+        return IntervalFamily._from_columns(
+            tuple(los[i] for i in picked), tuple(his[i] for i in picked)
+        )
 
     @cached_property
     def orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(by_hi, by_lo): the member indices sorted by (hi, index) and by
         (lo, index).  The sorts are stable, so equal keys keep index order."""
-        his = [iv.hi for iv in self.intervals]
-        los = [iv.lo for iv in self.intervals]
+        los, his = self.los, self.his
         n = len(his)
         return (
             tuple(sorted(range(n), key=his.__getitem__)),
@@ -198,20 +271,19 @@ def claw_number(S: IntervalFamily) -> int:
     center's count only from 0 to 1: adjacent twins form an edge but never
     join a larger star, since a leaf set is pairwise disjoint.
     """
-    ivs = S.intervals
-    n = len(ivs)
+    lo_of, hi_of = S.los, S.his
+    n = len(hi_of)
     by_hi, by_lo = S.orders
-    his = [ivs[i].hi for i in by_hi]
-    ordered = [ivs[i] for i in by_lo]
-    los = [iv.lo for iv in ordered]
-    # suffix_min[k]: (hi, lo) of the member with the smallest hi among
-    # ordered[k:]; prefix_max_hi[k]: the largest hi among ordered[:k + 1].
-    suffix_min = list(accumulate(((iv.hi, iv.lo) for iv in reversed(ordered)), min))[::-1]
-    prefix_max_hi = list(accumulate((iv.hi for iv in ordered), max))
+    his = list(map(hi_of.__getitem__, by_hi))
+    los = list(map(lo_of.__getitem__, by_lo))
+    ordered_his = list(map(hi_of.__getitem__, by_lo))
+    # suffix_min[k]: (hi, lo) of the member with the smallest hi among the
+    # members by_lo[k:]; prefix_max_hi[k]: the largest hi among by_lo[:k + 1].
+    suffix_min = list(accumulate(zip(reversed(ordered_his), reversed(los)), min))[::-1]
+    prefix_max_hi = list(accumulate(ordered_his, max))
 
     best = 0
-    for idx, center in enumerate(ivs):
-        l, r = center.lo, center.hi
+    for idx, (l, r) in enumerate(zip(lo_of, hi_of)):
         if r - l <= best:
             continue  # a center meets at most r - l disjoint others
         j = bisect_right(his, l)
@@ -292,8 +364,9 @@ def _number_pairs(
 def dedup(S: IntervalFamily) -> tuple[IntervalFamily, tuple[int, ...]]:
     """Collapse duplicate intervals, keeping first occurrences.
 
-    Members are keyed by their plain (lo, hi) pairs (_number_pairs), which
-    hash far faster than Interval objects, and counted in the same pass.
+    Members are keyed by their plain (lo, hi) pairs, read off the columns
+    (_number_pairs), which hash far faster than Interval objects, and counted
+    in the same pass; an Interval is built only per distinct member.
 
     Args:
         S: any interval family.
@@ -305,9 +378,9 @@ def dedup(S: IntervalFamily) -> tuple[IntervalFamily, tuple[int, ...]]:
         PartitionAssignment on the dedup'd family expands to the original by
         giving every copy the side of its representative (expand_assignment).
     """
-    ivs = S.intervals
-    _, first, count, rep_of = _number_pairs((iv.lo, iv.hi) for iv in ivs)
-    distinct = tuple(ivs[i] for i in first)
+    los, his = S.los, S.his
+    _, first, count, rep_of = _number_pairs(zip(los, his))
+    distinct = tuple(Interval(los[i], his[i]) for i in first)
     family = IntervalFamily(distinct, multiplicity=dict(zip(distinct, count)))
     return family, tuple(rep_of)
 

@@ -5,12 +5,18 @@ number of maximal cliques.  Both quantities, and the claw number that `check`
 reports beside them, come from one left-to-right pass over the endpoints in
 the family's one endpoint order, `IntervalFamily.orders`: the member indices
 sorted by (hi, index) and by (lo, index), computed on first use and shared by
-every pass over that family.  The independence number is the
-earliest-endpoint greedy down the hi order (see `_max_disjoint_meeting` in
-intervals.py for why that greedy is optimal).  The maximal cliques come from
-merging the two orders into one event sweep, in the manner of Gupta, Lee and
-Leung (Networks 1982): the members alive between a start and the end that
-follows it form a maximal clique.
+every pass over that family.  Every pass reads the family's lo and hi
+columns (`IntervalFamily.los` and `.his`), plain ints, so a family read from
+a file is recognized without building one Interval object.
+
+The independence number is the earliest-endpoint greedy down the hi order
+(see `_max_disjoint_meeting` in intervals.py for why that greedy is optimal).
+The maximal cliques come from merging the two orders into one event sweep,
+in the manner of Gupta, Lee and Leung (Networks 1982): the members alive
+between a start and the end that follows it form a maximal clique.  The
+sweep counts the cliques and records each member's first and last clique;
+the cliques as vertex sets follow from those ranges, and are built only when
+a caller reads them (`CliqueArrangement.cliques`).
 
 For a vertebrate family the maximal cliques, ordered left to right, induce a
 compact normalized family: a vertex lying in cliques a..b becomes the open
@@ -22,7 +28,9 @@ graph has at least one edge.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from clawsplit.intervals import (
     Interval,
@@ -49,18 +57,64 @@ class InvertebrateError(ValueError):
         self.m_cliques = m_cliques
 
 
+class CliqueSets(Sequence[frozenset[int]]):
+    """The maximal cliques of a CliqueArrangement as vertex-index sets.
+
+    len is the clique count, known without building any set; the sets are
+    built, all at once, on first read of a member, and compare equal to the
+    tuple of the same sets.
+    """
+
+    def __init__(self, count: int, vertex_range: tuple[tuple[int, int], ...]) -> None:
+        self._count = count
+        self._vertex_range = vertex_range
+
+    @cached_property
+    def _sets(self) -> tuple[frozenset[int], ...]:
+        members: list[list[int]] = [[] for _ in range(self._count)]
+        for vertex, (a, b) in enumerate(self._vertex_range):
+            for clique in members[a - 1 : b]:
+                clique.append(vertex)
+        return tuple(map(frozenset, members))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index: int) -> frozenset[int]:
+        return self._sets[index]
+
+    def __iter__(self) -> Iterator[frozenset[int]]:
+        return iter(self._sets)
+
+    def __eq__(self, other: object) -> bool:
+        return self._sets == other
+
+    def __hash__(self) -> int:
+        return hash(self._sets)
+
+    def __repr__(self) -> str:
+        return repr(self._sets)
+
+
 @dataclass(frozen=True)
 class CliqueArrangement:
     """Maximal cliques of an interval family in left-to-right order.
 
-    cliques: vertex-index sets, ordered by the position of the witnessing
-        window on the line.
+    count: the number of maximal cliques.
     vertex_range: per vertex, the 1-based pair (a, b) of the first and last
         clique containing it; membership is consecutive for interval families.
+    cliques: the vertex-index sets, ordered by the position of the
+        witnessing window on the line.  They follow from vertex_range (clique
+        k holds the vertices with a <= k <= b) and are built only when a
+        member is read; len(cliques) is count and builds none.
     """
 
-    cliques: tuple[frozenset[int], ...]
+    count: int
     vertex_range: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def cliques(self) -> CliqueSets:
+        return CliqueSets(self.count, self.vertex_range)
 
 
 @dataclass(frozen=True)
@@ -112,14 +166,13 @@ def sweepline(S: IntervalFamily) -> int:
     starts at or after the end of the last one taken.  Ties in hi go by
     index, as there.  0 for the empty family.
     """
-    ivs = S.intervals
+    los, his = S.los, S.his
     count = 0
     frontier = None
     for i in S.orders[0]:
-        iv = ivs[i]
-        if frontier is None or iv.lo >= frontier:
+        if frontier is None or los[i] >= frontier:
             count += 1
-            frontier = iv.hi
+            frontier = his[i]
     return count
 
 
@@ -131,10 +184,12 @@ def maximal_cliques(S: IntervalFamily) -> CliqueArrangement:
     before starts, since open intervals that touch are disjoint.  When an end
     follows a start, the members alive are those on the open segment between
     two consecutive endpoint values where some member starts and some member
-    ends: a maximal clique, emitted once.  A vertex's range runs from the
+    ends: a maximal clique, counted once.  A vertex's range runs from the
     clique after the count at its start to the count at its end; the first
     end after its start follows a start, so the range is never empty, and it
-    is consecutive by construction.
+    is consecutive by construction.  The sweep keeps no set of the members
+    alive: clique k holds exactly the vertices whose range contains k, which
+    is how CliqueArrangement.cliques builds the sets when they are read.
 
     Ties: events of equal (coordinate, kind) come in index order, but their
     order never matters.  A run of ends changes no count until the next
@@ -148,27 +203,22 @@ def maximal_cliques(S: IntervalFamily) -> CliqueArrangement:
     Returns:
         CliqueArrangement with 1-based consecutive vertex ranges.
     """
-    ivs = S.intervals
-    n = len(ivs)
+    los, his = S.los, S.his
+    n = len(his)
     by_hi, by_lo = S.orders
-    alive: set[int] = set()
-    cliques: list[frozenset[int]] = []
     first = [0] * n
     last = [0] * n
+    count = 0
     k = 0
     for i in by_hi:
-        hi = ivs[i].hi
-        opened = k
-        while k < n and ivs[by_lo[k]].lo < hi:
-            j = by_lo[k]
-            alive.add(j)
-            first[j] = len(cliques) + 1
-            k += 1
-        if k > opened:
-            cliques.append(frozenset(alive))
-        alive.remove(i)
-        last[i] = len(cliques)
-    return CliqueArrangement(tuple(cliques), tuple(zip(first, last)))
+        hi = his[i]
+        if k < n and los[by_lo[k]] < hi:
+            count += 1
+            while k < n and los[by_lo[k]] < hi:
+                first[by_lo[k]] = count
+                k += 1
+        last[i] = count
+    return CliqueArrangement(count, tuple(zip(first, last)))
 
 
 def is_vertebrate(S: IntervalFamily) -> bool:
@@ -176,7 +226,7 @@ def is_vertebrate(S: IntervalFamily) -> bool:
 
     The empty family is vertebrate (both quantities are 0).
     """
-    return sweepline(S) == len(maximal_cliques(S).cliques)
+    return sweepline(S) == maximal_cliques(S).count
 
 
 def vertebrate_representation(S: IntervalFamily) -> VertebrateRep:
@@ -201,7 +251,7 @@ def vertebrate_representation(S: IntervalFamily) -> VertebrateRep:
     """
     alpha = sweepline(S)
     arrangement = maximal_cliques(S)
-    m = len(arrangement.cliques)
+    m = arrangement.count
     if alpha != m:
         raise InvertebrateError(alpha, m)
     index_of, origin, count, rep_of = _number_pairs(

@@ -1,6 +1,7 @@
 """Command-line front end: output documents, exit codes, round trips."""
 
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from clawsplit import (
+    Interval,
+    IntervalFamily,
     PartitionAssignment,
     Side,
     cli,
@@ -17,7 +20,7 @@ from clawsplit import (
     solver,
     verify_partition,
 )
-from clawsplit.cli import main, parse_instance_text
+from clawsplit.cli import ParseError, main, parse_instance_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -113,6 +116,78 @@ def test_internal_runtime_error_reads_as_internal(capsys, monkeypatch):
 def test_comments_and_blank_lines_are_ignored():
     fam = parse_instance_text("# header\n\n0 2  # trailing\n1 3\n")
     assert [(iv.lo, iv.hi) for iv in fam] == [(0, 2), (1, 3)]
+
+
+def reference_parse(text):
+    """The parser as it read a file into Interval objects, one per line, kept
+    as the reference for the column parser."""
+    pairs = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(line_no, f"expected two integers, got {len(parts)} fields")
+        try:
+            lo, hi = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(line_no, f"expected two integers, got {line!r}") from None
+        if lo >= hi:
+            raise ParseError(line_no, f"interval ({lo}, {hi}) is empty: need lo < hi")
+        pairs.append((lo, hi))
+    return IntervalFamily(tuple(Interval(lo, hi) for lo, hi in pairs))
+
+
+# Whitespace that str.split separates on, line breaks that str.splitlines
+# breaks on (form feed is both), and integer spellings int accepts.
+PARSE_SPACES = (" ", "  ", "\t", " \t ", "\x0c", "\u3000", "\x1f")
+PARSE_BREAKS = ("\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028")
+PARSE_NUMBERS = {7: ("7", "+7", "07", "\u0667", "\uff17"), 10: ("10", "1_0", "+1_0", "\u0661\u0660")}
+PARSE_NOISE = (
+    "", "   ", "\t", "#", "# a comment", "   # indented", "#1 2", "1 2 3", "5", "a b",
+    "1.5 2", "1__0 12", "_1 2", "0x1 2", "1 2#", "3 3", "4 2", "7 +7", "-1 -1", "1 2 # 3 4 5",
+)
+
+
+def random_instance_text(rng):
+    """A text of up to 12 lines: members spelled in many ways, some with
+    comments, among blank lines, comments and malformed lines."""
+    lines = []
+    for _ in range(rng.randint(0, 12)):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(PARSE_NOISE))
+            continue
+        lo = rng.randint(-3, 12)
+        hi = lo + rng.randint(1, 4)
+        lo_text = rng.choice(PARSE_NUMBERS.get(lo, (str(lo),)))
+        hi_text = rng.choice(PARSE_NUMBERS.get(hi, (str(hi),)))
+        line = rng.choice(("", " ", "\t")) + lo_text + rng.choice(PARSE_SPACES) + hi_text
+        if rng.random() < 0.2:
+            line += rng.choice(("#", " # note", "\t#", "# 1 2"))
+        lines.append(line + rng.choice(("", " ", "\t")))
+    return "".join(line + rng.choice(PARSE_BREAKS) for line in lines)
+
+
+def test_parser_matches_the_interval_parser_on_seeded_texts():
+    rng = random.Random(19)
+    parsed = failed = 0
+    for _ in range(3000):
+        text = random_instance_text(rng)
+        try:
+            expected = reference_parse(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_instance_text(text)
+            assert (got.value.line_no, str(got.value)) == (exc.line_no, str(exc)), repr(text)
+            failed += 1
+            continue
+        fam = parse_instance_text(text)
+        assert fam == expected, repr(text)
+        assert list(zip(fam.los, fam.his)) == [(iv.lo, iv.hi) for iv in expected]
+        parsed += 1
+    # both outcomes are well covered
+    assert parsed >= 1000 and failed >= 800, (parsed, failed)
 
 
 # ---------------------------------------------------------------------- check
@@ -214,6 +289,49 @@ def test_check_and_represent_scale_to_ten_thousand_intervals(tmp_path, capsys):
         assert code == 0
         assert field(lines, "n") == ["10000"]
         assert field(lines, "m_cliques") == ["5000"]
+
+
+def test_check_builds_no_interval_and_no_clique_set(tmp_path, capsys, monkeypatch):
+    # a parsed family is two integer columns and the sweep counts cliques:
+    # check builds neither an Interval nor a clique set, and represent one
+    # Interval per distinct clique range
+    assert main(["gen", "--kind", "vertebrate", "--m", "5000", "--seed", "3"]) == 0
+    f = tmp_path / "big.txt"
+    f.write_text(capsys.readouterr().out)
+    built = {"intervals": 0, "sets": 0}
+    post_init = Interval.__post_init__
+
+    def counted_post_init(self):
+        built["intervals"] += 1
+        post_init(self)
+
+    def counted_frozenset(members):
+        built["sets"] += 1
+        return frozenset(members)
+
+    monkeypatch.setattr(Interval, "__post_init__", counted_post_init)
+    monkeypatch.setattr(recognition, "frozenset", counted_frozenset, raising=False)
+    code, lines = run(capsys, "check", str(f))
+    assert code == 0
+    assert field(lines, "n") == ["10000"]
+    assert field(lines, "m_cliques") == ["5000"]
+    assert built == {"intervals": 0, "sets": 0}
+
+    code, lines = run(capsys, "represent", str(f))
+    assert code == 0
+    distinct_ranges = {(lo, hi) for _, lo, hi in fields(lines, "representation")}
+    assert 5000 < len(distinct_ranges) < 10000
+    assert built == {"intervals": len(distinct_ranges), "sets": 0}
+
+    # the clique sets follow from the ranges, all at once when first read
+    built["intervals"] = 0
+    arrangement = recognition.maximal_cliques(cli.load_instance(str(f)))
+    assert len(arrangement.cliques) == arrangement.count == 5000
+    assert built == {"intervals": 0, "sets": 0}
+    assert arrangement.cliques[0] == frozenset(
+        vertex for vertex, (a, _) in enumerate(arrangement.vertex_range) if a == 1
+    )
+    assert built == {"intervals": 0, "sets": 5000}
 
 
 # ------------------------------------------------------------------ partition
@@ -465,6 +583,13 @@ def test_module_entry_point_runs():
     assert "vertebrate yes" in proc.stdout
 
 
+# gen-10021.txt opens with a comment line and repeats two members.
+CHECK_AND_REPRESENT = (
+    ("check", str(FIXTURES / "gen-10021.txt")),
+    ("represent", str(FIXTURES / "gen-10021.txt")),
+)
+
+
 def test_partition_under_python_O_prints_the_same_lines(tmp_path):
     # the invariant checks raise rather than assert, so -O changes nothing a
     # run prints; the generated v = 1 instance has long hops (max_len 4)
@@ -495,6 +620,12 @@ def test_partition_under_python_O_prints_the_same_lines(tmp_path):
         assert "decision yes" in plain[1]
         assert sum(line.startswith("witness ") for line in plain[1]) > 10
         assert lines(*argv, optimize=True) == plain
+    # check and represent on a file with a comment and repeated members
+    for argv in CHECK_AND_REPRESENT:
+        plain = lines(*argv)
+        assert plain[0] == 0
+        assert "vertebrate yes" in plain[1]
+        assert lines(*argv, optimize=True) == plain
 
 
 def test_partition_output_does_not_depend_on_the_hash_seed():
@@ -502,9 +633,9 @@ def test_partition_output_does_not_depend_on_the_hash_seed():
     # may follow the hash seed; no such order may reach the output
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = ["partition", str(FIXTURES / "gen-10021.txt"), "--v", "2", "--witness"]
+    partition = ("partition", str(FIXTURES / "gen-10021.txt"), "--v", "2", "--witness")
 
-    def lines(hash_seed):
+    def lines(argv, hash_seed):
         proc = subprocess.run(
             [sys.executable, "-m", "clawsplit", *argv],
             capture_output=True,
@@ -514,11 +645,16 @@ def test_partition_output_does_not_depend_on_the_hash_seed():
         out = [line for line in proc.stdout.splitlines() if not line.startswith("timing_")]
         return proc.returncode, out
 
-    code, out = lines("0")
+    code, out = lines(partition, "0")
     assert code == 0
     assert "decision yes" in out
     assert sum(line.startswith("witness ") for line in out) > 10
-    assert lines("1") == (code, out)
+    assert lines(partition, "1") == (code, out)
+    for argv in CHECK_AND_REPRESENT:
+        code, out = lines(argv, "0")
+        assert code == 0
+        assert "vertebrate yes" in out
+        assert lines(argv, "1") == (code, out)
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -1,7 +1,11 @@
 """Core interval primitives against exhaustive references."""
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,7 @@ from clawsplit import (
     mid_relation,
     verify_partition,
 )
+from clawsplit.cli import parse_instance_text
 from bruteforce import brute_alpha_window, brute_claw
 
 
@@ -147,6 +152,101 @@ def test_orders_are_the_index_tie_broken_sorts_computed_once(tie_heavy_families)
         assert S.orders is S.orders
     with pytest.raises(AttributeError):
         S.orders = ((), ())
+
+
+def family_routes(pairs):
+    """Makers of the same family by each route: from pairs, from Interval
+    objects, parsed from a file's text with comments and blank lines, and
+    as a subfamily."""
+    text = "# members\n" + "".join(f"{lo} {hi}  # member\n\n" for lo, hi in pairs)
+    return {
+        "pairs": lambda: IntervalFamily.from_pairs(pairs),
+        "intervals": lambda: IntervalFamily(tuple(Interval(lo, hi) for lo, hi in pairs)),
+        "parsed": lambda: parse_instance_text(text),
+        "subfamily": lambda: IntervalFamily.from_pairs([(0, 1), *pairs]).subfamily(
+            range(1, len(pairs) + 1)
+        ),
+    }
+
+
+def test_every_construction_route_gives_the_same_family(tie_heavy_families):
+    for S in tie_heavy_families[:400]:
+        pairs = list(zip(S.los, S.his))
+        members = [Interval(lo, hi) for lo, hi in pairs]
+        routes = family_routes(pairs)
+        changed = [*pairs[:-1], (pairs[-1][0], pairs[-1][1] + 1)] if pairs else [(0, 1)]
+        for make in routes.values():
+            # each check on a fresh family, before any other form is derived
+            assert len(make()) == len(pairs)
+            assert list(make()) == members
+            assert [make()[i] for i in range(-len(pairs), len(pairs))] == members * 2
+            assert make().intervals == tuple(members)
+            assert list(zip(make().los, make().his)) == pairs
+            assert make().orders == S.orders
+            assert repr(make()) == f"IntervalFamily(intervals={tuple(members)!r}, multiplicity=None)"
+            assert make().multiplicity is None
+            assert dedup(make()) == dedup(S)
+            assert dedup(make())[0].multiplicity == dedup(S)[0].multiplicity
+            # equality and hash hold whichever forms either side holds
+            for other in routes.values():
+                assert make() == other()
+                assert hash(make()) == hash(other())
+                derived = other()
+                derived.intervals, derived.los, derived.orders
+                assert make() == derived and derived == make()
+                assert hash(make()) == hash(derived)
+                for unequal in family_routes(changed).values():
+                    assert make() != unequal() and unequal() != make()
+
+
+def test_families_stay_immutable_on_every_route(tie_heavy_families):
+    for S in tie_heavy_families[:50]:
+        for make in family_routes(list(zip(S.los, S.his))).values():
+            fresh, derived = make(), make()
+            derived.intervals, derived.los, derived.orders
+            for fam in (fresh, derived):
+                for name in ("intervals", "los", "his", "orders", "multiplicity", "other"):
+                    with pytest.raises(AttributeError):
+                        setattr(fam, name, None)
+                    with pytest.raises(AttributeError):
+                        delattr(fam, name)
+                assert fam == S and fam.multiplicity is None
+
+
+EMPTY_MEMBERS = """
+from clawsplit import Interval, IntervalFamily
+from clawsplit.cli import parse_instance_text
+for make in (
+    lambda: Interval(2, 2),
+    lambda: IntervalFamily.from_pairs([(0, 1), (2, 2)]),
+    lambda: IntervalFamily.from_pairs([(3, 1)]),
+    lambda: parse_instance_text("0 1\\n2 2\\n"),
+):
+    try:
+        make()
+    except ValueError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_empty_members_are_rejected_on_every_route(optimize):
+    # the checks raise rather than assert, so they hold under -O too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c", EMPTY_MEMBERS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ValueError interval (2, 2) is empty: need lo < hi",
+        "ValueError interval (2, 2) is empty: need lo < hi",
+        "ValueError interval (3, 1) is empty: need lo < hi",
+        "ParseError line 2: interval (2, 2) is empty: need lo < hi",
+    ]
 
 
 def test_claw_number_of_nested_family_is_fast():
