@@ -63,23 +63,17 @@ def parse_instance_text(text: str) -> IntervalFamily:
     los: list[int] = []
     his: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0] if "#" in raw else raw
+        parts = line.split()
         try:
-            lo_text, hi_text = raw.split()
+            lo_text, hi_text = parts
             lo, hi = int(lo_text), int(hi_text)
         except ValueError:
-            # Not two integers alone: a blank line, a comment or an error.  A
-            # line that is two integers alone holds no '#', so this reading
-            # gives it the same two integers.
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            if not parts:
                 continue
-            parts = line.split()
             if len(parts) != 2:
                 raise ParseError(line_no, f"expected two integers, got {len(parts)} fields")
-            try:
-                lo, hi = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(line_no, f"expected two integers, got {line!r}") from None
+            raise ParseError(line_no, f"expected two integers, got {line.strip()!r}") from None
         if lo >= hi:
             raise ParseError(line_no, f"interval ({lo}, {hi}) is empty: need lo < hi")
         los.append(lo)

@@ -162,8 +162,6 @@ class IntervalFamily:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if "intervals" in self.__dict__ and "intervals" in other.__dict__:
-            return self.intervals == other.intervals
         return self.los == other.los and self.his == other.his
 
     def __hash__(self) -> int:

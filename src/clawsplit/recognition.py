@@ -28,7 +28,7 @@ graph has at least one edge.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -83,14 +83,8 @@ class CliqueSets(Sequence[frozenset[int]]):
     def __getitem__(self, index: int) -> frozenset[int]:
         return self._sets[index]
 
-    def __iter__(self) -> Iterator[frozenset[int]]:
-        return iter(self._sets)
-
     def __eq__(self, other: object) -> bool:
         return self._sets == other
-
-    def __hash__(self) -> int:
-        return hash(self._sets)
 
     def __repr__(self) -> str:
         return repr(self._sets)

@@ -15,7 +15,9 @@ END_TO_END = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text(
 
 @pytest.mark.parametrize("workload", ["recognize", "split-v2", "split-long"])
 def test_bench_run_is_correct_and_reports_every_end_to_end_metric(workload):
-    # one short untraced run; no bytecode is written under bench/
+    # One short untraced run.  No bytecode is written under bench/, but the
+    # run leaves its instances and result.json in .bench_out/<workload>-seed0-trace0,
+    # replacing what an earlier seed-0 run of the same workload left there.
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "1", "--trace", "0"],

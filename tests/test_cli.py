@@ -147,6 +147,7 @@ PARSE_NUMBERS = {7: ("7", "+7", "07", "\u0667", "\uff17"), 10: ("10", "1_0", "+1
 PARSE_NOISE = (
     "", "   ", "\t", "#", "# a comment", "   # indented", "#1 2", "1 2 3", "5", "a b",
     "1.5 2", "1__0 12", "_1 2", "0x1 2", "1 2#", "3 3", "4 2", "7 +7", "-1 -1", "1 2 # 3 4 5",
+    " a b\t", "1.5 2 # x",
 )
 
 
