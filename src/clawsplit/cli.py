@@ -150,10 +150,9 @@ def cmd_represent(args: argparse.Namespace) -> int:
         f"m_cliques {rep.m}",
         "vertebrate yes",
     ]
-    members = rep.family.intervals
+    los, his = rep.family.los, rep.family.his
     for j, r in enumerate(rep.rep_of):
-        iv = members[r]
-        lines.append(f"representation {j} {iv.lo} {iv.hi}")
+        lines.append(f"representation {j} {los[r]} {his[r]}")
     for i in range(1, rep.m + 1):
         member = rep.backbone[i - 1]
         lines.append(f"backbone {i} {rep.origin_map[member]}")

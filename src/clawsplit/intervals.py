@@ -22,7 +22,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -83,8 +83,9 @@ class IntervalFamily:
       * intervals, a tuple of Interval objects: what IntervalFamily(intervals)
         is given, and what the solver's many small families are read as;
       * los and his, two tuples of ints, member i being (los[i], his[i]):
-        what from_pairs, the instance parser and subfamily build, and what
-        every recognition pass, claw count and dedup reads.
+        what from_pairs, the instance parser, subfamily, dedup and
+        vertebrate_representation build, and what every recognition pass,
+        claw count and dedup reads.
 
     So a parsed family builds its Interval objects only when a caller reads
     intervals, iterates or indexes, and a family built from intervals builds
@@ -93,22 +94,12 @@ class IntervalFamily:
     immutable: assigning an attribute raises FrozenInstanceError, an
     AttributeError.
 
-    multiplicity is populated by dedup: it maps each distinct interval to how
-    many copies the pre-dedup family contained.  Families built directly from
-    input leave it None.  It takes no part in equality.
-
     orders is the family's one endpoint order, computed on first use and kept
     for the family's life; every recognition pass reads it instead of sorting.
     """
 
-    multiplicity: Mapping[Interval, int] | None
-
-    def __init__(
-        self, intervals: Iterable[Interval], multiplicity: Mapping[Interval, int] | None = None
-    ) -> None:
-        known = self.__dict__
-        known["intervals"] = tuple(intervals)
-        known["multiplicity"] = multiplicity
+    def __init__(self, intervals: Iterable[Interval]) -> None:
+        self.__dict__["intervals"] = tuple(intervals)
 
     @classmethod
     def _from_columns(cls, los: tuple[int, ...], his: tuple[int, ...]) -> "IntervalFamily":
@@ -117,7 +108,6 @@ class IntervalFamily:
         known = family.__dict__
         known["los"] = los
         known["his"] = his
-        known["multiplicity"] = None
         return family
 
     @classmethod
@@ -168,7 +158,7 @@ class IntervalFamily:
         return hash((self.los, self.his))
 
     def __repr__(self) -> str:
-        return f"IntervalFamily(intervals={self.intervals!r}, multiplicity={self.multiplicity!r})"
+        return f"IntervalFamily(intervals={self.intervals!r})"
 
     def subfamily(self, indices: Iterable[int]) -> "IntervalFamily":
         picked = tuple(indices)
@@ -336,51 +326,46 @@ def mid_relation(R: IntervalFamily, S: IntervalFamily, v: int) -> bool:
 
 def _number_pairs(
     pairs: Iterable[tuple[int, int]],
-) -> tuple[dict[tuple[int, int], int], list[int], list[int], list[int]]:
+) -> tuple[dict[tuple[int, int], int], list[int], list[int]]:
     """Number the distinct (lo, hi) pairs in order of first occurrence.
 
     Returns:
-        (index_of, first, count, rep_of): index_of maps each distinct pair to
-        its number, in that order; first[k] is the position of pair k's first
-        occurrence and count[k] how often it occurs; rep_of maps each position
-        to the number of its pair.
+        (index_of, first, rep_of): index_of maps each distinct pair to its
+        number, in that order; first[k] is the position of pair k's first
+        occurrence; rep_of maps each position to the number of its pair.
     """
     index_of: dict[tuple[int, int], int] = {}
     first: list[int] = []
-    count: list[int] = []
     rep_of: list[int] = []
     for position, pair in enumerate(pairs):
         k = index_of.setdefault(pair, len(first))
         if k == len(first):
             first.append(position)
-            count.append(0)
-        count[k] += 1
         rep_of.append(k)
-    return index_of, first, count, rep_of
+    return index_of, first, rep_of
 
 
 def dedup(S: IntervalFamily) -> tuple[IntervalFamily, tuple[int, ...]]:
     """Collapse duplicate intervals, keeping first occurrences.
 
     Members are keyed by their plain (lo, hi) pairs, read off the columns
-    (_number_pairs), which hash far faster than Interval objects, and counted
-    in the same pass; an Interval is built only per distinct member.
+    (_number_pairs), which hash far faster than Interval objects, and the
+    distinct family is the subfamily of first occurrences, held as columns:
+    dedup builds no Interval.
 
     Args:
         S: any interval family.
 
     Returns:
         (family, rep_of) where family holds the distinct intervals in order of
-        first occurrence with multiplicity populated, and rep_of maps each
-        original index to the index of its representative in family.  Any
-        PartitionAssignment on the dedup'd family expands to the original by
-        giving every copy the side of its representative (expand_assignment).
+        first occurrence, and rep_of maps each original index to the index of
+        its representative in family; how many copies a member stands for is
+        how often its index occurs in rep_of.  Any PartitionAssignment on the
+        dedup'd family expands to the original by giving every copy the side
+        of its representative (expand_assignment).
     """
-    los, his = S.los, S.his
-    _, first, count, rep_of = _number_pairs(zip(los, his))
-    distinct = tuple(Interval(los[i], his[i]) for i in first)
-    family = IntervalFamily(distinct, multiplicity=dict(zip(distinct, count)))
-    return family, tuple(rep_of)
+    _, first, rep_of = _number_pairs(zip(S.los, S.his))
+    return S.subfamily(first), tuple(rep_of)
 
 
 def expand_assignment(rep_of: Sequence[int], assignment: PartitionAssignment) -> PartitionAssignment:

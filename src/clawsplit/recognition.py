@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from clawsplit.intervals import (
-    Interval,
     IntervalFamily,
     PartitionAssignment,
     _number_pairs,
@@ -115,9 +114,10 @@ class CliqueArrangement:
 class VertebrateRep:
     """Compact normalized form of a vertebrate family.
 
-    family: duplicate-free intervals with endpoints in [0, m]; vertex r of
-        this family stands for every input vertex whose clique range maps to
-        the same interval (multiplicity records how many).
+    family: duplicate-free intervals with endpoints in [0, m], held as lo
+        and hi columns; vertex r of this family stands for every input vertex
+        whose clique range maps to the same interval (the input vertices j
+        with rep_of[j] == r).
     m: number of maximal cliques; the representation spans (0, m).
     backbone: backbone[i - 1] is the family index of the unit (i - 1, i),
         present for every 1 <= i <= m.
@@ -134,16 +134,19 @@ class VertebrateRep:
     source: IntervalFamily = field(repr=False)
 
     def __post_init__(self) -> None:
+        # The checks read the columns; a member is built as an Interval only
+        # to name it in an error.
+        family = self.family
+        los, his = family.los, family.his
         if len(self.backbone) != self.m:
             raise ValueError(f"backbone has {len(self.backbone)} units, expected m={self.m}")
-        for iv in self.family:
-            if iv.lo < 0 or iv.hi > self.m:
-                raise ValueError(f"interval {iv} outside (0, {self.m})")
+        for idx, (lo, hi) in enumerate(zip(los, his)):
+            if lo < 0 or hi > self.m:
+                raise ValueError(f"interval {family[idx]} outside (0, {self.m})")
         for i, idx in enumerate(self.backbone, start=1):
-            iv = self.family[idx]
-            if iv.lo != i - 1 or iv.hi != i:
-                raise ValueError(f"backbone slot {i} holds {iv}")
-        if len({(iv.lo, iv.hi) for iv in self.family}) != len(self.family):
+            if los[idx] != i - 1 or his[idx] != i:
+                raise ValueError(f"backbone slot {i} holds {family[idx]}")
+        if len(set(zip(los, his))) != len(los):
             raise ValueError("representation family contains duplicates")
 
     def expand(self, assignment: PartitionAssignment) -> PartitionAssignment:
@@ -230,8 +233,9 @@ def vertebrate_representation(S: IntervalFamily) -> VertebrateRep:
     vertices whose ranges coincide (exact duplicates included) are merged into
     one representative, since equal clique ranges mean equal closed
     neighbourhoods.  The ranges are merged as plain pairs, in order of first
-    occurrence, before any Interval is built, so one Interval is built per
-    distinct range.  multiplicity and rep_of recover the input graph exactly.
+    occurrence, and the family is held as their lo and hi columns, so no
+    Interval is built until a caller reads rep.family.intervals, as the
+    solver does.  rep_of recovers the input graph exactly.
 
     Args:
         S: a vertebrate interval family.
@@ -248,11 +252,10 @@ def vertebrate_representation(S: IntervalFamily) -> VertebrateRep:
     m = arrangement.count
     if alpha != m:
         raise InvertebrateError(alpha, m)
-    index_of, origin, count, rep_of = _number_pairs(
-        (a - 1, b) for a, b in arrangement.vertex_range
+    index_of, origin, rep_of = _number_pairs((a - 1, b) for a, b in arrangement.vertex_range)
+    family = IntervalFamily._from_columns(
+        tuple(lo for lo, _ in index_of), tuple(hi for _, hi in index_of)
     )
-    intervals = tuple(Interval(lo, hi) for lo, hi in index_of)
-    family = IntervalFamily(intervals, multiplicity=dict(zip(intervals, count)))
     backbone = []
     for i in range(1, m + 1):
         pos = index_of.get((i - 1, i))

@@ -232,7 +232,7 @@ def compute_groups(S: IntervalFamily, v: int) -> GroupingInfo:
         raise ValueError(f"claw bound v={v}: need v >= 1")
     ivs = S.intervals
     n = len(ivs)
-    if len(set(ivs)) != n:
+    if len(set(zip(S.los, S.his))) != n:
         raise ValueError("grouping needs a duplicate-free family (dedup first)")
     parent = list(range(n))
 

@@ -223,6 +223,13 @@ def test_check_empty_file(tmp_path, capsys):
     assert field(lines, "n") == ["0"]
     assert field(lines, "vertebrate") == ["yes"]
     assert field(lines, "psi") == ["0"]
+    # the compact family of no members is two empty columns
+    code, lines = run(capsys, "represent", str(f))
+    assert code == 0
+    assert field(lines, "n") == ["0"]
+    assert field(lines, "m_cliques") == ["0"]
+    assert fields(lines, "representation") == []
+    assert fields(lines, "backbone") == []
 
 
 # ------------------------------------------------------------------ represent
@@ -292,10 +299,13 @@ def test_check_and_represent_scale_to_ten_thousand_intervals(tmp_path, capsys):
         assert field(lines, "m_cliques") == ["5000"]
 
 
-def test_check_builds_no_interval_and_no_clique_set(tmp_path, capsys, monkeypatch):
-    # a parsed family is two integer columns and the sweep counts cliques:
-    # check builds neither an Interval nor a clique set, and represent one
-    # Interval per distinct clique range
+def test_check_and_represent_build_no_interval_and_partition_one_per_member(
+    tmp_path, capsys, monkeypatch
+):
+    # a parsed family and a representation are two integer columns, and the
+    # sweep counts cliques: check and represent build neither an Interval nor
+    # a clique set, and partition builds one Interval per member of the
+    # representation, when the solver first reads rep.family.intervals
     assert main(["gen", "--kind", "vertebrate", "--m", "5000", "--seed", "3"]) == 0
     f = tmp_path / "big.txt"
     f.write_text(capsys.readouterr().out)
@@ -322,17 +332,28 @@ def test_check_builds_no_interval_and_no_clique_set(tmp_path, capsys, monkeypatc
     assert code == 0
     distinct_ranges = {(lo, hi) for _, lo, hi in fields(lines, "representation")}
     assert 5000 < len(distinct_ranges) < 10000
-    assert built == {"intervals": len(distinct_ranges), "sets": 0}
+    assert built == {"intervals": 0, "sets": 0}
+
+    for seed in (1, 2, 3):
+        assert main(["gen", "--kind", "vertebrate", "--m", "40", "--density", "2",
+                     "--seed", str(seed)]) == 0
+        f.write_text(capsys.readouterr().out)
+        members = len(recognition.vertebrate_representation(cli.load_instance(str(f))).family)
+        assert built["intervals"] == 0
+        code, lines = run(capsys, "partition", str(f), "--v", "2", "--witness")
+        assert code in (0, 1)
+        assert int(field(lines, "n")[0]) > members > 40
+        assert built["intervals"] == members
+        built["intervals"] = 0
 
     # the clique sets follow from the ranges, all at once when first read
-    built["intervals"] = 0
     arrangement = recognition.maximal_cliques(cli.load_instance(str(f)))
-    assert len(arrangement.cliques) == arrangement.count == 5000
+    assert len(arrangement.cliques) == arrangement.count == 40
     assert built == {"intervals": 0, "sets": 0}
     assert arrangement.cliques[0] == frozenset(
         vertex for vertex, (a, _) in enumerate(arrangement.vertex_range) if a == 1
     )
-    assert built == {"intervals": 0, "sets": 5000}
+    assert built == {"intervals": 0, "sets": 40}
 
 
 # ------------------------------------------------------------------ partition

@@ -2,6 +2,7 @@
 
 import os
 import random
+from collections import Counter
 import subprocess
 import sys
 import time
@@ -183,10 +184,11 @@ def test_every_construction_route_gives_the_same_family(tie_heavy_families):
             assert make().intervals == tuple(members)
             assert list(zip(make().los, make().his)) == pairs
             assert make().orders == S.orders
-            assert repr(make()) == f"IntervalFamily(intervals={tuple(members)!r}, multiplicity=None)"
-            assert make().multiplicity is None
+            assert repr(make()) == f"IntervalFamily(intervals={tuple(members)!r})"
             assert dedup(make()) == dedup(S)
-            assert dedup(make())[0].multiplicity == dedup(S)[0].multiplicity
+            # rep_of counts the copies each distinct member stands for
+            distinct, rep_of = dedup(make())
+            assert {distinct[k]: c for k, c in Counter(rep_of).items()} == Counter(members)
             # equality and hash hold whichever forms either side holds
             for other in routes.values():
                 assert make() == other()
@@ -205,12 +207,12 @@ def test_families_stay_immutable_on_every_route(tie_heavy_families):
             fresh, derived = make(), make()
             derived.intervals, derived.los, derived.orders
             for fam in (fresh, derived):
-                for name in ("intervals", "los", "his", "orders", "multiplicity", "other"):
+                for name in ("intervals", "los", "his", "orders", "other"):
                     with pytest.raises(AttributeError):
                         setattr(fam, name, None)
                     with pytest.raises(AttributeError):
                         delattr(fam, name)
-                assert fam == S and fam.multiplicity is None
+                assert fam == S
 
 
 EMPTY_MEMBERS = """
@@ -303,7 +305,7 @@ def test_dedup_counts_and_representatives():
     S = fam((0, 1), (0, 1), (1, 2))
     distinct, rep_of = dedup(S)
     assert list(distinct) == [Interval(0, 1), Interval(1, 2)]
-    assert distinct.multiplicity == {Interval(0, 1): 2, Interval(1, 2): 1}
+    assert Counter(rep_of) == {0: 2, 1: 1}
     assert rep_of == (0, 0, 1)
 
 

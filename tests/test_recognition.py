@@ -2,6 +2,7 @@
 
 import os
 import random
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -209,11 +210,10 @@ def test_representation_invariants_randomized():
             Interval(i - 1, i) for i in range(1, m + 1)
         }
         assert len(set(rep.family.intervals)) == len(rep.family)
-        # multiplicity counts the input vertices each member stands for, and
-        # origin_map names the first of them
-        assert rep.family.multiplicity == {
-            iv: rep.rep_of.count(k) for k, iv in enumerate(rep.family)
-        }
+        # rep_of gives each member the input vertices whose clique range maps
+        # to it, and origin_map names the first of them
+        ranges = Counter((a - 1, b) for a, b in maximal_cliques(S).vertex_range)
+        assert {tuple(rep.family[k]): c for k, c in Counter(rep.rep_of).items()} == ranges
         assert rep.origin_map == tuple(rep.rep_of.index(k) for k in range(len(rep.family)))
         # same graph: adjacency under rep_of equals the input's adjacency
         got = adjacency(rep.family, rep.rep_of)
