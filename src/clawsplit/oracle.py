@@ -223,8 +223,9 @@ def _scan(
     sides: list[Side | None] = [None] * n
     sides[0] = Side.FIRST
 
-    distinct, rep_of = dedup(fam)
-    group_of = compute_groups(distinct, v).group_of
+    if collect:
+        distinct, rep_of = dedup(fam)
+        group_of = compute_groups(distinct, v).group_of
 
     first_hit: tuple[Side, ...] | None = None
     good_count = 0

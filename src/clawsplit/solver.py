@@ -25,20 +25,21 @@ settled on the side they were committed to.  The checks are exactly:
 
 after which the profiles advance by extend.  The transition is written once,
 in _advance, which takes one predecessor state across a segment and adds its
-successors to the stage at s.  What a hop reads of its segment, beside s, is
-held in a record (see _Segment): s_prev, the long members, the crossing
-members that settle (pool) and those that do not (shared), and memos of
-work that predecessor states repeat.  A record lives as long as what it
-reads: _stages replaces s_prev's record only when a member it reads
-arrives, a long member with lo >= s_prev or a member of crossing[s_prev]
-that ends, and at every other anchor the same object serves again.  What
-depends on s (the groups of the members crossing s, their floor and the
-side assignments, enumerated once per key) is held by the _Anchor of s,
-which _stages builds once and passes beside every record crossing into s.
-A segment is dead when its long members center an overfull star among
-themselves, and no state crosses it.  Deadness is decided once per solve:
-_live_from gives, for each s, the least s_prev whose segment is live, and
-_stages drops every smaller s_prev for good.
+successors to the stage at s.  What every hop of a solve reads is built once
+per solve, by _context, into one _Solve: the members, v, their groups, the
+members crossing and arriving at each anchor, the floors, live_from and
+last_old, the profile intern table, and the side assignments of the anchor
+being built.  What a hop reads of its segment, beside s, is held in a
+record (see _Segment): s_prev, the long members, the crossing members that
+settle (pool) and those that do not (shared), and memos of work that
+predecessor states repeat.  A record lives as long as what it reads:
+_stages replaces s_prev's record only when a member it reads arrives, a
+long member with lo >= s_prev or a member of crossing[s_prev] that ends,
+and at every other anchor the same object serves again.  A segment is dead
+when its long members center an overfull star among themselves, and no
+state crosses it.  Deadness is decided once per solve: _live_from gives,
+for each s, the least s_prev whose segment is live, and _stages drops
+every smaller s_prev for good.
 
 _cross takes each predecessor bucket across a record with the bucket's plan
 (see _Plan): the settled members' lower-bound floors, the second side's
@@ -48,11 +49,12 @@ first_crossing, so a plan is a pure function of the record and
 first_crossing, and every state of the bucket would compute the same
 values.  The record memoises it, so a plan is built once per record and
 bucket, however many anchors the record serves; the candidate side
-assignments (A, B) come from the anchor, under a key the plan holds.  The
-counts of a B are filled when a successor with that side assignment first
-gets past its bucket's covers, so a plan holds no count a state of its
-bucket did not ask for (all of a B's counts come at once, where a state
-stops at the first failing one).  _advance keeps only the per-state work:
+assignments (A, B) come from the context's memo for the anchor s, under a
+key the plan holds (see _side_assignments).  The counts of a B are filled
+when a successor with that side assignment first gets past its bucket's
+covers, so a plan holds no count a state of its bucket did not ask for
+(all of a B's counts come at once, where a state stops at the first
+failing one).  _advance keeps only the per-state work:
 the second side's lower bounds, one extend, then per candidate the
 bucket's covers, the inequalities alpha_seq(q, a) + count <= v and the
 star check, with the candidates in mask order.  Profiles are interned per
@@ -320,30 +322,43 @@ def verify_partition(J: IntervalFamily, assignment: PartitionAssignment, v: int)
 
 
 @dataclass(frozen=True)
-class _Anchor:
-    """What every hop into one anchor s shares.
+class _Solve:
+    """What every hop of one solve reads, built once by _context.
 
-    group_of maps each member to its overlap group (see compute_groups).
-    gids are the sorted groups of the members crossing s, and members_of
-    lists each one's members; both depend on s alone.  floor is the least lo
-    of the members crossing s, or s when none does: extend sets every
-    profile entry below it to -1 (see _advance).  sides memoises the side
-    assignments that _cross reads, as (first side, second side) pairs of
-    crossing members, keyed by a plan's side_key, (shared, the shared
-    members on the first side): with group_of fixed per solve and gids and
-    members_of per anchor, the forced sides, the free groups and both sides
-    in mask order are a pure function of that key, whatever the record's
-    s_prev.
+    ivs are the representation's members, v the claw bound the DP runs at
+    and m the last anchor.  group_of maps each member to its overlap group
+    (see compute_groups).  arriving[t] lists the members with hi = t (see
+    _arriving); crossing[t] is the set of members crossing the anchor t,
+    and floor[t] the least lo among them, or t when none does (see
+    _crossings): extend sets every profile entry below floor(s) to -1 (see
+    _advance).  live_from[s] is the least s_prev whose segment is live (see
+    _live_from), and last_old[s] the largest s_prev whose hop is old (see
+    _last_old).
+
+    profiles interns every profile the solve builds, by entries (see
+    extend).  sides memoises the side assignments of the anchor s being
+    built, as (first side, second side) pairs of the members crossing s,
+    keyed by a plan's side_key, (shared, the shared members on the first
+    side); _stages clears it at each s.  With group_of fixed per solve and
+    crossing[s] per anchor, the forced sides, the free groups and both sides
+    in mask order are a pure function of that key at s, whatever the
+    record's s_prev (see _side_assignments).  Both memos start empty, in a
+    copy made by dataclasses.replace too.
     """
 
-    s: int
+    ivs: Sequence[Interval]
+    v: int
+    m: int
     group_of: Sequence[int]
-    gids: tuple[int, ...]
-    members_of: dict[int, tuple[int, ...]]
-    floor: int
+    arriving: Sequence[Sequence[int]]
+    crossing: Sequence[frozenset[int]]
+    floor: Sequence[int]
+    live_from: Sequence[int]
+    last_old: Sequence[int]
+    profiles: dict[tuple[int, ...], MonotonicSeq] = field(default_factory=dict, init=False)
     sides: dict[
         tuple[frozenset[int], frozenset[int]], list[tuple[frozenset[int], frozenset[int]]]
-    ] = field(default_factory=dict)
+    ] = field(default_factory=dict, init=False)
 
 
 @dataclass(frozen=True)
@@ -354,9 +369,9 @@ class _Segment:
     family.  No record holds the short ones: they enter no profile, count or
     check (see _advance), and _witness finds them by hi.  shared holds the
     members crossing both s_prev and s; pool, those crossing s_prev that stop
-    before s and so settle at this hop.  The hop's _Anchor, which holds s, is
-    passed beside the record (see _cross).  _stages builds records only for
-    live segments (see _live_from).
+    before s and so settle at this hop.  s, the members and v are read from
+    the solve's context, passed beside the record (see _cross).  _stages
+    builds records only for live segments (see _live_from).
 
     A record serves every anchor s at which these fields are what a fresh
     build for (s_prev, s] gives.  They change only when a member the record
@@ -395,8 +410,6 @@ class _Segment:
     starts with every memo empty.
     """
 
-    ivs: Sequence[Interval]
-    v: int
     s_prev: int
     long_idx: tuple[int, ...]
     long_fam: IntervalFamily
@@ -423,7 +436,7 @@ class _Plan:
     count: b - s_prev backbone units on the first side, which is the whole
     count there (see _movers), and long_meet_cache[b] on the second.
     side_key is the key under which _cross reads the candidate side
-    assignments (A, B) from the anchor's sides (see _Anchor), the one part
+    assignments (A, B) from the context's sides (see _Solve), the one part
     of a bucket's hop that depends on s.  second_counts[B][j] is the
     number of disjoint new second-side members meeting (s_prev, b) for the
     j-th settled_second member (a, b), filled when a successor with that B
@@ -441,22 +454,6 @@ class _Plan:
 
 
 _NO_MEMBERS = IntervalFamily(())
-
-
-def _crossing_groups(
-    group_of: Sequence[int], s: int, K_set: frozenset[int], floor: int
-) -> _Anchor:
-    """The _Anchor of s, with K_set the members crossing s and the given
-    floor: their sorted groups, each one's members in K_set, and no side
-    assignments yet."""
-    gids = tuple(sorted({group_of[i] for i in K_set}))
-    return _Anchor(
-        s,
-        group_of,
-        gids,
-        {g: tuple(sorted(i for i in K_set if group_of[i] == g)) for g in gids},
-        floor,
-    )
 
 
 def _crossings(
@@ -484,29 +481,21 @@ def _crossings(
 
 
 def _segment(
-    ivs: Sequence[Interval],
-    crossing: Sequence[frozenset[int]],
-    arriving: Sequence[Sequence[int]],
-    s_prev: int,
-    after: int,
-    s: int,
-    v: int,
-    before: _Segment | None = None,
+    ctx: _Solve, s_prev: int, after: int, s: int, before: _Segment | None = None
 ) -> _Segment:
-    """The record of the live segment (s_prev, s].
+    """The record of the live segment (s_prev, s] in the solve ctx.
 
-    crossing[t] is the set of members crossing anchor t, and arriving[t]
-    lists the members with hi = t (see _arriving).  before is the record of
-    s_prev at anchor after, or None, with after = s_prev, to build from
-    nothing.  Of the members with hi in (after, s], those with lo < s_prev
-    end a member of crossing[s_prev], and those with lo >= s_prev and length
-    > v are new long members.  With neither, before serves s too and is
-    returned; with ended members only, the next record keeps before's long
-    family and its memos of it (see _Segment).
+    before is the record of s_prev at anchor after, or None, with after =
+    s_prev, to build from nothing.  Of the members with hi in (after, s],
+    those with lo < s_prev end a member of crossing[s_prev], and those with
+    lo >= s_prev and length > v are new long members.  With neither, before
+    serves s too and is returned; with ended members only, the next record
+    keeps before's long family and its memos of it (see _Segment).
     """
+    ivs, v, crossing = ctx.ivs, ctx.v, ctx.crossing
     long_new, ended = [], before is None
     for t in range(after + 1, s + 1):
-        for i in arriving[t]:
+        for i in ctx.arriving[t]:
             if ivs[i].lo < s_prev:
                 ended = True
             elif ivs[i].length > v:
@@ -519,10 +508,10 @@ def _segment(
     _check_segment_members((), (ivs[i] for i in long_new), s_prev, s, v)
     long_idx = tuple(sorted((before.long_idx if before else ()) + tuple(long_new)))
     long_fam = IntervalFamily(tuple(ivs[i] for i in long_idx))
-    return _Segment(ivs=ivs, v=v, s_prev=s_prev, long_idx=long_idx, long_fam=long_fam, **settle)
+    return _Segment(s_prev=s_prev, long_idx=long_idx, long_fam=long_fam, **settle)
 
 
-def _long_star_ok(seg: _Segment, outside: frozenset[int]) -> bool:
+def _long_star_ok(ctx: _Solve, seg: _Segment, outside: frozenset[int]) -> bool:
     """mid_relation(long, long + outside, v) on the long members of the live
     segment seg, memoised in seg.long_star_cache under outside.
 
@@ -539,7 +528,7 @@ def _long_star_ok(seg: _Segment, outside: frozenset[int]) -> bool:
     """
     ok = seg.long_star_cache.get(outside)
     if ok is None:
-        ivs = seg.ivs
+        ivs = ctx.ivs
         near = [ivs[i] for i in outside]
         ok = True
         for c in seg.long_idx:
@@ -548,18 +537,18 @@ def _long_star_ok(seg: _Segment, outside: frozenset[int]) -> bool:
             if not leaves:
                 continue
             leaves += (ivs[i] for i in seg.long_idx if i != c and intersects(ivs[i], center))
-            if _max_disjoint_meeting(leaves, center.lo, center.hi) > seg.v:
+            if _max_disjoint_meeting(leaves, center.lo, center.hi) > ctx.v:
                 ok = False
                 break
         seg.long_star_cache[outside] = ok
     return ok
 
 
-def _plan(seg: _Segment, first_crossing: frozenset[int]) -> _Plan:
+def _plan(ctx: _Solve, seg: _Segment, first_crossing: frozenset[int]) -> _Plan:
     """The plan across seg of the bucket of predecessors with this
     first_crossing (see _Plan), read with the predecessor's sides swapped
     as in _advance."""
-    ivs, s_prev = seg.ivs, seg.s_prev
+    ivs, s_prev = ctx.ivs, seg.s_prev
     settled_second = tuple(sorted(first_crossing & seg.pool))
     second_bounds = []
     for i in settled_second:
@@ -581,12 +570,11 @@ def _plan(seg: _Segment, first_crossing: frozenset[int]) -> _Plan:
 
 
 def _side_assignments(
-    anchor: _Anchor,
-    shared: frozenset[int],
-    shared_first: frozenset[int],
+    ctx: _Solve, s: int, shared: frozenset[int], shared_first: frozenset[int]
 ) -> list[tuple[frozenset[int], frozenset[int]]]:
-    """The (first, second) sides of every assignment of anchor's groups, in
-    mask order.
+    """The (first, second) sides of every assignment of the groups of the
+    members crossing s, in mask order: the free groups by increasing id,
+    the first of them in bit 0, a clear bit putting its group first.
 
     A group holding a shared member keeps that member's side, the first one
     iff the member is in shared_first; there are none when two shared
@@ -595,25 +583,28 @@ def _side_assignments(
     forced: dict[int, bool] = {}
     for i in shared:
         want_first = i in shared_first
-        if forced.setdefault(anchor.group_of[i], want_first) != want_first:
+        if forced.setdefault(ctx.group_of[i], want_first) != want_first:
             return []
-    free = [g for g in anchor.gids if g not in forced]
-    forced_first = [i for g, to_first in forced.items() if to_first for i in anchor.members_of[g]]
-    crossing = frozenset(i for members in anchor.members_of.values() for i in members)
+    crossing = ctx.crossing[s]
+    members_of: dict[int, list[int]] = {}
+    for i in crossing:
+        members_of.setdefault(ctx.group_of[i], []).append(i)
+    free = sorted(g for g in members_of if g not in forced)
+    forced_first = [i for g, to_first in forced.items() if to_first for i in members_of[g]]
     sides = []
     for mask in range(1 << len(free)):
         first_idx = list(forced_first)
         for bit, g in enumerate(free):
             if not (mask >> bit) & 1:
-                first_idx.extend(anchor.members_of[g])
+                first_idx.extend(members_of[g])
         first = frozenset(first_idx)
         sides.append((first, crossing - first))
     return sides
 
 
-def _second_counts(seg: _Segment, plan: _Plan, B: frozenset[int]) -> tuple[int, ...]:
+def _second_counts(ctx: _Solve, seg: _Segment, plan: _Plan, B: frozenset[int]) -> tuple[int, ...]:
     """The second_counts of plan for the second side B (see _Plan)."""
-    ivs = seg.ivs
+    ivs = ctx.ivs
     second_new = [*seg.long_fam.intervals, *(ivs[i] for i in sorted(B - seg.shared))]
     return tuple(
         _max_disjoint_meeting(second_new, seg.s_prev, ivs[i].hi) for i in plan.settled_second
@@ -682,16 +673,16 @@ class _Bucket:
 
 
 def _advance(
+    ctx: _Solve,
     st: DPState,
     seg: _Segment,
     plan: _Plan,
-    anchor: _Anchor,
+    s: int,
     sides: Sequence[tuple[frozenset[int], frozenset[int]]],
     stage: dict[frozenset[int], _Bucket],
-    profiles: dict[tuple[int, ...], MonotonicSeq],
 ) -> None:
-    """The DP transition: take one state at seg.s_prev across seg into
-    stage, the stage at anchor.s.
+    """The DP transition of the solve ctx: take one state at seg.s_prev
+    across seg into stage, the stage at s.
 
     The predecessor is read with its coordinates swapped, since the backbone
     run (s_prev, s] puts the unit (s - 1, s) on the opposite part from
@@ -699,8 +690,8 @@ def _advance(
     a group holding a member that also crosses s_prev keeps that member's
     committed side, and the free groups try both.  What depends only on the
     segment and st's bucket comes from plan, the bucket's plan (see _Plan),
-    sides are the candidate side assignments (A, B) of that bucket at
-    anchor, and profiles interns the new profiles (see extend).
+    sides are the candidate side assignments (A, B) of that bucket at s,
+    and ctx.profiles interns the new profiles (see extend).
 
     The checks, in order: the lower bounds of the members settled on the
     second side, which need no candidate; then per candidate, after
@@ -725,7 +716,7 @@ def _advance(
     every check joins its bucket, which evicts the states it dominates.
 
     extend sets every entry of p_new and q_new below floor(s) =
-    anchor.floor to -1 before it interns them; call that c_s.  It
+    ctx.floor[s] to -1 before it interns them; call that c_s.  It
     changes no check, at this hop or any later one:
 
       * A check reads a profile only in _room, as alpha_seq(r, a): the
@@ -751,7 +742,7 @@ def _advance(
     member crossing s has lo >= s - L + 1, with L the longest member: so an
     entry takes at most L values, whatever s and m are.
     """
-    v = seg.v
+    v = ctx.v
     p_prime, q_prime = st.q, st.p
 
     # Candidate-independent lower bound: the long members give the second
@@ -760,14 +751,13 @@ def _advance(
     if second_room is None:
         return
 
-    s = anchor.s
     head = seg.head_cache.get(plan.settled_second)
     if head is None:
         head = fd_head(plan.F, seg.long_fam, seg.s_prev, s, v)
         seg.head_cache[plan.settled_second] = head
     p_new, q_new = extend(
         p_prime, q_prime, plan.F, _NO_MEMBERS, seg.long_fam, seg.s_prev, s, v,
-        head, profiles, anchor.floor,
+        head, ctx.profiles, ctx.floor[s],
     )
 
     vec = p_new.r + q_new.r
@@ -777,10 +767,10 @@ def _advance(
             continue
         counts = plan.second_counts.get(B)
         if counts is None:
-            counts = plan.second_counts[B] = _second_counts(seg, plan, B)
+            counts = plan.second_counts[B] = _second_counts(ctx, seg, plan, B)
         if not all(map(le, counts, second_room)):
             continue
-        if not _long_star_ok(seg, st.first_crossing | B):
+        if not _long_star_ok(ctx, seg, st.first_crossing | B):
             continue
         if bucket is None:
             bucket = stage[A] = _Bucket()
@@ -827,7 +817,7 @@ def _movers(
     Each of these is monotone (see extend and alpha_seq in the module
     docstring; the clamp of p_new and q_new to floor(s) reads s alone and is
     monotone too), and the candidates, their counts and the star check are
-    the same for every state of the bucket: the anchor's side assignments
+    the same for every state of the bucket: the side assignments of s
     under the plan's side_key, the plan's counts and the record's star
     check.  So when X is <= Y on the projection, every candidate A
     whose successor of Y passes the second-side counts and the star check
@@ -860,31 +850,31 @@ def _movers(
 
 
 def _cross(
+    ctx: _Solve,
     seg: _Segment,
-    anchor: _Anchor,
+    s: int,
     preds: dict[frozenset[int], _Bucket],
     stage: dict[frozenset[int], _Bucket],
-    profiles: dict[tuple[int, ...], MonotonicSeq],
 ) -> None:
     """Take the finished stage at seg.s_prev (see _finish) across seg into
-    stage, the stage at anchor.s: per bucket its plan, memoised in seg, and
-    its side assignments, memoised in anchor, then _advance on each of its
-    movers (see _movers), each list built once per bucket, k and
-    first_bounds."""
-    k = max(0, seg.v + 1 - (anchor.s - seg.s_prev))
+    stage, the stage at s: per bucket its plan, memoised in seg, and its
+    side assignments, memoised in ctx.sides (which holds those of s alone),
+    then _advance on each of its movers (see _movers), each list built once
+    per bucket, k and first_bounds."""
+    k = max(0, ctx.v + 1 - (s - seg.s_prev))
     for first_crossing, bucket in preds.items():
         plan = seg.plans.get(first_crossing)
         if plan is None:
-            plan = seg.plans[first_crossing] = _plan(seg, first_crossing)
-        sides = anchor.sides.get(plan.side_key)
+            plan = seg.plans[first_crossing] = _plan(ctx, seg, first_crossing)
+        sides = ctx.sides.get(plan.side_key)
         if sides is None:
-            sides = anchor.sides[plan.side_key] = _side_assignments(anchor, *plan.side_key)
+            sides = ctx.sides[plan.side_key] = _side_assignments(ctx, s, *plan.side_key)
         key = (k, plan.first_bounds)
         movers = bucket.movers.get(key)
         if movers is None:
-            movers = bucket.movers[key] = _movers(bucket.states, plan.first_bounds, k, seg.v)
+            movers = bucket.movers[key] = _movers(bucket.states, plan.first_bounds, k, ctx.v)
         for st in movers:
-            _advance(st, seg, plan, anchor, sides, stage, profiles)
+            _advance(ctx, st, seg, plan, s, sides, stage)
 
 
 def _scan_key(st: DPState) -> tuple:
@@ -1057,17 +1047,24 @@ def _arriving(ivs: Sequence[Interval], m: int) -> list[list[int]]:
     return arriving
 
 
-def _stages(rep: VertebrateRep, v: int) -> list[dict[frozenset[int], _Bucket]]:
-    """Every stage of the DP for rep, from s = 0 to m, each by bucket (see
-    _finish)."""
+def _context(rep: VertebrateRep, v: int) -> _Solve:
+    """The context of a solve of rep at the claw bound v (see _Solve), each
+    of its tables built once."""
     ivs = rep.family.intervals
     m = rep.m
     group_of = compute_groups(rep.family, v).group_of
     arriving = _arriving(ivs, m)
     crossing, floor = _crossings(ivs, arriving, m)
-    last_old = _last_old(ivs, m, v)
-    live_from = _live_from(ivs, arriving, m, v)
+    return _Solve(
+        ivs, v, m, group_of, arriving, crossing, floor,
+        _live_from(ivs, arriving, m, v), _last_old(ivs, m, v),
+    )
 
+
+def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
+    """Every stage of the DP of ctx, from s = 0 to m, each by bucket (see
+    _finish)."""
+    v = ctx.v
     zero = zero_seq(v)
     stages: list[dict[frozenset[int], _Bucket]] = [
         {frozenset(): _Bucket(states=[DPState(0, zero, zero, frozenset())])}
@@ -1076,7 +1073,7 @@ def _stages(rep: VertebrateRep, v: int) -> list[dict[frozenset[int], _Bucket]]:
     # longest member (see _advance); a count of at most group_cap_bits bits
     # lies below it, so the cap is built only for larger counts (at
     # v = 16000 the power of two alone has 512M bits).
-    longest = max((iv.length for iv in ivs), default=0)
+    longest = max((iv.length for iv in ctx.ivs), default=0)
     state_cap_exp = 2 * (v + 1)
     group_cap_bits = 2 * v * v + v
 
@@ -1088,25 +1085,23 @@ def _stages(rep: VertebrateRep, v: int) -> list[dict[frozenset[int], _Bucket]]:
     # _segment brings the record to s from either by the members arrived
     # since.
     grown: dict[int, tuple[_Segment | None, int]] = {}
-    # Every profile the solve builds, by entries (see extend).
-    profiles: dict[tuple[int, ...], MonotonicSeq] = {}
 
-    for s in range(1, m + 1):
+    for s in range(1, ctx.m + 1):
         stage: dict[frozenset[int], _Bucket] = {}
         if stages[s - 1]:
             grown[s - 1] = (None, s - 1)
-        anchor = _crossing_groups(group_of, s, crossing[s], floor[s])
+        ctx.sides.clear()
         for s_prev, (before, after) in list(grown.items()):
-            if s_prev < live_from[s]:
+            if s_prev < ctx.live_from[s]:
                 del grown[s_prev]
                 for bucket in stages[s_prev].values():
                     bucket.movers.clear()
                 continue
-            if stage and s_prev <= last_old[s]:
+            if stage and s_prev <= ctx.last_old[s]:
                 continue
-            seg = _segment(ivs, crossing, arriving, s_prev, after, s, v, before)
+            seg = _segment(ctx, s_prev, after, s, before)
             grown[s_prev] = (seg, s)
-            _cross(seg, anchor, stages[s_prev], stage, profiles)
+            _cross(ctx, seg, s, stages[s_prev], stage)
         count = sum(len(bucket.states) for bucket in stage.values())
         if count.bit_length() > group_cap_bits:
             cap = (longest + 2) ** state_cap_exp << group_cap_bits
@@ -1116,7 +1111,7 @@ def _stages(rep: VertebrateRep, v: int) -> list[dict[frozenset[int], _Bucket]]:
     return stages
 
 
-def _witness(rep: VertebrateRep, v: int, accepting: DPState) -> list[Side | None]:
+def _witness(ctx: _Solve, accepting: DPState) -> list[Side | None]:
     """The member sides of the split on accepting's back-pointer chain,
     accepting's first side as Side.FIRST, in O(n + m).
 
@@ -1129,8 +1124,7 @@ def _witness(rep: VertebrateRep, v: int, accepting: DPState) -> list[Side | None
     m, so each member's hi lies in exactly one hop: it lies inside exactly
     one segment or settles from exactly one pool, and gets that hop's side.
     """
-    ivs = rep.family.intervals
-    arriving = _arriving(ivs, rep.m)
+    ivs, v, arriving = ctx.ivs, ctx.v, ctx.arriving
     sides: list[Side | None] = [None] * len(ivs)
     st, label = accepting, Side.FIRST
     while st.prev is not None:
@@ -1156,17 +1150,39 @@ def solve(rep: VertebrateRep, v: int) -> SolveResult:
     Returns:
         SolveResult; on feasible instances the assignment covers the input
         family's vertices and has been re-verified with verify_partition.
+
+    The DP runs at v' = min(v, max(L, 1)), with L the longest member of the
+    compact family, so its work stops growing with v past L.  This changes
+    no decision:
+
+      * A member of length l meets at most l pairwise disjoint members (the
+        unit-window argument in _advance), so no induced star of the
+        compact family has more than L leaves.
+      * The input family is the compact one with twins added: each input
+        vertex has the closed neighbourhood of its compact member.  Two
+        leaves of one star are not adjacent, so neither is a twin of the
+        other, and when there are two or more, neither is a twin of the
+        center.  Such a star maps to an induced star of the compact family
+        with as many leaves.
+      * A part's induced stars are induced stars of the whole graph.  So
+        every part of every split has claw number at most max(L, 1), every
+        v >= max(L, 1) answers "yes", and so does the exact DP at v'.
+
+    The witness is verified at v.  For v > L, stage_state_counts are those
+    of the DP at v'.
     """
     start = time.perf_counter()
     if v < 1:
         raise ValueError(f"claw bound v={v}: need v >= 1")
-    stages = _stages(rep, v)
+    longest = max((hi - lo for lo, hi in zip(rep.family.los, rep.family.his)), default=1)
+    ctx = _context(rep, min(v, longest))
+    stages = _stages(ctx)
     counts = tuple(sum(len(bucket.states) for bucket in stage.values()) for stage in stages)
     if not stages[-1]:
         return SolveResult(False, None, None, counts, time.perf_counter() - start)
     accepting = next(iter(stages[-1].values())).states[0]
 
-    sides = _witness(rep, v, accepting)
+    sides = _witness(ctx, accepting)
     if not all(side is not None for side in sides):
         raise AssertionError("witness walk missed a member")
 

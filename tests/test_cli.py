@@ -443,6 +443,16 @@ def test_partition_v_cap(capsys):
     )
     assert code == 0
     assert field(lines, "decision") == ["yes"]
+    # past the longest member every split passes, and solve's work does not
+    # grow with v (see solve)
+    code, lines = run(
+        capsys, "partition", str(FIXTURES / "path3.txt"), "--v", "100000000",
+        "--allow-large-v", "--witness",
+    )
+    assert code == 0
+    assert field(lines, "decision") == ["yes"]
+    fam = IntervalFamily.from_pairs([(0, 2), (1, 3), (2, 4)])
+    assert verify_partition(fam, witness_assignment(lines, 3), 100000000)
 
 
 # --------------------------------------------------------------------- oracle

@@ -18,6 +18,7 @@ from clawsplit import (
     oracle_partition,
     verify_partition,
 )
+from clawsplit import oracle
 from bruteforce import brute_claw, first_good_assignment
 
 
@@ -146,11 +147,23 @@ def test_oracle_partition_witness_is_lexicographically_least():
             assert report.witness.sides == expected.sides
 
 
-def test_oracle_partition_fields_default_to_none_without_properties():
+def test_oracle_partition_fields_default_to_none_without_properties(monkeypatch):
+    # only the properties read the duplicate map and the overlap groups
+    grouped = []
+    groups = oracle.compute_groups
+
+    def counted(*args):
+        grouped.append(args)
+        return groups(*args)
+
+    monkeypatch.setattr(oracle, "compute_groups", counted)
     report = oracle_partition(fam((0, 1), (1, 2)), 1)
     assert report.good_count is None
     assert report.all_good_group_conforming is None
     assert report.any_good_basic is None
+    assert grouped == []
+    assert oracle_partition(fam((0, 1), (1, 2)), 1, report_properties=True).good_count == 2
+    assert len(grouped) == 1
 
 
 def test_oracle_partition_good_count_matches_literal_scan():

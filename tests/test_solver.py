@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from collections import namedtuple
+from dataclasses import replace
 from operator import le
 
 import pytest
@@ -33,8 +34,8 @@ from clawsplit.solver import (
     _advance,
     _Bucket,
     _check_group_bound,
+    _context,
     _cross,
-    _crossing_groups,
     _finish,
     _movers,
     _plan,
@@ -135,9 +136,10 @@ def crossings(rep):
 
 
 def crossings_and_floors(rep):
-    """(crossing, floor) of solver._crossings for every anchor of rep."""
-    ivs = rep.family.intervals
-    return solver._crossings(ivs, solver._arriving(ivs, rep.m), rep.m)
+    """(crossing, floor) of the solve's context for every anchor of rep;
+    neither depends on v."""
+    ctx = _context(rep, 1)
+    return ctx.crossing, ctx.floor
 
 
 def second_crossing(crossing, st):
@@ -145,40 +147,29 @@ def second_crossing(crossing, st):
     return crossing[st.s] - st.first_crossing
 
 
-def segment_builder(rep, v):
+def segment_builder(ctx):
     """build(s_prev, s, before=None, after=None): the record of (s_prev, s]
-    that _segment brings from before, the record of s_prev at anchor after,
-    or builds from nothing."""
-    ivs = rep.family.intervals
-    crossing, _ = crossings_and_floors(rep)
-    arriving = solver._arriving(ivs, rep.m)
+    in the solve ctx that _segment brings from before, the record of s_prev
+    at anchor after, or builds from nothing."""
 
     def build(s_prev, s, before=None, after=None):
         assert (before is None) == (after is None)
         after = s_prev if before is None else after
-        return _segment(ivs, crossing, arriving, s_prev, after, s, v, before)
+        return _segment(ctx, s_prev, after, s, before)
 
     return build
 
 
-def anchor_builder(rep, v):
-    """anchor_at(s): a fresh _Anchor of s, with no side assignments yet."""
-    crossing, floor = crossings_and_floors(rep)
-    group_of = compute_groups(rep.family, v).group_of
-    return lambda s: _crossing_groups(group_of, s, crossing[s], floor[s])
-
-
 def live_from(rep, v):
-    ivs = rep.family.intervals
-    return solver._live_from(ivs, solver._arriving(ivs, rep.m), rep.m, v)
+    return _context(rep, v).live_from
 
 
 def hop(rep, v, st, s):
     """Successors of st at anchor s, by committed first side, via the DP's
     step: the movers filter, which checks the first side's lower bounds,
     then the transition."""
-    stage = {}
-    _cross(segment_builder(rep, v)(st.s, s), anchor_builder(rep, v)(s), preds_of(st), stage, {})
+    ctx, stage = _context(rep, v), {}
+    _cross(ctx, segment_builder(ctx)(st.s, s), s, preds_of(st), stage)
     # one predecessor gives one state per first side
     return {A: bucket.states[0] for A, bucket in stage.items()}
 
@@ -275,9 +266,9 @@ def test_check_transition_long_side_claw_violation(monkeypatch):
     assert live_from(rep, 1)[4] > 0
     segment, built = solver._segment, []
 
-    def kept(ivs, crossing, arriving, s_prev, after, s, v, before):
+    def kept(ctx, s_prev, after, s, before=None):
         built.append((s_prev, s))
-        return segment(ivs, crossing, arriving, s_prev, after, s, v, before)
+        return segment(ctx, s_prev, after, s, before)
 
     monkeypatch.setattr(solver, "_segment", kept)
     solve(rep, 1)
@@ -295,10 +286,11 @@ def test_check_transition_star_completed_by_an_outside_member():
     )
     x = rep.family.intervals.index(Interval(2, 4))
     assert live_from(rep, 1)[3] == 0
-    seg = segment_builder(rep, 1)(0, 3)
+    ctx = _context(rep, 1)
+    seg = segment_builder(ctx)(0, 3)
     long_fam = seg.long_fam
     assert mid_relation(long_fam, long_fam, 1)
-    assert not solver._long_star_ok(seg, frozenset({x}))
+    assert not solver._long_star_ok(ctx, seg, frozenset({x}))
     assert not mid_relation(long_fam, IntervalFamily(long_fam.intervals + (Interval(2, 4),)), 1)
     # only the successor that puts (2,4) on the short side survives
     assert set(hop(rep, 1, base_state(1), 3)) == {frozenset({x})}
@@ -318,8 +310,8 @@ def test_grown_segments_match_a_fresh_build():
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
         ivs = rep.family.intervals
         crossing = crossings(rep)
-        build = segment_builder(rep, v)
-        frontier = live_from(rep, v)
+        ctx = _context(rep, v)
+        build, frontier = segment_builder(ctx), ctx.live_from
         for s_prev in range(rep.m):
             records = []
             for s in range(s_prev + 1, rep.m + 1):
@@ -363,11 +355,11 @@ def test_advance_keeps_one_antichain_per_bucket():
     # clamped; committed to the second side at 1, it is forced to the first
     # one at 2
     rep = vertebrate_representation(fam((0, 1), (1, 2), (2, 3), (0, 3)))
-    seg = segment_builder(rep, 1)(1, 2)
-    anchor = anchor_builder(rep, 1)(2)
-    assert anchor.floor == 0
-    plan = _plan(seg, frozenset())
-    sides = _side_assignments(anchor, *plan.side_key)
+    ctx = _context(rep, 1)
+    seg = segment_builder(ctx)(1, 2)
+    assert ctx.floor[2] == 0
+    plan = _plan(ctx, seg, frozenset())
+    sides = _side_assignments(ctx, 2, *plan.side_key)
     forced = frozenset({3})
     low, high = MonotonicSeq((1, -1, -1, -1), 1, 1), MonotonicSeq((1, 0, -1, -1), 1, 1)
     best = DPState(1, low, low, frozenset())
@@ -377,7 +369,7 @@ def test_advance_keeps_one_antichain_per_bucket():
     def advance_all(order):
         stage = {}
         for st in order:
-            _advance(st, seg, plan, anchor, sides, stage, {})
+            _advance(ctx, st, seg, plan, 2, sides, stage)
         assert set(stage) == {forced}
         return stage[forced].states
 
@@ -454,30 +446,31 @@ def test_bucket_plans_match_fresh_records(monkeypatch):
             v, m_max, n_max = 3, 12, 30
         rep = vertebrate_representation(random_rep(rng, m_max=m_max, n_max=n_max))
         crossing = crossings(rep)
-        build, anchor_at = segment_builder(rep, v), anchor_builder(rep, v)
+        ctx, own_ctx = _context(rep, v), _context(rep, v)
+        build = segment_builder(own_ctx)
 
         def kept(stage):
             return [
                 (A, [(id(st.prev), st.p.r, st.q.r, second_crossing(crossing, st),
-                      solver._witness(rep, v, st)) for st in bucket.states])
+                      solver._witness(ctx, st)) for st in bucket.states])
                 for A, bucket in stage.items()
             ]
 
         def seen(stage):
             return {A: bucket.seen for A, bucket in stage.items()}
 
-        for hops, shared in walk_stages(rep, v, []):
+        for hops, shared in walk_stages(ctx, []):
             fresh = {}
             for step in hops:
-                s_prev, s = step.seg.s_prev, step.anchor.s
+                s_prev, s = step.seg.s_prev, step.s
                 for first_crossing, bucket in step.preds.items():
                     for st in bucket.states:
-                        own, anchor = build(s_prev, s), anchor_at(s)
-                        plan = _plan(own, first_crossing)
+                        own = build(s_prev, s)
+                        plan = _plan(own_ctx, own, first_crossing)
                         if solver._room(st.q, plan.first_bounds, v) is None:
                             continue
-                        sides = _side_assignments(anchor, *plan.side_key)
-                        _advance(st, own, plan, anchor, sides, fresh, {})
+                        sides = _side_assignments(own_ctx, s, *plan.side_key)
+                        _advance(own_ctx, st, own, plan, s, sides, fresh)
                         advanced += 1
             assert kept(shared) == kept(fresh)
             assert seen(shared) == seen(fresh)
@@ -535,8 +528,8 @@ def test_new_first_side_members_meet_each_settled_window_b_minus_s_prev_times():
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
         ivs = rep.family.intervals
         crossing = crossings(rep)
-        build = segment_builder(rep, v)
-        frontier = live_from(rep, v)
+        ctx = _context(rep, v)
+        build, frontier = segment_builder(ctx), ctx.live_from
         for s_prev in range(rep.m):
             for s in range(s_prev + 1, rep.m + 1):
                 if s_prev < frontier[s]:
@@ -578,38 +571,33 @@ def test_solve_greedy_calls_on_a_split_v2_shape(monkeypatch):
 
 
 # One hop of walk_stages: seg, the record of s_prev that _segment brought
-# from before (None when built from nothing), crossed into anchor, with
-# heads_in the number of heads seg held before this hop and preds the
+# from before (None when built from nothing), crossed into the anchor s,
+# with heads_in the number of heads seg held before this hop and preds the
 # finished stage at s_prev.
-Hop = namedtuple("Hop", "before seg anchor heads_in preds")
+Hop = namedtuple("Hop", "before seg s heads_in preds")
 
 
-def walk_stages(rep, v, stages):
-    """Run solve's loop over rep without skipping old pairs, yielding
-    (hops, stage) once the stage at each s >= 1 is built, before it is
-    finished.  hops lists a Hop for every s_prev that solver._cross took
-    into s.  stages receives every finished stage of this walk (see
-    solver._finish)."""
-    ivs = rep.family.intervals
-    crossing, _ = crossings_and_floors(rep)
-    arriving = solver._arriving(ivs, rep.m)
-    frontier = solver._live_from(ivs, arriving, rep.m, v)
-    anchor_at = anchor_builder(rep, v)
-    stages.append(preds_of(base_state(v)))
-    grown, profiles = {}, {}
-    for s in range(1, rep.m + 1):
-        anchor = anchor_at(s)
+def walk_stages(ctx, stages):
+    """Run solve's loop over the solve ctx without skipping old pairs,
+    yielding (hops, stage) once the stage at each s >= 1 is built, before
+    it is finished, with ctx.sides holding the side assignments of s.  hops
+    lists a Hop for every s_prev that solver._cross took into s.  stages
+    receives every finished stage of this walk (see solver._finish)."""
+    stages.append(preds_of(base_state(ctx.v)))
+    grown = {}
+    for s in range(1, ctx.m + 1):
+        ctx.sides.clear()
         stage, hops = {}, []
         if stages[s - 1]:
             grown[s - 1] = None
         for s_prev, before in list(grown.items()):
-            if s_prev < frontier[s]:
+            if s_prev < ctx.live_from[s]:
                 del grown[s_prev]
                 continue
             after = s_prev if before is None else s - 1
-            seg = grown[s_prev] = _segment(ivs, crossing, arriving, s_prev, after, s, v, before)
-            hops.append(Hop(before, seg, anchor, len(seg.head_cache), stages[s_prev]))
-            _cross(seg, anchor, stages[s_prev], stage, profiles)
+            seg = grown[s_prev] = _segment(ctx, s_prev, after, s, before)
+            hops.append(Hop(before, seg, s, len(seg.head_cache), stages[s_prev]))
+            _cross(ctx, seg, s, stages[s_prev], stage)
         yield hops, stage
         stages.append(_finish(stage))
 
@@ -619,9 +607,9 @@ def states_of(preds):
     return [st for bucket in preds.values() for st in bucket.states]
 
 
-def walked_hops(rep, v, stages=None):
+def walked_hops(ctx, stages=None):
     """Every Hop of walk_stages."""
-    for hops, _ in walk_stages(rep, v, [] if stages is None else stages):
+    for hops, _ in walk_stages(ctx, [] if stages is None else stages):
         yield from hops
 
 
@@ -632,7 +620,7 @@ def test_carried_and_shared_caches_match_fresh_values():
         v = rng.choice([1, 2, 3])
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
         ivs = rep.family.intervals
-        for before, seg, anchor, heads_in, _ in walked_hops(rep, v):
+        for before, seg, s, heads_in, _ in walked_hops(_context(rep, v)):
             carried += heads_in
             if before is not None and seg.long_idx == before.long_idx:
                 # no long member arrived: every cache is before's own object
@@ -643,7 +631,7 @@ def test_carried_and_shared_caches_match_fresh_values():
                 shared += len(seg.long_meet_cache) + len(seg.long_star_cache)
             for key, head in seg.head_cache.items():
                 F = IntervalFamily(tuple(ivs[i] for i in key))
-                assert head == fd_head(F, seg.long_fam, seg.s_prev, anchor.s, v)
+                assert head == fd_head(F, seg.long_fam, seg.s_prev, s, v)
             for b, count in seg.long_meet_cache.items():
                 fresh = intervals._max_disjoint_meeting(seg.long_fam.intervals, seg.s_prev, b)
                 assert count == fresh
@@ -658,16 +646,16 @@ def test_carried_plans_match_fresh_records(monkeypatch):
     # a record serves every anchor until a member it reads arrives, and
     # builds each bucket's plan once; at every anchor it served, each plan
     # it used, counts filled at any anchor included, is the one a record
-    # built there from nothing gives
+    # built there from nothing in the same solve gives
     cross = solver._cross
     visits = []
     hits = 0
 
-    def kept(seg, anchor, preds, *rest):
+    def kept(ctx, seg, s, preds, *rest):
         nonlocal hits
         hits += sum(first_crossing in seg.plans for first_crossing in preds)
-        visits.append((seg, anchor.s, list(preds)))
-        return cross(seg, anchor, preds, *rest)
+        visits.append((ctx, seg, s, list(preds)))
+        return cross(ctx, seg, s, preds, *rest)
 
     monkeypatch.setattr(solver, "_cross", kept)
     rng = random.Random(61)
@@ -679,18 +667,17 @@ def test_carried_plans_match_fresh_records(monkeypatch):
         else:
             rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
         solve(rep, v)
-        build = segment_builder(rep, v)
-        for seg, s, first_crossings in visits:
-            own = build(seg.s_prev, s)
+        for ctx, seg, s, first_crossings in visits:
+            own = segment_builder(ctx)(seg.s_prev, s)
             for first_crossing in first_crossings:
-                plan, fresh = seg.plans[first_crossing], _plan(own, first_crossing)
+                plan, fresh = seg.plans[first_crossing], _plan(ctx, own, first_crossing)
                 assert plan.settled_second == fresh.settled_second
                 assert plan.first_bounds == fresh.first_bounds
                 assert plan.second_bounds == fresh.second_bounds
                 assert plan.F.intervals == fresh.F.intervals
                 assert plan.side_key == fresh.side_key
                 for B, got in plan.second_counts.items():
-                    assert got == solver._second_counts(own, fresh, B)
+                    assert got == solver._second_counts(ctx, own, fresh, B)
                     counts += 1
                 plans += 1
         visits.clear()
@@ -702,34 +689,40 @@ def test_carried_plans_match_fresh_records(monkeypatch):
 
 
 def test_anchor_side_lists_match_a_fresh_enumeration(monkeypatch):
-    # the side assignments each advanced state reads from its anchor are
-    # those of a fresh anchor and record for its bucket
-    advance = solver._advance
+    # the side assignments each advanced state reads from the context's
+    # memo are those of a fresh context and record for its bucket
+    advance, enumerate_sides = solver._advance, solver._side_assignments
     made = []
+    enumerated = 0
 
-    def kept(st, seg, plan, anchor, sides, *rest):
-        made.append((st.first_crossing, seg.s_prev, anchor, sides))
-        return advance(st, seg, plan, anchor, sides, *rest)
+    def kept(ctx, st, seg, plan, s, sides, *rest):
+        made.append((st.first_crossing, seg.s_prev, s, sides))
+        return advance(ctx, st, seg, plan, s, sides, *rest)
+
+    def counted(*args):
+        nonlocal enumerated
+        enumerated += 1
+        return enumerate_sides(*args)
 
     monkeypatch.setattr(solver, "_advance", kept)
+    monkeypatch.setattr(solver, "_side_assignments", counted)
     rng = random.Random(59)
     lookups = 0
-    anchors = {}
     for _ in range(60):
         v = rng.choice([1, 2, 3])
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
-        build, anchor_at = segment_builder(rep, v), anchor_builder(rep, v)
-        for _ in walked_hops(rep, v):
+        for _ in walked_hops(_context(rep, v)):
             pass
-        for first_crossing, s_prev, anchor, sides in made:
-            fresh = build(s_prev, anchor.s)
+        fresh_ctx = _context(rep, v)
+        build = segment_builder(fresh_ctx)
+        for first_crossing, s_prev, s, sides in made:
+            fresh = build(s_prev, s)
             shared_first = fresh.shared - first_crossing
-            assert sides == _side_assignments(anchor_at(anchor.s), fresh.shared, shared_first)
+            assert sides == enumerate_sides(fresh_ctx, s, fresh.shared, shared_first)
             lookups += 1
-            anchors[id(anchor)] = anchor
         made.clear()
     # most lookups reuse a side list another record at their anchor built
-    assert lookups > 2 * sum(len(anchor.sides) for anchor in anchors.values()) > 0
+    assert lookups > 2 * enumerated > 0
 
 
 def long_rep(rng, m_max):
@@ -765,15 +758,15 @@ def test_old_pairs_add_nothing_or_one_common_successor_set():
         cases.append((v, long_rep(rng, 36 if v == 1 else 26)))
     old_pairs = adding = 0
     for v, rep in cases:
-        last_old = solver._last_old(rep.family.intervals, rep.m, v)
+        ctx = _context(rep, v)
         crossing = crossings(rep)
         common = {}
-        for _, seg, anchor, _, preds in walked_hops(rep, v):
-            if seg.s_prev > last_old[anchor.s]:
+        for _, seg, s, _, preds in walked_hops(ctx):
+            if seg.s_prev > ctx.last_old[s]:
                 continue
             for X in states_of(preds):
                 alone = {}
-                _cross(seg, anchor, preds_of(X), alone, {})
+                _cross(ctx, seg, s, preds_of(X), alone)
                 keys = {
                     (st.p.r, st.q.r, st.first_crossing, second_crossing(crossing, st))
                     for bucket in alone.values() for st in bucket.states
@@ -781,16 +774,17 @@ def test_old_pairs_add_nothing_or_one_common_successor_set():
                 old_pairs += 1
                 if keys:
                     adding += 1
-                    assert common.setdefault(anchor.s, keys) == keys
+                    assert common.setdefault(s, keys) == keys
     assert old_pairs > adding > 3000
 
 
-def unskipped_witness(rep, v, stages):
+def unskipped_witness(ctx, stages):
     """The rep_assignment solve reads from the first accepting state of
-    stages, or None when the last stage is empty."""
+    stages, the stages of the solve ctx, or None when the last stage is
+    empty."""
     if not stages[-1]:
         return None
-    return PartitionAssignment(tuple(solver._witness(rep, v, first_state(stages[-1]))))
+    return PartitionAssignment(tuple(solver._witness(ctx, first_state(stages[-1]))))
 
 
 def test_solve_stages_match_the_unskipped_walk(monkeypatch):
@@ -808,9 +802,9 @@ def test_solve_stages_match_the_unskipped_walk(monkeypatch):
     stages, segment = solver._stages, solver._segment
     solved, built = [], 0
 
-    def kept_stages(*args):
-        solved.append(stages(*args))
-        return solved[-1]
+    def kept_stages(ctx):
+        solved.append((ctx, stages(ctx)))
+        return solved[-1][1]
 
     def counted(*args, **kwargs):
         nonlocal built
@@ -824,13 +818,14 @@ def test_solve_stages_match_the_unskipped_walk(monkeypatch):
     for k in range(40):
         v = 1 + k % 2
         rep = long_rep(rng, 60 if v == 1 else 40)
-        walk = []
-        walked += sum(1 for _ in walked_hops(rep, v, walk))
         res = solve(rep, v)
+        ctx, got = solved[-1]
+        walk = []
+        walked += sum(1 for _ in walked_hops(_context(rep, ctx.v), walk))
         crossing = crossings(rep)
-        assert kept(solved[-1], crossing) == kept(walk, crossing)
+        assert kept(got, crossing) == kept(walk, crossing)
         assert res.stage_state_counts == tuple(len(states_of(stage)) for stage in walk)
-        assert res.rep_assignment == unskipped_witness(rep, v, walk)
+        assert res.rep_assignment == unskipped_witness(ctx, walk)
     assert walked > 10000
     # solve skipped old pairs, so it built fewer records than the walk
     assert built < walked
@@ -846,17 +841,11 @@ def minimal(vecs):
     return {x for x in vecs if not any(y != x and all(map(le, y, x)) for y in vecs)}
 
 
-def test_clamped_stages_are_the_minimal_clamped_keys_of_an_unclamped_run(monkeypatch):
+def test_clamped_stages_are_the_minimal_clamped_keys_of_an_unclamped_run():
     # with every floor 0, extend clamps nothing and the DP runs unclamped;
     # clamping is monotone and clamping at s then at t >= s is clamping at
     # t, so each clamped stage holds, per bucket, exactly the minimal keys
     # among the clamped keys of the unclamped stage
-    crossings_of = solver._crossings
-
-    def unclamped(ivs, arriving, m):
-        crossing, floor = crossings_of(ivs, arriving, m)
-        return crossing, [0] * len(floor)
-
     rng = random.Random(89)
     stages_checked = merged = 0
     for k in range(150):
@@ -865,11 +854,10 @@ def test_clamped_stages_are_the_minimal_clamped_keys_of_an_unclamped_run(monkeyp
             rep = long_rep(rng, 30 if v == 1 else 16)
         else:
             rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
-        _, floor = crossings_and_floors(rep)
-        stages = solver._stages(rep, v)
-        with monkeypatch.context() as patched:
-            patched.setattr(solver, "_crossings", unclamped)
-            raw_stages = solver._stages(rep, v)
+        ctx = _context(rep, v)
+        floor = ctx.floor
+        stages = solver._stages(ctx)
+        raw_stages = solver._stages(replace(_context(rep, v), floor=[0] * (rep.m + 1)))
         for s, (stage, raw) in enumerate(zip(stages, raw_stages)):
             assert set(stage) == set(raw)
             for A, bucket in raw.items():
@@ -891,10 +879,9 @@ def test_long_star_check_matches_mid_relation_on_live_records():
     for k in range(80):
         v = 1 + k % 3
         rep = long_rep(rng, 20)
-        ivs = rep.family.intervals
-        crossing, _ = crossings_and_floors(rep)
-        build = segment_builder(rep, v)
-        frontier = live_from(rep, v)
+        ctx = _context(rep, v)
+        ivs, crossing = ctx.ivs, ctx.crossing
+        build, frontier = segment_builder(ctx), ctx.live_from
         for s in range(1, rep.m + 1):
             for s_prev in range(frontier[s], s):
                 seg = build(s_prev, s)
@@ -905,7 +892,7 @@ def test_long_star_check_matches_mid_relation_on_live_records():
                         tuple(ivs[i] for i in sorted(outside.union(seg.long_idx)))
                     )
                     want = mid_relation(seg.long_fam, visible, v)
-                    assert solver._long_star_ok(seg, outside) == want
+                    assert solver._long_star_ok(ctx, seg, outside) == want
                     checked += 1
                     rejected += not want
     assert checked > 10000
@@ -964,10 +951,10 @@ def test_movers_keep_every_stage_key_of_advancing_every_state(monkeypatch):
             rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
         filtered, unfiltered = [], []
         monkeypatch.setattr(solver, "_movers", counted)
-        for _ in walk_stages(rep, v, filtered):
+        for _ in walk_stages(_context(rep, v), filtered):
             pass
         monkeypatch.setattr(solver, "_movers", pass_first_bounds)
-        for _ in walk_stages(rep, v, unfiltered):
+        for _ in walk_stages(_context(rep, v), unfiltered):
             pass
         assert keys(filtered) == keys(unfiltered)
     # the filter skipped 27,776 passing states on the first 64 instances
@@ -1015,9 +1002,9 @@ def test_solve_plans_and_records_built(monkeypatch, m, density, seed, v, states,
         built.append(None)
         return make_plan(*args)
 
-    def kept(seg, *rest):
+    def kept(ctx, seg, *rest):
         crossed[id(seg)] = seg
-        return cross(seg, *rest)
+        return cross(ctx, seg, *rest)
 
     monkeypatch.setattr(solver, "_plan", counted)
     monkeypatch.setattr(solver, "_cross", kept)
@@ -1223,9 +1210,9 @@ def test_solve_witness_honours_every_commitment_on_the_accepting_chain(monkeypat
     # backbones, whose segments die soon, add chains of many short hops.
     stages, solved = solver._stages, []
 
-    def kept_stages(*args):
-        solved.append(stages(*args))
-        return solved[-1]
+    def kept_stages(ctx):
+        solved.append((ctx, stages(ctx)))
+        return solved[-1][1]
 
     monkeypatch.setattr(solver, "_stages", kept_stages)
     rng = random.Random(79)
@@ -1246,14 +1233,15 @@ def test_solve_witness_honours_every_commitment_on_the_accepting_chain(monkeypat
             continue
         sides = res.rep_assignment.sides
         crossing = crossings(rep)
-        st, label = first_state(solved[-1][-1]), Side.FIRST
+        ctx, got = solved[-1]
+        st, label = first_state(got[-1]), Side.FIRST
         while st.prev is not None:
             prev, other = st.prev, label.other()
             assert all(sides[i] == label for i in st.first_crossing)
             assert all(sides[i] == other for i in second_crossing(crossing, st))
             for i, iv in enumerate(rep.family.intervals):
                 if iv.lo >= prev.s and iv.hi <= st.s:
-                    assert sides[i] == (label if iv.length <= v else other)
+                    assert sides[i] == (label if iv.length <= ctx.v else other)
             hops += 1
             st, label = prev, other
     assert hops > 600
@@ -1307,15 +1295,59 @@ def test_solve_v1_m400_sparse_is_fast():
 
 def test_solve_at_a_huge_v_builds_no_cap_of_2v2_bits():
     # the stage cap (s + 2)^(2(v + 1)) * 2^(2v^2 + v) built at every stage
-    # made a traced peak of about 206 MB here
+    # made a traced peak of about 206 MB here.  solve runs the DP at the
+    # longest member, 2, so the DP at v = 16000 is run directly
     tracemalloc.start()
     try:
-        res = solve(PATH3_REP, 16000)
+        stages = solver._stages(_context(PATH3_REP, 16000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.feasible
+    assert stages[-1]
     assert peak < 10 * 2 ** 20
+
+
+def test_solve_above_the_longest_member_runs_the_dp_at_its_length():
+    # no member of length l meets more than l disjoint ones, so every v at
+    # or above the longest member L answers "yes", and solve runs the DP at
+    # L.  At v = 10^7 the DP at v held v + 3 entries per profile
+    tracemalloc.start()
+    try:
+        res = solve(PATH3_REP, 10 ** 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert verify_partition(PATH3_REP.source, res.assignment, 10 ** 7)
+    rng = random.Random(37)
+    for _ in range(40):
+        S = random_rep(rng)
+        rep = vertebrate_representation(S)
+        longest = max(iv.length for iv in rep.family)
+        at_longest = solve(rep, longest)
+        assert at_longest.feasible and oracle_partition(S, longest).decision
+        for v in (longest + 1, longest + 7):
+            res = solve(rep, v)
+            assert res.rep_assignment == at_longest.rep_assignment
+            assert res.stage_state_counts == at_longest.stage_state_counts
+            assert verify_partition(S, res.assignment, v)
+
+
+def test_solve_builds_its_tables_once(monkeypatch):
+    # the witness walk reads the arriving lists of the solve's context; it
+    # used to build them a second time
+    rep = vertebrate_representation(
+        generate(GeneratorSpec("vertebrate", m=40, density=2.0, max_len=3, seed=6))
+    )
+    calls = {"_arriving": 0, "compute_groups": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(solver, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    assert solve(rep, 2).feasible
+    assert calls == {"_arriving": 1, "compute_groups": 1}
 
 
 def test_state_counts_within_cap():
@@ -1327,10 +1359,11 @@ def test_state_counts_within_cap():
     for k in range(60):
         v = 1 + k % 3
         rep = long_rep(rng, 30 if v == 1 else 20)
-        _, floor = crossings_and_floors(rep)
+        ctx = _context(rep, v)
+        floor = ctx.floor
         longest = max(iv.length for iv in rep.family)
         cap = (longest + 2) ** (2 * (v + 1)) * 2 ** (2 * v * v + v)
-        for s, stage in enumerate(solver._stages(rep, v)):
+        for s, stage in enumerate(solver._stages(ctx)):
             assert len(states_of(stage)) < cap
             for st in states_of(stage):
                 for entry in st.p.r[1:] + st.q.r[1:]:
