@@ -42,7 +42,7 @@ from clawsplit.recognition import (
     sweepline,
     vertebrate_representation,
 )
-from clawsplit.solver import solve, verify_partition
+from clawsplit.solver import dp_bound, solve, verify_partition
 
 _V_CAP = 4
 _LIMIT_ENV = "CLAWSPLIT_ORACLE_LIMIT"
@@ -161,13 +161,18 @@ def cmd_represent(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_v(command: str, v: int, allow_large: bool) -> int | None:
+def _check_v(command: str, v: int, allow_large: bool, run_at: int | None = None) -> int | None:
+    """An error document for a bound below 1, or for run_at, the bound the
+    work runs at (v unless given), above the cap without allow_large."""
     if v < 1:
         return _error_doc(command, f"v must be at least 1, got {v}")
-    if v > _V_CAP and not allow_large:
+    if run_at is None:
+        run_at = v
+    if run_at > _V_CAP and not allow_large:
+        at = "" if run_at == v else f" (the solver would run at {run_at})"
         return _error_doc(
             command,
-            f"v = {v} exceeds the practical cap of {_V_CAP}; "
+            f"v = {v}{at} exceeds the practical cap of {_V_CAP}; "
             "state counts grow as 2^(2v^2+v), pass --allow-large-v to proceed",
         )
     return None
@@ -176,7 +181,8 @@ def _check_v(command: str, v: int, allow_large: bool) -> int | None:
 def cmd_partition(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     fam = load_instance(args.file)
-    bad = _check_v("partition", args.v, args.allow_large_v)
+    # only v >= 1 here: the cap waits for the bound the DP runs at (see solve)
+    bad = _check_v("partition", args.v, allow_large=True)
     if bad is not None:
         return bad
     t1 = time.perf_counter()
@@ -189,6 +195,9 @@ def cmd_partition(args: argparse.Namespace) -> int:
             [f"alpha {exc.alpha}", f"m_cliques {exc.m_cliques}"],
         )
     t2 = time.perf_counter()
+    bad = _check_v("partition", args.v, args.allow_large_v, run_at=dp_bound(rep, args.v))
+    if bad is not None:
+        return bad
     result = solve(rep, args.v)
     t3 = time.perf_counter()
     lines = [
@@ -285,9 +294,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="decide the claw-bounded 2-partition")
     p.add_argument("file")
-    p.add_argument("--v", type=int, required=True, help="claw bound, 1..4")
+    p.add_argument("--v", type=int, required=True, help="claw bound, >= 1")
     p.add_argument("--witness", action="store_true", help="print the verified witness")
-    p.add_argument("--allow-large-v", action="store_true", help="lift the v cap of 4")
+    p.add_argument(
+        "--allow-large-v", action="store_true",
+        help="lift the cap of 4 on min(v, longest compact member)",
+    )
 
     p = sub.add_parser("oracle", help="exhaustive 2-partition scan (size-guarded)")
     p.add_argument("file")

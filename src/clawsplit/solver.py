@@ -35,7 +35,12 @@ settle (pool) and those that do not (shared), and memos of work that
 predecessor states repeat.  A record lives as long as what it reads:
 _stages replaces s_prev's record only when a member it reads arrives, a
 long member with lo >= s_prev or a member of crossing[s_prev] that ends,
-and at every other anchor the same object serves again.  A segment is dead
+and at every other anchor the same object serves again.  Each memo belongs
+to what it reads, so a new record keeps the memos that the arrival leaves
+valid: those that read the long members alone live in one _Long per long
+family, which every record with that family holds, whatever its s_prev,
+and each bucket's plan keeps the part that reads no long member (see
+_PlanBase) until a member of crossing[s_prev] ends.  A segment is dead
 when its long members center an overfull star among themselves, and no
 state crosses it.  Deadness is decided once per solve: _live_from gives,
 for each s, the least s_prev whose segment is live, and _stages drops
@@ -48,13 +53,14 @@ B.  A predecessor's other side is crossing[s_prev] minus its
 first_crossing, so a plan is a pure function of the record and
 first_crossing, and every state of the bucket would compute the same
 values.  The record memoises it, so a plan is built once per record and
-bucket, however many anchors the record serves; the candidate side
-assignments (A, B) come from the context's memo for the anchor s, under a
-key the plan holds (see _side_assignments).  The counts of a B are filled
-when a successor with that side assignment first gets past its bucket's
-covers, so a plan holds no count a state of its bucket did not ask for
-(all of a B's counts come at once, where a state stops at the first
-failing one).  _advance keeps only the per-state work:
+bucket, however many anchors the record serves, and its long-free part
+once per bucket until a member of crossing[s_prev] ends; the candidate
+side assignments (A, B) come from the context's memo for the anchor s,
+under a key the plan holds (see _side_assignments).  The counts of a B
+are filled when a successor with that side assignment first gets past its
+bucket's covers, so a plan holds no count a state of its bucket did not
+ask for (all of a B's counts come at once, where a state stops at the
+first failing one).  _advance keeps only the per-state work:
 the second side's lower bounds, one extend, then per candidate the
 bucket's covers, the inequalities alpha_seq(q, a) + count <= v and the
 star check, with the candidates in mask order.  Profiles are interned per
@@ -133,7 +139,7 @@ returned.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import le
 from typing import Optional, Sequence
 
@@ -342,8 +348,12 @@ class _Solve:
     side); _stages clears it at each s.  With group_of fixed per solve and
     crossing[s] per anchor, the forced sides, the free groups and both sides
     in mask order are a pure function of that key at s, whatever the
-    record's s_prev (see _side_assignments).  Both memos start empty, in a
-    copy made by dataclasses.replace too.
+    record's s_prev (see _side_assignments).  longs holds the _Long of
+    each long family a record took at the anchor being built, by its
+    indices, and the empty family's for the whole solve: _stages clears the
+    others at each s, so that a family lives only as long as the records
+    that hold it.  All three memos start empty, in a copy made by
+    dataclasses.replace too.
     """
 
     ivs: Sequence[Interval]
@@ -359,97 +369,136 @@ class _Solve:
     sides: dict[
         tuple[frozenset[int], frozenset[int]], list[tuple[frozenset[int], frozenset[int]]]
     ] = field(default_factory=dict, init=False)
+    longs: dict[tuple[int, ...], _Long] = field(default_factory=dict, init=False)
+
+
+@dataclass(frozen=True)
+class _Long:
+    """The long members of a segment, and the memos that read them alone.
+
+    idx are the member indices, in increasing order, and fam the same
+    members as a family.  Each memo value is a pure function of the long
+    members, v and its key, and reads neither s nor s_prev (see _Segment),
+    so one object serves every record with these long members:
+
+      * long_meet_cache, per right end b: how many disjoint long members
+        meet (s_prev, b).
+      * head_cache, per settled_second (the sorted indices of the members
+        settled on the second side, which fix F): fd_head(F, fam, s_prev,
+        s, v).
+      * long_star_cache, per set of crossing members visible to the second
+        side: whether the long members center no overfull star among
+        themselves and those (see _long_star_ok).
+    """
+
+    idx: tuple[int, ...]
+    fam: IntervalFamily
+    long_meet_cache: dict[int, int] = field(default_factory=dict)
+    head_cache: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = field(
+        default_factory=dict
+    )
+    long_star_cache: dict[frozenset[int], bool] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class _Segment:
     """What a hop out of s_prev reads of its segment (s_prev, s], beside s.
 
-    long_idx are the members inside (s_prev, s) longer than v, also held as a
-    family.  No record holds the short ones: they enter no profile, count or
-    check (see _advance), and _witness finds them by hi.  shared holds the
-    members crossing both s_prev and s; pool, those crossing s_prev that stop
-    before s and so settle at this hop.  s, the members and v are read from
-    the solve's context, passed beside the record (see _cross).  _stages
-    builds records only for live segments (see _live_from).
+    long holds the members inside (s_prev, s) longer than v (see _Long).  No
+    record holds the short ones: they enter no profile, count or check (see
+    _advance), and _witness finds them by hi.  shared holds the members
+    crossing both s_prev and s; pool, those crossing s_prev that stop before
+    s and so settle at this hop.  s, the members and v are read from the
+    solve's context, passed beside the record (see _cross).  _stages builds
+    records only for live segments (see _live_from).
 
     A record serves every anchor s at which these fields are what a fresh
     build for (s_prev, s] gives.  They change only when a member the record
     reads arrives, that is when s passes its hi: a long member with lo >=
-    s_prev joins long_idx, and a member of crossing[s_prev] moves from
-    shared to pool.  _segment looks at the members arrived since the
-    record's last anchor and returns the record itself when neither kind
-    came; otherwise it builds the next record, with the arriving long
-    members merged in index order, so that a record does not depend on how
-    it was built.  Each arriving long member is validated as a long member
-    of the segment it joins when it is taken (see extend), and stays valid
-    for every later s.
+    s_prev joins long, and a member of crossing[s_prev] moves from shared
+    to pool.  _segment looks at the members arrived since the record's last
+    anchor and returns the record itself when neither kind came; otherwise
+    it builds the next record, with the arriving long members merged in
+    index order, so that a record does not depend on how it was built.
+    Each arriving long member is validated as a long member of the segment
+    it joins when it is taken (see extend), and stays valid for every
+    later s.
 
-    The memos hold work that predecessor states repeat.  Each value is a
-    pure function of its key and the fields above, none of which is s, so a
-    value memoised at any anchor the record served is the one a fresh
-    computation at s would give:
+    The memos hold work that predecessor states repeat, each owned by what
+    it reads, so that a value memoised at any anchor, by any record that
+    holds the owner, is the one a fresh computation at s would give:
 
-      * long_meet_cache, per right end b: how many disjoint long members
-        meet (s_prev, b).
-      * long_star_cache, per set of crossing members visible to the second
-        side: whether the long members center no overfull star among
-        themselves and those.
-      * head_cache, per settled_second (the sorted indices of the members
-        settled on the second side, which fix F): fd_head(F, long_fam,
-        s_prev, s, v), which reads neither predecessor profile, nor s (see
-        fd_head).
-      * plans, per first_crossing: the bucket's _Plan, whose fields read
-        pool, shared, s_prev and long_meet_cache, and whose second_counts
-        read the long family, shared, s_prev and the settled members under
-        their key B (see _Plan).
+      * long, the _Long of the long members, whose memos read the long
+        members alone.  Every record with the same long members holds the
+        same object, taken from the context's longs (see _Solve), and the
+        next record keeps it when only members of crossing[s_prev] end.
+      * bases, per first_crossing: the bucket's _PlanBase, which reads
+        pool, shared, s_prev and first_crossing.  When only long members
+        arrive, the next record keeps the same dict.
+      * plans, per first_crossing: the bucket's _Plan, which reads the
+        long members too; each record starts with none.
 
-    The first three read only the long family, s_prev and their key.  So
-    when only members of crossing[s_prev] end, the next record keeps those
-    three objects and starts with no plans; when a long member arrives, it
-    starts with every memo empty.
+    The memos of a _Long read neither s nor s_prev:
+
+      * Every long member has lo >= s_prev and hi > lo, so it meets
+        (s_prev, b) iff lo < b, and long_meet_cache[b] reads b alone.
+      * The members of F cross s_prev and end by s, and those of D lie
+        inside (s_prev, s), so every member of F + D meets (s_prev, s): w
+        and w_full are the disjoint counts of D and of F + D, which read
+        the member sets alone.  The rest of fd_head reads no s (see
+        fd_head), so head_cache[settled_second] reads F and D alone.
+      * The star check reads only the long members, outside and v (see
+        _long_star_ok).
     """
 
     s_prev: int
-    long_idx: tuple[int, ...]
-    long_fam: IntervalFamily
+    long: _Long
     shared: frozenset[int]
     pool: frozenset[int]
-    long_meet_cache: dict[int, int] = field(default_factory=dict)
-    head_cache: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = field(
-        default_factory=dict
-    )
-    long_star_cache: dict[frozenset[int], bool] = field(default_factory=dict)
+    bases: dict[frozenset[int], _PlanBase] = field(default_factory=dict)
     plans: dict[frozenset[int], _Plan] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _PlanBase:
+    """The part of a bucket's plan that reads no long member (see _Plan).
+
+    A state's second side is crossing[s_prev] minus its first_crossing, so
+    the bucket fixes both committed sides.  settled_second are the members
+    settling at this hop on the (swapped) second side, sorted, and F the
+    same members as a family.  first_bounds holds (a, b - s_prev) per
+    member settling on the first side, a lower bound whose floor b - s_prev
+    is the whole count there (see _movers).  side_key is the key under
+    which _cross reads the candidate side assignments (A, B) from the
+    context's sides (see _Solve), the one part of a bucket's hop that
+    depends on s.  All four read only pool, shared, s_prev and
+    first_crossing, so a record that only long members made from another
+    keeps them (see _Segment).
+    """
+
+    settled_second: tuple[int, ...]
+    first_bounds: tuple[tuple[int, int], ...]
+    F: IntervalFamily
+    side_key: tuple[frozenset[int], frozenset[int]]
 
 
 @dataclass(frozen=True)
 class _Plan:
     """What a hop across one record does for one predecessor bucket.
 
-    A state's second side is crossing[s_prev] minus its first_crossing, so
-    the bucket fixes both committed sides, and everything in a plan is built
-    from them and the record.  settled_second are the members settling at
-    this hop on the (swapped) second side, sorted, and F the same members as
-    a family.  first_bounds and second_bounds hold (a, floor) per settled
-    member, with floor the candidate-independent part of its right-hand
-    count: b - s_prev backbone units on the first side, which is the whole
-    count there (see _movers), and long_meet_cache[b] on the second.
-    side_key is the key under which _cross reads the candidate side
-    assignments (A, B) from the context's sides (see _Solve), the one part
-    of a bucket's hop that depends on s.  second_counts[B][j] is the
-    number of disjoint new second-side members meeting (s_prev, b) for the
-    j-th settled_second member (a, b), filled when a successor with that B
+    base is the bucket's long-free part (see _PlanBase).  second_bounds
+    holds (a, floor) per settled_second member (a, b), with floor =
+    long_meet_cache[b], the candidate-independent part of its right-hand
+    count on the second side.  second_counts[B][j] is the number of
+    disjoint new second-side members meeting (s_prev, b) for the j-th
+    settled_second member (a, b), filled when a successor with that B
     first gets past its bucket's covers (see _second_counts); distinct A
     give distinct B.  The new members are the long ones and B - shared, so
     a B gives the same counts at every anchor the record serves.
     """
 
-    settled_second: tuple[int, ...]
-    first_bounds: tuple[tuple[int, int], ...]
+    base: _PlanBase
     second_bounds: tuple[tuple[int, int], ...]
-    F: IntervalFamily
-    side_key: tuple[frozenset[int], frozenset[int]]
     second_counts: dict[frozenset[int], tuple[int, ...]] = field(default_factory=dict)
 
 
@@ -489,8 +538,10 @@ def _segment(
     s_prev, to build from nothing.  Of the members with hi in (after, s],
     those with lo < s_prev end a member of crossing[s_prev], and those with
     lo >= s_prev and length > v are new long members.  With neither, before
-    serves s too and is returned; with ended members only, the next record
-    keeps before's long family and its memos of it (see _Segment).
+    serves s too and is returned.  Otherwise the next record keeps before's
+    _Long when no long member arrived, and takes the one of its long
+    members from ctx.longs when one did; it keeps before's bases when no
+    member ended (see _Segment).
     """
     ivs, v, crossing = ctx.ivs, ctx.v, ctx.crossing
     long_new, ended = [], before is None
@@ -502,18 +553,25 @@ def _segment(
                 long_new.append(i)
     if not (ended or long_new):
         return before
-    settle = dict(shared=crossing[s_prev] & crossing[s], pool=crossing[s_prev] - crossing[s])
-    if not long_new and before is not None:
-        return replace(before, **settle, plans={})
+    if ended:
+        shared, pool = crossing[s_prev] & crossing[s], crossing[s_prev] - crossing[s]
+        bases = {}
+    else:
+        shared, pool, bases = before.shared, before.pool, before.bases
+    if before is not None and not long_new:
+        return _Segment(s_prev, before.long, shared, pool, bases)
     _check_segment_members((), (ivs[i] for i in long_new), s_prev, s, v)
-    long_idx = tuple(sorted((before.long_idx if before else ()) + tuple(long_new)))
-    long_fam = IntervalFamily(tuple(ivs[i] for i in long_idx))
-    return _Segment(s_prev=s_prev, long_idx=long_idx, long_fam=long_fam, **settle)
+    long_idx = tuple(sorted((before.long.idx if before else ()) + tuple(long_new)))
+    long = ctx.longs.get(long_idx)
+    if long is None:
+        long_fam = IntervalFamily(tuple(ivs[i] for i in long_idx))
+        long = ctx.longs[long_idx] = _Long(long_idx, long_fam)
+    return _Segment(s_prev, long, shared, pool, bases)
 
 
 def _long_star_ok(ctx: _Solve, seg: _Segment, outside: frozenset[int]) -> bool:
     """mid_relation(long, long + outside, v) on the long members of the live
-    segment seg, memoised in seg.long_star_cache under outside.
+    segment seg, memoised in seg.long.long_star_cache under outside.
 
     Only the centers that meet an outside member are checked.  _stages
     builds records only for live segments (see _live_from), so no long
@@ -526,47 +584,50 @@ def _long_star_ok(ctx: _Solve, seg: _Segment, outside: frozenset[int]) -> bool:
     representation holds no two equal members: leaving the center out by
     index is leaving it out by value, as mid_relation does.
     """
-    ok = seg.long_star_cache.get(outside)
+    long = seg.long
+    ok = long.long_star_cache.get(outside)
     if ok is None:
         ivs = ctx.ivs
         near = [ivs[i] for i in outside]
         ok = True
-        for c in seg.long_idx:
+        for c in long.idx:
             center = ivs[c]
             leaves = [x for x in near if intersects(x, center)]
             if not leaves:
                 continue
-            leaves += (ivs[i] for i in seg.long_idx if i != c and intersects(ivs[i], center))
+            leaves += (ivs[i] for i in long.idx if i != c and intersects(ivs[i], center))
             if _max_disjoint_meeting(leaves, center.lo, center.hi) > ctx.v:
                 ok = False
                 break
-        seg.long_star_cache[outside] = ok
+        long.long_star_cache[outside] = ok
     return ok
 
 
 def _plan(ctx: _Solve, seg: _Segment, first_crossing: frozenset[int]) -> _Plan:
     """The plan across seg of the bucket of predecessors with this
     first_crossing (see _Plan), read with the predecessor's sides swapped
-    as in _advance."""
-    ivs, s_prev = ctx.ivs, seg.s_prev
-    settled_second = tuple(sorted(first_crossing & seg.pool))
+    as in _advance; its base is memoised in seg.bases."""
+    ivs, s_prev, long = ctx.ivs, seg.s_prev, seg.long
+    base = seg.bases.get(first_crossing)
+    if base is None:
+        settled_second = tuple(sorted(first_crossing & seg.pool))
+        base = seg.bases[first_crossing] = _PlanBase(
+            settled_second=settled_second,
+            first_bounds=tuple(
+                (ivs[i].lo, ivs[i].hi - s_prev) for i in sorted(seg.pool - first_crossing)
+            ),
+            F=IntervalFamily(tuple(ivs[i] for i in settled_second)),
+            side_key=(seg.shared, seg.shared - first_crossing),
+        )
     second_bounds = []
-    for i in settled_second:
+    for i in base.settled_second:
         a, b = ivs[i]
-        floor = seg.long_meet_cache.get(b)
+        floor = long.long_meet_cache.get(b)
         if floor is None:
-            floor = _max_disjoint_meeting(seg.long_fam.intervals, s_prev, b)
-            seg.long_meet_cache[b] = floor
+            floor = _max_disjoint_meeting(long.fam.intervals, s_prev, b)
+            long.long_meet_cache[b] = floor
         second_bounds.append((a, floor))
-    return _Plan(
-        settled_second=settled_second,
-        first_bounds=tuple(
-            (ivs[i].lo, ivs[i].hi - s_prev) for i in sorted(seg.pool - first_crossing)
-        ),
-        second_bounds=tuple(second_bounds),
-        F=IntervalFamily(tuple(ivs[i] for i in settled_second)),
-        side_key=(seg.shared, seg.shared - first_crossing),
-    )
+    return _Plan(base, tuple(second_bounds))
 
 
 def _side_assignments(
@@ -605,9 +666,10 @@ def _side_assignments(
 def _second_counts(ctx: _Solve, seg: _Segment, plan: _Plan, B: frozenset[int]) -> tuple[int, ...]:
     """The second_counts of plan for the second side B (see _Plan)."""
     ivs = ctx.ivs
-    second_new = [*seg.long_fam.intervals, *(ivs[i] for i in sorted(B - seg.shared))]
+    second_new = [*seg.long.fam.intervals, *(ivs[i] for i in sorted(B - seg.shared))]
     return tuple(
-        _max_disjoint_meeting(second_new, seg.s_prev, ivs[i].hi) for i in plan.settled_second
+        _max_disjoint_meeting(second_new, seg.s_prev, ivs[i].hi)
+        for i in plan.base.settled_second
     )
 
 
@@ -751,12 +813,13 @@ def _advance(
     if second_room is None:
         return
 
-    head = seg.head_cache.get(plan.settled_second)
+    long, base = seg.long, plan.base
+    head = long.head_cache.get(base.settled_second)
     if head is None:
-        head = fd_head(plan.F, seg.long_fam, seg.s_prev, s, v)
-        seg.head_cache[plan.settled_second] = head
+        head = fd_head(base.F, long.fam, seg.s_prev, s, v)
+        long.head_cache[base.settled_second] = head
     p_new, q_new = extend(
-        p_prime, q_prime, plan.F, _NO_MEMBERS, seg.long_fam, seg.s_prev, s, v,
+        p_prime, q_prime, base.F, _NO_MEMBERS, long.fam, seg.s_prev, s, v,
         head, ctx.profiles, ctx.floor[s],
     )
 
@@ -783,7 +846,7 @@ def _movers(
     """The states of one bucket that a hop advances, in scan order.
 
     first_bounds are the (a, floor) pairs of the members that settle on
-    the first side (see _Plan), and k = max(0, v + 1 - (s - s_prev)).  A
+    the first side (see _PlanBase), and k = max(0, v + 1 - (s - s_prev)).  A
     state Y moves when it passes the first side's lower bounds and no other
     passing state X has X.p.r <= Y.p.r entrywise and X.q.r[1..k] <=
     Y.q.r[1..k]; of states with equal such projections, the first in scan
@@ -866,13 +929,14 @@ def _cross(
         plan = seg.plans.get(first_crossing)
         if plan is None:
             plan = seg.plans[first_crossing] = _plan(ctx, seg, first_crossing)
-        sides = ctx.sides.get(plan.side_key)
+        base = plan.base
+        sides = ctx.sides.get(base.side_key)
         if sides is None:
-            sides = ctx.sides[plan.side_key] = _side_assignments(ctx, s, *plan.side_key)
-        key = (k, plan.first_bounds)
+            sides = ctx.sides[base.side_key] = _side_assignments(ctx, s, *base.side_key)
+        key = (k, base.first_bounds)
         movers = bucket.movers.get(key)
         if movers is None:
-            movers = bucket.movers[key] = _movers(bucket.states, plan.first_bounds, k, ctx.v)
+            movers = bucket.movers[key] = _movers(bucket.states, base.first_bounds, k, ctx.v)
         for st in movers:
             _advance(ctx, st, seg, plan, s, sides, stage)
 
@@ -1085,12 +1149,15 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
     # _segment brings the record to s from either by the members arrived
     # since.
     grown: dict[int, tuple[_Segment | None, int]] = {}
+    no_long = _Long((), _NO_MEMBERS)
 
     for s in range(1, ctx.m + 1):
         stage: dict[frozenset[int], _Bucket] = {}
         if stages[s - 1]:
             grown[s - 1] = (None, s - 1)
         ctx.sides.clear()
+        ctx.longs.clear()
+        ctx.longs[()] = no_long
         for s_prev, (before, after) in list(grown.items()):
             if s_prev < ctx.live_from[s]:
                 del grown[s_prev]
@@ -1140,6 +1207,13 @@ def _witness(ctx: _Solve, accepting: DPState) -> list[Side | None]:
     return sides
 
 
+def dp_bound(rep: VertebrateRep, v: int) -> int:
+    """The claw bound solve's DP runs at for rep and v >= 1: min(v, L), with
+    L the longest member of the compact family, or 1 when it is empty (see
+    solve)."""
+    return min(v, max((hi - lo for lo, hi in zip(rep.family.los, rep.family.his)), default=1))
+
+
 def solve(rep: VertebrateRep, v: int) -> SolveResult:
     """Decide whether the represented graph splits into two claw-<= v parts.
 
@@ -1151,9 +1225,9 @@ def solve(rep: VertebrateRep, v: int) -> SolveResult:
         SolveResult; on feasible instances the assignment covers the input
         family's vertices and has been re-verified with verify_partition.
 
-    The DP runs at v' = min(v, max(L, 1)), with L the longest member of the
-    compact family, so its work stops growing with v past L.  This changes
-    no decision:
+    The DP runs at v' = dp_bound(rep, v) = min(v, max(L, 1)), with L the
+    longest member of the compact family, so its work stops growing with v
+    past L.  This changes no decision:
 
       * A member of length l meets at most l pairwise disjoint members (the
         unit-window argument in _advance), so no induced star of the
@@ -1174,8 +1248,7 @@ def solve(rep: VertebrateRep, v: int) -> SolveResult:
     start = time.perf_counter()
     if v < 1:
         raise ValueError(f"claw bound v={v}: need v >= 1")
-    longest = max((hi - lo for lo, hi in zip(rep.family.los, rep.family.his)), default=1)
-    ctx = _context(rep, min(v, longest))
+    ctx = _context(rep, dp_bound(rep, v))
     stages = _stages(ctx)
     counts = tuple(sum(len(bucket.states) for bucket in stage.values()) for stage in stages)
     if not stages[-1]:

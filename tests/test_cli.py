@@ -430,9 +430,22 @@ def test_partition_invertebrate_is_an_error(tmp_path, capsys):
 def test_partition_v_cap(capsys):
     code, lines = run(capsys, "partition", str(FIXTURES / "path3.txt"), "--v", "0")
     assert code == 2
+    # the cap reads the bound the DP runs at, min(v, L) with L the longest
+    # compact member (see solve): path3's is 2, so v = 5 needs no flag
     code, lines = run(capsys, "partition", str(FIXTURES / "path3.txt"), "--v", "5")
-    assert code == 2
-    assert "allow-large-v" in " ".join(field(lines, "error"))
+    assert code == 0
+    assert field(lines, "decision") == ["yes"]
+    # triple-long's longest compact member is (0, 9), so v = 5 would run at 5
+    # and v = 100 at 9: both need the flag
+    for v in ("5", "100"):
+        code, lines = run(capsys, "partition", str(FIXTURES / "triple-long.txt"), "--v", v)
+        assert code == 2
+        assert "allow-large-v" in " ".join(field(lines, "error"))
+    code, lines = run(
+        capsys, "partition", str(FIXTURES / "triple-long.txt"), "--v", "5", "--allow-large-v",
+    )
+    assert code == 0
+    assert field(lines, "decision") == ["yes"]
     code, lines = run(
         capsys,
         "partition",
@@ -453,6 +466,10 @@ def test_partition_v_cap(capsys):
     assert field(lines, "decision") == ["yes"]
     fam = IntervalFamily.from_pairs([(0, 2), (1, 3), (2, 4)])
     assert verify_partition(fam, witness_assignment(lines, 3), 100000000)
+    # oracle keeps its cap on v itself
+    code, lines = run(capsys, "oracle", str(FIXTURES / "path3.txt"), "--v", "5")
+    assert code == 2
+    assert "allow-large-v" in " ".join(field(lines, "error"))
 
 
 # --------------------------------------------------------------------- oracle

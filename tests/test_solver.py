@@ -3,7 +3,7 @@
 import random
 import time
 import tracemalloc
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import replace
 from operator import le
 
@@ -288,7 +288,7 @@ def test_check_transition_star_completed_by_an_outside_member():
     assert live_from(rep, 1)[3] == 0
     ctx = _context(rep, 1)
     seg = segment_builder(ctx)(0, 3)
-    long_fam = seg.long_fam
+    long_fam = seg.long.fam
     assert mid_relation(long_fam, long_fam, 1)
     assert not solver._long_star_ok(ctx, seg, frozenset({x}))
     assert not mid_relation(long_fam, IntervalFamily(long_fam.intervals + (Interval(2, 4),)), 1)
@@ -301,10 +301,12 @@ def test_grown_segments_match_a_fresh_build():
     # overfull star among themselves; a live record brought from any earlier
     # record of its s_prev, the latest or one several anchors back (as after
     # skipped old pairs), holds the members a fresh scan finds.  It is that
-    # record itself exactly when no member it reads arrived, and it keeps
-    # the long family's memos whenever no long member arrived
+    # record itself exactly when no member it reads arrived.  A record
+    # holds its context's one _Long of its long members, whatever its
+    # s_prev, and keeps its plans' long-free parts whenever only long
+    # members arrived
     rng = random.Random(43)
-    dead_pairs = skipped = carried = kept_memos = 0
+    dead_pairs = skipped = carried = kept_longs = kept_bases = 0
     for _ in range(150):
         v = rng.choice([1, 1, 2, 3])
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
@@ -327,25 +329,30 @@ def test_grown_segments_match_a_fresh_build():
                 grown = [build(s_prev, s, before, after) for before, after in records]
                 skipped += len(grown[:-1])
                 for seg in (fresh, *grown):
-                    assert seg.long_idx == long_idx
-                    assert seg.long_fam.intervals == long_fam.intervals
+                    assert seg.long is ctx.longs[long_idx]
+                    assert seg.long.idx == long_idx
+                    assert seg.long.fam.intervals == long_fam.intervals
                     assert seg.shared == crossing[s_prev] & crossing[s]
                     assert seg.pool == crossing[s_prev] - crossing[s]
                 for (before, _), seg in zip(records, grown):
-                    same = seg.long_idx == before.long_idx
-                    assert (seg is before) == (same and seg.pool == before.pool)
+                    same_long = seg.long is before.long
+                    same_pool = seg.pool == before.pool
+                    assert (seg is before) == (same_long and same_pool)
                     carried += seg is before
-                    if same and seg is not before:
-                        assert seg.head_cache is before.head_cache
-                        assert seg.long_meet_cache is before.long_meet_cache
-                        assert seg.long_star_cache is before.long_star_cache
-                        assert seg.plans == {} and seg.plans is not before.plans
-                        kept_memos += 1
+                    if seg is before:
+                        continue
+                    assert seg.plans == {} and seg.plans is not before.plans
+                    assert (seg.bases is before.bases) == same_pool
+                    if not same_pool:
+                        assert seg.bases == {}
+                    kept_longs += same_long
+                    kept_bases += same_pool
                 records.append((grown[-1] if grown else fresh, s))
     assert dead_pairs > 20
     assert skipped > 1000
     assert carried > 1000
-    assert kept_memos > 100
+    assert kept_longs > 100
+    assert kept_bases > 100
 
 
 def test_advance_keeps_one_antichain_per_bucket():
@@ -359,7 +366,7 @@ def test_advance_keeps_one_antichain_per_bucket():
     seg = segment_builder(ctx)(1, 2)
     assert ctx.floor[2] == 0
     plan = _plan(ctx, seg, frozenset())
-    sides = _side_assignments(ctx, 2, *plan.side_key)
+    sides = _side_assignments(ctx, 2, *plan.base.side_key)
     forced = frozenset({3})
     low, high = MonotonicSeq((1, -1, -1, -1), 1, 1), MonotonicSeq((1, 0, -1, -1), 1, 1)
     best = DPState(1, low, low, frozenset())
@@ -467,9 +474,9 @@ def test_bucket_plans_match_fresh_records(monkeypatch):
                     for st in bucket.states:
                         own = build(s_prev, s)
                         plan = _plan(own_ctx, own, first_crossing)
-                        if solver._room(st.q, plan.first_bounds, v) is None:
+                        if solver._room(st.q, plan.base.first_bounds, v) is None:
                             continue
-                        sides = _side_assignments(own_ctx, s, *plan.side_key)
+                        sides = _side_assignments(own_ctx, s, *plan.base.side_key)
                         _advance(own_ctx, st, own, plan, s, sides, fresh)
                         advanced += 1
             assert kept(shared) == kept(fresh)
@@ -498,7 +505,9 @@ def test_solve_greedy_calls_below_the_per_state_count(monkeypatch):
     # every _max_disjoint_meeting call of one solve, from the settled
     # counts, the lower bounds, fd_head and the star checks; computing the
     # settled counts once per state and candidate made 5,902 on this
-    # instance, and the DP kept 582 states before the clamp
+    # instance, and the DP kept 582 states before the clamp.  Memos owned
+    # by each record, not shared among records with the same long members,
+    # made 1,056
     greedy = intervals._max_disjoint_meeting
     calls = 0
 
@@ -514,7 +523,7 @@ def test_solve_greedy_calls_below_the_per_state_count(monkeypatch):
     res = solve(rep, 2)
     assert res.feasible
     assert sum(res.stage_state_counts) == 140
-    assert 0 < calls < 5902
+    assert 0 < calls <= 898
 
 
 def test_new_first_side_members_meet_each_settled_window_b_minus_s_prev_times():
@@ -551,7 +560,8 @@ def test_new_first_side_members_meet_each_settled_window_b_minus_s_prev_times():
 def test_solve_greedy_calls_on_a_split_v2_shape(monkeypatch):
     # counting the first side's settled members anew for every candidate,
     # as well as bounding them by b - s_prev, made 677 calls on this
-    # instance, and the DP kept 301 states before the clamp
+    # instance, and the DP kept 301 states before the clamp; memos owned by
+    # each record made 284
     greedy = intervals._max_disjoint_meeting
     calls = 0
 
@@ -567,26 +577,29 @@ def test_solve_greedy_calls_on_a_split_v2_shape(monkeypatch):
     res = solve(rep, 2)
     assert res.feasible
     assert sum(res.stage_state_counts) == 62
-    assert 0 < calls < 677
+    assert 0 < calls <= 192
 
 
 # One hop of walk_stages: seg, the record of s_prev that _segment brought
 # from before (None when built from nothing), crossed into the anchor s,
-# with heads_in the number of heads seg held before this hop and preds the
-# finished stage at s_prev.
-Hop = namedtuple("Hop", "before seg s heads_in preds")
+# with preds the finished stage at s_prev.
+Hop = namedtuple("Hop", "before seg s preds")
 
 
 def walk_stages(ctx, stages):
     """Run solve's loop over the solve ctx without skipping old pairs,
     yielding (hops, stage) once the stage at each s >= 1 is built, before
-    it is finished, with ctx.sides holding the side assignments of s.  hops
-    lists a Hop for every s_prev that solver._cross took into s.  stages
-    receives every finished stage of this walk (see solver._finish)."""
+    it is finished, with ctx.sides holding the side assignments of s and
+    ctx.longs the long families taken at s.  hops lists a Hop for every
+    s_prev that solver._cross took into s.  stages receives every finished
+    stage of this walk (see solver._finish)."""
     stages.append(preds_of(base_state(ctx.v)))
     grown = {}
+    no_long = solver._Long((), solver._NO_MEMBERS)
     for s in range(1, ctx.m + 1):
         ctx.sides.clear()
+        ctx.longs.clear()
+        ctx.longs[()] = no_long
         stage, hops = {}, []
         if stages[s - 1]:
             grown[s - 1] = None
@@ -596,7 +609,7 @@ def walk_stages(ctx, stages):
                 continue
             after = s_prev if before is None else s - 1
             seg = grown[s_prev] = _segment(ctx, s_prev, after, s, before)
-            hops.append(Hop(before, seg, s, len(seg.head_cache), stages[s_prev]))
+            hops.append(Hop(before, seg, s, stages[s_prev]))
             _cross(ctx, seg, s, stages[s_prev], stage)
         yield hops, stage
         stages.append(_finish(stage))
@@ -613,49 +626,102 @@ def walked_hops(ctx, stages=None):
         yield from hops
 
 
-def test_carried_and_shared_caches_match_fresh_values():
+class ReadLog(dict):
+    """A memo that logs each hit in reads as (name, the s_prev of the
+    record that wrote the entry, the s_prev of the one that reads it);
+    reader() gives the s_prev of the record being crossed."""
+
+    def __init__(self, name, reader, reads):
+        super().__init__()
+        self.name, self.reader, self.reads, self.writers = name, reader, reads, {}
+
+    def __setitem__(self, key, value):
+        self.writers[key] = self.reader()
+        super().__setitem__(key, value)
+
+    def get(self, key, default=None):
+        if key in self:
+            self.reads.append((self.name, self.writers[key], self.reader()))
+        return super().get(key, default)
+
+
+def test_carried_and_shared_caches_match_fresh_values(monkeypatch):
+    # every record with the same long members holds one _Long, so its memos
+    # are written and read by records of several s_prev and anchors.  Every
+    # entry, written by whichever record, is checked against a fresh
+    # computation at each record that holds it and can read it: for a head,
+    # one whose pool holds the settled members of its key
+    cross, make_long = solver._cross, solver._Long
+    visits, reads, crossing_now = [], [], [None]
+
+    def kept(ctx, seg, s, *rest):
+        crossing_now[0] = seg.s_prev
+        visits.append((ctx.v, seg, s))
+        return cross(ctx, seg, s, *rest)
+
+    def logged_long(idx, fam):
+        # the memos in _Long's field order
+        names = ("meet", "head", "star")
+        return make_long(idx, fam, *(ReadLog(name, lambda: crossing_now[0], reads) for name in names))
+
+    monkeypatch.setattr(solver, "_cross", kept)
+    monkeypatch.setattr(solver, "_Long", logged_long)
     rng = random.Random(53)
-    carried = shared = 0
-    for _ in range(66):
+    checked = 0
+    for k in range(66):
         v = rng.choice([1, 2, 3])
-        rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
+        if k % 2:
+            rep = long_rep(rng, 30 if v == 1 else 18)
+        else:
+            rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
         ivs = rep.family.intervals
-        for before, seg, s, heads_in, _ in walked_hops(_context(rep, v)):
-            carried += heads_in
-            if before is not None and seg.long_idx == before.long_idx:
-                # no long member arrived: every cache is before's own object
-                assert seg.head_cache is before.head_cache
-                assert seg.long_meet_cache is before.long_meet_cache
-                assert seg.long_star_cache is before.long_star_cache
-            if before is not None and seg.long_meet_cache is before.long_meet_cache:
-                shared += len(seg.long_meet_cache) + len(seg.long_star_cache)
-            for key, head in seg.head_cache.items():
-                F = IntervalFamily(tuple(ivs[i] for i in key))
-                assert head == fd_head(F, seg.long_fam, seg.s_prev, s, v)
-            for b, count in seg.long_meet_cache.items():
-                fresh = intervals._max_disjoint_meeting(seg.long_fam.intervals, seg.s_prev, b)
-                assert count == fresh
-            for outside, ok in seg.long_star_cache.items():
-                visible = IntervalFamily(tuple(ivs[i] for i in sorted(outside.union(seg.long_idx))))
-                assert ok == mid_relation(seg.long_fam, visible, v)
-    assert carried > 200
-    assert shared > 200
+        solve(rep, v)
+        # v_dp is the bound the DP ran at (see solve)
+        for v_dp, seg, s in visits:
+            long = seg.long
+            for key, head in long.head_cache.items():
+                if set(key) <= seg.pool:
+                    F = IntervalFamily(tuple(ivs[i] for i in key))
+                    assert head == fd_head(F, long.fam, seg.s_prev, s, v_dp)
+                    checked += 1
+            for b, count in long.long_meet_cache.items():
+                assert count == intervals._max_disjoint_meeting(long.fam.intervals, seg.s_prev, b)
+                checked += 1
+            for outside, ok in long.long_star_cache.items():
+                visible = IntervalFamily(tuple(ivs[i] for i in sorted(outside.union(long.idx))))
+                assert ok == mid_relation(long.fam, visible, v_dp)
+                checked += 1
+        visits.clear()
+    assert checked > 40000
+    # hits on entries that a record of another s_prev wrote
+    across = Counter(name for name, writer, reader in reads if writer != reader)
+    assert all(across[name] > 2000 for name in ("meet", "head", "star")), across
 
 
 def test_carried_plans_match_fresh_records(monkeypatch):
     # a record serves every anchor until a member it reads arrives, and
     # builds each bucket's plan once; at every anchor it served, each plan
     # it used, counts filled at any anchor included, is the one a record
-    # built there from nothing in the same solve gives
+    # built there from nothing, in a fresh context, gives.  When only long
+    # members arrived, the next record's plan of a bucket keeps the old
+    # plan's long-free part
     cross = solver._cross
-    visits = []
-    hits = 0
+    visits, last = [], {}
+    hits = reused = 0
 
     def kept(ctx, seg, s, preds, *rest):
-        nonlocal hits
+        nonlocal hits, reused
         hits += sum(first_crossing in seg.plans for first_crossing in preds)
         visits.append((ctx, seg, s, list(preds)))
-        return cross(ctx, seg, s, preds, *rest)
+        cross(ctx, seg, s, preds, *rest)
+        before = last.get(seg.s_prev)
+        if before is not None and before is not seg and before.pool == seg.pool:
+            assert seg.long is not before.long
+            for first_crossing in preds:
+                if first_crossing in before.plans:
+                    assert seg.plans[first_crossing].base is before.plans[first_crossing].base
+                    reused += 1
+        last[seg.s_prev] = seg
 
     monkeypatch.setattr(solver, "_cross", kept)
     rng = random.Random(61)
@@ -668,24 +734,28 @@ def test_carried_plans_match_fresh_records(monkeypatch):
             rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
         solve(rep, v)
         for ctx, seg, s, first_crossings in visits:
-            own = segment_builder(ctx)(seg.s_prev, s)
+            own_ctx = replace(ctx)
+            own = segment_builder(own_ctx)(seg.s_prev, s)
             for first_crossing in first_crossings:
-                plan, fresh = seg.plans[first_crossing], _plan(ctx, own, first_crossing)
-                assert plan.settled_second == fresh.settled_second
-                assert plan.first_bounds == fresh.first_bounds
+                plan, fresh = seg.plans[first_crossing], _plan(own_ctx, own, first_crossing)
+                base, fresh_base = plan.base, fresh.base
+                assert base.settled_second == fresh_base.settled_second
+                assert base.first_bounds == fresh_base.first_bounds
+                assert base.F.intervals == fresh_base.F.intervals
+                assert base.side_key == fresh_base.side_key
                 assert plan.second_bounds == fresh.second_bounds
-                assert plan.F.intervals == fresh.F.intervals
-                assert plan.side_key == fresh.side_key
                 for B, got in plan.second_counts.items():
-                    assert got == solver._second_counts(ctx, own, fresh, B)
+                    assert got == solver._second_counts(own_ctx, own, fresh, B)
                     counts += 1
                 plans += 1
         visits.clear()
+        last.clear()
     # 4,604 of the 8,893 plans used were built at an earlier anchor, by a
     # record carried from there
     assert hits > 4000
     assert plans > hits
     assert counts > 4000
+    assert reused > 1000
 
 
 def test_anchor_side_lists_match_a_fresh_enumeration(monkeypatch):
@@ -761,7 +831,7 @@ def test_old_pairs_add_nothing_or_one_common_successor_set():
         ctx = _context(rep, v)
         crossing = crossings(rep)
         common = {}
-        for _, seg, s, _, preds in walked_hops(ctx):
+        for _, seg, s, preds in walked_hops(ctx):
             if seg.s_prev > ctx.last_old[s]:
                 continue
             for X in states_of(preds):
@@ -889,9 +959,9 @@ def test_long_star_check_matches_mid_relation_on_live_records():
                 for _ in range(3):
                     outside = frozenset(i for i in near if rng.random() < 0.5)
                     visible = IntervalFamily(
-                        tuple(ivs[i] for i in sorted(outside.union(seg.long_idx)))
+                        tuple(ivs[i] for i in sorted(outside.union(seg.long.idx)))
                     )
-                    want = mid_relation(seg.long_fam, visible, v)
+                    want = mid_relation(seg.long.fam, visible, v)
                     assert solver._long_star_ok(ctx, seg, outside) == want
                     checked += 1
                     rejected += not want
@@ -1031,7 +1101,7 @@ def test_every_record_stages_builds_is_live(monkeypatch):
     assert solve(vertebrate_representation(S), 1).feasible
     assert len(records) > 1000
     assert all(seg is not None for seg in records)
-    families = {seg.long_idx: seg.long_fam for seg in records}
+    families = {seg.long.idx: seg.long.fam for seg in records}
     assert all(mid_relation(fam, fam, 1) for fam in families.values())
 
 
@@ -1112,6 +1182,38 @@ def test_solve_fd_head_calls_below_the_per_segment_count(monkeypatch):
     assert res.feasible
     assert sum(res.stage_state_counts) == 64
     assert 0 < calls < 673
+
+
+def test_solve_computes_each_fd_head_once(monkeypatch):
+    # every record with the same long members reads one head memo, so a
+    # solve calls fd_head at most once per distinct (F, long members), that
+    # is per (settled_second, long_idx).  With a head memo per record, each
+    # of these solves repeated some (F, D): on the m = 20, v = 2 one 409
+    # calls were made for 344 distinct inputs
+    head = encoding.fd_head
+    calls = []
+
+    def counted(F, D, *rest):
+        calls.append((F.intervals, D.intervals))
+        return head(F, D, *rest)
+
+    monkeypatch.setattr(solver, "fd_head", counted)
+    rng = random.Random(89)
+    total = 0
+    for k in range(40):
+        v = 1 + k % 3
+        S = generate(GeneratorSpec(
+            "vertebrate", m=rng.randint(10, 40), density=rng.choice([0.3, 1.0, 2.0]),
+            max_len=rng.randint(2, 5), seed=rng.randint(0, 10 ** 6),
+        ))
+        solve(vertebrate_representation(S), v)
+        assert len(calls) == len(set(calls))
+        total += len(calls)
+        calls.clear()
+    S = generate(GeneratorSpec("vertebrate", m=20, density=2.0, max_len=3, seed=3))
+    solve(vertebrate_representation(S), 2)
+    assert len(calls) == len(set(calls)) == 344
+    assert total > 2000
 
 
 def test_verify_partition_clique_one_side():
