@@ -78,15 +78,21 @@ ended and the hop is at least v + 1 long, that key stops changing, and
 one list serves every farther anchor.  The stage keeps the same keys as
 if every state had crossed (see _movers).
 
-Far predecessors cost next to nothing.  A hop (s_prev, s] is old when
-s_prev lies far enough left of s, and of the last v + 1 disjoint long
-members before s, that no member crossing s_prev reaches s, the new
-profiles are read from s alone, and the checks split into a part read from
-the predecessor alone and a part read from s alone (see _last_old).  Every
-state at an old s_prev then adds either nothing or one common set of
-successors, and old pairs come first, so once one of them has added a
-state at s, _stages skips the other old pairs at s; the stage, its
-buckets' seen sets and every back-pointer are what they would have been.
+Far predecessors cost next to nothing.  A hop (s_prev, s] is far when it
+is at least max(2L - 2, v + 1) long, with L the longest member: then no
+member crossing s_prev reaches s, every far bucket reads one side list, and
+both new profiles are read from s alone, so every successor of a far hop
+is (V(s), A) for one vector V(s) (see _far_vector).  Far pairs come first,
+so once every A of that list has V(s) in its bucket's seen set, _stages
+skips the far pairs left at s.  A far hop is old when s_prev also lies far
+enough left of the last v + 1 disjoint long members before s that the
+checks split into a part read from the predecessor alone and a part read
+from s alone (see _last_old); every state at an old s_prev then adds
+either nothing or one common set of successors, so once the stage holds a
+state, _stages skips every old pair, also where candidates that fail the
+star or room checks keep V(s) from being covered.  Either way the stage,
+its buckets' seen sets and every back-pointer are what they would have
+been.
 
 No check reads a profile entry below floor(s), the least lo among the
 members crossing s (s when none does): profiles are read only as
@@ -139,6 +145,7 @@ returned.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import le
 from typing import Optional, Sequence
@@ -146,6 +153,7 @@ from typing import Optional, Sequence
 from clawsplit.encoding import (
     MonotonicSeq,
     _check_segment_members,
+    _profile,
     alpha_seq,
     extend,
     fd_head,
@@ -331,8 +339,9 @@ def verify_partition(J: IntervalFamily, assignment: PartitionAssignment, v: int)
 class _Solve:
     """What every hop of one solve reads, built once by _context.
 
-    ivs are the representation's members, v the claw bound the DP runs at
-    and m the last anchor.  group_of maps each member to its overlap group
+    ivs are the representation's members, longest the length of the
+    longest of them (0 when there are none), v the claw bound the DP runs
+    at and m the last anchor.  group_of maps each member to its overlap group
     (see compute_groups).  arriving[t] lists the members with hi = t (see
     _arriving); crossing[t] is the set of members crossing the anchor t,
     and floor[t] the least lo among them, or t when none does (see
@@ -357,6 +366,7 @@ class _Solve:
     """
 
     ivs: Sequence[Interval]
+    longest: int
     v: int
     m: int
     group_of: Sequence[int]
@@ -389,6 +399,10 @@ class _Long:
       * long_star_cache, per set of crossing members visible to the second
         side: whether the long members center no overfull star among
         themselves and those (see _long_star_ok).
+
+    order lists the same members by lo, and los their lo values in that
+    order; both stay empty until the first miss of long_star_cache, which
+    fills them for the object's lifetime.
     """
 
     idx: tuple[int, ...]
@@ -398,6 +412,8 @@ class _Long:
         default_factory=dict
     )
     long_star_cache: dict[frozenset[int], bool] = field(default_factory=dict)
+    order: list[int] = field(default_factory=list)
+    los: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -583,22 +599,40 @@ def _long_star_ok(ctx: _Solve, seg: _Segment, outside: frozenset[int]) -> bool:
     members cross s_prev or s, so none of them is a long member, and the
     representation holds no two equal members: leaving the center out by
     index is leaving it out by value, as mid_relation does.
+
+    No member is longer than L = ctx.longest, so a member meeting (a, b)
+    has its lo in [a - L + 1, b - 1], and meets (a, b) iff its hi also
+    exceeds a.  The centers meeting each outside member, and the long
+    members meeting each center, are read from that window of the long
+    members in lo order, which the _Long builds at its first miss (see
+    _Long).
     """
     long = seg.long
     ok = long.long_star_cache.get(outside)
     if ok is None:
-        ivs = ctx.ivs
-        near = [ivs[i] for i in outside]
         ok = True
-        for c in long.idx:
-            center = ivs[c]
-            leaves = [x for x in near if intersects(x, center)]
-            if not leaves:
-                continue
-            leaves += (ivs[i] for i in long.idx if i != c and intersects(ivs[i], center))
-            if _max_disjoint_meeting(leaves, center.lo, center.hi) > ctx.v:
-                ok = False
-                break
+        if long.idx:
+            ivs, L, order, los = ctx.ivs, ctx.longest, long.order, long.los
+            if not order:
+                order.extend(sorted(long.idx, key=lambda i: ivs[i].lo))
+                los.extend(ivs[i].lo for i in order)
+            near = [ivs[i] for i in outside]
+            centers = {
+                c for x in near
+                for c in order[bisect_left(los, x.lo - L + 1):bisect_left(los, x.hi)]
+                if ivs[c].hi > x.lo
+            }
+            for c in centers:
+                center = ivs[c]
+                lo, hi = center.lo, center.hi
+                leaves = [x for x in near if x.lo < hi and x.hi > lo]
+                leaves += (
+                    ivs[i] for i in order[bisect_left(los, lo - L + 1):bisect_left(los, hi)]
+                    if i != c and ivs[i].hi > lo
+                )
+                if _max_disjoint_meeting(leaves, lo, hi) > ctx.v:
+                    ok = False
+                    break
         long.long_star_cache[outside] = ok
     return ok
 
@@ -1052,6 +1086,60 @@ def _last_old(ivs: Sequence[Interval], m: int, v: int) -> list[int]:
     return last_old
 
 
+def _far_vector(ctx: _Solve, s: int) -> tuple[int, ...]:
+    """V(s), the vector p.r + q.r of every successor that a far hop into s
+    adds, with L = ctx.longest the longest member.
+
+    A hop (s_prev, s] is far when d = s - s_prev >= max(2L - 2, v + 1).
+    Claim: every successor of a far hop, from any state and for any
+    candidate A, is (V(s), A), with V(s) read from s alone: p is the ramp
+    s - u and q the chain of _profile over the long members W with lo >=
+    s - 2L + 2 and hi <= s, each with every entry below floor(s) set to -1.
+    A member crossing an anchor t starts at t - L + 1 or later and ends by
+    t + L - 1, so floor(s) >= s - L + 1.
+
+      * p_new.  d >= v + 1, so every entry u <= v + 1 of p_new is the ramp
+        s - u (see extend), then clamped at floor(s).
+      * q_new's tail.  An entry that q_new copies from the predecessor is
+        q.r[j] with j >= 1, below s_prev <= s - L + 1 <= floor(s) since
+        d >= L - 1, so the clamp sets it to -1.
+      * q_new's head.  Its entries u <= w_full are those of the chain of
+        F + D at s (see fd_head); every member of F + D meets (s_prev, s),
+        so the chain makes no pick past w_full, and its entries there are
+        -1, like the tail's.  An entry kept by the clamp is H_u - 1 >=
+        s - L + 1, so the member ending at H_u starts at s - 2L + 2 or
+        later: it is in W.  d >= 2L - 2 puts every member of W inside
+        (s_prev, s), in D; a member of F + D outside W starts before
+        s - 2L + 2 and so ends by s - L + 1.  While a member of W lies at
+        or before the chain's frontier, the largest hi and the largest lo
+        there both belong to members of W, or the entry is clamped in both
+        chains; so the chain over W and the chain over F + D keep the same
+        entries, and the first clamped entry ends both.
+      * Candidates.  d >= L - 1, so no member crossing s_prev crosses s,
+        shared is empty, and every far bucket reads the one side list
+        ctx.sides[(frozenset(), frozenset())] at s.
+
+    So once that list's every A has a bucket whose seen holds V(s), every
+    successor of a later far pair is covered, in its bucket's seen, and
+    _advance drops it at the first test, touching no bucket (see _Bucket).
+    A vector stays in seen for the rest of the stage, and _stages visits
+    s_prev in increasing order, so the far pairs are a prefix.  Skipping the
+    far pairs left once V(s) is covered therefore leaves the stage, every
+    seen set and every back-pointer as they were; the records of the
+    skipped s_prev catch up later from the anchor they were last brought
+    to, as those of skipped old pairs do (see _last_old).
+    """
+    v, ivs, floor = ctx.v, ctx.ivs, ctx.floor[s]
+    start = s - 2 * ctx.longest + 2
+    W = [
+        ivs[i] for t in range(max(start, 0), s + 1) for i in ctx.arriving[t]
+        if ivs[i].lo >= start and ivs[i].length > v
+    ]
+    p = [s - u if s - u >= floor else -1 for u in range(v + 2)]
+    q = [x if x >= floor else -1 for x in _profile(W, s, v)]
+    return (*p, -1, *q)
+
+
 def _live_from(
     ivs: Sequence[Interval], arriving: Sequence[Sequence[int]], m: int, v: int
 ) -> list[int]:
@@ -1119,8 +1207,9 @@ def _context(rep: VertebrateRep, v: int) -> _Solve:
     group_of = compute_groups(rep.family, v).group_of
     arriving = _arriving(ivs, m)
     crossing, floor = _crossings(ivs, arriving, m)
+    longest = max((iv.length for iv in ivs), default=0)
     return _Solve(
-        ivs, v, m, group_of, arriving, crossing, floor,
+        ivs, longest, v, m, group_of, arriving, crossing, floor,
         _live_from(ivs, arriving, m, v), _last_old(ivs, m, v),
     )
 
@@ -1137,7 +1226,7 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
     # longest member (see _advance); a count of at most group_cap_bits bits
     # lies below it, so the cap is built only for larger counts (at
     # v = 16000 the power of two alone has 512M bits).
-    longest = max((iv.length for iv in ctx.ivs), default=0)
+    longest = ctx.longest
     state_cap_exp = 2 * (v + 1)
     group_cap_bits = 2 * v * v + v
 
@@ -1150,6 +1239,10 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
     # since.
     grown: dict[int, tuple[_Segment | None, int]] = {}
     no_long = _Long((), _NO_MEMBERS)
+    # Hops at least this long are far (see _far_vector), and their buckets
+    # read the side list under this key.
+    far = max(2 * longest - 2, v + 1)
+    far_sides = (frozenset(), frozenset())
 
     for s in range(1, ctx.m + 1):
         stage: dict[frozenset[int], _Bucket] = {}
@@ -1158,17 +1251,24 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
         ctx.sides.clear()
         ctx.longs.clear()
         ctx.longs[()] = no_long
+        # A non-empty stage skips every s_prev <= skip_to: the old ones,
+        # and every far one once V(s) is covered.
+        skip_to, far_vec = ctx.last_old[s], None
         for s_prev, (before, after) in list(grown.items()):
             if s_prev < ctx.live_from[s]:
                 del grown[s_prev]
                 for bucket in stages[s_prev].values():
                     bucket.movers.clear()
                 continue
-            if stage and s_prev <= ctx.last_old[s]:
+            if stage and s_prev <= skip_to:
                 continue
             seg = _segment(ctx, s_prev, after, s, before)
             grown[s_prev] = (seg, s)
             _cross(ctx, seg, s, stages[s_prev], stage)
+            if s - s_prev >= far:
+                far_vec = far_vec or _far_vector(ctx, s)
+                if all(A in stage and far_vec in stage[A].seen for A, _ in ctx.sides[far_sides]):
+                    skip_to = s - far
         count = sum(len(bucket.states) for bucket in stage.values())
         if count.bit_length() > group_cap_bits:
             cap = (longest + 2) ** state_cap_exp << group_cap_bits

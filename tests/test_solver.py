@@ -726,7 +726,7 @@ def test_carried_plans_match_fresh_records(monkeypatch):
     monkeypatch.setattr(solver, "_cross", kept)
     rng = random.Random(61)
     plans = counts = 0
-    for k in range(60):
+    for k in range(120):
         v = 1 + k % 3
         if k % 2:
             rep = long_rep(rng, 30 if v == 1 else 18)
@@ -750,8 +750,10 @@ def test_carried_plans_match_fresh_records(monkeypatch):
                 plans += 1
         visits.clear()
         last.clear()
-    # 4,604 of the 8,893 plans used were built at an earlier anchor, by a
-    # record carried from there
+    # 5,112 of the 11,528 plans used on these 120 solves were built at an
+    # earlier anchor, by a record carried from there.  Before the far-pair
+    # skip, the first 60 solves alone used 8,893 plans, 4,604 of them
+    # carried; the skip leaves 2,973 carried ones there
     assert hits > 4000
     assert plans > hits
     assert counts > 4000
@@ -848,6 +850,99 @@ def test_old_pairs_add_nothing_or_one_common_successor_set():
     assert old_pairs > adding > 3000
 
 
+def far_grid(rng, count):
+    """count seeded (v, rep) pairs, v = 1-4 and max_len 2-6, with m large
+    enough to hold far hops (see solver._far_vector)."""
+    cases = []
+    for k in range(count):
+        v, max_len = 1 + k % 4, 2 + k % 5
+        spec = GeneratorSpec(
+            "vertebrate", m=rng.randint(12, 30) if v <= 2 else rng.randint(10, 16),
+            density=rng.choice([0.3, 0.6, 1.0, 1.5, 2.0]), max_len=max_len,
+            seed=rng.randint(0, 10 ** 6),
+        )
+        cases.append((v, vertebrate_representation(generate(spec))))
+    return cases
+
+
+def test_far_pairs_add_only_the_far_vector(monkeypatch):
+    # every profile pair extend builds at a far hop (s - s_prev >=
+    # max(2L - 2, v + 1)) of the unskipped walk, from every mover of every
+    # bucket, is V(s) as _far_vector reads it from s alone, and every far
+    # bucket reads the side list of shared = {}: this is what lets solve
+    # skip the far pairs once V(s) is covered
+    extend = solver.extend
+    far_of = {}
+
+    def checked(p_prev, q_prev, F, C, D, s_prev, s, *rest):
+        p, q = extend(p_prev, q_prev, F, C, D, s_prev, s, *rest)
+        ctx, far, vectors = far_of["ctx"], far_of["far"], far_of["vectors"]
+        if s - s_prev >= far:
+            assert p.r + q.r == solver._far_vector(ctx, s), (s_prev, s)
+            vectors[ctx.longest * 2 - 2 > ctx.v + 1] += 1
+        return p, q
+
+    monkeypatch.setattr(solver, "extend", checked)
+    rng = random.Random(83)
+    far_hops = no = 0
+    vectors = far_of["vectors"] = Counter()
+    for v, rep in far_grid(rng, 200):
+        ctx = far_of["ctx"] = _context(rep, v)
+        far = far_of["far"] = max(2 * ctx.longest - 2, ctx.v + 1)
+        stages = []
+        for hop_ in walked_hops(ctx, stages):
+            if hop_.s - hop_.seg.s_prev >= far:
+                assert hop_.seg.shared == frozenset()
+                assert all(
+                    plan.base.side_key == (frozenset(), frozenset())
+                    for plan in hop_.seg.plans.values()
+                )
+                far_hops += 1
+        no += not stages[-1]
+    # 15,369 far hops built 29,420 vectors, 31 of the 200 solves answer "no"
+    assert far_hops > 10000
+    # each term of max(2L - 2, v + 1) binds at some far hops: the ramp's
+    # (v + 1 >= 2L - 2, as at L = 2) for 8,750 vectors and the long
+    # members' (L >= 5) for 20,670
+    assert vectors[False] > 5000 and vectors[True] > 10000, vectors
+    assert no > 20
+
+
+def test_solve_skips_far_pairs_on_the_split_v2_shape(monkeypatch):
+    # on families shaped like the split-v2 workload's (v = 2, m = 14,
+    # density 2, max_len 3), solve skips far pairs that are not old once
+    # V(s) is covered, and every pair of the unskipped walk that it skips
+    # is far
+    cross = solver._cross
+    crossed = set()
+
+    def kept(ctx, seg, s, *rest):
+        crossed.add((seg.s_prev, s))
+        return cross(ctx, seg, s, *rest)
+
+    monkeypatch.setattr(solver, "_cross", kept)
+    far_skipped = old_skipped = 0
+    for seed in range(30):
+        S = generate(GeneratorSpec("vertebrate", m=14, density=2.0, max_len=3, seed=seed))
+        rep = vertebrate_representation(S)
+        crossed.clear()
+        solve(rep, 2)
+        ctx = _context(rep, 2)
+        far = max(2 * ctx.longest - 2, ctx.v + 1)
+        for hop_ in walked_hops(ctx):
+            s_prev, s = hop_.seg.s_prev, hop_.s
+            if (s_prev, s) in crossed:
+                continue
+            assert s - s_prev >= far
+            if s_prev <= ctx.last_old[s]:
+                old_skipped += 1
+            else:
+                far_skipped += 1
+    # 1,589 far pairs skipped that are not old, against 61 old ones
+    assert far_skipped > 1000
+    assert far_skipped > 10 * old_skipped
+
+
 def unskipped_witness(ctx, stages):
     """The rep_assignment solve reads from the first accepting state of
     stages, the stages of the solve ctx, or None when the last stage is
@@ -869,36 +964,52 @@ def test_solve_stages_match_the_unskipped_walk(monkeypatch):
             for stage in stages
         ]
 
-    stages, segment = solver._stages, solver._segment
-    solved, built = [], 0
+    stages, cross = solver._stages, solver._cross
+    solved, crossed = [], set()
 
     def kept_stages(ctx):
         solved.append((ctx, stages(ctx)))
         return solved[-1][1]
 
-    def counted(*args, **kwargs):
-        nonlocal built
-        built += 1
-        return segment(*args, **kwargs)
+    def logged(ctx, seg, s, *rest):
+        crossed.add((seg.s_prev, s))
+        return cross(ctx, seg, s, *rest)
 
     monkeypatch.setattr(solver, "_stages", kept_stages)
-    monkeypatch.setattr(solver, "_segment", counted)
+    monkeypatch.setattr(solver, "_cross", logged)
     rng = random.Random(73)
-    walked = 0
-    for k in range(40):
-        v = 1 + k % 2
-        rep = long_rep(rng, 60 if v == 1 else 40)
+    walked, skipped = Counter(), Counter()
+    for k in range(52):
+        if k < 40:
+            v = 1 + k % 2
+            rep = long_rep(rng, 60 if v == 1 else 40)
+        else:
+            # v = 3 with members of length 5-6, where 2L - 2 > v + 1
+            v = 3
+            rep = vertebrate_representation(generate(GeneratorSpec(
+                "vertebrate", m=rng.randint(14, 24), density=rng.choice([0.6, 1.0, 1.5]),
+                max_len=rng.randint(5, 6), seed=rng.randint(0, 10 ** 6),
+            )))
+        crossed.clear()
         res = solve(rep, v)
         ctx, got = solved[-1]
-        walk = []
-        walked += sum(1 for _ in walked_hops(_context(rep, ctx.v), walk))
+        walk, far = [], max(2 * ctx.longest - 2, ctx.v + 1)
+        for hop_ in walked_hops(_context(rep, ctx.v), walk):
+            s_prev, s = hop_.seg.s_prev, hop_.s
+            walked[v] += 1
+            if (s_prev, s) not in crossed:
+                # a pair solve skipped is old or far
+                assert s - s_prev >= far
+                skipped["old" if s_prev <= ctx.last_old[s] else ("far", v)] += 1
         crossing = crossings(rep)
         assert kept(got, crossing) == kept(walk, crossing)
         assert res.stage_state_counts == tuple(len(states_of(stage)) for stage in walk)
         assert res.rep_assignment == unskipped_witness(ctx, walk)
-    assert walked > 10000
-    # solve skipped old pairs, so it built fewer records than the walk
-    assert built < walked
+    assert walked[1] + walked[2] > 10000
+    # solve skipped old pairs, and far ones at every v: 3,094 old, and
+    # 2,630, 4,357 and 948 far at v = 1, 2 and 3
+    assert skipped["old"] > 2000, skipped
+    assert all(skipped["far", v] > 500 for v in (1, 2, 3)), skipped
 
 
 def clamped(r, floor):
@@ -1055,11 +1166,14 @@ def test_solve_v1_m400_skips_old_pairs(monkeypatch):
     "m, density, seed, v, states, plans, records",
     [
         # building every record and plan afresh at each anchor made 9,342
-        # plans and 6,235 records on this instance
-        (400, 0.3, 1, 1, 619, 1834, 1196),
-        # and 1,391 plans and 431 records on this one
-        (40, 2.0, 6, 2, 232, 886, 267),
+        # plans and 6,235 records on this instance; before the far-pair
+        # skip, the solve built 1,834 plans and 1,196 records
+        (400, 0.3, 1, 1, 619, 1257, 746),
+        # and 1,391 plans and 431 records on this one; 886 and 267 before
+        # the far-pair skip
+        (40, 2.0, 6, 2, 232, 333, 103),
     ],
+    ids=["v1-m400-sparse", "v2-m40-dense"],
 )
 def test_solve_plans_and_records_built(monkeypatch, m, density, seed, v, states, plans, records):
     # a plan is built once per record and bucket, and a record once per
@@ -1189,7 +1303,8 @@ def test_solve_computes_each_fd_head_once(monkeypatch):
     # solve calls fd_head at most once per distinct (F, long members), that
     # is per (settled_second, long_idx).  With a head memo per record, each
     # of these solves repeated some (F, D): on the m = 20, v = 2 one 409
-    # calls were made for 344 distinct inputs
+    # calls were made for 344 distinct inputs.  The far-pair skip leaves
+    # 106 of those 344 inputs read
     head = encoding.fd_head
     calls = []
 
@@ -1212,7 +1327,7 @@ def test_solve_computes_each_fd_head_once(monkeypatch):
         calls.clear()
     S = generate(GeneratorSpec("vertebrate", m=20, density=2.0, max_len=3, seed=3))
     solve(vertebrate_representation(S), 2)
-    assert len(calls) == len(set(calls)) == 344
+    assert len(calls) == len(set(calls)) == 106
     assert total > 2000
 
 
