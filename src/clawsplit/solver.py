@@ -67,16 +67,14 @@ star check, with the candidates in mask order.  Profiles are interned per
 solve (see extend), so each distinct profile is one MonotonicSeq,
 validated once.
 
-Not every state of a bucket crosses.  A hop reads less of a predecessor
-than the stage keeps: once s - s_prev >= v + 1 its first new profile is
-the ramp s - u, and the predecessor's q is read only by the first side's
-lower bounds.  _cross advances only the bucket's movers (see _movers):
-the states that pass those bounds and that no sibling dominates on what
-the hop reads.  The movers are cached per bucket, k = max(0, v + 1 -
-(s - s_prev)) and first_bounds; once every member crossing s_prev has
-ended and the hop is at least v + 1 long, that key stops changing, and
-one list serves every farther anchor.  The stage keeps the same keys as
-if every state had crossed (see _movers).
+A hop shorter than v + 1 advances every state that passes the first
+side's lower bounds.  A longer one builds its first new profile as the
+ramp s - u and reads the predecessor's q only in those bounds, so _cross
+advances only the bucket's movers (see _movers): the passing states whose
+p no sibling's is entrywise below.  They are cached per bucket and
+first_bounds, which stops changing once every member crossing s_prev has
+ended, so one list serves every farther anchor.  The stage keeps the
+same keys as if every state had crossed.
 
 Far predecessors cost next to nothing.  A hop (s_prev, s] is far when it
 is at least max(2L - 2, v + 1) long, with L the longest member: then no
@@ -121,7 +119,7 @@ feasible split:
     predecessor entry, so entrywise <= predecessors give entrywise <=
     successors.  The clamp to floor(s) keeps that order: it maps an entry
     x to x or to -1 by whether x >= floor(s), which is monotone in x.
-  * Every profile check, the two lower bounds (in _movers and _advance)
+  * Every profile check, the two lower bounds (in _cross and _advance)
     and the split star counts in _advance, has the form
     alpha_seq(profile, a) + count <= v, where count does not depend on the
     profiles.
@@ -145,9 +143,9 @@ returned.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import le
+from operator import itemgetter, le
 from typing import Optional, Sequence
 
 from clawsplit.encoding import (
@@ -734,18 +732,15 @@ class _Bucket:
     A stage lives in one bucket per first_crossing, of the vectors p.r +
     q.r of its states, from its first insertion (see _advance) to its last
     read.  _finish drops vecs and seen, which only insertion reads, and
-    puts the states in scan order.  Later anchors read the states and cache
-    their movers per (k, first_bounds) (see _movers) until the bucket's
-    s_prev leaves _stages' grown.  _movers runs its filter through a bucket
-    of projections.
+    puts the states in scan order.  Later anchors read the states, and
+    cache the movers of hops of v + 1 or more per first_bounds (see
+    _movers) until the bucket's s_prev leaves _stages' grown.
     """
 
     vecs: list[tuple[int, ...]] | None = field(default_factory=list)
     states: list[DPState] = field(default_factory=list)
     seen: set[tuple[int, ...]] | None = field(default_factory=set)
-    movers: dict[tuple[int, tuple[tuple[int, int], ...]], list[DPState]] = field(
-        default_factory=dict
-    )
+    movers: dict[tuple[tuple[int, int], ...], list[DPState]] = field(default_factory=dict)
 
     def covers(self, vec: tuple[int, ...]) -> bool:
         """True iff some kept vector is <= vec entrywise."""
@@ -794,8 +789,8 @@ def _advance(
     extend, the split star count alpha_seq(q, a) + count <= v of each of
     those members (a, b), where count is the number of disjoint new
     second-side members meeting (s_prev, b), and the star check of the long
-    members.  The first side's settled members were checked when st was
-    picked as a mover (see _movers), and need no more.
+    members.  The first side's settled members were checked before st was
+    advanced (see _cross and _movers), and need no more.
 
     The short members need no star check.  Each has length at most v, and
     pairwise disjoint open integer intervals that meet a center (lo, hi)
@@ -816,7 +811,7 @@ def _advance(
     changes no check, at this hop or any later one:
 
       * A check reads a profile only in _room, as alpha_seq(r, a): the
-        lower bounds here and in _movers, and the split star counts here.
+        lower bounds here and in _cross, and the split star counts here.
         There r is a profile at the hop's s_prev = t, and a is the lo of a
         settling member, which crosses t, so a >= floor(t) >= 0.
         alpha_seq(r, a) is the largest u with a <= r_u.  An entry below
@@ -875,20 +870,19 @@ def _advance(
 
 
 def _movers(
-    states: Sequence[DPState], first_bounds: Sequence[tuple[int, int]], k: int, v: int
+    states: Sequence[DPState], first_bounds: Sequence[tuple[int, int]], v: int
 ) -> list[DPState]:
-    """The states of one bucket that a hop advances, in scan order.
+    """The states of one bucket that a hop of v + 1 or more anchors
+    advances, in scan order.
 
     first_bounds are the (a, floor) pairs of the members that settle on
-    the first side (see _PlanBase), and k = max(0, v + 1 - (s - s_prev)).  A
-    state Y moves when it passes the first side's lower bounds and no other
-    passing state X has X.p.r <= Y.p.r entrywise and X.q.r[1..k] <=
-    Y.q.r[1..k]; of states with equal such projections, the first in scan
-    order moves.  This is the maxima-of-vectors filter (Kung, Luccio and
+    the first side (see _PlanBase).  A state Y moves when it passes the
+    first side's lower bounds and no other passing state X has X.p.r <=
+    Y.p.r entrywise; of states with equal p.r, the first in scan order
+    moves.  This is the maxima-of-vectors filter (Kung, Luccio and
     Preparata, "On Finding the Maxima of a Set of Vectors", JACM 1975), run
-    as one scan through a _Bucket of projections: a later one that the
-    bucket covers is dropped, and one that it keeps evicts the kept ones it
-    is <=.
+    as one scan that keeps an antichain: a state that a kept one covers is
+    dropped, and one that is kept evicts the kept ones it is <=.
 
     The lower bounds are the whole first-side check.  There the count of
     the split star check is b - s_prev for every candidate.  A new
@@ -901,49 +895,31 @@ def _movers(
     reach that bound.
 
     Dropping a state changes no key of the stage.  For one plan, what
-    _advance adds from a passing state Y depends on Y only through:
-
-      * the first-side lower bounds, read from Y.q, which Y and X pass;
-      * second_room, v - alpha_seq(Y.p, a) per settled second-side member,
-        which is antitone in Y.p;
-      * p_new, whose entry u is the ramp s - u for u <= s - s_prev and
-        Y.q.r[u - (s - s_prev)] otherwise, so it reads Y.q.r[1..k] and is
-        otherwise the ramp;
-      * q_new, which is the plan's head, then entries of Y.p.
-
-    Each of these is monotone (see extend and alpha_seq in the module
-    docstring; the clamp of p_new and q_new to floor(s) reads s alone and is
-    monotone too), and the candidates, their counts and the star check are
-    the same for every state of the bucket: the side assignments of s
-    under the plan's side_key, the plan's counts and the record's star
-    check.  So when X is <= Y on the projection, every candidate A
-    whose successor of Y passes the second-side counts and the star check
-    gives X a successor that passes them too (the same counts, at least
-    Y's room, the same star check) and is entrywise <= Y's.  That order
-    is transitive and every dropped state has a mover <= it, so every
-    valid successor of a dropped state is <= a valid successor of a mover.
-
-    A finished stage holds exactly the minimal keys (p.r, q.r, A) among
-    the valid successors of the states advanced into it, one state per
-    key, whatever the order they come in.  Each bucket's seen is a pure
-    cache (see _Bucket), so a successor is dropped only when a kept state
-    of its bucket is <= it, and is kept, evicting what it is <=, only when
-    none is.
-    Dropping Y takes away only valid successors that are >= one that
-    stays, so the minimal keys stay the same.  For the same reason the
-    stage is empty after each s_prev exactly when it would have been, so
-    _last_old's skip and its proof still hold.  Back-pointers may differ
-    only where a dropped Y was the first to reach a kept key; solve
-    re-verifies every witness read from them.
+    _advance adds from a passing state Y depends on Y only through
+    second_room, v - alpha_seq(Y.p, a) per settled second-side member,
+    which is antitone in Y.p, and q_new, the plan's head then entries of
+    Y.p, which is monotone in it (see the module docstring; the clamp to
+    floor(s) reads s alone); p_new is the ramp s - u on a hop of v + 1 or
+    more (see extend).  The candidates, their counts and the star check
+    are the same for every state of the bucket.  So when X.p.r <= Y.p.r,
+    every successor of Y that passes the counts and the star check has one
+    of X that passes them too and is entrywise <= it.  Each dropped state
+    has a mover <= it, so the stage keeps the minimal keys (p.r, q.r, A)
+    among the valid successors, as the unfiltered DP does; each bucket's
+    seen is a pure cache (see _Bucket).  The stage is empty after each
+    s_prev exactly when it would have been, so _last_old's skip still
+    holds.  Back-pointers may differ only where a dropped Y was the first
+    to reach a kept key; solve re-verifies every witness read from them.
     """
-    kept = _Bucket()
+    movers: list[DPState] = []
     for st in states:
         if _room(st.q, first_bounds, v) is None:
             continue
-        proj = st.p.r + st.q.r[1 : k + 1]
-        if not kept.covers(proj):
-            kept.add(proj, st)
-    return kept.states
+        r = st.p.r
+        if not any(all(map(le, kept.p.r, r)) for kept in movers):
+            movers = [kept for kept in movers if not all(map(le, r, kept.p.r))]
+            movers.append(st)
+    return movers
 
 
 def _cross(
@@ -956,9 +932,11 @@ def _cross(
     """Take the finished stage at seg.s_prev (see _finish) across seg into
     stage, the stage at s: per bucket its plan, memoised in seg, and its
     side assignments, memoised in ctx.sides (which holds those of s alone),
-    then _advance on each of its movers (see _movers), each list built once
-    per bucket, k and first_bounds."""
-    k = max(0, ctx.v + 1 - (s - seg.s_prev))
+    then _advance on each state that passes the first side's lower bounds.
+    A hop shorter than v + 1 reads q.r[1..v + 1 - (s - s_prev)] into p_new,
+    and advances every such state; a longer one advances only the movers
+    (see _movers), each list built once per bucket and first_bounds."""
+    v = ctx.v
     for first_crossing, bucket in preds.items():
         plan = seg.plans.get(first_crossing)
         if plan is None:
@@ -967,10 +945,13 @@ def _cross(
         sides = ctx.sides.get(base.side_key)
         if sides is None:
             sides = ctx.sides[base.side_key] = _side_assignments(ctx, s, *base.side_key)
-        key = (k, base.first_bounds)
-        movers = bucket.movers.get(key)
-        if movers is None:
-            movers = bucket.movers[key] = _movers(bucket.states, base.first_bounds, k, ctx.v)
+        bounds = base.first_bounds
+        if s - seg.s_prev > v:
+            movers = bucket.movers.get(bounds)
+            if movers is None:
+                movers = bucket.movers[bounds] = _movers(bucket.states, bounds, v)
+        else:
+            movers = [st for st in bucket.states if _room(st.q, bounds, v) is not None]
         for st in movers:
             _advance(ctx, st, seg, plan, s, sides, stage)
 
@@ -1230,14 +1211,15 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
     state_cap_exp = 2 * (v + 1)
     group_cap_bits = 2 * v * v + v
 
-    # The latest record of each live s_prev and the anchor it was last
-    # brought to, in increasing order; an s_prev leaves for good once its
-    # segment dies (see _live_from), and its stage's buckets drop their
-    # movers then; one whose stage is empty never joins.  The anchor is
-    # s - 1, or an earlier one when old pairs were skipped (see _last_old);
-    # _segment brings the record to s from either by the members arrived
-    # since.
-    grown: dict[int, tuple[_Segment | None, int]] = {}
+    # (s_prev, its latest record, the anchor it was last brought to) for
+    # each live s_prev, in increasing order; an s_prev leaves for good once
+    # its segment dies (see _live_from), a prefix of grown, and its stage's
+    # buckets drop their movers then; one whose stage is empty never joins.
+    # The anchor is s - 1, or an earlier one when pairs were skipped (see
+    # _last_old and _far_vector); _segment brings the record to s from
+    # either by the members arrived since.
+    grown: list[tuple[int, _Segment | None, int]] = []
+    s_prev_of = itemgetter(0)
     no_long = _Long((), _NO_MEMBERS)
     # Hops at least this long are far (see _far_vector), and their buckets
     # read the side list under this key.
@@ -1247,28 +1229,32 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
     for s in range(1, ctx.m + 1):
         stage: dict[frozenset[int], _Bucket] = {}
         if stages[s - 1]:
-            grown[s - 1] = (None, s - 1)
+            grown.append((s - 1, None, s - 1))
         ctx.sides.clear()
         ctx.longs.clear()
         ctx.longs[()] = no_long
-        # A non-empty stage skips every s_prev <= skip_to: the old ones,
-        # and every far one once V(s) is covered.
+        dead = bisect_left(grown, ctx.live_from[s], key=s_prev_of)
+        for s_prev, _, _ in grown[:dead]:
+            for bucket in stages[s_prev].values():
+                bucket.movers.clear()
+        del grown[:dead]
+        # A non-empty stage skips every s_prev <= skip_to, a run of grown:
+        # the old ones, and every far one once V(s) is covered.
         skip_to, far_vec = ctx.last_old[s], None
-        for s_prev, (before, after) in list(grown.items()):
-            if s_prev < ctx.live_from[s]:
-                del grown[s_prev]
-                for bucket in stages[s_prev].values():
-                    bucket.movers.clear()
-                continue
+        j = 0
+        while j < len(grown):
+            s_prev, before, after = grown[j]
             if stage and s_prev <= skip_to:
+                j = bisect_right(grown, skip_to, j, key=s_prev_of)
                 continue
             seg = _segment(ctx, s_prev, after, s, before)
-            grown[s_prev] = (seg, s)
+            grown[j] = (s_prev, seg, s)
             _cross(ctx, seg, s, stages[s_prev], stage)
             if s - s_prev >= far:
                 far_vec = far_vec or _far_vector(ctx, s)
                 if all(A in stage and far_vec in stage[A].seen for A, _ in ctx.sides[far_sides]):
                     skip_to = s - far
+            j += 1
         count = sum(len(bucket.states) for bucket in stage.values())
         if count.bit_length() > group_cap_bits:
             cap = (longest + 2) ** state_cap_exp << group_cap_bits

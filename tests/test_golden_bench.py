@@ -1,13 +1,15 @@
 """Every partition answer of the benchmark's seed-1 to seed-3 split lists,
-pinned.
+and three larger generated instances with long members, pinned.
 
 For each `partition` answer of seeds 1, 2 and 3 of the `split-v2` and
 `split-long` workloads (bench/instances.py, loaded read-only), the solve's
 decision, its stage_state_counts and a hash of its rep_assignment must match
 fixtures/golden-bench-seed1.json (seed 1) and
 fixtures/golden-bench-seeds2-3.json (seeds 2 and 3, each record naming its
-seed).  A change to the DP that keeps its answers keeps all three.  To
-rewrite both fixtures from the current solver, run from the repository root:
+seed).  The same three must match fixtures/golden-long-rows.json for the
+instances of LONG_ROWS, where stages hold hundreds to thousands of states.
+A change to the DP that keeps its answers keeps all three.  To rewrite the
+fixtures from the current solver, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden_bench.py
 """
@@ -18,12 +20,22 @@ import json
 import sys
 from pathlib import Path
 
-from clawsplit import IntervalFamily, solve, vertebrate_representation
+from clawsplit import (
+    GeneratorSpec,
+    IntervalFamily,
+    generate,
+    solve,
+    vertebrate_representation,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "tests" / "fixtures" / "golden-bench-seed1.json"
 FIXTURE_SEEDS_2_3 = ROOT / "tests" / "fixtures" / "golden-bench-seeds2-3.json"
+FIXTURE_LONG_ROWS = ROOT / "tests" / "fixtures" / "golden-long-rows.json"
 WORKLOADS = ("split-v2", "split-long")
+# (v, m, density, max_len, seed) of vertebrate instances with members longer
+# than v, from the baseline rows of ROADMAP.md
+LONG_ROWS = ((3, 40, 2.0, 5, 6), (3, 26, 1.5, 6, 885354), (5, 20, 1.5, 8, 6))
 
 
 def bench_instances():
@@ -45,10 +57,24 @@ def bench_instances():
     return module
 
 
+def record(S, v):
+    """The decision, stage_state_counts and the sha256 of rep_assignment's
+    sides (one character per member, F or S, None on a "no") of the solve
+    of the family S at v."""
+    res = solve(vertebrate_representation(S), v)
+    digest = None
+    if res.rep_assignment is not None:
+        sides = "".join(side.name[0] for side in res.rep_assignment.sides)
+        digest = hashlib.sha256(sides.encode()).hexdigest()
+    return dict(
+        feasible=res.feasible, stage_state_counts=list(res.stage_state_counts),
+        rep_assignment=digest,
+    )
+
+
 def records(seed=1):
-    """One record per partition answer of seed: workload, name, v, the
-    decision, stage_state_counts and the sha256 of rep_assignment's sides
-    (one character per member, F or S), or None on a "no"."""
+    """One record per partition answer of seed: workload, name, v, then
+    record()."""
     instances = bench_instances()
     out = []
     for workload in WORKLOADS:
@@ -56,14 +82,9 @@ def records(seed=1):
             if answer.argv[0] != "partition":
                 continue
             v = int(answer.argv[answer.argv.index("--v") + 1])
-            res = solve(vertebrate_representation(IntervalFamily.from_pairs(answer.pairs)), v)
-            digest = None
-            if res.rep_assignment is not None:
-                sides = "".join(side.name[0] for side in res.rep_assignment.sides)
-                digest = hashlib.sha256(sides.encode()).hexdigest()
             out.append(dict(
-                workload=workload, name=answer.name, v=v, feasible=res.feasible,
-                stage_state_counts=list(res.stage_state_counts), rep_assignment=digest,
+                workload=workload, name=answer.name, v=v,
+                **record(IntervalFamily.from_pairs(answer.pairs), v),
             ))
     return out
 
@@ -91,6 +112,28 @@ def test_seed2_and_seed3_split_answers_match_the_pinned_solves():
         assert g == w, (w["seed"], w["workload"], w["name"])
 
 
+def long_row_records():
+    """One record per instance of LONG_ROWS: its parameters, then record()."""
+    out = []
+    for v, m, density, max_len, seed in LONG_ROWS:
+        S = generate(GeneratorSpec("vertebrate", m=m, density=density, max_len=max_len, seed=seed))
+        out.append(dict(
+            v=v, m=m, density=density, max_len=max_len, seed=seed,
+            **record(S, v),
+        ))
+    return out
+
+
+def test_long_member_rows_match_the_pinned_solves():
+    want = json.loads(FIXTURE_LONG_ROWS.read_text())
+    got = long_row_records()
+    assert len(got) == len(want) == 3
+    # every row keeps a stage of over 500 states
+    assert all(max(r["stage_state_counts"]) > 500 for r in want)
+    for g, w in zip(got, want):
+        assert g == w, (w["v"], w["m"], w["max_len"], w["seed"])
+
+
 def write(path, rows):
     path.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
 
@@ -98,3 +141,4 @@ def write(path, rows):
 if __name__ == "__main__":
     write(FIXTURE, records())
     write(FIXTURE_SEEDS_2_3, seed_records())
+    write(FIXTURE_LONG_ROWS, long_row_records())
