@@ -234,7 +234,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     try:
         report = oracle_partition(fam, args.v, limit=limit)
     except SizeGuardError as exc:
-        return _error_doc("oracle", str(exc))
+        return _error_doc("oracle", f"{exc.reason}; set {_LIMIT_ENV} to override deliberately")
     lines = [
         "command oracle",
         f"n {len(fam)}",

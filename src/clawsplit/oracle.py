@@ -39,7 +39,15 @@ _GEN_CAP = 1_000_000  # members one generate call may ask for
 
 
 class SizeGuardError(RuntimeError):
-    """Raised when an exhaustive routine is asked for more than it should chew."""
+    """Raised when an exhaustive routine is asked for more than it should chew.
+
+    reason says what was too large; the message adds how a library caller
+    overrides the guard.
+    """
+
+    def __init__(self, reason: str):
+        super().__init__(f"{reason}; pass limit= to override deliberately")
+        self.reason = reason
 
 
 class GenerationError(RuntimeError):
@@ -49,10 +57,7 @@ class GenerationError(RuntimeError):
 def _guard(n: int, cap: int, limit: Optional[int], what: str) -> None:
     effective = cap if limit is None else limit
     if n > effective:
-        raise SizeGuardError(
-            f"{what}: {n} vertices exceeds the cap of {effective}; "
-            "pass limit= to override deliberately"
-        )
+        raise SizeGuardError(f"{what}: {n} vertices exceeds the cap of {effective}")
 
 
 def _max_disjoint_exact(ivs: Sequence[Interval], cap: int) -> int:

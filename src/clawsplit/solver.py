@@ -27,12 +27,12 @@ after which the profiles advance by extend.  The transition is written once,
 in _advance, which takes one predecessor state across a segment and adds its
 successors to the stage at s.  What every hop of a solve reads is built once
 per solve, by _context, into one _Solve: the members, v, their groups, the
-members crossing and arriving at each anchor, the floors, live_from and
-last_old, the profile intern table, and the side assignments of the anchor
-being built.  What a hop reads of its segment, beside s, is held in a
-record (see _Segment): s_prev, the long members, the crossing members that
-settle (pool) and those that do not (shared), and memos of work that
-predecessor states repeat.  A record lives as long as what it reads:
+members crossing and arriving at each anchor, the floors, live_from, the
+profile intern table, and the side assignments of the anchor being built.
+What a hop reads of its segment, beside s, is held in a record (see
+_Segment): s_prev, the long members, the crossing members that settle
+(pool) and those that do not (shared), and memos of work that predecessor
+states repeat.  A record lives as long as what it reads:
 _stages replaces s_prev's record only when a member it reads arrives, a
 long member with lo >= s_prev or a member of crossing[s_prev] that ends,
 and at every other anchor the same object serves again.  Each memo belongs
@@ -82,15 +82,14 @@ member crossing s_prev reaches s, every far bucket reads one side list, and
 both new profiles are read from s alone, so every successor of a far hop
 is (V(s), A) for one vector V(s) (see _far_vector).  Far pairs come first,
 so once every A of that list has V(s) in its bucket's seen set, _stages
-skips the far pairs left at s.  A far hop is old when s_prev also lies far
-enough left of the last v + 1 disjoint long members before s that the
-checks split into a part read from the predecessor alone and a part read
-from s alone (see _last_old); every state at an old s_prev then adds
-either nothing or one common set of successors, so once the stage holds a
-state, _stages skips every old pair, also where candidates that fail the
-star or room checks keep V(s) from being covered.  Either way the stage,
-its buckets' seen sets and every back-pointer are what they would have
-been.
+skips the far pairs left at s.  A hop is old when it is at least
+max(3L - 3, v + 1) long: then the checks also split into a part read from
+the predecessor alone and a part read from s alone (see _far_vector), so
+every state at an old s_prev adds either nothing or one common set of
+successors, and once the stage holds a state, _stages skips every old
+pair, also where candidates that fail the star check keep V(s) from being
+covered.  Either way the stage, its buckets' seen sets and every
+back-pointer are what they would have been.
 
 No check reads a profile entry below floor(s), the least lo among the
 members crossing s (s when none does): profiles are read only as
@@ -345,8 +344,7 @@ class _Solve:
     and floor[t] the least lo among them, or t when none does (see
     _crossings): extend sets every profile entry below floor(s) to -1 (see
     _advance).  live_from[s] is the least s_prev whose segment is live (see
-    _live_from), and last_old[s] the largest s_prev whose hop is old (see
-    _last_old).
+    _live_from).
 
     profiles interns every profile the solve builds, by entries (see
     extend).  sides memoises the side assignments of the anchor s being
@@ -372,7 +370,6 @@ class _Solve:
     crossing: Sequence[frozenset[int]]
     floor: Sequence[int]
     live_from: Sequence[int]
-    last_old: Sequence[int]
     profiles: dict[tuple[int, ...], MonotonicSeq] = field(default_factory=dict, init=False)
     sides: dict[
         tuple[frozenset[int], frozenset[int]], list[tuple[frozenset[int], frozenset[int]]]
@@ -907,9 +904,10 @@ def _movers(
     has a mover <= it, so the stage keeps the minimal keys (p.r, q.r, A)
     among the valid successors, as the unfiltered DP does; each bucket's
     seen is a pure cache (see _Bucket).  The stage is empty after each
-    s_prev exactly when it would have been, so _last_old's skip still
-    holds.  Back-pointers may differ only where a dropped Y was the first
-    to reach a kept key; solve re-verifies every witness read from them.
+    s_prev exactly when it would have been, so the old-pair skip still
+    holds (see _far_vector).  Back-pointers may differ only where a
+    dropped Y was the first to reach a kept key; solve re-verifies every
+    witness read from them.
     """
     movers: list[DPState] = []
     for st in states:
@@ -971,102 +969,6 @@ def _finish(stage: dict[frozenset[int], _Bucket]) -> dict[frozenset[int], _Bucke
     return dict(sorted(stage.items(), key=lambda item: _scan_key(item[1].states[0])))
 
 
-def _last_old(ivs: Sequence[Interval], m: int, v: int) -> list[int]:
-    """last_old[s] is the largest s_prev whose hop (s_prev, s] is old, or -1.
-
-    With L the longest member and T = max(3L - 3, v + 1), a hop is old when
-    s - s_prev >= T and s_prev <= g(s) - L + 1.  g(s) is the left end of the
-    (v + 1)-th pick of _profile's right-to-left greedy chain over the long
-    members with hi <= s (the pick is the largest lo among the members with
-    hi at or before the frontier, and the frontier moves to it); when the
-    chain makes fewer than v + 1 picks, no hop into s is old.  Both bounds
-    grow with s (more members can only move the chain's picks right), so
-    the old s_prev at s are a prefix of the anchors, and a longer one at
-    every later s.  best_lo[x] is the largest lo of a long member with
-    hi <= x, from one sweep over the members by hi; the chain is then v + 1
-    lookups per anchor.
-
-    Claim: at s, every state X at an old s_prev adds either nothing or
-    exactly the same successors (s, ramp, q, A, B); which of the two hangs
-    on checks that read X and s_prev but no candidate.  A member crossing
-    an anchor t starts at t - L + 1 or later and ends by t + L - 1.  Long
-    members exist only if L > v >= 1, so L >= 2, and T >= 3L - 3 gives
-    s - s_prev >= L and >= 2L - 2.
-
-      * Every member crossing s_prev ends by s_prev + L - 1 < s, so shared
-        is empty: the candidates are every assignment of crossing[s]'s
-        groups, in the same mask order, for every old s_prev.
-      * s - s_prev >= v + 1, so p_new is the ramp s - u.
-      * Let c_1..c_{v+1} be the picks behind g(s), and D the long members
-        inside (s_prev, s).  Each c_u starts at g(s) or later, so at s_prev
-        or later, and is in D.  A member that starts before s_prev (each of
-        F, and each long member outside D with hi <= s) ends by
-        s_prev + L - 1 <= g(s) < hi(c_u), and starts before lo(c_u).  At
-        step u <= v + 1, c_u lies at or before the frontier, so the largest
-        hi there exceeds g(s) and the largest lo is lo(c_u): both belong to
-        members of D, in the chain over F + D as in the chain over all long
-        members with hi <= s.  So the two chains agree on entries
-        1..v + 1, and fd_head's entries are read from s alone.
-        c_1..c_{v+1} are disjoint members of D meeting (s_prev, s), so
-        w_full >= w >= v + 1, and every entry of q_new comes from the head.
-        The successor profiles are the same for every old s_prev and X, and
-        so are their clamps (see _advance), which read floor(s) alone.
-      * The lower bounds read X's profiles and the settled members only.
-        A new second-side member, in B, crosses s and so starts at
-        s - L + 1 or later, while a settled member (a, b) ends by
-        s_prev + L - 1 <= s - L + 1; so no member of B meets (s_prev, b),
-        and each second-side count equals its floor, which the lower bound
-        has already checked.
-      * The star check's centers are members of D.  One that meets a member
-        of X.first_crossing (which crosses s_prev) starts by s_prev + L - 2;
-        one that meets a member of B ends at s - L + 2 or later.  A center
-        doing both would be longer than s - s_prev - 2L + 3 >= L, so none
-        does.  So the check passes iff (1) every center passes against
-        D + X.first_crossing, and (2) every center meeting B passes against
-        D + B: a center meeting no member of B sees the same members in
-        (1) as in the full check, and one meeting B sees no member of
-        X.first_crossing, so (1) asks it less than (2).  (1) reads no
-        candidate.  A center meeting B starts at s - 2L + 2 or later, and
-        each of its leaves ends past that and so starts at s - 3L + 3 >=
-        s_prev or later: (2) reads B and the long members with hi <= s
-        that start at s - 3L + 3 or later, which lie in D for every old
-        s_prev.
-
-    So an old X whose candidate-independent checks fail adds nothing, and
-    one whose checks pass would keep, into an empty stage, exactly the
-    candidates whose B passes the part near s, with the common profiles.
-    _stages visits s_prev in increasing order, so old pairs come first,
-    into an empty stage, which has no bucket and so no seen.  A state that
-    adds nothing makes no bucket: a bucket is made for its first kept
-    state, and a vector enters its seen only when covered by, or kept as,
-    one of its states (see _Bucket).  After the first old state that adds a
-    successor, every later old state either fails a check that reads no
-    candidate, or finds each vector it would keep already in its bucket's
-    seen and drops every other candidate at part (2) of the star check,
-    before any bucket of that A is made; either way it touches no bucket.
-    Skipping every old pair once the stage is non-empty therefore leaves
-    the stage, its buckets' seen sets and every back-pointer as they were.
-    """
-    L = max((iv.length for iv in ivs), default=0)
-    best_lo = [-1] * (m + 1)
-    for iv in ivs:
-        if iv.length > v and iv.lo > best_lo[iv.hi]:
-            best_lo[iv.hi] = iv.lo
-    for x in range(1, m + 1):
-        best_lo[x] = max(best_lo[x], best_lo[x - 1])
-    T = max(3 * L - 3, v + 1)
-    last_old = [-1] * (m + 1)
-    for s in range(m + 1):
-        g = s
-        for _ in range(v + 1):
-            g = best_lo[g]
-            if g < 0:
-                break
-        else:
-            last_old[s] = min(s - T, g - L + 1)
-    return last_old
-
-
 def _far_vector(ctx: _Solve, s: int) -> tuple[int, ...]:
     """V(s), the vector p.r + q.r of every successor that a far hop into s
     adds, with L = ctx.longest the longest member.
@@ -1106,9 +1008,39 @@ def _far_vector(ctx: _Solve, s: int) -> tuple[int, ...]:
     A vector stays in seen for the rest of the stage, and _stages visits
     s_prev in increasing order, so the far pairs are a prefix.  Skipping the
     far pairs left once V(s) is covered therefore leaves the stage, every
-    seen set and every back-pointer as they were; the records of the
-    skipped s_prev catch up later from the anchor they were last brought
-    to, as those of skipped old pairs do (see _last_old).
+    seen set and every back-pointer as they were.
+
+    Old hops.  A hop is old when d >= max(3L - 3, v + 1), so it is far.
+    Claim: every state X at an old s_prev adds either nothing or the
+    successors (V(s), A) for every A of one set read from s alone; which of
+    the two hangs on checks that read X and s_prev but no candidate.
+
+      * Profiles and candidates are those of every far hop.
+      * Counts.  d >= 2L - 2, so a settled member (a, b) ends by
+        s_prev + L - 1 <= s - L + 1, and every member of B crosses s and
+        so starts there or later: none meets (s_prev, b), and each
+        second-side count equals its floor, which the lower bound, read
+        from X and the settled members, has checked.
+      * Star check.  Its centers are long members inside (s_prev, s).  One
+        meeting a member of X.first_crossing, which crosses s_prev, starts
+        by s_prev + L - 2, and one meeting a member of B ends at s - L + 2
+        or later; d >= 3L - 3 leaves no room for a center of length L or
+        less to do both.  So the check passes iff (1) every center passes
+        against the long members and X.first_crossing, and (2) every
+        center meeting B passes against the long members and B.  (1) reads
+        no candidate.  A center meeting B starts at s - 2L + 2 or later,
+        so each of its leaves starts at s - 3L + 3 >= s_prev or later: (2)
+        reads B and the long members with lo >= s - 3L + 3 and hi <= s.
+
+    The old pairs come first, into an empty stage.  The first old state
+    that adds a successor makes the bucket of each A that passes (2), with
+    V(s) in its seen.  Every later one fails a check that reads no
+    candidate, or finds V(s) in the seen of each A that passes (2) and
+    drops every other A at (2), before a bucket of it is made: it touches
+    no bucket.  So once the stage holds a state, skipping every old pair
+    leaves the stage, every seen set and every back-pointer as they were.
+    The records of the s_prev that either skip passes over catch up later
+    from the anchor they were last brought to (see _segment).
     """
     v, ivs, floor = ctx.v, ctx.ivs, ctx.floor[s]
     start = s - 2 * ctx.longest + 2
@@ -1191,7 +1123,7 @@ def _context(rep: VertebrateRep, v: int) -> _Solve:
     longest = max((iv.length for iv in ivs), default=0)
     return _Solve(
         ivs, longest, v, m, group_of, arriving, crossing, floor,
-        _live_from(ivs, arriving, m, v), _last_old(ivs, m, v),
+        _live_from(ivs, arriving, m, v),
     )
 
 
@@ -1216,14 +1148,14 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
     # its segment dies (see _live_from), a prefix of grown, and its stage's
     # buckets drop their movers then; one whose stage is empty never joins.
     # The anchor is s - 1, or an earlier one when pairs were skipped (see
-    # _last_old and _far_vector); _segment brings the record to s from
-    # either by the members arrived since.
+    # _far_vector); _segment brings the record to s from either by the
+    # members arrived since.
     grown: list[tuple[int, _Segment | None, int]] = []
     s_prev_of = itemgetter(0)
     no_long = _Long((), _NO_MEMBERS)
-    # Hops at least this long are far (see _far_vector), and their buckets
-    # read the side list under this key.
-    far = max(2 * longest - 2, v + 1)
+    # Hops at least far long are far, those at least old long are old (see
+    # _far_vector), and far buckets read the side list under far_sides.
+    far, old = max(2 * longest - 2, v + 1), max(3 * longest - 3, v + 1)
     far_sides = (frozenset(), frozenset())
 
     for s in range(1, ctx.m + 1):
@@ -1240,7 +1172,7 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
         del grown[:dead]
         # A non-empty stage skips every s_prev <= skip_to, a run of grown:
         # the old ones, and every far one once V(s) is covered.
-        skip_to, far_vec = ctx.last_old[s], None
+        skip_to, far_vec = s - old, None
         j = 0
         while j < len(grown):
             s_prev, before, after = grown[j]

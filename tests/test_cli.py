@@ -509,7 +509,10 @@ def test_oracle_size_guard_and_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("CLAWSPLIT_ORACLE_LIMIT", raising=False)
     code, lines = run(capsys, "oracle", str(f), "--v", "1")
     assert code == 2
-    assert "oracle_partition" in " ".join(field(lines, "error"))
+    error = " ".join(field(lines, "error"))
+    # a CLI user overrides the guard by the environment, not by limit=
+    assert "oracle_partition" in error and "CLAWSPLIT_ORACLE_LIMIT" in error
+    assert "limit=" not in error
 
     monkeypatch.setenv("CLAWSPLIT_ORACLE_LIMIT", "17")
     code, lines = run(capsys, "oracle", str(f), "--v", "1")

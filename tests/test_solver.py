@@ -587,7 +587,7 @@ Hop = namedtuple("Hop", "before seg s preds")
 
 
 def walk_stages(ctx, stages):
-    """Run solve's loop over the solve ctx without skipping old pairs,
+    """Run solve's loop over the solve ctx without skipping any live pair,
     yielding (hops, stage) once the stage at each s >= 1 is built, before
     it is finished, with ctx.sides holding the side assignments of s and
     ctx.longs the long families taken at s.  hops lists a Hop for every
@@ -799,7 +799,7 @@ def test_anchor_side_lists_match_a_fresh_enumeration(monkeypatch):
 
 def long_rep(rng, m_max):
     """A seeded representation with members of length up to 2-7, long
-    enough (m up to m_max) to hold old hops (see solver._last_old)."""
+    enough (m up to m_max) to hold old hops (see solver._far_vector)."""
     spec = GeneratorSpec(
         kind="vertebrate", m=rng.randint(10, m_max), density=rng.choice([0.3, 0.6, 1.0]),
         max_len=rng.randint(2, 7), seed=rng.randint(0, 10 ** 6),
@@ -807,47 +807,84 @@ def long_rep(rng, m_max):
     return vertebrate_representation(generate(spec))
 
 
+def old_hop(ctx):
+    """The length from which a hop of the solve ctx is old, as solver._stages
+    reads it: max(3L - 3, v + 1), with L the longest member (see
+    solver._far_vector)."""
+    return max(3 * ctx.longest - 3, ctx.v + 1)
+
+
+def gen_rep(m, density, max_len, seed):
+    """The representation of one generated vertebrate family."""
+    spec = GeneratorSpec("vertebrate", m=m, density=density, max_len=max_len, seed=seed)
+    return vertebrate_representation(generate(spec))
+
+
 # Generated instances (m, density, max_len, seed) on which the looser rule
-# "s - s_prev >= max(L - 1, v + 1) and s_prev <= g(s)" gives two old states
-# at one s different successor sets at v = 1.  Random instances show that
-# in under 1% of draws.
+# "s - s_prev >= max(L - 1, v + 1) and s_prev <= g(s)", with g(s) the lo
+# of the (v + 1)-th pick of a right-to-left greedy chain over the long
+# members, gives two old states at one s different successor sets at
+# v = 1.  Random instances show that in under 1% of draws.
 LOOSER_RULE_FAILS = [(27, 1.5, 6, 494581), (19, 0.6, 7, 572387), (29, 1.0, 5, 641281)]
+
+# Generated instances (v, m, density, max_len, seed) on which calling every
+# far hop old, s - s_prev >= max(2L - 2, v + 1), gives two states at one s
+# different successor sets, one of them at a hop of 2L - 2 to 3L - 4: the
+# star check splits only from 3L - 3 on.  Random instances show that in
+# about 1% of draws.
+FAR_RULE_FAILS = [(1, 14, 0.3, 3, 458805), (1, 35, 1.0, 3, 283154), (2, 16, 1.5, 5, 844230)]
+
+
+def successor_sets(ctx, shortest):
+    """{s: the distinct non-empty successor sets}, where each state at an
+    s_prev with s - s_prev >= shortest is advanced alone into a fresh stage
+    in the solve ctx, and (states advanced, states that added some)."""
+    crossing = ctx.crossing
+    sets, advanced, adding = {}, 0, 0
+    for _, seg, s, preds in walked_hops(ctx):
+        if s - seg.s_prev < shortest:
+            continue
+        for X in states_of(preds):
+            alone = {}
+            _cross(ctx, seg, s, preds_of(X), alone)
+            keys = frozenset(
+                (st.p.r, st.q.r, st.first_crossing, second_crossing(crossing, st))
+                for bucket in alone.values() for st in bucket.states
+            )
+            advanced += 1
+            if keys:
+                adding += 1
+                sets.setdefault(s, set()).add(keys)
+    return sets, (advanced, adding)
 
 
 def test_old_pairs_add_nothing_or_one_common_successor_set():
     # each state at an old s_prev, advanced alone into a fresh stage, adds
     # no successor or the same ones as every other such state at that s
-    # (see solver._last_old); this is what lets solve skip old pairs.  Most
-    # random instances are at v = 1, where old pairs are most numerous and
-    # most varied for their cost.
+    # (see solver._far_vector); this is what lets solve skip old pairs.
+    # Most random instances are at v = 1, where old pairs are most numerous
+    # and most varied for their cost.
     rng = random.Random(71)
-    cases = [
-        (1, vertebrate_representation(generate(GeneratorSpec("vertebrate", m=m, density=d, max_len=ml, seed=seed))))
-        for m, d, ml, seed in LOOSER_RULE_FAILS
-    ]
+    cases = [(1, gen_rep(*row)) for row in LOOSER_RULE_FAILS]
+    cases += [(v, gen_rep(*row)) for v, *row in FAR_RULE_FAILS]
     for k in range(120):
         v = 1 if k % 10 else 2 + k // 10 % 2
         cases.append((v, long_rep(rng, 36 if v == 1 else 26)))
     old_pairs = adding = 0
     for v, rep in cases:
         ctx = _context(rep, v)
-        crossing = crossings(rep)
-        common = {}
-        for _, seg, s, preds in walked_hops(ctx):
-            if seg.s_prev > ctx.last_old[s]:
-                continue
-            for X in states_of(preds):
-                alone = {}
-                _cross(ctx, seg, s, preds_of(X), alone)
-                keys = {
-                    (st.p.r, st.q.r, st.first_crossing, second_crossing(crossing, st))
-                    for bucket in alone.values() for st in bucket.states
-                }
-                old_pairs += 1
-                if keys:
-                    adding += 1
-                    assert common.setdefault(s, keys) == keys
+        sets, (advanced, added) = successor_sets(ctx, old_hop(ctx))
+        assert all(len(common) == 1 for common in sets.values())
+        old_pairs += advanced
+        adding += added
     assert old_pairs > adding > 3000
+    # far hops shorter than 3L - 3 break the claim
+    for v, *row in FAR_RULE_FAILS:
+        ctx = _context(gen_rep(*row), v)
+        far = max(2 * ctx.longest - 2, ctx.v + 1)
+        assert far < old_hop(ctx)
+        sets, _ = successor_sets(ctx, far)
+        assert any(len(common) > 1 for common in sets.values())
 
 
 def far_grid(rng, count):
@@ -934,13 +971,16 @@ def test_solve_skips_far_pairs_on_the_split_v2_shape(monkeypatch):
             if (s_prev, s) in crossed:
                 continue
             assert s - s_prev >= far
-            if s_prev <= ctx.last_old[s]:
+            if s - s_prev >= old_hop(ctx):
                 old_skipped += 1
             else:
                 far_skipped += 1
-    # 1,589 far pairs skipped that are not old, against 61 old ones
-    assert far_skipped > 1000
-    assert far_skipped > 10 * old_skipped
+    # 1,650 pairs skipped: 570 far ones that are not old, hops of 2L - 2 =
+    # 4 and 5, and 1,080 old ones.  When a hop was old only if it also lay
+    # left of the last v + 1 disjoint long members before s, the same 1,650
+    # split as 1,589 far and 61 old
+    assert far_skipped + old_skipped == 1650
+    assert far_skipped > 500
 
 
 def unskipped_witness(ctx, stages):
@@ -1000,14 +1040,17 @@ def test_solve_stages_match_the_unskipped_walk(monkeypatch):
             if (s_prev, s) not in crossed:
                 # a pair solve skipped is old or far
                 assert s - s_prev >= far
-                skipped["old" if s_prev <= ctx.last_old[s] else ("far", v)] += 1
+                skipped["old" if s - s_prev >= old_hop(ctx) else ("far", v)] += 1
         crossing = crossings(rep)
         assert kept(got, crossing) == kept(walk, crossing)
         assert res.stage_state_counts == tuple(len(states_of(stage)) for stage in walk)
         assert res.rep_assignment == unskipped_witness(ctx, walk)
     assert walked[1] + walked[2] > 10000
-    # solve skipped old pairs, and far ones at every v: 3,094 old, and
-    # 2,630, 4,357 and 948 far at v = 1, 2 and 3
+    # solve skipped old pairs, and far ones that are not old at every v:
+    # 8,738 old, and 866, 961 and 526 far at v = 1, 2 and 3.  When a hop was
+    # old only if it also lay left of the last v + 1 disjoint long members
+    # before s, they split as 3,094 old and 2,630, 4,357 and 948 far, and
+    # 62 fewer pairs were skipped at v = 1
     assert skipped["old"] > 2000, skipped
     assert all(skipped["far", v] > 500 for v in (1, 2, 3)), skipped
 
@@ -1197,8 +1240,9 @@ def test_solve_v1_m400_skips_old_pairs(monkeypatch):
     [
         # building every record and plan afresh at each anchor made 9,342
         # plans and 6,235 records on this instance; before the far-pair
-        # skip, the solve built 1,834 plans and 1,196 records
-        (400, 0.3, 1, 1, 619, 1257, 746),
+        # skip, the solve built 1,834 plans and 1,196 records, and 1,257
+        # and 746 before old hops were decided by their length alone
+        (400, 0.3, 1, 1, 619, 1213, 716),
         # and 1,391 plans and 431 records on this one; 886 and 267 before
         # the far-pair skip
         (40, 2.0, 6, 2, 232, 333, 103),
