@@ -27,8 +27,9 @@ after which the profiles advance by extend.  The transition is written once,
 in _advance, which takes one predecessor state across a segment and adds its
 successors to the stage at s.  What every hop of a solve reads is built once
 per solve, by _context, into one _Solve: the members, v, their groups, the
-members crossing and arriving at each anchor, the floors, live_from, the
-profile intern table, and the side assignments of the anchor being built.
+members crossing and arriving at each anchor, the floors, the long
+members by lo, live_from, the profile intern table, and the side
+assignments of the anchor being built.
 What a hop reads of its segment, beside s, is held in a record (see
 _Segment): s_prev, the long members, the crossing members that settle
 (pool) and those that do not (shared), and memos of work that predecessor
@@ -40,11 +41,23 @@ to what it reads, so a new record keeps the memos that the arrival leaves
 valid: those that read the long members alone live in one _Long per long
 family, which every record with that family holds, whatever its s_prev,
 and each bucket's plan keeps the part that reads no long member (see
-_PlanBase) until a member of crossing[s_prev] ends.  A segment is dead
-when its long members center an overfull star among themselves, and no
-state crosses it.  Deadness is decided once per solve: _live_from gives,
-for each s, the least s_prev whose segment is live, and _stages drops
-every smaller s_prev for good.
+_PlanBase) until a member of crossing[s_prev] ends.
+
+A segment is dead when its long members center an overfull star among
+themselves, and no state crosses it.  Deadness is decided once per solve:
+_live_from gives, for each s, the least s_prev whose segment is live, and
+_stages drops every smaller s_prev for good.  Every decision about stars
+centered on long members is made in one place, _star_free: does a long
+member inside (lo_min, s) that meets a member of a set near center an
+overfull star among near and the long members inside (lo_min, s)?
+_live_from asks it with the long members arriving at s, and the star
+check of a hop (see _long_star_ok) with the crossing members visible to
+the second side.  A leaf meets its center and no member is longer than
+L, so it reads only the long members whose lo lies within L of the
+members it looks at, by bisect in the solve's one table of long members
+by lo, which V(s) reads too (see _far_vector).  So the deadness sweep
+reads, per arriving long member, the long members near it, not every one
+since the frontier.
 
 _cross takes each predecessor bucket across a record with the bucket's plan
 (see _Plan): the settled members' lower-bound floors, the second side's
@@ -143,9 +156,9 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter, le
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from clawsplit.encoding import (
     MonotonicSeq,
@@ -163,7 +176,6 @@ from clawsplit.intervals import (
     Side,
     _max_disjoint_meeting,
     claw_number,
-    intersects,
     mid_relation,
 )
 from clawsplit.recognition import VertebrateRep
@@ -343,8 +355,11 @@ class _Solve:
     _arriving); crossing[t] is the set of members crossing the anchor t,
     and floor[t] the least lo among them, or t when none does (see
     _crossings): extend sets every profile entry below floor(s) to -1 (see
-    _advance).  live_from[s] is the least s_prev whose segment is live (see
-    _live_from).
+    _advance).  long_by_lo lists the long members, those longer than v, by
+    lo (ties by index), and long_los their lo values in that order: every
+    star check over long members, and V(s), read them from windows of lo
+    found by bisect (see _star_free and _far_vector).  live_from[s] is the
+    least s_prev whose segment is live (see _live_from).
 
     profiles interns every profile the solve builds, by entries (see
     extend).  sides memoises the side assignments of the anchor s being
@@ -369,6 +384,8 @@ class _Solve:
     arriving: Sequence[Sequence[int]]
     crossing: Sequence[frozenset[int]]
     floor: Sequence[int]
+    long_by_lo: Sequence[int]
+    long_los: Sequence[int]
     live_from: Sequence[int]
     profiles: dict[tuple[int, ...], MonotonicSeq] = field(default_factory=dict, init=False)
     sides: dict[
@@ -394,10 +411,6 @@ class _Long:
       * long_star_cache, per set of crossing members visible to the second
         side: whether the long members center no overfull star among
         themselves and those (see _long_star_ok).
-
-    order lists the same members by lo, and los their lo values in that
-    order; both stay empty until the first miss of long_star_cache, which
-    fills them for the object's lifetime.
     """
 
     idx: tuple[int, ...]
@@ -407,8 +420,6 @@ class _Long:
         default_factory=dict
     )
     long_star_cache: dict[frozenset[int], bool] = field(default_factory=dict)
-    order: list[int] = field(default_factory=list)
-    los: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -458,8 +469,9 @@ class _Segment:
         and w_full are the disjoint counts of D and of F + D, which read
         the member sets alone.  The rest of fd_head reads no s (see
         fd_head), so head_cache[settled_second] reads F and D alone.
-      * The star check reads only the long members, outside and v (see
-        _long_star_ok).
+      * The star check reads the long members inside (s_prev, s), which
+        are the long members at every anchor a record with them serves,
+        outside and v (see _long_star_ok).
     """
 
     s_prev: int
@@ -580,55 +592,66 @@ def _segment(
     return _Segment(s_prev, long, shared, pool, bases)
 
 
-def _long_star_ok(ctx: _Solve, seg: _Segment, outside: frozenset[int]) -> bool:
-    """mid_relation(long, long + outside, v) on the long members of the live
-    segment seg, memoised in seg.long.long_star_cache under outside.
+def _star_free(ctx: _Solve, lo_min: int, s: int, near: Collection[int]) -> bool:
+    """False iff a long member inside (lo_min, s) that meets a member of
+    near centers v + 1 disjoint leaves among near and the long members
+    inside (lo_min, s); near holds member indices.
 
-    Only the centers that meet an outside member are checked.  _stages
-    builds records only for live segments (see _live_from), so no long
-    member meets v + 1 disjoint other long members.  The leaves of an
-    overfull star centered on a long member are then not all long: one is
-    an outside member, and it meets the center.  Each checked center is
-    given only the members that meet it, the only ones
-    _max_disjoint_meeting can count, and is left out by index.  The outside
-    members cross s_prev or s, so none of them is a long member, and the
-    representation holds no two equal members: leaving the center out by
-    index is leaving it out by value, as mid_relation does.
-
-    No member is longer than L = ctx.longest, so a member meeting (a, b)
-    has its lo in [a - L + 1, b - 1], and meets (a, b) iff its hi also
-    exceeds a.  The centers meeting each outside member, and the long
-    members meeting each center, are read from that window of the long
-    members in lo order, which the _Long builds at its first miss (see
-    _Long).
+    The long members inside (lo_min, s) are those of ctx.long_by_lo with
+    lo >= lo_min and hi <= s.  No member is longer than L = ctx.longest, so
+    one that meets an interval (a, b) has a < hi <= lo + L and lo < b: its
+    lo lies in [a - L + 1, b - 1].  So the centers meeting a member x of
+    near are read by bisect from the lo window [x.lo - L + 1, x.hi), and
+    every long leaf of a center c, which meets c, from [c.lo - L + 1,
+    c.hi), each kept when its hi also exceeds the window's a.
+    mid_relation(centers, near + those leaves, v) then decides: it counts
+    for each center only the members that meet it, and leaves the center
+    out by value, which is by index since the representation holds no two
+    equal members.
     """
-    long = seg.long
-    ok = long.long_star_cache.get(outside)
+    ivs, order, los, L = ctx.ivs, ctx.long_by_lo, ctx.long_los, ctx.longest
+
+    def meeting(members: Collection[int], into: set[int]) -> set[int]:
+        # into, plus the long members inside (lo_min, s) meeting a member
+        for x in members:
+            a, b = ivs[x].lo, ivs[x].hi
+            for i in order[bisect_left(los, max(a - L + 1, lo_min)):bisect_left(los, b)]:
+                if a < ivs[i].hi <= s:
+                    into.add(i)
+        return into
+
+    centers = meeting(near, set())
+    if not centers:
+        return True
+    leaves = meeting(centers, set(near))
+    return mid_relation(
+        IntervalFamily([ivs[c] for c in centers]), IntervalFamily([ivs[i] for i in leaves]), ctx.v
+    )
+
+
+def _long_star_ok(ctx: _Solve, seg: _Segment, s: int, outside: frozenset[int]) -> bool:
+    """mid_relation(long, long + outside, v) on the long members of the live
+    segment seg at the anchor s, memoised in seg.long.long_star_cache under
+    outside.
+
+    Only the centers that meet an outside member are checked (see
+    _star_free).  _stages builds records only for live segments (see
+    _live_from), so no long member meets v + 1 disjoint other long members.
+    The leaves of an overfull star centered on a long member are then not
+    all long: one is an outside member, and it meets the center.  The
+    outside members cross s_prev or s, so none of them is a long member.
+
+    The memo is sound.  At every anchor s a record serves, the long members
+    inside (s_prev, s) are exactly seg.long, since _segment replaces the
+    record when a long member arrives; and every record that holds the same
+    _Long has that same set of long members at each anchor it serves,
+    whatever its s_prev.  So the value read from (seg.s_prev, s) is a
+    function of seg.long and outside alone.
+    """
+    cache = seg.long.long_star_cache
+    ok = cache.get(outside)
     if ok is None:
-        ok = True
-        if long.idx:
-            ivs, L, order, los = ctx.ivs, ctx.longest, long.order, long.los
-            if not order:
-                order.extend(sorted(long.idx, key=lambda i: ivs[i].lo))
-                los.extend(ivs[i].lo for i in order)
-            near = [ivs[i] for i in outside]
-            centers = {
-                c for x in near
-                for c in order[bisect_left(los, x.lo - L + 1):bisect_left(los, x.hi)]
-                if ivs[c].hi > x.lo
-            }
-            for c in centers:
-                center = ivs[c]
-                lo, hi = center.lo, center.hi
-                leaves = [x for x in near if x.lo < hi and x.hi > lo]
-                leaves += (
-                    ivs[i] for i in order[bisect_left(los, lo - L + 1):bisect_left(los, hi)]
-                    if i != c and ivs[i].hi > lo
-                )
-                if _max_disjoint_meeting(leaves, lo, hi) > ctx.v:
-                    ok = False
-                    break
-        long.long_star_cache[outside] = ok
+        ok = cache[outside] = not seg.long.idx or _star_free(ctx, seg.s_prev, s, outside)
     return ok
 
 
@@ -859,7 +882,7 @@ def _advance(
             counts = plan.second_counts[B] = _second_counts(ctx, seg, plan, B)
         if not all(map(le, counts, second_room)):
             continue
-        if not _long_star_ok(ctx, seg, st.first_crossing | B):
+        if not _long_star_ok(ctx, seg, s, st.first_crossing | B):
             continue
         if bucket is None:
             bucket = stage[A] = _Bucket()
@@ -978,6 +1001,8 @@ def _far_vector(ctx: _Solve, s: int) -> tuple[int, ...]:
     candidate A, is (V(s), A), with V(s) read from s alone: p is the ramp
     s - u and q the chain of _profile over the long members W with lo >=
     s - 2L + 2 and hi <= s, each with every entry below floor(s) set to -1.
+    W is read from ctx.long_by_lo: the members with lo in [s - 2L + 2, s)
+    that end by s, since a member inside (0, s) has lo < s.
     A member crossing an anchor t starts at t - L + 1 or later and ends by
     t + L - 1, so floor(s) >= s - L + 1.
 
@@ -1042,28 +1067,23 @@ def _far_vector(ctx: _Solve, s: int) -> tuple[int, ...]:
     The records of the s_prev that either skip passes over catch up later
     from the anchor they were last brought to (see _segment).
     """
-    v, ivs, floor = ctx.v, ctx.ivs, ctx.floor[s]
-    start = s - 2 * ctx.longest + 2
-    W = [
-        ivs[i] for t in range(max(start, 0), s + 1) for i in ctx.arriving[t]
-        if ivs[i].lo >= start and ivs[i].length > v
-    ]
+    v, ivs, floor, los = ctx.v, ctx.ivs, ctx.floor[s], ctx.long_los
+    start = bisect_left(los, s - 2 * ctx.longest + 2)
+    W = [ivs[i] for i in ctx.long_by_lo[start:bisect_left(los, s)] if ivs[i].hi <= s]
     p = [s - u if s - u >= floor else -1 for u in range(v + 2)]
     q = [x if x >= floor else -1 for x in _profile(W, s, v)]
     return (*p, -1, *q)
 
 
-def _live_from(
-    ivs: Sequence[Interval], arriving: Sequence[Sequence[int]], m: int, v: int
-) -> list[int]:
-    """live_from[s] is the least s_prev whose segment (s_prev, s] is live.
+def _live_from(ctx: _Solve) -> list[int]:
+    """live_from[s] is the least s_prev whose segment (s_prev, s] is live,
+    in the solve ctx; ctx.live_from is not read.
 
     A segment is dead when its long members (inside (s_prev, s), longer
     than v) center an overfull star among themselves, that is when
-    mid_relation(long, long, v) fails; arriving[t] lists the members with
-    hi = t.  One sweep over s carries the frontier f = live_from[s - 1] and
-    the long members inside (f, s), and rechecks only where long members
-    arrive:
+    mid_relation(long, long, v) fails.  One sweep over s carries the
+    frontier f = live_from[s - 1], and checks only where long members
+    arrive, through _star_free(ctx, f, s, the arriving long members):
 
       * Deadness is monotone in both s_prev and s.  A smaller s_prev or a
         larger s only adds long members, and a center with v + 1 disjoint
@@ -1074,32 +1094,31 @@ def _live_from(
         (f, s - 1), which center no overfull star, plus arriving ones.  A
         new overfull star has an arriving member as its center or as a
         leaf, and every leaf meets its center, so only the centers that
-        meet an arriving member can fail.  With no long member arriving,
-        (f, s) is live.
+        meet an arriving member can fail: that is _star_free's question,
+        with the arriving members, which are long members of (f, s)
+        themselves, as near.  With no long member arriving, (f, s) is live.
       * Moving the frontier only removes members, the leftmost ones, so the
         same check over the remaining members decides the next s_prev.
-        Every s_prev up to the least lo has the same long members as f, so
-        when the check fails the frontier moves just past that lo.
+        When the check fails, the frontier moves just past the least lo at
+        or after f in ctx.long_los.  Every s_prev up to that lo has the
+        same long members inside (s_prev, s) as f, so it is dead too.  A
+        failed check leaves a long member inside (f, s), so there is such
+        a lo; where it is the lo of a member that ends past s, the next
+        check reads the same members and moves the frontier again.
       * The (s_prev, s) with s_prev < live_from[s] add no state: the long
         members of every successor's second side would center an overfull
         star among themselves.  _stages drops those s_prev for good and
         builds no record for them, and _long_star_ok, which checks only the
         centers meeting an outside member, relies on that.
     """
-    live_from = [0] * (m + 1)
+    ivs, v, los = ctx.ivs, ctx.v, ctx.long_los
+    live_from = [0] * (ctx.m + 1)
     f = 0
-    long: list[Interval] = []  # the long members inside (f, s)
-    for s in range(1, m + 1):
-        new = [ivs[i] for i in arriving[s] if ivs[i].length > v and ivs[i].lo >= f]
-        long += new
-        while new and not mid_relation(
-            IntervalFamily(tuple(c for c in long if any(intersects(c, a) for a in new))),
-            IntervalFamily(tuple(long)),
-            v,
-        ):
-            f = min(iv.lo for iv in long) + 1
-            long = [iv for iv in long if iv.lo >= f]
-            new = [iv for iv in new if iv.lo >= f]
+    for s in range(1, ctx.m + 1):
+        new = [i for i in ctx.arriving[s] if ivs[i].length > v and ivs[i].lo >= f]
+        while new and not _star_free(ctx, f, s, new):
+            f = los[bisect_left(los, f)] + 1
+            new = [i for i in new if ivs[i].lo >= f]
         live_from[s] = f
     return live_from
 
@@ -1121,10 +1140,12 @@ def _context(rep: VertebrateRep, v: int) -> _Solve:
     arriving = _arriving(ivs, m)
     crossing, floor = _crossings(ivs, arriving, m)
     longest = max((iv.length for iv in ivs), default=0)
-    return _Solve(
+    long_by_lo = sorted((i for i, iv in enumerate(ivs) if iv.length > v), key=lambda i: ivs[i].lo)
+    ctx = _Solve(
         ivs, longest, v, m, group_of, arriving, crossing, floor,
-        _live_from(ivs, arriving, m, v),
+        long_by_lo, [ivs[i].lo for i in long_by_lo], live_from=(),
     )
+    return replace(ctx, live_from=_live_from(ctx))
 
 
 def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:

@@ -15,6 +15,7 @@ from clawsplit import (
     PartitionAssignment,
     Side,
     cli,
+    encoding,
     intervals,
     recognition,
     solver,
@@ -738,6 +739,11 @@ def test_traced_layers_fire_through_their_module_attributes(capsys, monkeypatch)
         "maximal_cliques": recognition.maximal_cliques,
         "vertebrate_representation": recognition.vertebrate_representation,
         "graph_claw_number": intervals.graph_claw_number,
+        "mid_relation": intervals.mid_relation,
+        "extend": encoding.extend,
+        "compute_groups": solver.compute_groups,
+        "verify_partition": solver.verify_partition,
+        "solve": solver.solve,
     }
     fired = set()
 
@@ -761,7 +767,8 @@ def test_traced_layers_fire_through_their_module_attributes(capsys, monkeypatch)
         (["check", path3], {"sweepline", "maximal_cliques", "graph_claw_number"}),
         (["represent", path3], {"sweepline", "maximal_cliques", "vertebrate_representation"}),
         (["partition", path3, "--v", "1"],
-         {"sweepline", "maximal_cliques", "vertebrate_representation"}),
+         {"sweepline", "maximal_cliques", "vertebrate_representation", "mid_relation",
+          "extend", "compute_groups", "verify_partition", "solve"}),
     ):
         fired.clear()
         assert main(argv) == 0

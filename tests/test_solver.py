@@ -290,7 +290,7 @@ def test_check_transition_star_completed_by_an_outside_member():
     seg = segment_builder(ctx)(0, 3)
     long_fam = seg.long.fam
     assert mid_relation(long_fam, long_fam, 1)
-    assert not solver._long_star_ok(ctx, seg, frozenset({x}))
+    assert not solver._long_star_ok(ctx, seg, 3, frozenset({x}))
     assert not mid_relation(long_fam, IntervalFamily(long_fam.intervals + (Interval(2, 4),)), 1)
     # only the successor that puts (2,4) on the short side survives
     assert set(hop(rep, 1, base_state(1), 3)) == {frozenset({x})}
@@ -353,6 +353,33 @@ def test_grown_segments_match_a_fresh_build():
     assert carried > 1000
     assert kept_longs > 100
     assert kept_bases > 100
+
+
+def test_live_from_matches_mid_relation_where_the_windows_cut():
+    # the same check on instances with members up to 8 long and m up to 60,
+    # where _star_free's lo windows leave out most long members of (f, s)
+    # and the frontier moves often.  Most draws are at v = 1, where segments
+    # die most often; at v = 3 and 4 the generator's long members rarely
+    # center an overfull star, and the check shows no segment dies there
+    rng = random.Random(47)
+    moves = dead_pairs = 0
+    for k in range(24):
+        v = 1 if k % 2 else 2 + k // 2 % 3
+        rep = gen_rep(rng.randint(40, 60), rng.choice([0.6, 1.0, 1.5, 2.0]),
+                      rng.randint(v + 2, 8), rng.randint(0, 10 ** 6))
+        ivs = rep.family.intervals
+        frontier = live_from(rep, v)
+        for s in range(1, rep.m + 1):
+            moves += frontier[s] > frontier[s - 1]
+            inside = [iv for iv in ivs if iv.hi <= s and iv.length > v]
+            for s_prev in range(s):
+                long_fam = IntervalFamily(tuple(iv for iv in inside if iv.lo >= s_prev))
+                live = mid_relation(long_fam, long_fam, v)
+                assert (s_prev >= frontier[s]) == live, (k, s_prev, s)
+                dead_pairs += not live
+    # 155 frontier moves and 11,776 dead pairs
+    assert moves > 100
+    assert dead_pairs > 8000
 
 
 def test_advance_keeps_one_antichain_per_bucket():
@@ -1116,7 +1143,7 @@ def test_long_star_check_matches_mid_relation_on_live_records():
                         tuple(ivs[i] for i in sorted(outside.union(seg.long.idx)))
                     )
                     want = mid_relation(seg.long.fam, visible, v)
-                    assert solver._long_star_ok(ctx, seg, outside) == want
+                    assert solver._long_star_ok(ctx, seg, s, outside) == want
                     checked += 1
                     rejected += not want
     assert checked > 10000
@@ -1294,8 +1321,11 @@ def test_every_record_stages_builds_is_live(monkeypatch):
 
 
 def test_solve_mid_relation_calls_on_a_dense_v2_instance(monkeypatch):
-    # rechecking each grown record's long family whenever long members
-    # arrived made 745 mid_relation calls on this instance
+    # every mid_relation call of the solve: one per check of _live_from
+    # where long members arrive, and one per miss of a record's star-check
+    # memo that meets a long member (see solver._star_free), 81 in all here.
+    # Rechecking each grown record's long family whenever long members
+    # arrived once made 745
     check = intervals.mid_relation
     calls = 0
 
@@ -1309,6 +1339,30 @@ def test_solve_mid_relation_calls_on_a_dense_v2_instance(monkeypatch):
     res = solve(vertebrate_representation(S), 2)
     assert res.feasible
     assert 0 < calls < 745
+
+
+def test_live_from_work_grows_linearly_in_m(monkeypatch):
+    # _live_from hands mid_relation only the long members within L of the
+    # arriving ones, so the members it hands over grow about 2x per
+    # doubling of m (1,456, 2,845 and 5,569 here).  Checking each arrival
+    # against every long member inside (f, s) handed over 51,674, 201,900
+    # and 770,606, 3.9x per doubling
+    check = intervals.mid_relation
+    handed = 0
+
+    def counted(R, S, v):
+        nonlocal handed
+        handed += len(R) + len(S)
+        return check(R, S, v)
+
+    monkeypatch.setattr(solver, "mid_relation", counted)
+    work = []
+    for m in (640, 1280, 2560):
+        handed = 0
+        _context(gen_rep(m, 2.0, 3, 6), 2)
+        work.append(handed)
+    assert work[0] > 1000
+    assert all(later <= 2.2 * earlier for earlier, later in zip(work, work[1:])), work
 
 
 def test_solve_advance_calls_on_a_dense_v2_instance(monkeypatch):
