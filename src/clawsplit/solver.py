@@ -55,9 +55,9 @@ check of a hop (see _long_star_ok) with the crossing members visible to
 the second side.  A leaf meets its center and no member is longer than
 L, so it reads only the long members whose lo lies within L of the
 members it looks at, by bisect in the solve's one table of long members
-by lo, which V(s) reads too (see _far_vector).  So the deadness sweep
-reads, per arriving long member, the long members near it, not every one
-since the frontier.
+by lo, which the bound of a clamped hop reads too (see _far_vector).  So
+the deadness sweep reads, per arriving long member, the long members near
+it, not every one since the frontier.
 
 _cross takes each predecessor bucket across a record with the bucket's plan
 (see _Plan): the settled members' lower-bound floors, the second side's
@@ -89,20 +89,24 @@ first_bounds, which stops changing once every member crossing s_prev has
 ended, so one list serves every farther anchor.  The stage keeps the
 same keys as if every state had crossed.
 
-Far predecessors cost next to nothing.  A hop (s_prev, s] is far when it
-is at least max(2L - 2, v + 1) long, with L the longest member: then no
-member crossing s_prev reaches s, every far bucket reads one side list, and
-both new profiles are read from s alone, so every successor of a far hop
-is (V(s), A) for one vector V(s) (see _far_vector).  Far pairs come first,
-so once every A of that list has V(s) in its bucket's seen set, _stages
-skips the far pairs left at s.  A hop is old when it is at least
-max(3L - 3, v + 1) long: then the checks also split into a part read from
-the predecessor alone and a part read from s alone (see _far_vector), so
-every state at an old s_prev adds either nothing or one common set of
-successors, and once the stage holds a state, _stages skips every old
-pair, also where candidates that fail the star check keep V(s) from being
-covered.  Either way the stage, its buckets' seen sets and every
-back-pointer are what they would have been.
+Most hops no member spans cost next to nothing.  A hop (s_prev, s] is
+clamped when s_prev <= floor(s) (see below), that is when no member crosses
+both anchors: then every bucket reads one side list, and neither new
+profile reads the predecessor state.  So every successor of a clamped hop
+is (vector, A) with the vector at or above one bound B(s_prev, s) read
+from the two anchors and the long members between them (see _far_vector).
+Once every A of that list has a bucket that covers B, the pair adds
+nothing, and _stages skips it before it builds its record.  A hop is far when it is at
+least max(2L - 2, v + 1) long, with L the longest member: it is clamped,
+every successor has the vector B = V(s), which reads s alone, and the far
+pairs come first, so one covered far pair lets _stages skip every far pair
+left at s.  A hop is old when it is at least max(3L - 3, v + 1) long: then
+the checks also split into a part read from the predecessor alone and a
+part read from s alone (see _far_vector), so every state at an old s_prev
+adds either nothing or one common set of successors, and once the stage
+holds a state, _stages skips every old pair, also where candidates that
+fail the star check keep B from being covered.  Either way the stage, its
+keys and every back-pointer are what they would have been.
 
 No check reads a profile entry below floor(s), the least lo among the
 members crossing s (s when none does): profiles are read only as
@@ -357,9 +361,10 @@ class _Solve:
     _crossings): extend sets every profile entry below floor(s) to -1 (see
     _advance).  long_by_lo lists the long members, those longer than v, by
     lo (ties by index), and long_los their lo values in that order: every
-    star check over long members, and V(s), read them from windows of lo
-    found by bisect (see _star_free and _far_vector).  live_from[s] is the
-    least s_prev whose segment is live (see _live_from).
+    star check over long members, and the bound of a clamped hop, read them
+    from windows of lo found by bisect (see _star_free and _far_vector).
+    live_from[s] is the least s_prev whose segment is live (see
+    _live_from).
 
     profiles interns every profile the solve builds, by entries (see
     extend).  sides memoises the side assignments of the anchor s being
@@ -745,14 +750,16 @@ class _Bucket:
     covers(vec) is True when a kept vector is <= vec, equal ones included.
     add(vec, state) keeps a vector that nothing covers and evicts the kept
     ones it is <=, so the states stay in insertion order, less the evicted
-    ones.  seen caches vectors known to be covered.  It holds only vectors
-    that a kept one is <=, and a kept vector is evicted only by one that is
-    <= it, so a vector stays covered once it is in seen.
+    ones.  seen caches vectors known to be covered, and only covers reads
+    it.  It holds only vectors that a kept one is <=, and a kept vector is
+    evicted only by one that is <= it, so a vector stays covered once it is
+    in seen.
 
     A stage lives in one bucket per first_crossing, of the vectors p.r +
     q.r of its states, from its first insertion (see _advance) to its last
-    read.  _finish drops vecs and seen, which only insertion reads, and
-    puts the states in scan order.  Later anchors read the states, and
+    read.  _finish drops vecs and seen, which only the stage's building
+    reads (_advance, and _stages' skip of clamped pairs), and puts the
+    states in scan order.  Later anchors read the states, and
     cache the movers of hops of v + 1 or more per first_bounds (see
     _movers) until the bucket's s_prev leaves _stages' grown.
     """
@@ -927,10 +934,11 @@ def _movers(
     has a mover <= it, so the stage keeps the minimal keys (p.r, q.r, A)
     among the valid successors, as the unfiltered DP does; each bucket's
     seen is a pure cache (see _Bucket).  The stage is empty after each
-    s_prev exactly when it would have been, so the old-pair skip still
-    holds (see _far_vector).  Back-pointers may differ only where a
-    dropped Y was the first to reach a kept key; solve re-verifies every
-    witness read from them.
+    s_prev exactly when it would have been, and its buckets cover the same
+    vectors, so the old-pair and clamped-pair skips still hold (see
+    _far_vector).  Back-pointers may differ only where a dropped Y was the
+    first to reach a kept key; solve re-verifies every witness read from
+    them.
     """
     movers: list[DPState] = []
     for st in states:
@@ -992,48 +1000,66 @@ def _finish(stage: dict[frozenset[int], _Bucket]) -> dict[frozenset[int], _Bucke
     return dict(sorted(stage.items(), key=lambda item: _scan_key(item[1].states[0])))
 
 
-def _far_vector(ctx: _Solve, s: int) -> tuple[int, ...]:
-    """V(s), the vector p.r + q.r of every successor that a far hop into s
-    adds, with L = ctx.longest the longest member.
+def _far_vector(ctx: _Solve, s_prev: int, s: int) -> tuple[int, ...]:
+    """B(s_prev, s), a lower bound on the vector p.r + q.r of every
+    successor that a clamped hop (s_prev, s] adds, with L = ctx.longest the
+    longest member: p is the ramp s - u and q the chain of _profile over the
+    long members W with lo >= max(s_prev, s - 2L + 2) and hi <= s, each
+    with every entry below floor(s) set to -1.  W is read from
+    ctx.long_by_lo: the members with lo in that window and below s that end
+    by s, since a member inside (0, s) has lo < s.  A member crossing an
+    anchor t starts at t - L + 1 or later and ends by t + L - 1, so
+    floor(s) >= s - L + 1.
 
-    A hop (s_prev, s] is far when d = s - s_prev >= max(2L - 2, v + 1).
-    Claim: every successor of a far hop, from any state and for any
-    candidate A, is (V(s), A), with V(s) read from s alone: p is the ramp
-    s - u and q the chain of _profile over the long members W with lo >=
-    s - 2L + 2 and hi <= s, each with every entry below floor(s) set to -1.
-    W is read from ctx.long_by_lo: the members with lo in [s - 2L + 2, s)
-    that end by s, since a member inside (0, s) has lo < s.
-    A member crossing an anchor t starts at t - L + 1 or later and ends by
-    t + L - 1, so floor(s) >= s - L + 1.
+    A hop is clamped when s_prev <= floor(s): then no member crosses both
+    anchors, since one crossing s has lo >= floor(s) >= s_prev.  Lemma:
+    every successor of a clamped hop, from any state and for any candidate
+    A, has p the clamped ramp and q the clamped chain of F + D at s, and A
+    is in the one side list ctx.sides[(frozenset(), frozenset())] at s.
 
-      * p_new.  d >= v + 1, so every entry u <= v + 1 of p_new is the ramp
-        s - u (see extend), then clamped at floor(s).
-      * q_new's tail.  An entry that q_new copies from the predecessor is
-        q.r[j] with j >= 1, below s_prev <= s - L + 1 <= floor(s) since
-        d >= L - 1, so the clamp sets it to -1.
-      * q_new's head.  Its entries u <= w_full are those of the chain of
-        F + D at s (see fd_head); every member of F + D meets (s_prev, s),
-        so the chain makes no pick past w_full, and its entries there are
-        -1, like the tail's.  An entry kept by the clamp is H_u - 1 >=
-        s - L + 1, so the member ending at H_u starts at s - 2L + 2 or
-        later: it is in W.  d >= 2L - 2 puts every member of W inside
-        (s_prev, s), in D; a member of F + D outside W starts before
-        s - 2L + 2 and so ends by s - L + 1.  While a member of W lies at
-        or before the chain's frontier, the largest hi and the largest lo
-        there both belong to members of W, or the entry is clamped in both
-        chains; so the chain over W and the chain over F + D keep the same
-        entries, and the first clamped entry ends both.
-      * Candidates.  d >= L - 1, so no member crossing s_prev crosses s,
-        shared is empty, and every far bucket reads the one side list
-        ctx.sides[(frozenset(), frozenset())] at s.
+      * Candidates.  shared is empty, so every bucket's side_key is
+        (frozenset(), frozenset()) (see _PlanBase).
+      * p_new.  Its entries u <= d = s - s_prev are the ramp s - u (see
+        extend).  Every other one copies p.r[j] with j >= 1, at most
+        s_prev - 1 < floor(s), and the ramp is below s_prev there too, so
+        the clamp sets both to -1.
+      * q_new.  Its entries u <= w_full are those of the chain of F + D at
+        s (see fd_head).  Every member of F + D meets (s_prev, s) and the
+        chain's picks are disjoint, so w_full is the chain's length and its
+        entries past w_full are -1.  Every other entry of q_new copies
+        q.r[j] with j >= 1, which the clamp sets to -1 as above.
 
-    So once that list's every A has a bucket whose seen holds V(s), every
-    successor of a later far pair is covered, in its bucket's seen, and
-    _advance drops it at the first test, touching no bucket (see _Bucket).
-    A vector stays in seen for the rest of the stage, and _stages visits
-    s_prev in increasing order, so the far pairs are a prefix.  Skipping the
-    far pairs left once V(s) is covered therefore leaves the stage, every
-    seen set and every back-pointer as they were.
+    So neither profile reads the state.  Bound: the chain of _profile is
+    monotone in its member set.  By induction on u, a superset's frontier
+    f_u and H_u are never smaller, since at each step it sees every member
+    the subset sees.  The clamp is monotone too (see _advance).  Every
+    member of W has lo >= s_prev, hi <= s and length > v, so W is part of
+    D, and every successor's vector is >= B entrywise.  So once every A of
+    the side list has a bucket that covers B, every successor of the pair
+    is covered in its bucket, and _advance drops it at its first test,
+    touching no bucket: a kept vector is evicted only by one <= it, so a
+    bucket covers a vector for the rest of the stage once it does (see
+    _Bucket).  _stages then skips the pair before it builds its record,
+    which leaves the stage, its keys and every back-pointer as they were.
+    The skipped record catches up later from the anchor it was last
+    brought to (see _segment).
+
+    Far hops.  A hop is far when d >= max(2L - 2, v + 1), so d >= L - 1
+    and s_prev <= s - L + 1 <= floor(s): it is clamped.  From d >= 2L - 2
+    on, the window of W starts at s - 2L + 2 whatever s_prev is, and B is
+    V(s), read from s alone.  Claim: every successor of a far hop is
+    (V(s), A).  By the lemma only q_new, the clamped chain of F + D, needs
+    a word.  An entry kept by the clamp is H_u - 1 >= s - L + 1, so the
+    member ending at H_u starts at s - 2L + 2 or later: it is in W.
+    d >= 2L - 2 puts every member of W inside (s_prev, s), in D; a member
+    of F + D outside W starts before s - 2L + 2 and so ends by s - L + 1.
+    While a member of W lies at or before the chain's frontier, the
+    largest hi and the largest lo there both belong to members of W, or
+    the entry is clamped in both chains; so the chain over W and the chain
+    over F + D keep the same entries, and the first clamped entry ends
+    both.  _stages visits s_prev in increasing order, so the far pairs are
+    a prefix of the clamped ones, all with the one bound V(s): once one of
+    them is skipped, _stages jumps by bisect over every far pair left at s.
 
     Old hops.  A hop is old when d >= max(3L - 3, v + 1), so it is far.
     Claim: every state X at an old s_prev adds either nothing or the
@@ -1059,16 +1085,15 @@ def _far_vector(ctx: _Solve, s: int) -> tuple[int, ...]:
 
     The old pairs come first, into an empty stage.  The first old state
     that adds a successor makes the bucket of each A that passes (2), with
-    V(s) in its seen.  Every later one fails a check that reads no
-    candidate, or finds V(s) in the seen of each A that passes (2) and
-    drops every other A at (2), before a bucket of it is made: it touches
-    no bucket.  So once the stage holds a state, skipping every old pair
-    leaves the stage, every seen set and every back-pointer as they were.
-    The records of the s_prev that either skip passes over catch up later
-    from the anchor they were last brought to (see _segment).
+    V(s) kept in it.  Every later one fails a check that reads no
+    candidate, or finds V(s) covered in the bucket of each A that passes
+    (2) and drops every other A at (2), before a bucket of it is made: it
+    touches no bucket.  So once the stage holds a state, skipping every old
+    pair leaves the stage, its keys and every back-pointer as they were,
+    and the records it passes over catch up later as above.
     """
     v, ivs, floor, los = ctx.v, ctx.ivs, ctx.floor[s], ctx.long_los
-    start = bisect_left(los, s - 2 * ctx.longest + 2)
+    start = bisect_left(los, max(s_prev, s - 2 * ctx.longest + 2))
     W = [ivs[i] for i in ctx.long_by_lo[start:bisect_left(los, s)] if ivs[i].hi <= s]
     p = [s - u if s - u >= floor else -1 for u in range(v + 2)]
     q = [x if x >= floor else -1 for x in _profile(W, s, v)]
@@ -1175,9 +1200,10 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
     s_prev_of = itemgetter(0)
     no_long = _Long((), _NO_MEMBERS)
     # Hops at least far long are far, those at least old long are old (see
-    # _far_vector), and far buckets read the side list under far_sides.
+    # _far_vector), and buckets of clamped hops read the side list under
+    # clamped_sides.
     far, old = max(2 * longest - 2, v + 1), max(3 * longest - 3, v + 1)
-    far_sides = (frozenset(), frozenset())
+    clamped_sides = (frozenset(), frozenset())
 
     for s in range(1, ctx.m + 1):
         stage: dict[frozenset[int], _Bucket] = {}
@@ -1192,21 +1218,24 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
                 bucket.movers.clear()
         del grown[:dead]
         # A non-empty stage skips every s_prev <= skip_to, a run of grown:
-        # the old ones, and every far one once V(s) is covered.
-        skip_to, far_vec = s - old, None
+        # the old ones, a clamped one whose bound it covers, and with a far
+        # one every far one left.  The clamped s_prev are a prefix of grown,
+        # so one of them was crossed before the stage held a state, and
+        # clamped_sides is in ctx.sides.
+        skip_to, floor = s - old, ctx.floor[s]
         j = 0
         while j < len(grown):
             s_prev, before, after = grown[j]
+            if stage and skip_to < s_prev <= floor:
+                bound = _far_vector(ctx, s_prev, s)
+                if all(A in stage and stage[A].covers(bound) for A, _ in ctx.sides[clamped_sides]):
+                    skip_to = max(s_prev, s - far)
             if stage and s_prev <= skip_to:
                 j = bisect_right(grown, skip_to, j, key=s_prev_of)
                 continue
             seg = _segment(ctx, s_prev, after, s, before)
             grown[j] = (s_prev, seg, s)
             _cross(ctx, seg, s, stages[s_prev], stage)
-            if s - s_prev >= far:
-                far_vec = far_vec or _far_vector(ctx, s)
-                if all(A in stage and far_vec in stage[A].seen for A, _ in ctx.sides[far_sides]):
-                    skip_to = s - far
             j += 1
         count = sum(len(bucket.states) for bucket in stage.values())
         if count.bit_length() > group_cap_bits:

@@ -695,7 +695,8 @@ def test_carried_and_shared_caches_match_fresh_values(monkeypatch):
     monkeypatch.setattr(solver, "_Long", logged_long)
     rng = random.Random(53)
     checked = 0
-    for k in range(66):
+    # the clamped-pair skip left 25,037 checks on the first 66 solves
+    for k in range(110):
         v = rng.choice([1, 2, 3])
         if k % 2:
             rep = long_rep(rng, 30 if v == 1 else 18)
@@ -753,7 +754,7 @@ def test_carried_plans_match_fresh_records(monkeypatch):
     monkeypatch.setattr(solver, "_cross", kept)
     rng = random.Random(61)
     plans = counts = 0
-    for k in range(120):
+    for k in range(220):
         v = 1 + k % 3
         if k % 2:
             rep = long_rep(rng, 30 if v == 1 else 18)
@@ -777,10 +778,11 @@ def test_carried_plans_match_fresh_records(monkeypatch):
                 plans += 1
         visits.clear()
         last.clear()
-    # 5,112 of the 11,528 plans used on these 120 solves were built at an
-    # earlier anchor, by a record carried from there.  Before the far-pair
-    # skip, the first 60 solves alone used 8,893 plans, 4,604 of them
-    # carried; the skip leaves 2,973 carried ones there
+    # 5,112 of the 11,528 plans used on the first 120 solves were built at
+    # an earlier anchor, by a record carried from there, before clamped
+    # pairs were skipped by their bound; that skip leaves 2,524 of 6,361
+    # there.  Before the far-pair skip, the first 60 solves alone used
+    # 8,893 plans, 4,604 of them carried; that skip left 2,973 carried ones
     assert hits > 4000
     assert plans > hits
     assert counts > 4000
@@ -942,7 +944,10 @@ def test_far_pairs_add_only_the_far_vector(monkeypatch):
         p, q = extend(p_prev, q_prev, F, C, D, s_prev, s, *rest)
         ctx, far, vectors = far_of["ctx"], far_of["far"], far_of["vectors"]
         if s - s_prev >= far:
-            assert p.r + q.r == solver._far_vector(ctx, s), (s_prev, s)
+            # one vector for every far s_prev at s
+            assert p.r + q.r == solver._far_vector(ctx, s_prev, s) == solver._far_vector(
+                ctx, s - far, s
+            ), (s_prev, s)
             vectors[ctx.longest * 2 - 2 > ctx.v + 1] += 1
         return p, q
 
@@ -972,11 +977,73 @@ def test_far_pairs_add_only_the_far_vector(monkeypatch):
     assert no > 20
 
 
+def skip_kind(ctx, s_prev, s):
+    """The kind of the clamped pair (s_prev, s) in the solve ctx: the first
+    of old, far and clamped that its hop is (see solver._far_vector)."""
+    if s - s_prev >= old_hop(ctx):
+        return "old"
+    return "far" if s - s_prev >= max(2 * ctx.longest - 2, ctx.v + 1) else "clamped"
+
+
+def test_clamped_pairs_build_no_successor_below_their_bound(monkeypatch):
+    # at every clamped pair (s_prev <= floor(s)) of the unskipped walk, no
+    # member crosses both anchors, so every bucket reads the side list of
+    # shared = {}, and every profile pair extend builds, from every mover of
+    # every bucket, is >= the bound _far_vector(ctx, s_prev, s) entrywise,
+    # and equal to it from 2L - 2 on: this is what lets solve skip a clamped
+    # pair once every bucket of that list covers its bound
+    extend = solver.extend
+    walk = {}
+
+    def checked(p_prev, q_prev, F, C, D, s_prev, s, *rest):
+        p, q = extend(p_prev, q_prev, F, C, D, s_prev, s, *rest)
+        ctx = walk["ctx"]
+        if s_prev <= ctx.floor[s]:
+            vec, bound = p.r + q.r, solver._far_vector(ctx, s_prev, s)
+            assert all(map(le, bound, vec)), (s_prev, s)
+            if s - s_prev >= 2 * ctx.longest - 2:
+                assert vec == bound, (s_prev, s)
+            walk["vectors"] += 1
+        return p, q
+
+    monkeypatch.setattr(solver, "extend", checked)
+    rng = random.Random(97)
+    pairs, no = Counter(), 0
+    walk["vectors"] = 0
+    for k in range(120):
+        # v = 3 and 4 on small, sparser families, whose stages grow fastest
+        v, max_len = 1 + k % 4, 2 + k % 7
+        rep = gen_rep(
+            rng.randint(10, 30) if v <= 2 else rng.randint(8, 11),
+            rng.choice([0.3, 0.6, 1.0, 1.5, 2.0][:5 if v <= 2 else 3]), max_len,
+            rng.randint(0, 10 ** 6),
+        )
+        ctx = walk["ctx"] = _context(rep, v)
+        stages = []
+        for hop_ in walked_hops(ctx, stages):
+            s_prev, s = hop_.seg.s_prev, hop_.s
+            if s_prev <= ctx.floor[s]:
+                assert hop_.seg.shared == frozenset()
+                assert all(
+                    plan.base.side_key == (frozenset(), frozenset())
+                    for plan in hop_.seg.plans.values()
+                )
+                pairs[skip_kind(ctx, s_prev, s)] += 1
+        no += not stages[-1]
+    # 10,486 clamped pairs: 5,271 that are not far, 1,512 far ones that
+    # are not old and 3,703 old ones; 28,736 vectors built there, and 24 of
+    # the 120 solves answer "no"
+    assert pairs["clamped"] > 4000, pairs
+    assert pairs["far"] > 1000 and pairs["old"] > 2000, pairs
+    assert walk["vectors"] > 20000
+    assert no > 10
+
+
 def test_solve_skips_far_pairs_on_the_split_v2_shape(monkeypatch):
     # on families shaped like the split-v2 workload's (v = 2, m = 14,
     # density 2, max_len 3), solve skips far pairs that are not old once
-    # V(s) is covered, and every pair of the unskipped walk that it skips
-    # is far
+    # V(s) is covered, and clamped ones once their bound is covered; every
+    # pair of the unskipped walk that it skips is old or clamped
     cross = solver._cross
     crossed = set()
 
@@ -985,29 +1052,26 @@ def test_solve_skips_far_pairs_on_the_split_v2_shape(monkeypatch):
         return cross(ctx, seg, s, *rest)
 
     monkeypatch.setattr(solver, "_cross", kept)
-    far_skipped = old_skipped = 0
+    skipped = Counter()
     for seed in range(30):
         S = generate(GeneratorSpec("vertebrate", m=14, density=2.0, max_len=3, seed=seed))
         rep = vertebrate_representation(S)
         crossed.clear()
         solve(rep, 2)
         ctx = _context(rep, 2)
-        far = max(2 * ctx.longest - 2, ctx.v + 1)
         for hop_ in walked_hops(ctx):
             s_prev, s = hop_.seg.s_prev, hop_.s
-            if (s_prev, s) in crossed:
-                continue
-            assert s - s_prev >= far
-            if s - s_prev >= old_hop(ctx):
-                old_skipped += 1
-            else:
-                far_skipped += 1
-    # 1,650 pairs skipped: 570 far ones that are not old, hops of 2L - 2 =
-    # 4 and 5, and 1,080 old ones.  When a hop was old only if it also lay
-    # left of the last v + 1 disjoint long members before s, the same 1,650
-    # split as 1,589 far and 61 old
-    assert far_skipped + old_skipped == 1650
-    assert far_skipped > 500
+            if (s_prev, s) not in crossed:
+                assert s - s_prev >= old_hop(ctx) or s_prev <= ctx.floor[s]
+                skipped[skip_kind(ctx, s_prev, s)] += 1
+    # 2,356 pairs skipped: 1,080 old ones, 570 far ones that are not old,
+    # hops of 2L - 2 = 4 and 5, and 706 clamped ones that are not far.  When
+    # only old and far pairs were skipped, the far check ran after the pair
+    # was crossed and the same runs gave 1,650.  When a hop was old only if
+    # it also lay left of the last v + 1 disjoint long members before s,
+    # those 1,650 split as 1,589 far and 61 old
+    assert sum(skipped.values()) == 2356
+    assert skipped["far"] > 500 and skipped["clamped"] > 500, skipped
 
 
 def unskipped_witness(ctx, stages):
@@ -1060,26 +1124,29 @@ def test_solve_stages_match_the_unskipped_walk(monkeypatch):
         crossed.clear()
         res = solve(rep, v)
         ctx, got = solved[-1]
-        walk, far = [], max(2 * ctx.longest - 2, ctx.v + 1)
+        walk = []
         for hop_ in walked_hops(_context(rep, ctx.v), walk):
             s_prev, s = hop_.seg.s_prev, hop_.s
             walked[v] += 1
             if (s_prev, s) not in crossed:
-                # a pair solve skipped is old or far
-                assert s - s_prev >= far
-                skipped["old" if s - s_prev >= old_hop(ctx) else ("far", v)] += 1
+                # a pair solve skipped is old or clamped
+                assert s - s_prev >= old_hop(ctx) or s_prev <= ctx.floor[s]
+                kind = skip_kind(ctx, s_prev, s)
+                skipped[kind if kind == "old" else (kind, v)] += 1
         crossing = crossings(rep)
         assert kept(got, crossing) == kept(walk, crossing)
         assert res.stage_state_counts == tuple(len(states_of(stage)) for stage in walk)
         assert res.rep_assignment == unskipped_witness(ctx, walk)
     assert walked[1] + walked[2] > 10000
-    # solve skipped old pairs, and far ones that are not old at every v:
-    # 8,738 old, and 866, 961 and 526 far at v = 1, 2 and 3.  When a hop was
-    # old only if it also lay left of the last v + 1 disjoint long members
-    # before s, they split as 3,094 old and 2,630, 4,357 and 948 far, and
-    # 62 fewer pairs were skipped at v = 1
+    # solve skipped old pairs, far ones that are not old, and clamped ones
+    # that are not far at every v: 8,738 old, 866, 961 and 526 far and
+    # 1,783, 1,984 and 911 clamped at v = 1, 2 and 3.  When a hop was old
+    # only if it also lay left of the last v + 1 disjoint long members
+    # before s, the old and far ones split as 3,094 old and 2,630, 4,357
+    # and 948 far, and 62 fewer pairs were skipped at v = 1
     assert skipped["old"] > 2000, skipped
     assert all(skipped["far", v] > 500 for v in (1, 2, 3)), skipped
+    assert all(skipped["clamped", v] > 500 for v in (1, 2, 3)), skipped
 
 
 def clamped(r, floor):
@@ -1267,12 +1334,13 @@ def test_solve_v1_m400_skips_old_pairs(monkeypatch):
     [
         # building every record and plan afresh at each anchor made 9,342
         # plans and 6,235 records on this instance; before the far-pair
-        # skip, the solve built 1,834 plans and 1,196 records, and 1,257
-        # and 746 before old hops were decided by their length alone
-        (400, 0.3, 1, 1, 619, 1213, 716),
+        # skip, the solve built 1,834 plans and 1,196 records, 1,257 and
+        # 746 before old hops were decided by their length alone, and
+        # 1,213 and 716 before clamped pairs were skipped by their bound
+        (400, 0.3, 1, 1, 619, 627, 245),
         # and 1,391 plans and 431 records on this one; 886 and 267 before
-        # the far-pair skip
-        (40, 2.0, 6, 2, 232, 333, 103),
+        # the far-pair skip, 333 and 103 before the clamped-pair skip
+        (40, 2.0, 6, 2, 232, 206, 62),
     ],
     ids=["v1-m400-sparse", "v2-m40-dense"],
 )
@@ -1303,7 +1371,9 @@ def test_solve_plans_and_records_built(monkeypatch, m, density, seed, v, states,
 
 def test_every_record_stages_builds_is_live(monkeypatch):
     # deciding liveness inside _segment returned None for 260 of the
-    # records asked for on this instance; the frontier asks for none of them
+    # records asked for on the m = 400 instance; the frontier asks for none
+    # of them.  The clamped-pair skip left 966 records asked for there, and
+    # 1,467 on the m = 440 one
     segment = solver._segment
     records = []
 
@@ -1312,8 +1382,9 @@ def test_every_record_stages_builds_is_live(monkeypatch):
         return records[-1]
 
     monkeypatch.setattr(solver, "_segment", kept)
-    S = generate(GeneratorSpec("vertebrate", m=400, density=0.3, max_len=3, seed=1))
-    assert solve(vertebrate_representation(S), 1).feasible
+    for m in (400, 440):
+        S = generate(GeneratorSpec("vertebrate", m=m, density=0.3, max_len=3, seed=1))
+        assert solve(vertebrate_representation(S), 1).feasible
     assert len(records) > 1000
     assert all(seg is not None for seg in records)
     families = {seg.long.idx: seg.long.fam for seg in records}
@@ -1432,7 +1503,7 @@ def test_solve_computes_each_fd_head_once(monkeypatch):
     # is per (settled_second, long_idx).  With a head memo per record, each
     # of these solves repeated some (F, D): on the m = 20, v = 2 one 409
     # calls were made for 344 distinct inputs.  The far-pair skip leaves
-    # 106 of those 344 inputs read
+    # 106 of those 344 inputs read, and the clamped-pair skip 54
     head = encoding.fd_head
     calls = []
 
@@ -1443,7 +1514,8 @@ def test_solve_computes_each_fd_head_once(monkeypatch):
     monkeypatch.setattr(solver, "fd_head", counted)
     rng = random.Random(89)
     total = 0
-    for k in range(40):
+    # the clamped-pair skip left 1,203 calls on the first 40 solves
+    for k in range(80):
         v = 1 + k % 3
         S = generate(GeneratorSpec(
             "vertebrate", m=rng.randint(10, 40), density=rng.choice([0.3, 1.0, 2.0]),
@@ -1455,7 +1527,7 @@ def test_solve_computes_each_fd_head_once(monkeypatch):
         calls.clear()
     S = generate(GeneratorSpec("vertebrate", m=20, density=2.0, max_len=3, seed=3))
     solve(vertebrate_representation(S), 2)
-    assert len(calls) == len(set(calls)) == 106
+    assert len(calls) == len(set(calls)) == 54
     assert total > 2000
 
 
