@@ -94,19 +94,22 @@ clamped when s_prev <= floor(s) (see below), that is when no member crosses
 both anchors: then every bucket reads one side list, and neither new
 profile reads the predecessor state.  So every successor of a clamped hop
 is (vector, A) with the vector at or above one bound B(s_prev, s) read
-from the two anchors and the long members between them (see _far_vector).
-Once every A of that list has a bucket that covers B, the pair adds
-nothing, and _stages skips it before it builds its record.  A hop is far when it is at
-least max(2L - 2, v + 1) long, with L the longest member: it is clamped,
-every successor has the vector B = V(s), which reads s alone, and the far
-pairs come first, so one covered far pair lets _stages skip every far pair
-left at s.  A hop is old when it is at least max(3L - 3, v + 1) long: then
-the checks also split into a part read from the predecessor alone and a
-part read from s alone (see _far_vector), so every state at an old s_prev
-adds either nothing or one common set of successors, and once the stage
-holds a state, _stages skips every old pair, also where candidates that
-fail the star check keep B from being covered.  Either way the stage, its
-keys and every back-pointer are what they would have been.
+from s and a window of long members, those with lo >= max(s_prev, s - 2L
++ 2) that end by s, with L the longest member (see _far_vector).  Once
+every A of that list has a bucket that covers B, the pair adds nothing,
+and neither does any other clamped pair whose window starts at the same
+long member: _stages builds B once per window start, and skips that whole
+run of s_prev before it builds a record.  A hop is far when it is at least
+max(2L - 2, v + 1) long: it is clamped, its window starts at s - 2L + 2
+whatever s_prev is, and every successor has the vector B = V(s), so the
+far pairs are one such run.  A hop is old when it is at least max(3L - 3,
+v + 1) long: then the checks also split into a part read from the
+predecessor alone and a part read from s alone (see _far_vector), so
+every state at an old s_prev adds either nothing or one common set of
+successors, and once the stage holds a state, _stages skips every old
+pair, also where candidates that fail the star check keep B from being
+covered.  Either way the stage, its keys and every back-pointer are what
+they would have been.
 
 No check reads a profile entry below floor(s), the least lo among the
 members crossing s (s when none does): profiles are read only as
@@ -681,8 +684,7 @@ def _plan(ctx: _Solve, seg: _Segment, first_crossing: frozenset[int]) -> _Plan:
         a, b = ivs[i]
         floor = long.long_meet_cache.get(b)
         if floor is None:
-            floor = _max_disjoint_meeting(long.fam.intervals, s_prev, b)
-            long.long_meet_cache[b] = floor
+            floor = long.long_meet_cache[b] = _max_disjoint_meeting(long.fam.intervals, s_prev, b)
         second_bounds.append((a, floor))
     return _Plan(base, tuple(second_bounds))
 
@@ -872,8 +874,7 @@ def _advance(
     long, base = seg.long, plan.base
     head = long.head_cache.get(base.settled_second)
     if head is None:
-        head = fd_head(base.F, long.fam, seg.s_prev, s, v)
-        long.head_cache[base.settled_second] = head
+        head = long.head_cache[base.settled_second] = fd_head(base.F, long.fam, seg.s_prev, s, v)
     p_new, q_new = extend(
         p_prime, q_prime, base.F, _NO_MEMBERS, long.fam, seg.s_prev, s, v,
         head, ctx.profiles, ctx.floor[s],
@@ -1044,10 +1045,21 @@ def _far_vector(ctx: _Solve, s_prev: int, s: int) -> tuple[int, ...]:
     The skipped record catches up later from the anchor it was last
     brought to (see _segment).
 
+    Runs.  B reads s_prev only through start, the index in ctx.long_los of
+    the least lo >= max(s_prev, s - 2L + 2), which never decreases with
+    s_prev.  Every s_prev' with s_prev < s_prev' <= min(floor(s),
+    long_los[start]), or floor(s) when start is past the last long member,
+    is clamped and has the same start, so the same W and the same ramp:
+    its bound is B.  So once one pair of that run is skipped, every later
+    one is covered too, and _stages builds B once per start and jumps by
+    bisect over the rest of the run.
+
     Far hops.  A hop is far when d >= max(2L - 2, v + 1), so d >= L - 1
     and s_prev <= s - L + 1 <= floor(s): it is clamped.  From d >= 2L - 2
     on, the window of W starts at s - 2L + 2 whatever s_prev is, and B is
-    V(s), read from s alone.  Claim: every successor of a far hop is
+    V(s), read from s alone.  The far s_prev are one run: each is at most
+    s - 2L + 2 <= long_los[start] and s - L + 1 <= floor(s), with start
+    the one of the first far s_prev.  Claim: every successor of a far hop is
     (V(s), A).  By the lemma only q_new, the clamped chain of F + D, needs
     a word.  An entry kept by the clamp is H_u - 1 >= s - L + 1, so the
     member ending at H_u starts at s - 2L + 2 or later: it is in W.
@@ -1057,9 +1069,7 @@ def _far_vector(ctx: _Solve, s_prev: int, s: int) -> tuple[int, ...]:
     largest hi and the largest lo there both belong to members of W, or
     the entry is clamped in both chains; so the chain over W and the chain
     over F + D keep the same entries, and the first clamped entry ends
-    both.  _stages visits s_prev in increasing order, so the far pairs are
-    a prefix of the clamped ones, all with the one bound V(s): once one of
-    them is skipped, _stages jumps by bisect over every far pair left at s.
+    both.
 
     Old hops.  A hop is old when d >= max(3L - 3, v + 1), so it is far.
     Claim: every state X at an old s_prev adds either nothing or the
@@ -1199,11 +1209,11 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
     grown: list[tuple[int, _Segment | None, int]] = []
     s_prev_of = itemgetter(0)
     no_long = _Long((), _NO_MEMBERS)
-    # Hops at least far long are far, those at least old long are old (see
-    # _far_vector), and buckets of clamped hops read the side list under
-    # clamped_sides.
-    far, old = max(2 * longest - 2, v + 1), max(3 * longest - 3, v + 1)
-    clamped_sides = (frozenset(), frozenset())
+    # Hops at least old long are old, the bound of a clamped hop reads the
+    # long members from lo >= s - reach on (see _far_vector), and buckets
+    # of clamped hops read the side list under clamped_sides.
+    old, reach = max(3 * longest - 3, v + 1), 2 * longest - 2
+    los, clamped_sides = ctx.long_los, (frozenset(), frozenset())
 
     for s in range(1, ctx.m + 1):
         stage: dict[frozenset[int], _Bucket] = {}
@@ -1218,18 +1228,23 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
                 bucket.movers.clear()
         del grown[:dead]
         # A non-empty stage skips every s_prev <= skip_to, a run of grown:
-        # the old ones, a clamped one whose bound it covers, and with a far
-        # one every far one left.  The clamped s_prev are a prefix of grown,
-        # so one of them was crossed before the stage held a state, and
-        # clamped_sides is in ctx.sides.
+        # the old ones, and with a clamped one whose bound it covers, every
+        # clamped one up to los[start], the lo at which its bound's window
+        # of long members starts, since they all have that bound (see
+        # _far_vector).  start never decreases with s_prev, so the bound of
+        # the start held is built again only when start moves.  The clamped
+        # s_prev are a prefix of grown, so one of them was crossed before
+        # the stage held a state, and clamped_sides is in ctx.sides.
         skip_to, floor = s - old, ctx.floor[s]
-        j = 0
+        j, held = 0, -1
         while j < len(grown):
             s_prev, before, after = grown[j]
             if stage and skip_to < s_prev <= floor:
-                bound = _far_vector(ctx, s_prev, s)
+                start = bisect_left(los, max(s_prev, s - reach))
+                if start != held:
+                    held, bound = start, _far_vector(ctx, s_prev, s)
                 if all(A in stage and stage[A].covers(bound) for A, _ in ctx.sides[clamped_sides]):
-                    skip_to = max(s_prev, s - far)
+                    skip_to = min(floor, los[start]) if start < len(los) else floor
             if stage and s_prev <= skip_to:
                 j = bisect_right(grown, skip_to, j, key=s_prev_of)
                 continue

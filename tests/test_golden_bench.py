@@ -76,21 +76,24 @@ def record(S, v):
     )
 
 
+def partition_answers(seed=1):
+    """(workload, name, family, v) of each partition answer of seed in the
+    lists of WORKLOADS, in list order."""
+    instances = bench_instances()
+    for workload in WORKLOADS:
+        for answer in instances.answers(workload, seed):
+            if answer.argv[0] == "partition":
+                v = int(answer.argv[answer.argv.index("--v") + 1])
+                yield workload, answer.name, IntervalFamily.from_pairs(answer.pairs), v
+
+
 def records(seed=1):
     """One record per partition answer of seed: workload, name, v, then
     record()."""
-    instances = bench_instances()
-    out = []
-    for workload in WORKLOADS:
-        for answer in instances.answers(workload, seed):
-            if answer.argv[0] != "partition":
-                continue
-            v = int(answer.argv[answer.argv.index("--v") + 1])
-            out.append(dict(
-                workload=workload, name=answer.name, v=v,
-                **record(IntervalFamily.from_pairs(answer.pairs), v),
-            ))
-    return out
+    return [
+        dict(workload=workload, name=name, v=v, **record(S, v))
+        for workload, name, S, v in partition_answers(seed)
+    ]
 
 
 def test_seed1_split_answers_match_the_pinned_solves():

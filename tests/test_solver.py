@@ -3,6 +3,7 @@
 import random
 import time
 import tracemalloc
+from bisect import bisect_left
 from collections import Counter, namedtuple
 from dataclasses import replace
 from operator import le
@@ -43,6 +44,7 @@ from clawsplit.solver import (
     _side_assignments,
 )
 from bruteforce import brute_groups
+from test_golden_bench import partition_answers
 
 PATH3_REP = vertebrate_representation(IntervalFamily.from_pairs([(0, 2), (1, 3), (2, 4)]))
 DENSE = IntervalFamily.from_pairs(
@@ -1074,6 +1076,35 @@ def test_solve_skips_far_pairs_on_the_split_v2_shape(monkeypatch):
     assert skipped["far"] > 500 and skipped["clamped"] > 500, skipped
 
 
+def test_clamped_bounds_are_built_once_per_window(monkeypatch):
+    # over the partition answers of bench seeds 1-3, no solve builds the
+    # bound of a clamped hop twice at one anchor s for one window start,
+    # the index in ctx.long_los of the least lo >= max(s_prev, s - 2L + 2):
+    # every s_prev with that start has the same bound, and _stages holds
+    # the last one built (see solver._far_vector)
+    far_vector = solver._far_vector
+    built = []
+
+    def logged(ctx, s_prev, s):
+        built.append((s, bisect_left(ctx.long_los, max(s_prev, s - 2 * ctx.longest + 2))))
+        return far_vector(ctx, s_prev, s)
+
+    monkeypatch.setattr(solver, "_far_vector", logged)
+    bounds, solves = Counter(), Counter()
+    for seed in (1, 2, 3):
+        for workload, name, S, v in partition_answers(seed):
+            built.clear()
+            solve(vertebrate_representation(S), v)
+            assert len(set(built)) == len(built), (seed, workload, name)
+            bounds[workload] += len(built)
+            solves[workload] += 1
+    # 5,145 bounds over the 90 split-long solves and 2,324 over the 90
+    # split-v2 ones; when each clamped pair checked built its own, 13,040
+    # and 3,434, of which 7,895 and 1,110 repeated a window
+    assert solves["split-long"] == solves["split-v2"] == 90
+    assert 1000 < bounds["split-long"] <= 60 * solves["split-long"], bounds
+
+
 def unskipped_witness(ctx, stages):
     """The rep_assignment solve reads from the first accepting state of
     stages, the stages of the solve ctx, or None when the last stage is
@@ -1133,6 +1164,15 @@ def test_solve_stages_match_the_unskipped_walk(monkeypatch):
                 assert s - s_prev >= old_hop(ctx) or s_prev <= ctx.floor[s]
                 kind = skip_kind(ctx, s_prev, s)
                 skipped[kind if kind == "old" else (kind, v)] += 1
+                if kind != "old":
+                    # the finished stage at s covers the pair's bound for
+                    # every A of the clamped side list
+                    bound = solver._far_vector(ctx, s_prev, s)
+                    for A, _ in _side_assignments(ctx, s, frozenset(), frozenset()):
+                        assert any(
+                            all(map(le, st.p.r + st.q.r, bound))
+                            for st in got[s].get(A, _Bucket()).states
+                        ), (s_prev, s, A)
         crossing = crossings(rep)
         assert kept(got, crossing) == kept(walk, crossing)
         assert res.stage_state_counts == tuple(len(states_of(stage)) for stage in walk)
