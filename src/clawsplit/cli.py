@@ -45,6 +45,10 @@ from clawsplit.recognition import (
 from clawsplit.solver import dp_bound, solve, verify_partition
 
 _V_CAP = 4
+# The most characters an instance file may hold: over 4x the largest file
+# gen writes (1,000,000 members, about 15 MB), so a file past it, or an
+# endless one such as /dev/zero, fails cleanly before it fills memory.
+_MAX_INPUT_CHARS = 64 << 20
 _LIMIT_ENV = "CLAWSPLIT_ORACLE_LIMIT"
 
 
@@ -82,16 +86,31 @@ def parse_instance_text(text: str) -> IntervalFamily:
 
 
 class _ReadError(Exception):
-    """The instance file could not be opened or decoded as UTF-8."""
+    """The instance file could not be opened or decoded as UTF-8, or holds
+    more than _MAX_INPUT_CHARS characters."""
 
 
 def load_instance(path: str) -> IntervalFamily:
+    """Parse the instance file at path, reading at most _MAX_INPUT_CHARS + 1
+    characters of it.
+
+    A file holds no more characters than bytes, so a first read of one
+    character past its size reaches the end, unless that size is stale or
+    is not a file's (a device or a pipe reports 0); only then is the rest
+    read, up to the cap.  Asked for the whole cap at once, the text reader
+    would allocate a buffer that large for every file.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            first = min(os.fstat(fh.fileno()).st_size, _MAX_INPUT_CHARS) + 1
+            text = fh.read(first)
+            if len(text) == first:
+                text += fh.read(_MAX_INPUT_CHARS + 1 - first)
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
         raise _ReadError(f"cannot read {path}: {reason}") from exc
+    if len(text) > _MAX_INPUT_CHARS:
+        raise _ReadError(f"cannot read {path}: more than {_MAX_INPUT_CHARS} characters")
     return parse_instance_text(text)
 
 

@@ -38,10 +38,10 @@ _stages replaces s_prev's record only when a member it reads arrives, a
 long member with lo >= s_prev or a member of crossing[s_prev] that ends,
 and at every other anchor the same object serves again.  Each memo belongs
 to what it reads, so a new record keeps the memos that the arrival leaves
-valid: those that read the long members alone live in one _Long per long
-family, which every record with that family holds, whatever its s_prev,
-and each bucket's plan keeps the part that reads no long member (see
-_PlanBase) until a member of crossing[s_prev] ends.
+valid: those that read the long members, alone or with the members that
+settle, live in one _Long per long family, which every record with that
+family holds, whatever its s_prev, and each bucket's plan, which reads no
+long member (see _Plan), lives until a member of crossing[s_prev] ends.
 
 A segment is dead when its long members center an overfull star among
 themselves, and no state crosses it.  Deadness is decided once per solve:
@@ -60,20 +60,23 @@ the deadness sweep reads, per arriving long member, the long members near
 it, not every one since the frontier.
 
 _cross takes each predecessor bucket across a record with the bucket's plan
-(see _Plan): the settled members' lower-bound floors, the second side's
-settled members as F, and the second side's settled counts per second side
-B.  A predecessor's other side is crossing[s_prev] minus its
+(see _Plan): the first side's settled members as lower bounds, the second
+side's settled members, sorted and as F, and the key of the candidate side
+assignments.  A predecessor's other side is crossing[s_prev] minus its
 first_crossing, so a plan is a pure function of the record and
 first_crossing, and every state of the bucket would compute the same
-values.  The record memoises it, so a plan is built once per record and
-bucket, however many anchors the record serves, and its long-free part
-once per bucket until a member of crossing[s_prev] ends; the candidate
-side assignments (A, B) come from the context's memo for the anchor s,
-under a key the plan holds (see _side_assignments).  The counts of a B
-are filled when a successor with that side assignment first gets past its
-bucket's covers, so a plan holds no count a state of its bucket did not
-ask for (all of a B's counts come at once, where a state stops at the
-first failing one).  _advance keeps only the per-state work:
+values.  The record memoises it, so a plan is built once per bucket until
+a member of crossing[s_prev] ends, across however many anchors and long
+arrivals; the candidate side assignments (A, B) come from the context's
+memo for the anchor s, under a key the plan holds (see _side_assignments).
+What also reads the long members is memoised in their _Long, keyed by what
+it reads and by no record or bucket: the second side's lower bounds and
+F's head per set of second-side settled members, and the second side's
+counts per such set and set of new second-side members B - shared.  The
+counts are filled when a successor first gets past its bucket's covers
+with them, so none is computed that no state asked for (all of an
+entry's counts come at once, where a state stops at the first failing
+one).  _advance keeps only the per-state work:
 the second side's lower bounds, one extend, then per candidate the
 bucket's covers, the inequalities alpha_seq(q, a) + count <= v and the
 star check, with the candidates in mask order.  Profiles are interned per
@@ -378,9 +381,10 @@ class _Solve:
     in mask order are a pure function of that key at s, whatever the
     record's s_prev (see _side_assignments).  longs holds the _Long of
     each long family a record took at the anchor being built, by its
-    indices, and the empty family's for the whole solve: _stages clears the
-    others at each s, so that a family lives only as long as the records
-    that hold it.  All three memos start empty, in a copy made by
+    indices, and the empty family's for the whole solve, so that every
+    record with that family shares its memos (see _Long): _stages clears
+    the others at each s, so that a family lives only as long as the
+    records that hold it.  All three memos start empty, in a copy made by
     dataclasses.replace too.
     """
 
@@ -411,11 +415,16 @@ class _Long:
     members, v and its key, and reads neither s nor s_prev (see _Segment),
     so one object serves every record with these long members:
 
-      * long_meet_cache, per right end b: how many disjoint long members
-        meet (s_prev, b).
-      * head_cache, per settled_second (the sorted indices of the members
-        settled on the second side, which fix F): fd_head(F, fam, s_prev,
-        s, v).
+      * settled, per settled_second (the sorted indices of the members
+        settled on the second side, which fix F; see _Plan): the pair
+        (second_bounds, head).  second_bounds holds (a, floor) per member
+        (a, b), with floor the number of disjoint long members meeting
+        (s_prev, b), the candidate-independent part of its count on the
+        second side; head is fd_head(F, fam, s_prev, s, v) (see _settled).
+      * counts, per (settled_second, B - shared), with B a candidate second
+        side: the number of disjoint new second-side members, the long ones
+        and B - shared, meeting (s_prev, b) for each settled_second member
+        (a, b) (see _second_counts).
       * long_star_cache, per set of crossing members visible to the second
         side: whether the long members center no overfull star among
         themselves and those (see _long_star_ok).
@@ -423,8 +432,10 @@ class _Long:
 
     idx: tuple[int, ...]
     fam: IntervalFamily
-    long_meet_cache: dict[int, int] = field(default_factory=dict)
-    head_cache: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = field(
+    settled: dict[
+        tuple[int, ...], tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], int, int]]
+    ] = field(default_factory=dict)
+    counts: dict[tuple[tuple[int, ...], frozenset[int]], tuple[int, ...]] = field(
         default_factory=dict
     )
     long_star_cache: dict[frozenset[int], bool] = field(default_factory=dict)
@@ -459,24 +470,28 @@ class _Segment:
     holds the owner, is the one a fresh computation at s would give:
 
       * long, the _Long of the long members, whose memos read the long
-        members alone.  Every record with the same long members holds the
+        members, the members settled on the second side and the new
+        members there.  Every record with the same long members holds the
         same object, taken from the context's longs (see _Solve), and the
         next record keeps it when only members of crossing[s_prev] end.
-      * bases, per first_crossing: the bucket's _PlanBase, which reads
-        pool, shared, s_prev and first_crossing.  When only long members
-        arrive, the next record keeps the same dict.
-      * plans, per first_crossing: the bucket's _Plan, which reads the
-        long members too; each record starts with none.
+      * bases, per first_crossing: the bucket's _Plan, which reads pool,
+        shared, s_prev and first_crossing.  When only long members arrive,
+        the next record keeps the same dict.
 
-    The memos of a _Long read neither s nor s_prev:
+    The memos of a _Long read neither s nor s_prev.  A record at (s_prev, s]
+    reads an entry under settled_second only when those members are in its
+    pool, so they cross s_prev and end by s; every long member lies inside
+    (s_prev, s); and each member of B - shared crosses s but not s_prev, so
+    it has lo >= s_prev:
 
-      * Every long member has lo >= s_prev and hi > lo, so it meets
-        (s_prev, b) iff lo < b, and long_meet_cache[b] reads b alone.
-      * The members of F cross s_prev and end by s, and those of D lie
-        inside (s_prev, s), so every member of F + D meets (s_prev, s): w
-        and w_full are the disjoint counts of D and of F + D, which read
+      * A member with lo >= s_prev and hi > lo meets (s_prev, b), for b >
+        s_prev, iff lo < b.  So the floors of second_bounds read b and the
+        long members alone, and the counts read b, the long members and
+        B - shared alone.
+      * Every member of F + D, with D the long members, meets (s_prev, s):
+        w and w_full are the disjoint counts of D and of F + D, which read
         the member sets alone.  The rest of fd_head reads no s (see
-        fd_head), so head_cache[settled_second] reads F and D alone.
+        fd_head), so the head reads F and D alone.
       * The star check reads the long members inside (s_prev, s), which
         are the long members at every anchor a record with them serves,
         outside and v (see _long_star_ok).
@@ -486,13 +501,13 @@ class _Segment:
     long: _Long
     shared: frozenset[int]
     pool: frozenset[int]
-    bases: dict[frozenset[int], _PlanBase] = field(default_factory=dict)
-    plans: dict[frozenset[int], _Plan] = field(default_factory=dict)
+    bases: dict[frozenset[int], _Plan] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
-class _PlanBase:
-    """The part of a bucket's plan that reads no long member (see _Plan).
+class _Plan:
+    """What a hop across one record does for one predecessor bucket, less
+    what reads the long members (see _Long).
 
     A state's second side is crossing[s_prev] minus its first_crossing, so
     the bucket fixes both committed sides.  settled_second are the members
@@ -511,26 +526,6 @@ class _PlanBase:
     first_bounds: tuple[tuple[int, int], ...]
     F: IntervalFamily
     side_key: tuple[frozenset[int], frozenset[int]]
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """What a hop across one record does for one predecessor bucket.
-
-    base is the bucket's long-free part (see _PlanBase).  second_bounds
-    holds (a, floor) per settled_second member (a, b), with floor =
-    long_meet_cache[b], the candidate-independent part of its right-hand
-    count on the second side.  second_counts[B][j] is the number of
-    disjoint new second-side members meeting (s_prev, b) for the j-th
-    settled_second member (a, b), filled when a successor with that B
-    first gets past its bucket's covers (see _second_counts); distinct A
-    give distinct B.  The new members are the long ones and B - shared, so
-    a B gives the same counts at every anchor the record serves.
-    """
-
-    base: _PlanBase
-    second_bounds: tuple[tuple[int, int], ...]
-    second_counts: dict[frozenset[int], tuple[int, ...]] = field(default_factory=dict)
 
 
 _NO_MEMBERS = IntervalFamily(())
@@ -666,27 +661,24 @@ def _long_star_ok(ctx: _Solve, seg: _Segment, s: int, outside: frozenset[int]) -
 def _plan(ctx: _Solve, seg: _Segment, first_crossing: frozenset[int]) -> _Plan:
     """The plan across seg of the bucket of predecessors with this
     first_crossing (see _Plan), read with the predecessor's sides swapped
-    as in _advance; its base is memoised in seg.bases."""
-    ivs, s_prev, long = ctx.ivs, seg.s_prev, seg.long
-    base = seg.bases.get(first_crossing)
-    if base is None:
-        settled_second = tuple(sorted(first_crossing & seg.pool))
-        base = seg.bases[first_crossing] = _PlanBase(
-            settled_second=settled_second,
-            first_bounds=tuple(
-                (ivs[i].lo, ivs[i].hi - s_prev) for i in sorted(seg.pool - first_crossing)
-            ),
-            F=IntervalFamily(tuple(ivs[i] for i in settled_second)),
-            side_key=(seg.shared, seg.shared - first_crossing),
-        )
-    second_bounds = []
-    for i in base.settled_second:
-        a, b = ivs[i]
-        floor = long.long_meet_cache.get(b)
-        if floor is None:
-            floor = long.long_meet_cache[b] = _max_disjoint_meeting(long.fam.intervals, s_prev, b)
-        second_bounds.append((a, floor))
-    return _Plan(base, tuple(second_bounds))
+    as in _advance."""
+    ivs, pool, s_prev = ctx.ivs, seg.pool, seg.s_prev
+    settled_second = tuple(sorted(first_crossing & pool))
+    first_bounds = tuple((ivs[i].lo, ivs[i].hi - s_prev) for i in sorted(pool - first_crossing))
+    F = IntervalFamily(tuple(ivs[i] for i in settled_second))
+    return _Plan(settled_second, first_bounds, F, (seg.shared, seg.shared - first_crossing))
+
+
+def _settled(
+    ctx: _Solve, seg: _Segment, plan: _Plan, s: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], int, int]]:
+    """The entry of seg.long.settled for plan's settled_second (see _Long)."""
+    ivs, long = ctx.ivs, seg.long
+    second_bounds = tuple(
+        (ivs[i].lo, _max_disjoint_meeting(long.fam.intervals, seg.s_prev, ivs[i].hi))
+        for i in plan.settled_second
+    )
+    return second_bounds, fd_head(plan.F, long.fam, seg.s_prev, s, ctx.v)
 
 
 def _side_assignments(
@@ -722,14 +714,14 @@ def _side_assignments(
     return sides
 
 
-def _second_counts(ctx: _Solve, seg: _Segment, plan: _Plan, B: frozenset[int]) -> tuple[int, ...]:
-    """The second_counts of plan for the second side B (see _Plan)."""
+def _second_counts(
+    ctx: _Solve, seg: _Segment, settled_second: tuple[int, ...], new: frozenset[int]
+) -> tuple[int, ...]:
+    """The entry of seg.long.counts for settled_second and new = B - shared
+    (see _Long)."""
     ivs = ctx.ivs
-    second_new = [*seg.long.fam.intervals, *(ivs[i] for i in sorted(B - seg.shared))]
-    return tuple(
-        _max_disjoint_meeting(second_new, seg.s_prev, ivs[i].hi)
-        for i in plan.base.settled_second
-    )
+    second_new = [*seg.long.fam.intervals, *(ivs[i] for i in sorted(new))]
+    return tuple(_max_disjoint_meeting(second_new, seg.s_prev, ivs[i].hi) for i in settled_second)
 
 
 def _room(profile: MonotonicSeq, bounds: Sequence[tuple[int, int]], v: int) -> list[int] | None:
@@ -808,10 +800,15 @@ def _advance(
     run (s_prev, s] puts the unit (s - 1, s) on the opposite part from
     (s_prev - 1, s_prev).  Candidates give whole crossing groups to a side:
     a group holding a member that also crosses s_prev keeps that member's
-    committed side, and the free groups try both.  What depends only on the
-    segment and st's bucket comes from plan, the bucket's plan (see _Plan),
-    sides are the candidate side assignments (A, B) of that bucket at s,
-    and ctx.profiles interns the new profiles (see extend).
+    committed side, and the free groups try both.  plan is the bucket's
+    plan (see _Plan) and sides are the candidate side assignments (A, B)
+    of that bucket at s.  What else depends only on the segment and the
+    bucket comes from the memos of seg.long, keyed by what each reads (see
+    _Long): the lower bounds and F's head under plan.settled_second, once
+    per long family and settled set, and the counts of a candidate under
+    that and B - shared, once per long family, settled set and new
+    second-side members.  ctx.profiles interns the new profiles (see
+    extend).
 
     The checks, in order: the lower bounds of the members settled on the
     second side, which need no candidate; then per candidate, after
@@ -865,18 +862,18 @@ def _advance(
     v = ctx.v
     p_prime, q_prime = st.q, st.p
 
+    settled = seg.long.settled.get(plan.settled_second)
+    if settled is None:
+        settled = seg.long.settled[plan.settled_second] = _settled(ctx, seg, plan, s)
+    second_bounds, head = settled
     # Candidate-independent lower bound: the long members give the second
     # side at least their own disjoint count right of s_prev.
-    second_room = _room(q_prime, plan.second_bounds, v)
+    second_room = _room(q_prime, second_bounds, v)
     if second_room is None:
         return
 
-    long, base = seg.long, plan.base
-    head = long.head_cache.get(base.settled_second)
-    if head is None:
-        head = long.head_cache[base.settled_second] = fd_head(base.F, long.fam, seg.s_prev, s, v)
     p_new, q_new = extend(
-        p_prime, q_prime, base.F, _NO_MEMBERS, long.fam, seg.s_prev, s, v,
+        p_prime, q_prime, plan.F, _NO_MEMBERS, seg.long.fam, seg.s_prev, s, v,
         head, ctx.profiles, ctx.floor[s],
     )
 
@@ -885,9 +882,10 @@ def _advance(
         bucket = stage.get(A)
         if bucket is not None and bucket.covers(vec):
             continue
-        counts = plan.second_counts.get(B)
+        key = (plan.settled_second, B - seg.shared)
+        counts = seg.long.counts.get(key)
         if counts is None:
-            counts = plan.second_counts[B] = _second_counts(ctx, seg, plan, B)
+            counts = seg.long.counts[key] = _second_counts(ctx, seg, *key)
         if not all(map(le, counts, second_room)):
             continue
         if not _long_star_ok(ctx, seg, s, st.first_crossing | B):
@@ -904,7 +902,7 @@ def _movers(
     advances, in scan order.
 
     first_bounds are the (a, floor) pairs of the members that settle on
-    the first side (see _PlanBase).  A state Y moves when it passes the
+    the first side (see _Plan).  A state Y moves when it passes the
     first side's lower bounds and no other passing state X has X.p.r <=
     Y.p.r entrywise; of states with equal p.r, the first in scan order
     moves.  This is the maxima-of-vectors filter (Kung, Luccio and
@@ -925,11 +923,11 @@ def _movers(
     Dropping a state changes no key of the stage.  For one plan, what
     _advance adds from a passing state Y depends on Y only through
     second_room, v - alpha_seq(Y.p, a) per settled second-side member,
-    which is antitone in Y.p, and q_new, the plan's head then entries of
-    Y.p, which is monotone in it (see the module docstring; the clamp to
-    floor(s) reads s alone); p_new is the ramp s - u on a hop of v + 1 or
-    more (see extend).  The candidates, their counts and the star check
-    are the same for every state of the bucket.  So when X.p.r <= Y.p.r,
+    which is antitone in Y.p, and q_new, the head of F then entries of Y.p,
+    which is monotone in it (see the module docstring; the clamp to floor(s)
+    reads s alone); p_new is the ramp s - u on a hop of v + 1 or more (see
+    extend).  The candidates, their counts and the star check are the same
+    for every state of the bucket.  So when X.p.r <= Y.p.r,
     every successor of Y that passes the counts and the star check has one
     of X that passes them too and is entrywise <= it.  Each dropped state
     has a mover <= it, so the stage keeps the minimal keys (p.r, q.r, A)
@@ -960,22 +958,22 @@ def _cross(
     stage: dict[frozenset[int], _Bucket],
 ) -> None:
     """Take the finished stage at seg.s_prev (see _finish) across seg into
-    stage, the stage at s: per bucket its plan, memoised in seg, and its
-    side assignments, memoised in ctx.sides (which holds those of s alone),
-    then _advance on each state that passes the first side's lower bounds.
-    A hop shorter than v + 1 reads q.r[1..v + 1 - (s - s_prev)] into p_new,
-    and advances every such state; a longer one advances only the movers
-    (see _movers), each list built once per bucket and first_bounds."""
+    stage, the stage at s: per bucket its plan, memoised in seg.bases, and
+    its side assignments, memoised in ctx.sides (which holds those of s
+    alone), then _advance on each state that passes the first side's lower
+    bounds.  A hop shorter than v + 1 reads q.r[1..v + 1 - (s - s_prev)]
+    into p_new, and advances every such state; a longer one advances only
+    the movers (see _movers), each list built once per bucket and
+    first_bounds."""
     v = ctx.v
     for first_crossing, bucket in preds.items():
-        plan = seg.plans.get(first_crossing)
+        plan = seg.bases.get(first_crossing)
         if plan is None:
-            plan = seg.plans[first_crossing] = _plan(ctx, seg, first_crossing)
-        base = plan.base
-        sides = ctx.sides.get(base.side_key)
+            plan = seg.bases[first_crossing] = _plan(ctx, seg, first_crossing)
+        sides = ctx.sides.get(plan.side_key)
         if sides is None:
-            sides = ctx.sides[base.side_key] = _side_assignments(ctx, s, *base.side_key)
-        bounds = base.first_bounds
+            sides = ctx.sides[plan.side_key] = _side_assignments(ctx, s, *plan.side_key)
+        bounds = plan.first_bounds
         if s - seg.s_prev > v:
             movers = bucket.movers.get(bounds)
             if movers is None:
@@ -1019,7 +1017,7 @@ def _far_vector(ctx: _Solve, s_prev: int, s: int) -> tuple[int, ...]:
     is in the one side list ctx.sides[(frozenset(), frozenset())] at s.
 
       * Candidates.  shared is empty, so every bucket's side_key is
-        (frozenset(), frozenset()) (see _PlanBase).
+        (frozenset(), frozenset()) (see _Plan).
       * p_new.  Its entries u <= d = s - s_prev are the ramp s - u (see
         extend).  Every other one copies p.r[j] with j >= 1, at most
         s_prev - 1 < floor(s), and the ramp is below s_prev there too, so

@@ -90,6 +90,24 @@ def test_non_utf8_file_is_a_structured_error(tmp_path, capsys):
     assert " ".join(field(lines, "error")).startswith(f"cannot read {f}:")
 
 
+def test_input_past_the_size_cap_is_a_structured_error(tmp_path, capsys, monkeypatch):
+    # load_instance reads at most the cap plus one character, so a longer
+    # file, or an endless one, exits 2 before it fills memory; the cap is
+    # made small here, so /dev/zero is read only up to it
+    monkeypatch.setattr(cli, "_MAX_INPUT_CHARS", 8)
+    f = tmp_path / "units.txt"
+    f.write_text("0 1\n1 2\n")
+    code, lines = run(capsys, "check", str(f))
+    assert code == 0 and field(lines, "vertebrate") == ["yes"]
+    f.write_text("0 1\n1 2\n\n")
+    endless = ["/dev/zero"] if os.path.exists("/dev/zero") else []
+    for path in [str(f), *endless]:
+        code, lines = run(capsys, "check", path)
+        assert code == 2
+        assert field(lines, "command") == ["check"]
+        assert " ".join(field(lines, "error")) == f"cannot read {path}: more than 8 characters"
+
+
 def test_internal_failure_is_an_error_not_a_no(capsys, monkeypatch):
     def broken(rep, v):
         raise KeyError("lost state")

@@ -305,8 +305,7 @@ def test_grown_segments_match_a_fresh_build():
     # skipped old pairs), holds the members a fresh scan finds.  It is that
     # record itself exactly when no member it reads arrived.  A record
     # holds its context's one _Long of its long members, whatever its
-    # s_prev, and keeps its plans' long-free parts whenever only long
-    # members arrived
+    # s_prev, and keeps its plans whenever only long members arrived
     rng = random.Random(43)
     dead_pairs = skipped = carried = kept_longs = kept_bases = 0
     for _ in range(150):
@@ -343,7 +342,6 @@ def test_grown_segments_match_a_fresh_build():
                     carried += seg is before
                     if seg is before:
                         continue
-                    assert seg.plans == {} and seg.plans is not before.plans
                     assert (seg.bases is before.bases) == same_pool
                     if not same_pool:
                         assert seg.bases == {}
@@ -395,7 +393,7 @@ def test_advance_keeps_one_antichain_per_bucket():
     seg = segment_builder(ctx)(1, 2)
     assert ctx.floor[2] == 0
     plan = _plan(ctx, seg, frozenset())
-    sides = _side_assignments(ctx, 2, *plan.base.side_key)
+    sides = _side_assignments(ctx, 2, *plan.side_key)
     forced = frozenset({3})
     low, high = MonotonicSeq((1, -1, -1, -1), 1, 1), MonotonicSeq((1, 0, -1, -1), 1, 1)
     best = DPState(1, low, low, frozenset())
@@ -456,13 +454,15 @@ def pass_first_bounds(states, first_bounds, v):
 
 
 def test_bucket_plans_match_fresh_records(monkeypatch):
-    # solve shares one grown record, and with it one plan per bucket, among
-    # all the states of a stage; a fresh record per state shares nothing.
+    # solve shares one grown record, and with it one plan per bucket and
+    # one _Long per long family, among all the states of a stage; a fresh
+    # record per state, in a fresh context, shares nothing.
     # Every state that passes the first side's lower bounds crosses here,
     # so each plan serves all of those in its bucket (the movers filter is
     # tested on its own).  The clamp leaves few states per bucket at v <= 2
-    # (4,070 advanced for 3,041 plans on the first 60 instances), so 60
-    # larger ones at v = 3 follow
+    # (4,070 advanced for 3,041 plans on the first 60 instances, when each
+    # record built its own plans; 1,582 plans now), so 60 larger ones at
+    # v = 3 follow: 25,488 advanced for 5,833 plans in all
     monkeypatch.setattr(solver, "_movers", pass_first_bounds)
     make_plan = solver._plan
     plans = 0
@@ -482,8 +482,7 @@ def test_bucket_plans_match_fresh_records(monkeypatch):
             v, m_max, n_max = 3, 12, 30
         rep = vertebrate_representation(random_rep(rng, m_max=m_max, n_max=n_max))
         crossing = crossings(rep)
-        ctx, own_ctx = _context(rep, v), _context(rep, v)
-        build = segment_builder(own_ctx)
+        ctx, fresh_ctx = _context(rep, v), _context(rep, v)
 
         def kept(stage):
             return [
@@ -501,16 +500,17 @@ def test_bucket_plans_match_fresh_records(monkeypatch):
                 s_prev, s = step.seg.s_prev, step.s
                 for first_crossing, bucket in step.preds.items():
                     for st in bucket.states:
-                        own = build(s_prev, s)
+                        own_ctx = replace(fresh_ctx)
+                        own = segment_builder(own_ctx)(s_prev, s)
                         plan = _plan(own_ctx, own, first_crossing)
-                        if solver._room(st.q, plan.base.first_bounds, v) is None:
+                        if solver._room(st.q, plan.first_bounds, v) is None:
                             continue
-                        sides = _side_assignments(own_ctx, s, *plan.base.side_key)
+                        sides = _side_assignments(own_ctx, s, *plan.side_key)
                         _advance(own_ctx, st, own, plan, s, sides, fresh)
                         advanced += 1
             assert kept(shared) == kept(fresh)
             assert seen(shared) == seen(fresh)
-    assert advanced > 2 * plans > 0
+    assert advanced > 4 * plans > 0
 
 
 def test_solve_builds_each_profile_once(monkeypatch):
@@ -678,26 +678,30 @@ def test_carried_and_shared_caches_match_fresh_values(monkeypatch):
     # every record with the same long members holds one _Long, so its memos
     # are written and read by records of several s_prev and anchors.  Every
     # entry, written by whichever record, is checked against a fresh
-    # computation at each record that holds it and can read it: for a head,
-    # one whose pool holds the settled members of its key
+    # computation at each record that holds it and can read it: for a
+    # settled entry, one whose pool holds the settled members of its key;
+    # for counts, one whose new second-side members at s can also be the
+    # key's B - shared
     cross, make_long = solver._cross, solver._Long
     visits, reads, crossing_now = [], [], [None]
 
     def kept(ctx, seg, s, *rest):
         crossing_now[0] = seg.s_prev
-        visits.append((ctx.v, seg, s))
+        visits.append((ctx, seg, s))
         return cross(ctx, seg, s, *rest)
 
     def logged_long(idx, fam):
         # the memos in _Long's field order
-        names = ("meet", "head", "star")
+        names = ("settled", "counts", "star")
         return make_long(idx, fam, *(ReadLog(name, lambda: crossing_now[0], reads) for name in names))
+
+    def meeting(members, s_prev, b):
+        return intervals.alpha_window(IntervalFamily(tuple(members)), s_prev, b)
 
     monkeypatch.setattr(solver, "_cross", kept)
     monkeypatch.setattr(solver, "_Long", logged_long)
     rng = random.Random(53)
-    checked = 0
-    # the clamped-pair skip left 25,037 checks on the first 66 solves
+    checked = Counter()
     for k in range(110):
         v = rng.choice([1, 2, 3])
         if k % 2:
@@ -706,56 +710,71 @@ def test_carried_and_shared_caches_match_fresh_values(monkeypatch):
             rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
         ivs = rep.family.intervals
         solve(rep, v)
-        # v_dp is the bound the DP ran at (see solve)
-        for v_dp, seg, s in visits:
-            long = seg.long
-            for key, head in long.head_cache.items():
+        # ctx.v is the bound the DP ran at (see solve)
+        for ctx, seg, s in visits:
+            long, s_prev, v_dp = seg.long, seg.s_prev, ctx.v
+            new_at_s = ctx.crossing[s] - seg.shared
+            for key, (bounds, head) in long.settled.items():
                 if set(key) <= seg.pool:
                     F = IntervalFamily(tuple(ivs[i] for i in key))
-                    assert head == fd_head(F, long.fam, seg.s_prev, s, v_dp)
-                    checked += 1
-            for b, count in long.long_meet_cache.items():
-                assert count == intervals._max_disjoint_meeting(long.fam.intervals, seg.s_prev, b)
-                checked += 1
+                    assert head == fd_head(F, long.fam, s_prev, s, v_dp)
+                    assert bounds == tuple(
+                        (ivs[i].lo, meeting(long.fam, s_prev, ivs[i].hi)) for i in key
+                    )
+                    checked["settled"] += 1
+            for (key, new), counts in long.counts.items():
+                if set(key) <= seg.pool and new <= new_at_s:
+                    members = [*long.fam, *(ivs[i] for i in new)]
+                    assert counts == tuple(meeting(members, s_prev, ivs[i].hi) for i in key)
+                    checked["counts"] += 1
             for outside, ok in long.long_star_cache.items():
                 visible = IntervalFamily(tuple(ivs[i] for i in sorted(outside.union(long.idx))))
                 assert ok == mid_relation(long.fam, visible, v_dp)
-                checked += 1
+                checked["star"] += 1
         visits.clear()
-    assert checked > 40000
-    # hits on entries that a record of another s_prev wrote
+    # 46,633 checks: 4,939 settled entries, 7,163 counts and 34,531 star
+    # checks.  The memos they replace, per right end b and per settled set
+    # for the head, made 44,741 checks
+    assert sum(checked.values()) > 40000, checked
+    assert checked["settled"] > 4000 and checked["counts"] > 6000, checked
+    # hits on entries that a record of another s_prev wrote: 10,288 settled,
+    # 7,393 counts and 7,693 star.  With the floors per right end b, the
+    # heads and the star checks memoised on _Long, and the counts per
+    # record, 2,588, 9,000 and 7,693
     across = Counter(name for name, writer, reader in reads if writer != reader)
-    assert all(across[name] > 2000 for name in ("meet", "head", "star")), across
+    assert across["settled"] > 9000 and across["counts"] > 6000, across
+    assert across["star"] > 6000, across
 
 
 def test_carried_plans_match_fresh_records(monkeypatch):
-    # a record serves every anchor until a member it reads arrives, and
-    # builds each bucket's plan once; at every anchor it served, each plan
-    # it used, counts filled at any anchor included, is the one a record
-    # built there from nothing, in a fresh context, gives.  When only long
-    # members arrived, the next record's plan of a bucket keeps the old
-    # plan's long-free part
+    # a record builds each bucket's plan once and keeps it, and the next
+    # record keeps it too when only long members arrived; at every anchor
+    # it served, each plan it used is the one a record built there from
+    # nothing, in a fresh context, gives.  So are the entries of its _Long
+    # that the plan reads, whichever record and anchor wrote them: the
+    # settled entry of its settled_second, and the counts of every B -
+    # shared at that anchor
     cross = solver._cross
     visits, last = [], {}
     hits = reused = 0
 
     def kept(ctx, seg, s, preds, *rest):
         nonlocal hits, reused
-        hits += sum(first_crossing in seg.plans for first_crossing in preds)
+        hits += sum(first_crossing in seg.bases for first_crossing in preds)
         visits.append((ctx, seg, s, list(preds)))
         cross(ctx, seg, s, preds, *rest)
         before = last.get(seg.s_prev)
         if before is not None and before is not seg and before.pool == seg.pool:
             assert seg.long is not before.long
             for first_crossing in preds:
-                if first_crossing in before.plans:
-                    assert seg.plans[first_crossing].base is before.plans[first_crossing].base
+                if first_crossing in before.bases:
+                    assert seg.bases[first_crossing] is before.bases[first_crossing]
                     reused += 1
         last[seg.s_prev] = seg
 
     monkeypatch.setattr(solver, "_cross", kept)
     rng = random.Random(61)
-    plans = counts = 0
+    plans = settled = counts = 0
     for k in range(220):
         v = 1 + k % 3
         if k % 2:
@@ -766,28 +785,37 @@ def test_carried_plans_match_fresh_records(monkeypatch):
         for ctx, seg, s, first_crossings in visits:
             own_ctx = replace(ctx)
             own = segment_builder(own_ctx)(seg.s_prev, s)
+            new_at_s = ctx.crossing[s] - seg.shared
             for first_crossing in first_crossings:
-                plan, fresh = seg.plans[first_crossing], _plan(own_ctx, own, first_crossing)
-                base, fresh_base = plan.base, fresh.base
-                assert base.settled_second == fresh_base.settled_second
-                assert base.first_bounds == fresh_base.first_bounds
-                assert base.F.intervals == fresh_base.F.intervals
-                assert base.side_key == fresh_base.side_key
-                assert plan.second_bounds == fresh.second_bounds
-                for B, got in plan.second_counts.items():
-                    assert got == solver._second_counts(own_ctx, own, fresh, B)
-                    counts += 1
+                plan, fresh = seg.bases[first_crossing], _plan(own_ctx, own, first_crossing)
+                assert plan.settled_second == fresh.settled_second
+                assert plan.first_bounds == fresh.first_bounds
+                assert plan.F.intervals == fresh.F.intervals
+                assert plan.side_key == fresh.side_key
                 plans += 1
+                key = plan.settled_second
+                entry = seg.long.settled.get(key)
+                if entry is not None:
+                    assert entry == solver._settled(own_ctx, own, fresh, s)
+                    settled += 1
+                for (got_key, new), got in seg.long.counts.items():
+                    if got_key == key and new <= new_at_s:
+                        assert got == solver._second_counts(own_ctx, own, key, new)
+                        counts += 1
         visits.clear()
         last.clear()
     # 5,112 of the 11,528 plans used on the first 120 solves were built at
     # an earlier anchor, by a record carried from there, before clamped
     # pairs were skipped by their bound; that skip leaves 2,524 of 6,361
     # there.  Before the far-pair skip, the first 60 solves alone used
-    # 8,893 plans, 4,604 of them carried; that skip left 2,973 carried ones
-    assert hits > 4000
+    # 8,893 plans, 4,604 of them carried; that skip left 2,973 carried ones.
+    # On all 220 solves, 6,400 of the 12,661 plans used were built earlier;
+    # 4,767 when a record rebuilt the part of each plan that reads the long
+    # members.  11,580 settled entries and 17,547 counts are checked
+    assert hits > 6000
     assert plans > hits
-    assert counts > 4000
+    assert settled > 10000
+    assert counts > 15000
     assert reused > 1000
 
 
@@ -965,8 +993,8 @@ def test_far_pairs_add_only_the_far_vector(monkeypatch):
             if hop_.s - hop_.seg.s_prev >= far:
                 assert hop_.seg.shared == frozenset()
                 assert all(
-                    plan.base.side_key == (frozenset(), frozenset())
-                    for plan in hop_.seg.plans.values()
+                    plan.side_key == (frozenset(), frozenset())
+                    for plan in hop_.seg.bases.values()
                 )
                 far_hops += 1
         no += not stages[-1]
@@ -1027,8 +1055,8 @@ def test_clamped_pairs_build_no_successor_below_their_bound(monkeypatch):
             if s_prev <= ctx.floor[s]:
                 assert hop_.seg.shared == frozenset()
                 assert all(
-                    plan.base.side_key == (frozenset(), frozenset())
-                    for plan in hop_.seg.plans.values()
+                    plan.side_key == (frozenset(), frozenset())
+                    for plan in hop_.seg.bases.values()
                 )
                 pairs[skip_kind(ctx, s_prev, s)] += 1
         no += not stages[-1]
@@ -1103,6 +1131,35 @@ def test_clamped_bounds_are_built_once_per_window(monkeypatch):
     # and 3,434, of which 7,895 and 1,110 repeated a window
     assert solves["split-long"] == solves["split-v2"] == 90
     assert 1000 < bounds["split-long"] <= 60 * solves["split-long"], bounds
+
+
+def test_second_counts_are_computed_once_per_long_family_and_key(monkeypatch):
+    # over the partition answers of bench seeds 1-3, no solve computes the
+    # second side's counts twice for one (long family, settled_second,
+    # B - shared): every member they count has lo >= s_prev, so they read
+    # neither s nor s_prev, and each _Long memoises them under that key
+    # (see solver._Long)
+    second_counts = solver._second_counts
+    computed = []
+
+    def logged(ctx, seg, settled_second, new):
+        computed.append((seg.long.idx, settled_second, new))
+        return second_counts(ctx, seg, settled_second, new)
+
+    monkeypatch.setattr(solver, "_second_counts", logged)
+    total, solves = Counter(), Counter()
+    for seed in (1, 2, 3):
+        for workload, name, S, v in partition_answers(seed):
+            computed.clear()
+            solve(vertebrate_representation(S), v)
+            assert len(set(computed)) == len(computed), (seed, workload, name)
+            total[workload] += len(computed)
+            solves[workload] += 1
+    # per solve, 74.9 on split-v2 and 22.6 on split-long; 122.4 and 33.4
+    # when each record kept its own counts per bucket and second side B
+    assert solves["split-long"] == solves["split-v2"] == 90
+    assert total["split-v2"] <= 80 * solves["split-v2"], total
+    assert total["split-long"] <= 25 * solves["split-long"], total
 
 
 def unskipped_witness(ctx, stages):
@@ -1376,18 +1433,22 @@ def test_solve_v1_m400_skips_old_pairs(monkeypatch):
         # plans and 6,235 records on this instance; before the far-pair
         # skip, the solve built 1,834 plans and 1,196 records, 1,257 and
         # 746 before old hops were decided by their length alone, and
-        # 1,213 and 716 before clamped pairs were skipped by their bound
-        (400, 0.3, 1, 1, 619, 627, 245),
+        # 1,213 and 716 before clamped pairs were skipped by their bound.
+        # When each record built its own plan per bucket, keeping only the
+        # part that reads no long member across a long arrival, it built
+        # 627 plans
+        (400, 0.3, 1, 1, 619, 166, 245),
         # and 1,391 plans and 431 records on this one; 886 and 267 before
-        # the far-pair skip, 333 and 103 before the clamped-pair skip
-        (40, 2.0, 6, 2, 232, 206, 62),
+        # the far-pair skip, 333 and 103 before the clamped-pair skip, and
+        # 206 plans with a plan per record
+        (40, 2.0, 6, 2, 232, 185, 62),
     ],
     ids=["v1-m400-sparse", "v2-m40-dense"],
 )
 def test_solve_plans_and_records_built(monkeypatch, m, density, seed, v, states, plans, records):
-    # a plan is built once per record and bucket, and a record once per
-    # arrival of a member it reads; records counts the distinct records
-    # _cross took states across
+    # a plan is built once per bucket until a member of crossing[s_prev]
+    # ends, and a record once per arrival of a member it reads; records
+    # counts the distinct records _cross took states across
     make_plan, cross = solver._plan, solver._cross
     built, crossed = [], {}
 
