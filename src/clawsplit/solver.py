@@ -30,18 +30,17 @@ per solve, by _context, into one _Solve: the members, v, their groups, the
 members crossing and arriving at each anchor, the floors, the long
 members by lo, live_from, the profile intern table, and the side
 assignments of the anchor being built.
-What a hop reads of its segment, beside s, is held in a record (see
-_Segment): s_prev, the long members, the crossing members that settle
-(pool) and those that do not (shared), and memos of work that predecessor
-states repeat.  A record lives as long as what it reads:
-_stages replaces s_prev's record only when a member it reads arrives, a
-long member with lo >= s_prev or a member of crossing[s_prev] that ends,
-and at every other anchor the same object serves again.  Each memo belongs
-to what it reads, so a new record keeps the memos that the arrival leaves
-valid: those that read the long members, alone or with the members that
-settle, live in one _Long per long family, which every record with that
-family holds, whatever its s_prev, and each bucket's plan, which reads no
-long member (see _Plan), lives until a member of crossing[s_prev] ends.
+What a hop reads of its segment, beside s_prev and s, is its long members
+and pool, the members of crossing[s_prev] that end by s and so settle; the
+rest of crossing[s_prev], shared, crosses s too.  _cross reads pool from
+the context's crossings, and _stages carries, for each s_prev, the _Long
+of the long members inside (s_prev, s) from anchor to anchor, replacing it
+only when a long member with lo >= s_prev arrives (see _segment).  Each
+memo belongs to what it reads: those that read the long members, alone or
+with the members that settle, live in one _Long per long family, which
+every s_prev with that family shares, and each bucket keeps the plan of
+its pool, which reads no long member, until a member of crossing[s_prev]
+ends (see _Plan and _Bucket).
 
 A segment is dead when its long members center an overfull star among
 themselves, and no state crosses it.  Deadness is decided once per solve:
@@ -59,18 +58,19 @@ by lo, which the bound of a clamped hop reads too (see _far_vector).  So
 the deadness sweep reads, per arriving long member, the long members near
 it, not every one since the frontier.
 
-_cross takes each predecessor bucket across a record with the bucket's plan
+_cross takes each predecessor bucket across a hop with the bucket's plan
 (see _Plan): the first side's settled members as lower bounds, the second
 side's settled members, sorted and as F, and the key of the candidate side
 assignments.  A predecessor's other side is crossing[s_prev] minus its
-first_crossing, so a plan is a pure function of the record and
-first_crossing, and every state of the bucket would compute the same
-values.  The record memoises it, so a plan is built once per bucket until
-a member of crossing[s_prev] ends, across however many anchors and long
-arrivals; the candidate side assignments (A, B) come from the context's
-memo for the anchor s, under a key the plan holds (see _side_assignments).
+first_crossing, so a plan is a pure function of s_prev, first_crossing
+and pool, and every state of the bucket would compute the same values.
+The bucket fixes the first two and keeps the plan of one pool, so a plan
+is built once per bucket until a member of crossing[s_prev] ends, across
+however many anchors and long arrivals; the candidate side assignments
+(A, B) come from the context's memo for the anchor s, under a key the
+plan holds (see _side_assignments).
 What also reads the long members is memoised in their _Long, keyed by what
-it reads and by no record or bucket: the second side's lower bounds and
+it reads and by no s_prev or bucket: the second side's lower bounds and
 F's head per set of second-side settled members, and the second side's
 counts per such set and set of new second-side members B - shared.  The
 counts are filled when a successor first gets past its bucket's covers
@@ -87,10 +87,9 @@ A hop shorter than v + 1 advances every state that passes the first
 side's lower bounds.  A longer one builds its first new profile as the
 ramp s - u and reads the predecessor's q only in those bounds, so _cross
 advances only the bucket's movers (see _movers): the passing states whose
-p no sibling's is entrywise below.  They are cached per bucket and
-first_bounds, which stops changing once every member crossing s_prev has
-ended, so one list serves every farther anchor.  The stage keeps the
-same keys as if every state had crossed.
+p no sibling's is entrywise below.  The bucket keeps them beside its plan,
+so one list serves every farther anchor once every member crossing s_prev
+has ended.  The stage keeps the same keys as if every state had crossed.
 
 Most hops no member spans cost next to nothing.  A hop (s_prev, s] is
 clamped when s_prev <= floor(s) (see below), that is when no member crosses
@@ -102,12 +101,13 @@ from s and a window of long members, those with lo >= max(s_prev, s - 2L
 every A of that list has a bucket that covers B, the pair adds nothing,
 and neither does any other clamped pair whose window starts at the same
 long member: _stages builds B once per window start, and skips that whole
-run of s_prev before it builds a record.  A hop is far when it is at least
-max(2L - 2, v + 1) long: it is clamped, its window starts at s - 2L + 2
-whatever s_prev is, and every successor has the vector B = V(s), so the
-far pairs are one such run.  A hop is old when it is at least max(3L - 3,
-v + 1) long: then the checks also split into a part read from the
-predecessor alone and a part read from s alone (see _far_vector), so
+run of s_prev before it brings their long members to s.  A hop is far
+when it is at least max(2L - 2, v + 1) long: it is clamped, its window
+starts at s - 2L + 2 whatever s_prev is, and every successor has the
+vector B = V(s), so the far pairs are one such run.  A hop is old when it
+is at least max(3L - 3, v + 1) long: then the checks also split into a
+part read from the predecessor alone and a part read from s alone (see
+_far_vector), so
 every state at an old s_prev adds either nothing or one common set of
 successors, and once the stage holds a state, _stages skips every old
 pair, also where candidates that fail the star check keep B from being
@@ -244,12 +244,13 @@ def compute_groups(S: IntervalFamily, v: int) -> GroupingInfo:
     """Group a duplicate-free family by chains of significant overlap.
 
     One sweep over the members sorted by (lo, hi) links each member to the
-    earlier one with the largest hi, when their overlap is at least 2v + 1.
-    That member overlaps it the most of all earlier ones, so if it falls
-    short, so do they all.  Every earlier member that overlaps it by 2v + 1
-    or more contains (lo, lo + 2v + 1), and so overlaps each other such member
-    by as much: they are already pairwise linked, and one link joins the
-    member to all of them.
+    earlier one with the largest hi, reach, when their overlap is at least
+    2v + 1.  That member overlaps it the most of all earlier ones, so if it
+    falls short, so do they all.  Every earlier member that overlaps it by
+    2v + 1 or more contains (lo, lo + 2v + 1), and so overlaps each other
+    such member by as much: they are already pairwise linked, and one link
+    joins the member to all of them.  So each member links only to an
+    earlier one, whose group is final by then, and takes its root.
 
     Args:
         S: duplicate-free interval family.
@@ -269,21 +270,12 @@ def compute_groups(S: IntervalFamily, v: int) -> GroupingInfo:
     n = len(ivs)
     if len(set(zip(S.los, S.his))) != n:
         raise ValueError("grouping needs a duplicate-free family (dedup first)")
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    root = list(range(n))
     threshold = 2 * v + 1
-    reach = None  # the earlier member with the largest hi
+    reach = None
     for i in sorted(range(n), key=lambda k: (ivs[k].lo, ivs[k].hi)):
         if reach is not None and min(ivs[reach].hi, ivs[i].hi) - ivs[i].lo >= threshold:
-            ri, rj = find(i), find(reach)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+            root[i] = root[reach]
         if reach is None or ivs[i].hi > ivs[reach].hi:
             reach = i
 
@@ -291,11 +283,10 @@ def compute_groups(S: IntervalFamily, v: int) -> GroupingInfo:
     group_of: list[int] = []
     members: list[list[int]] = []
     for i in range(n):
-        root = find(i)
-        gid = root_to_gid.get(root)
+        gid = root_to_gid.get(root[i])
         if gid is None:
             gid = len(members)
-            root_to_gid[root] = gid
+            root_to_gid[root[i]] = gid
             members.append([])
         group_of.append(gid)
         members[gid].append(i)
@@ -379,12 +370,12 @@ class _Solve:
     side); _stages clears it at each s.  With group_of fixed per solve and
     crossing[s] per anchor, the forced sides, the free groups and both sides
     in mask order are a pure function of that key at s, whatever the
-    record's s_prev (see _side_assignments).  longs holds the _Long of
-    each long family a record took at the anchor being built, by its
+    hop's s_prev (see _side_assignments).  longs holds the _Long of each
+    long family that _segment took at the anchor being built, by its
     indices, and the empty family's for the whole solve, so that every
-    record with that family shares its memos (see _Long): _stages clears
+    s_prev with that family shares its memos (see _Long): _stages clears
     the others at each s, so that a family lives only as long as the
-    records that hold it.  All three memos start empty, in a copy made by
+    s_prev that carry it.  All three memos start empty, in a copy made by
     dataclasses.replace too.
     """
 
@@ -410,10 +401,16 @@ class _Solve:
 class _Long:
     """The long members of a segment, and the memos that read them alone.
 
-    idx are the member indices, in increasing order, and fam the same
-    members as a family.  Each memo value is a pure function of the long
-    members, v and its key, and reads neither s nor s_prev (see _Segment),
-    so one object serves every record with these long members:
+    idx are the indices of the members inside (s_prev, s) longer than v,
+    in increasing order, and fam the same members as a family.  No hop
+    reads the short ones: they enter no profile, count or check (see
+    _advance), and _witness finds them by hi.  _stages carries one _Long
+    per s_prev from anchor to anchor, and _segment replaces it only when a
+    long member arrives; every s_prev with the same long members at the
+    anchor being built holds the same object, taken from the context's
+    longs (see _Solve).  Each memo value is a pure function of the long
+    members, v and its key, so one object serves every hop with these long
+    members, at every anchor and whatever its s_prev:
 
       * settled, per settled_second (the sorted indices of the members
         settled on the second side, which fix F; see _Plan): the pair
@@ -428,6 +425,24 @@ class _Long:
       * long_star_cache, per set of crossing members visible to the second
         side: whether the long members center no overfull star among
         themselves and those (see _long_star_ok).
+
+    The memos read neither s nor s_prev.  A hop (s_prev, s] reads an entry
+    under settled_second only when those members are in its pool, so they
+    cross s_prev and end by s; every long member lies inside (s_prev, s);
+    and each member of B - shared crosses s but not s_prev, so it has lo >=
+    s_prev:
+
+      * A member with lo >= s_prev and hi > lo meets (s_prev, b), for b >
+        s_prev, iff lo < b.  So the floors of second_bounds read b and the
+        long members alone, and the counts read b, the long members and
+        B - shared alone.
+      * Every member of F + D, with D the long members, meets (s_prev, s):
+        w and w_full are the disjoint counts of D and of F + D, which read
+        the member sets alone.  The rest of fd_head reads no s (see
+        fd_head), so the head reads F and D alone.
+      * The star check reads the long members inside (s_prev, s), which
+        are idx at every hop that holds this object, outside and v (see
+        _long_star_ok).
     """
 
     idx: tuple[int, ...]
@@ -442,86 +457,27 @@ class _Long:
 
 
 @dataclass(frozen=True)
-class _Segment:
-    """What a hop out of s_prev reads of its segment (s_prev, s], beside s.
+class _Plan:
+    """What a hop out of s_prev does for one predecessor bucket, less what
+    reads the long members (see _Long).
 
-    long holds the members inside (s_prev, s) longer than v (see _Long).  No
-    record holds the short ones: they enter no profile, count or check (see
-    _advance), and _witness finds them by hi.  shared holds the members
-    crossing both s_prev and s; pool, those crossing s_prev that stop before
-    s and so settle at this hop.  s, the members and v are read from the
-    solve's context, passed beside the record (see _cross).  _stages builds
-    records only for live segments (see _live_from).
-
-    A record serves every anchor s at which these fields are what a fresh
-    build for (s_prev, s] gives.  They change only when a member the record
-    reads arrives, that is when s passes its hi: a long member with lo >=
-    s_prev joins long, and a member of crossing[s_prev] moves from shared
-    to pool.  _segment looks at the members arrived since the record's last
-    anchor and returns the record itself when neither kind came; otherwise
-    it builds the next record, with the arriving long members merged in
-    index order, so that a record does not depend on how it was built.
-    Each arriving long member is validated as a long member of the segment
-    it joins when it is taken (see extend), and stays valid for every
-    later s.
-
-    The memos hold work that predecessor states repeat, each owned by what
-    it reads, so that a value memoised at any anchor, by any record that
-    holds the owner, is the one a fresh computation at s would give:
-
-      * long, the _Long of the long members, whose memos read the long
-        members, the members settled on the second side and the new
-        members there.  Every record with the same long members holds the
-        same object, taken from the context's longs (see _Solve), and the
-        next record keeps it when only members of crossing[s_prev] end.
-      * bases, per first_crossing: the bucket's _Plan, which reads pool,
-        shared, s_prev and first_crossing.  When only long members arrive,
-        the next record keeps the same dict.
-
-    The memos of a _Long read neither s nor s_prev.  A record at (s_prev, s]
-    reads an entry under settled_second only when those members are in its
-    pool, so they cross s_prev and end by s; every long member lies inside
-    (s_prev, s); and each member of B - shared crosses s but not s_prev, so
-    it has lo >= s_prev:
-
-      * A member with lo >= s_prev and hi > lo meets (s_prev, b), for b >
-        s_prev, iff lo < b.  So the floors of second_bounds read b and the
-        long members alone, and the counts read b, the long members and
-        B - shared alone.
-      * Every member of F + D, with D the long members, meets (s_prev, s):
-        w and w_full are the disjoint counts of D and of F + D, which read
-        the member sets alone.  The rest of fd_head reads no s (see
-        fd_head), so the head reads F and D alone.
-      * The star check reads the long members inside (s_prev, s), which
-        are the long members at every anchor a record with them serves,
-        outside and v (see _long_star_ok).
+    A plan is built for one pool, the members of crossing[s_prev] that end
+    by s and so settle at this hop; shared, the rest of crossing[s_prev],
+    cross s too.  A state's second side is crossing[s_prev] minus its
+    first_crossing, so the bucket fixes both committed sides.
+    settled_second are the members settling at this hop on the (swapped)
+    second side, sorted, and F the same members as a family.  first_bounds
+    holds (a, b - s_prev) per member settling on the first side, a lower
+    bound whose floor b - s_prev is the whole count there (see _movers).
+    side_key, (shared, shared - first_crossing), is the key under which
+    _cross reads the candidate side assignments (A, B) from the context's
+    sides (see _Solve), the one part of a bucket's hop that depends on s.
+    All of them read only s_prev, first_crossing and pool, and the bucket
+    fixes the first two, so a bucket keeps its plan while pool stays (see
+    _Bucket).
     """
 
     s_prev: int
-    long: _Long
-    shared: frozenset[int]
-    pool: frozenset[int]
-    bases: dict[frozenset[int], _Plan] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """What a hop across one record does for one predecessor bucket, less
-    what reads the long members (see _Long).
-
-    A state's second side is crossing[s_prev] minus its first_crossing, so
-    the bucket fixes both committed sides.  settled_second are the members
-    settling at this hop on the (swapped) second side, sorted, and F the
-    same members as a family.  first_bounds holds (a, b - s_prev) per
-    member settling on the first side, a lower bound whose floor b - s_prev
-    is the whole count there (see _movers).  side_key is the key under
-    which _cross reads the candidate side assignments (A, B) from the
-    context's sides (see _Solve), the one part of a bucket's hop that
-    depends on s.  All four read only pool, shared, s_prev and
-    first_crossing, so a record that only long members made from another
-    keeps them (see _Segment).
-    """
-
     settled_second: tuple[int, ...]
     first_bounds: tuple[tuple[int, int], ...]
     F: IntervalFamily
@@ -555,44 +511,30 @@ def _crossings(
     return crossing, floor
 
 
-def _segment(
-    ctx: _Solve, s_prev: int, after: int, s: int, before: _Segment | None = None
-) -> _Segment:
-    """The record of the live segment (s_prev, s] in the solve ctx.
+def _segment(ctx: _Solve, s_prev: int, after: int, s: int, long: _Long) -> _Long:
+    """The _Long of the live segment (s_prev, s] in the solve ctx, brought
+    from long, that of (s_prev, after].
 
-    before is the record of s_prev at anchor after, or None, with after =
-    s_prev, to build from nothing.  Of the members with hi in (after, s],
-    those with lo < s_prev end a member of crossing[s_prev], and those with
-    lo >= s_prev and length > v are new long members.  With neither, before
-    serves s too and is returned.  Otherwise the next record keeps before's
-    _Long when no long member arrived, and takes the one of its long
-    members from ctx.longs when one did; it keeps before's bases when no
-    member ended (see _Segment).
+    The long members that arrived since after are those with hi in (after,
+    s], lo >= s_prev and length > v.  With none, long serves s too and is
+    returned.  Otherwise they are merged in index order, so that a family
+    does not depend on how it was brought, and its _Long is taken from
+    ctx.longs, or made there.  Each arriving long member is validated as a
+    long member of the segment it joins when it is taken (see extend), and
+    stays valid for every later s.
     """
-    ivs, v, crossing = ctx.ivs, ctx.v, ctx.crossing
-    long_new, ended = [], before is None
-    for t in range(after + 1, s + 1):
-        for i in ctx.arriving[t]:
-            if ivs[i].lo < s_prev:
-                ended = True
-            elif ivs[i].length > v:
-                long_new.append(i)
-    if not (ended or long_new):
-        return before
-    if ended:
-        shared, pool = crossing[s_prev] & crossing[s], crossing[s_prev] - crossing[s]
-        bases = {}
-    else:
-        shared, pool, bases = before.shared, before.pool, before.bases
-    if before is not None and not long_new:
-        return _Segment(s_prev, before.long, shared, pool, bases)
-    _check_segment_members((), (ivs[i] for i in long_new), s_prev, s, v)
-    long_idx = tuple(sorted((before.long.idx if before else ()) + tuple(long_new)))
-    long = ctx.longs.get(long_idx)
-    if long is None:
-        long_fam = IntervalFamily(tuple(ivs[i] for i in long_idx))
-        long = ctx.longs[long_idx] = _Long(long_idx, long_fam)
-    return _Segment(s_prev, long, shared, pool, bases)
+    ivs, v = ctx.ivs, ctx.v
+    new = [
+        i for t in range(after + 1, s + 1) for i in ctx.arriving[t]
+        if ivs[i].lo >= s_prev and ivs[i].length > v
+    ]
+    if not new:
+        return long
+    _check_segment_members((), (ivs[i] for i in new), s_prev, s, v)
+    idx = tuple(sorted(long.idx + tuple(new)))
+    if idx not in ctx.longs:
+        ctx.longs[idx] = _Long(idx, IntervalFamily(tuple(ivs[i] for i in idx)))
+    return ctx.longs[idx]
 
 
 def _star_free(ctx: _Solve, lo_min: int, s: int, near: Collection[int]) -> bool:
@@ -632,53 +574,47 @@ def _star_free(ctx: _Solve, lo_min: int, s: int, near: Collection[int]) -> bool:
     )
 
 
-def _long_star_ok(ctx: _Solve, seg: _Segment, s: int, outside: frozenset[int]) -> bool:
+def _long_star_ok(ctx: _Solve, long: _Long, plan: _Plan, s: int, outside: frozenset[int]) -> bool:
     """mid_relation(long, long + outside, v) on the long members of the live
-    segment seg at the anchor s, memoised in seg.long.long_star_cache under
+    segment (plan.s_prev, s], memoised in long.long_star_cache under
     outside.
 
     Only the centers that meet an outside member are checked (see
-    _star_free).  _stages builds records only for live segments (see
-    _live_from), so no long member meets v + 1 disjoint other long members.
-    The leaves of an overfull star centered on a long member are then not
-    all long: one is an outside member, and it meets the center.  The
-    outside members cross s_prev or s, so none of them is a long member.
-
-    The memo is sound.  At every anchor s a record serves, the long members
-    inside (s_prev, s) are exactly seg.long, since _segment replaces the
-    record when a long member arrives; and every record that holds the same
-    _Long has that same set of long members at each anchor it serves,
-    whatever its s_prev.  So the value read from (seg.s_prev, s) is a
-    function of seg.long and outside alone.
+    _star_free).  _stages crosses only live segments (see _live_from), so
+    no long member meets v + 1 disjoint other long members.  The leaves of
+    an overfull star centered on a long member are then not all long: one
+    is an outside member, and it meets the center.  The outside members
+    cross s_prev or s, so none of them is a long member.  The memo reads
+    neither s nor s_prev (see _Long).
     """
-    cache = seg.long.long_star_cache
+    cache = long.long_star_cache
     ok = cache.get(outside)
     if ok is None:
-        ok = cache[outside] = not seg.long.idx or _star_free(ctx, seg.s_prev, s, outside)
+        ok = cache[outside] = not long.idx or _star_free(ctx, plan.s_prev, s, outside)
     return ok
 
 
-def _plan(ctx: _Solve, seg: _Segment, first_crossing: frozenset[int]) -> _Plan:
-    """The plan across seg of the bucket of predecessors with this
-    first_crossing (see _Plan), read with the predecessor's sides swapped
-    as in _advance."""
-    ivs, pool, s_prev = ctx.ivs, seg.pool, seg.s_prev
+def _plan(ctx: _Solve, s_prev: int, pool: frozenset[int], first_crossing: frozenset[int]) -> _Plan:
+    """The plan out of s_prev, with pool settling, of the bucket of
+    predecessors with this first_crossing (see _Plan), read with the
+    predecessor's sides swapped as in _advance."""
+    ivs, shared = ctx.ivs, ctx.crossing[s_prev] - pool
     settled_second = tuple(sorted(first_crossing & pool))
     first_bounds = tuple((ivs[i].lo, ivs[i].hi - s_prev) for i in sorted(pool - first_crossing))
     F = IntervalFamily(tuple(ivs[i] for i in settled_second))
-    return _Plan(settled_second, first_bounds, F, (seg.shared, seg.shared - first_crossing))
+    return _Plan(s_prev, settled_second, first_bounds, F, (shared, shared - first_crossing))
 
 
 def _settled(
-    ctx: _Solve, seg: _Segment, plan: _Plan, s: int
+    ctx: _Solve, long: _Long, plan: _Plan, s: int
 ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], int, int]]:
-    """The entry of seg.long.settled for plan's settled_second (see _Long)."""
-    ivs, long = ctx.ivs, seg.long
+    """The entry of long.settled for plan's settled_second (see _Long)."""
+    ivs, s_prev = ctx.ivs, plan.s_prev
     second_bounds = tuple(
-        (ivs[i].lo, _max_disjoint_meeting(long.fam.intervals, seg.s_prev, ivs[i].hi))
+        (ivs[i].lo, _max_disjoint_meeting(long.fam.intervals, s_prev, ivs[i].hi))
         for i in plan.settled_second
     )
-    return second_bounds, fd_head(plan.F, long.fam, seg.s_prev, s, ctx.v)
+    return second_bounds, fd_head(plan.F, long.fam, s_prev, s, ctx.v)
 
 
 def _side_assignments(
@@ -714,14 +650,14 @@ def _side_assignments(
     return sides
 
 
-def _second_counts(
-    ctx: _Solve, seg: _Segment, settled_second: tuple[int, ...], new: frozenset[int]
-) -> tuple[int, ...]:
-    """The entry of seg.long.counts for settled_second and new = B - shared
-    (see _Long)."""
+def _second_counts(ctx: _Solve, long: _Long, plan: _Plan, new: frozenset[int]) -> tuple[int, ...]:
+    """The entry of long.counts for plan's settled_second and new = B -
+    shared (see _Long)."""
     ivs = ctx.ivs
-    second_new = [*seg.long.fam.intervals, *(ivs[i] for i in sorted(new))]
-    return tuple(_max_disjoint_meeting(second_new, seg.s_prev, ivs[i].hi) for i in settled_second)
+    second_new = [*long.fam.intervals, *(ivs[i] for i in sorted(new))]
+    return tuple(
+        _max_disjoint_meeting(second_new, plan.s_prev, ivs[i].hi) for i in plan.settled_second
+    )
 
 
 def _room(profile: MonotonicSeq, bounds: Sequence[tuple[int, int]], v: int) -> list[int] | None:
@@ -753,15 +689,19 @@ class _Bucket:
     q.r of its states, from its first insertion (see _advance) to its last
     read.  _finish drops vecs and seen, which only the stage's building
     reads (_advance, and _stages' skip of clamped pairs), and puts the
-    states in scan order.  Later anchors read the states, and
-    cache the movers of hops of v + 1 or more per first_bounds (see
-    _movers) until the bucket's s_prev leaves _stages' grown.
+    states in scan order.  Later anchors read the states, and _cross keeps
+    one slot, (pool, plan, movers): the bucket's plan for the hops that
+    settle pool (see _Plan), and its movers, filled on the first such hop
+    of v + 1 anchors or more (see _movers).  _cross builds the slot again
+    when pool changes.  For one s_prev, pool only grows with s, so a pool
+    never comes back once it is replaced, and one slot is all a bucket
+    needs.  _stages drops it when the bucket's s_prev leaves grown.
     """
 
     vecs: list[tuple[int, ...]] | None = field(default_factory=list)
     states: list[DPState] = field(default_factory=list)
     seen: set[tuple[int, ...]] | None = field(default_factory=set)
-    movers: dict[tuple[tuple[int, int], ...], list[DPState]] = field(default_factory=dict)
+    slot: tuple[frozenset[int], _Plan, list[DPState] | None] | None = None
 
     def covers(self, vec: tuple[int, ...]) -> bool:
         """True iff some kept vector is <= vec entrywise."""
@@ -787,14 +727,15 @@ class _Bucket:
 def _advance(
     ctx: _Solve,
     st: DPState,
-    seg: _Segment,
+    long: _Long,
     plan: _Plan,
     s: int,
     sides: Sequence[tuple[frozenset[int], frozenset[int]]],
     stage: dict[frozenset[int], _Bucket],
 ) -> None:
-    """The DP transition of the solve ctx: take one state at seg.s_prev
-    across seg into stage, the stage at s.
+    """The DP transition of the solve ctx: take one state at plan.s_prev
+    across the segment (s_prev, s], whose long members are long, into
+    stage, the stage at s.
 
     The predecessor is read with its coordinates swapped, since the backbone
     run (s_prev, s] puts the unit (s - 1, s) on the opposite part from
@@ -803,7 +744,7 @@ def _advance(
     committed side, and the free groups try both.  plan is the bucket's
     plan (see _Plan) and sides are the candidate side assignments (A, B)
     of that bucket at s.  What else depends only on the segment and the
-    bucket comes from the memos of seg.long, keyed by what each reads (see
+    bucket comes from the memos of long, keyed by what each reads (see
     _Long): the lower bounds and F's head under plan.settled_second, once
     per long family and settled set, and the counts of a candidate under
     that and B - shared, once per long family, settled set and new
@@ -862,9 +803,9 @@ def _advance(
     v = ctx.v
     p_prime, q_prime = st.q, st.p
 
-    settled = seg.long.settled.get(plan.settled_second)
+    settled = long.settled.get(plan.settled_second)
     if settled is None:
-        settled = seg.long.settled[plan.settled_second] = _settled(ctx, seg, plan, s)
+        settled = long.settled[plan.settled_second] = _settled(ctx, long, plan, s)
     second_bounds, head = settled
     # Candidate-independent lower bound: the long members give the second
     # side at least their own disjoint count right of s_prev.
@@ -873,22 +814,22 @@ def _advance(
         return
 
     p_new, q_new = extend(
-        p_prime, q_prime, plan.F, _NO_MEMBERS, seg.long.fam, seg.s_prev, s, v,
+        p_prime, q_prime, plan.F, _NO_MEMBERS, long.fam, plan.s_prev, s, v,
         head, ctx.profiles, ctx.floor[s],
     )
 
-    vec = p_new.r + q_new.r
+    vec, shared = p_new.r + q_new.r, plan.side_key[0]
     for A, B in sides:
         bucket = stage.get(A)
         if bucket is not None and bucket.covers(vec):
             continue
-        key = (plan.settled_second, B - seg.shared)
-        counts = seg.long.counts.get(key)
+        key = (plan.settled_second, B - shared)
+        counts = long.counts.get(key)
         if counts is None:
-            counts = seg.long.counts[key] = _second_counts(ctx, seg, *key)
+            counts = long.counts[key] = _second_counts(ctx, long, plan, key[1])
         if not all(map(le, counts, second_room)):
             continue
-        if not _long_star_ok(ctx, seg, s, st.first_crossing | B):
+        if not _long_star_ok(ctx, long, plan, s, st.first_crossing | B):
             continue
         if bucket is None:
             bucket = stage[A] = _Bucket()
@@ -907,8 +848,9 @@ def _movers(
     Y.p.r entrywise; of states with equal p.r, the first in scan order
     moves.  This is the maxima-of-vectors filter (Kung, Luccio and
     Preparata, "On Finding the Maxima of a Set of Vectors", JACM 1975), run
-    as one scan that keeps an antichain: a state that a kept one covers is
-    dropped, and one that is kept evicts the kept ones it is <=.
+    as one scan that keeps an antichain of the vectors p.r in a _Bucket: a
+    state that a kept one covers is dropped, and one that is kept evicts
+    the kept ones it is <=.
 
     The lower bounds are the whole first-side check.  There the count of
     the split star check is b - s_prev for every candidate.  A new
@@ -939,49 +881,50 @@ def _movers(
     first to reach a kept key; solve re-verifies every witness read from
     them.
     """
-    movers: list[DPState] = []
+    movers = _Bucket()
     for st in states:
-        if _room(st.q, first_bounds, v) is None:
-            continue
-        r = st.p.r
-        if not any(all(map(le, kept.p.r, r)) for kept in movers):
-            movers = [kept for kept in movers if not all(map(le, r, kept.p.r))]
-            movers.append(st)
-    return movers
+        if _room(st.q, first_bounds, v) is not None and not movers.covers(st.p.r):
+            movers.add(st.p.r, st)
+    return movers.states
 
 
 def _cross(
     ctx: _Solve,
-    seg: _Segment,
+    s_prev: int,
+    long: _Long,
     s: int,
     preds: dict[frozenset[int], _Bucket],
     stage: dict[frozenset[int], _Bucket],
 ) -> None:
-    """Take the finished stage at seg.s_prev (see _finish) across seg into
-    stage, the stage at s: per bucket its plan, memoised in seg.bases, and
+    """Take the finished stage at s_prev (see _finish) across the segment
+    (s_prev, s], whose long members are long, into stage, the stage at s.
+    pool = crossing[s_prev] - crossing[s] settles at this hop.  Per bucket:
+    its plan, kept in the bucket's slot while pool stays (see _Bucket), and
     its side assignments, memoised in ctx.sides (which holds those of s
     alone), then _advance on each state that passes the first side's lower
     bounds.  A hop shorter than v + 1 reads q.r[1..v + 1 - (s - s_prev)]
     into p_new, and advances every such state; a longer one advances only
-    the movers (see _movers), each list built once per bucket and
-    first_bounds."""
-    v = ctx.v
+    the movers (see _movers), kept in the slot beside the plan.  They read
+    the states and first_bounds alone, so a new slot keeps them when
+    first_bounds stays."""
+    v, pool = ctx.v, ctx.crossing[s_prev] - ctx.crossing[s]
     for first_crossing, bucket in preds.items():
-        plan = seg.bases.get(first_crossing)
-        if plan is None:
-            plan = seg.bases[first_crossing] = _plan(ctx, seg, first_crossing)
+        slot = bucket.slot
+        if slot is None or slot[0] != pool:
+            plan = _plan(ctx, s_prev, pool, first_crossing)
+            same = slot is not None and slot[1].first_bounds == plan.first_bounds
+            slot = bucket.slot = (pool, plan, slot[2] if same else None)
+        _, plan, movers = slot
         sides = ctx.sides.get(plan.side_key)
         if sides is None:
             sides = ctx.sides[plan.side_key] = _side_assignments(ctx, s, *plan.side_key)
-        bounds = plan.first_bounds
-        if s - seg.s_prev > v:
-            movers = bucket.movers.get(bounds)
-            if movers is None:
-                movers = bucket.movers[bounds] = _movers(bucket.states, bounds, v)
-        else:
-            movers = [st for st in bucket.states if _room(st.q, bounds, v) is not None]
+        if s - s_prev <= v:
+            movers = [st for st in bucket.states if _room(st.q, plan.first_bounds, v) is not None]
+        elif movers is None:
+            movers = _movers(bucket.states, plan.first_bounds, v)
+            bucket.slot = (pool, plan, movers)
         for st in movers:
-            _advance(ctx, st, seg, plan, s, sides, stage)
+            _advance(ctx, st, long, plan, s, sides, stage)
 
 
 def _scan_key(st: DPState) -> tuple:
@@ -1038,10 +981,10 @@ def _far_vector(ctx: _Solve, s_prev: int, s: int) -> tuple[int, ...]:
     is covered in its bucket, and _advance drops it at its first test,
     touching no bucket: a kept vector is evicted only by one <= it, so a
     bucket covers a vector for the rest of the stage once it does (see
-    _Bucket).  _stages then skips the pair before it builds its record,
-    which leaves the stage, its keys and every back-pointer as they were.
-    The skipped record catches up later from the anchor it was last
-    brought to (see _segment).
+    _Bucket).  _stages then skips the pair before it brings its long
+    members to s, which leaves the stage, its keys and every back-pointer
+    as they were.  The skipped s_prev's long family catches up later from
+    the anchor it was last brought to (see _segment).
 
     Runs.  B reads s_prev only through start, the index in ctx.long_los of
     the least lo >= max(s_prev, s - 2L + 2), which never decreases with
@@ -1098,7 +1041,8 @@ def _far_vector(ctx: _Solve, s_prev: int, s: int) -> tuple[int, ...]:
     (2) and drops every other A at (2), before a bucket of it is made: it
     touches no bucket.  So once the stage holds a state, skipping every old
     pair leaves the stage, its keys and every back-pointer as they were,
-    and the records it passes over catch up later as above.
+    and the long families of the s_prev it passes over catch up later as
+    above.
     """
     v, ivs, floor, los = ctx.v, ctx.ivs, ctx.floor[s], ctx.long_los
     start = bisect_left(los, max(s_prev, s - 2 * ctx.longest + 2))
@@ -1141,7 +1085,7 @@ def _live_from(ctx: _Solve) -> list[int]:
       * The (s_prev, s) with s_prev < live_from[s] add no state: the long
         members of every successor's second side would center an overfull
         star among themselves.  _stages drops those s_prev for good and
-        builds no record for them, and _long_star_ok, which checks only the
+        crosses none of their hops, and _long_star_ok, which checks only the
         centers meeting an outside member, relies on that.
     """
     ivs, v, los = ctx.ivs, ctx.v, ctx.long_los
@@ -1197,16 +1141,17 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
     state_cap_exp = 2 * (v + 1)
     group_cap_bits = 2 * v * v + v
 
-    # (s_prev, its latest record, the anchor it was last brought to) for
-    # each live s_prev, in increasing order; an s_prev leaves for good once
-    # its segment dies (see _live_from), a prefix of grown, and its stage's
-    # buckets drop their movers then; one whose stage is empty never joins.
-    # The anchor is s - 1, or an earlier one when pairs were skipped (see
-    # _far_vector); _segment brings the record to s from either by the
+    # (s_prev, the _Long of its segment at after, after) for each live
+    # s_prev, in increasing order, with after the anchor it was last
+    # brought to; an s_prev leaves for good once its segment dies (see
+    # _live_from), a prefix of grown, and its stage's buckets drop their
+    # slots then; one whose stage is empty never joins.  after is s - 1,
+    # or an earlier one when pairs were skipped (see _far_vector);
+    # _segment brings the long family to s from either by the long
     # members arrived since.
-    grown: list[tuple[int, _Segment | None, int]] = []
-    s_prev_of = itemgetter(0)
     no_long = _Long((), _NO_MEMBERS)
+    grown: list[tuple[int, _Long, int]] = []
+    s_prev_of = itemgetter(0)
     # Hops at least old long are old, the bound of a clamped hop reads the
     # long members from lo >= s - reach on (see _far_vector), and buckets
     # of clamped hops read the side list under clamped_sides.
@@ -1216,14 +1161,14 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
     for s in range(1, ctx.m + 1):
         stage: dict[frozenset[int], _Bucket] = {}
         if stages[s - 1]:
-            grown.append((s - 1, None, s - 1))
+            grown.append((s - 1, no_long, s - 1))
         ctx.sides.clear()
         ctx.longs.clear()
         ctx.longs[()] = no_long
         dead = bisect_left(grown, ctx.live_from[s], key=s_prev_of)
         for s_prev, _, _ in grown[:dead]:
             for bucket in stages[s_prev].values():
-                bucket.movers.clear()
+                bucket.slot = None
         del grown[:dead]
         # A non-empty stage skips every s_prev <= skip_to, a run of grown:
         # the old ones, and with a clamped one whose bound it covers, every
@@ -1236,7 +1181,7 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
         skip_to, floor = s - old, ctx.floor[s]
         j, held = 0, -1
         while j < len(grown):
-            s_prev, before, after = grown[j]
+            s_prev, long, after = grown[j]
             if stage and skip_to < s_prev <= floor:
                 start = bisect_left(los, max(s_prev, s - reach))
                 if start != held:
@@ -1246,9 +1191,9 @@ def _stages(ctx: _Solve) -> list[dict[frozenset[int], _Bucket]]:
             if stage and s_prev <= skip_to:
                 j = bisect_right(grown, skip_to, j, key=s_prev_of)
                 continue
-            seg = _segment(ctx, s_prev, after, s, before)
-            grown[j] = (s_prev, seg, s)
-            _cross(ctx, seg, s, stages[s_prev], stage)
+            long = _segment(ctx, s_prev, after, s, long)
+            grown[j] = (s_prev, long, s)
+            _cross(ctx, s_prev, long, s, stages[s_prev], stage)
             j += 1
         count = sum(len(bucket.states) for bucket in stage.values())
         if count.bit_length() > group_cap_bits:

@@ -150,16 +150,24 @@ def second_crossing(crossing, st):
 
 
 def segment_builder(ctx):
-    """build(s_prev, s, before=None, after=None): the record of (s_prev, s]
-    in the solve ctx that _segment brings from before, the record of s_prev
-    at anchor after, or builds from nothing."""
+    """build(s_prev, s, long=None, after=None): the _Long of the segment
+    (s_prev, s] in the solve ctx that _segment brings from long, that of
+    (s_prev, after], or from the empty family, which ctx.longs holds under
+    () as in a solve."""
 
-    def build(s_prev, s, before=None, after=None):
-        assert (before is None) == (after is None)
-        after = s_prev if before is None else after
-        return _segment(ctx, s_prev, after, s, before)
+    def build(s_prev, s, long=None, after=None):
+        assert (long is None) == (after is None)
+        if long is None:
+            long, after = ctx.longs.setdefault((), solver._Long((), solver._NO_MEMBERS)), s_prev
+        return _segment(ctx, s_prev, after, s, long)
 
     return build
+
+
+def plan_of(ctx, s_prev, s, first_crossing=frozenset()):
+    """The plan of the hop (s_prev, s] in the solve ctx for the bucket with
+    this first_crossing, built afresh from its pool."""
+    return _plan(ctx, s_prev, ctx.crossing[s_prev] - ctx.crossing[s], first_crossing)
 
 
 def live_from(rep, v):
@@ -171,7 +179,7 @@ def hop(rep, v, st, s):
     step: the movers filter, which checks the first side's lower bounds,
     then the transition."""
     ctx, stage = _context(rep, v), {}
-    _cross(ctx, segment_builder(ctx)(st.s, s), s, preds_of(st), stage)
+    _cross(ctx, st.s, segment_builder(ctx)(st.s, s), s, preds_of(st), stage)
     # one predecessor gives one state per first side
     return {A: bucket.states[0] for A, bucket in stage.items()}
 
@@ -264,13 +272,13 @@ def test_check_transition_long_side_claw_violation(monkeypatch):
     # disjoint pair (0,2),(2,4) and all three have length > 1
     pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (2, 4), (0, 4)]
     rep = vertebrate_representation(fam(*pairs))
-    # the segment is dead, and solve never builds its record
+    # the segment is dead, and solve never brings a long family to it
     assert live_from(rep, 1)[4] > 0
     segment, built = solver._segment, []
 
-    def kept(ctx, s_prev, after, s, before=None):
+    def kept(ctx, s_prev, after, s, long):
         built.append((s_prev, s))
-        return segment(ctx, s_prev, after, s, before)
+        return segment(ctx, s_prev, after, s, long)
 
     monkeypatch.setattr(solver, "_segment", kept)
     solve(rep, 1)
@@ -289,10 +297,10 @@ def test_check_transition_star_completed_by_an_outside_member():
     x = rep.family.intervals.index(Interval(2, 4))
     assert live_from(rep, 1)[3] == 0
     ctx = _context(rep, 1)
-    seg = segment_builder(ctx)(0, 3)
-    long_fam = seg.long.fam
+    long = segment_builder(ctx)(0, 3)
+    long_fam = long.fam
     assert mid_relation(long_fam, long_fam, 1)
-    assert not solver._long_star_ok(ctx, seg, 3, frozenset({x}))
+    assert not solver._long_star_ok(ctx, long, plan_of(ctx, 0, 3), 3, frozenset({x}))
     assert not mid_relation(long_fam, IntervalFamily(long_fam.intervals + (Interval(2, 4),)), 1)
     # only the successor that puts (2,4) on the short side survives
     assert set(hop(rep, 1, base_state(1), 3)) == {frozenset({x})}
@@ -300,14 +308,15 @@ def test_check_transition_star_completed_by_an_outside_member():
 
 def test_grown_segments_match_a_fresh_build():
     # s_prev >= live_from[s] iff the long members of (s_prev, s) center no
-    # overfull star among themselves; a live record brought from any earlier
-    # record of its s_prev, the latest or one several anchors back (as after
-    # skipped old pairs), holds the members a fresh scan finds.  It is that
-    # record itself exactly when no member it reads arrived.  A record
-    # holds its context's one _Long of its long members, whatever its
-    # s_prev, and keeps its plans whenever only long members arrived
+    # overfull star among themselves; the _Long of a live segment brought
+    # from any earlier anchor of its s_prev, the latest or one several
+    # anchors back (as after skipped pairs), holds the members a fresh scan
+    # finds and is its context's one _Long of them.  It is the _Long it was
+    # brought from exactly when no long member arrived.  pool, the members
+    # of crossing[s_prev] that settle, only grows with s, so a bucket's one
+    # plan slot never sees a replaced pool again
     rng = random.Random(43)
-    dead_pairs = skipped = carried = kept_longs = kept_bases = 0
+    dead_pairs = skipped = carried = pools = 0
     for _ in range(150):
         v = rng.choice([1, 1, 2, 3])
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
@@ -316,8 +325,12 @@ def test_grown_segments_match_a_fresh_build():
         ctx = _context(rep, v)
         build, frontier = segment_builder(ctx), ctx.live_from
         for s_prev in range(rep.m):
-            records = []
+            longs, pool = [], frozenset()
             for s in range(s_prev + 1, rep.m + 1):
+                grown_pool = crossing[s_prev] - crossing[s]
+                assert pool <= grown_pool
+                pools += pool != grown_pool
+                pool = grown_pool
                 inside = [i for i, iv in enumerate(ivs) if iv.lo >= s_prev and iv.hi <= s]
                 long_idx = tuple(i for i in inside if ivs[i].length > v)
                 long_fam = IntervalFamily(tuple(ivs[i] for i in long_idx))
@@ -327,32 +340,20 @@ def test_grown_segments_match_a_fresh_build():
                     dead_pairs += 1
                     continue
                 fresh = build(s_prev, s)
-                grown = [build(s_prev, s, before, after) for before, after in records]
+                grown = [build(s_prev, s, long, after) for long, after in longs]
                 skipped += len(grown[:-1])
-                for seg in (fresh, *grown):
-                    assert seg.long is ctx.longs[long_idx]
-                    assert seg.long.idx == long_idx
-                    assert seg.long.fam.intervals == long_fam.intervals
-                    assert seg.shared == crossing[s_prev] & crossing[s]
-                    assert seg.pool == crossing[s_prev] - crossing[s]
-                for (before, _), seg in zip(records, grown):
-                    same_long = seg.long is before.long
-                    same_pool = seg.pool == before.pool
-                    assert (seg is before) == (same_long and same_pool)
-                    carried += seg is before
-                    if seg is before:
-                        continue
-                    assert (seg.bases is before.bases) == same_pool
-                    if not same_pool:
-                        assert seg.bases == {}
-                    kept_longs += same_long
-                    kept_bases += same_pool
-                records.append((grown[-1] if grown else fresh, s))
+                for long in (fresh, *grown):
+                    assert long is ctx.longs[long_idx]
+                    assert long.idx == long_idx
+                    assert long.fam.intervals == long_fam.intervals
+                for (before, _), long in zip(longs, grown):
+                    assert (long is before) == (before.idx == long_idx)
+                    carried += long is before
+                longs.append((grown[-1] if grown else fresh, s))
     assert dead_pairs > 20
     assert skipped > 1000
     assert carried > 1000
-    assert kept_longs > 100
-    assert kept_bases > 100
+    assert pools > 100
 
 
 def test_live_from_matches_mid_relation_where_the_windows_cut():
@@ -390,9 +391,9 @@ def test_advance_keeps_one_antichain_per_bucket():
     # one at 2
     rep = vertebrate_representation(fam((0, 1), (1, 2), (2, 3), (0, 3)))
     ctx = _context(rep, 1)
-    seg = segment_builder(ctx)(1, 2)
+    long = segment_builder(ctx)(1, 2)
     assert ctx.floor[2] == 0
-    plan = _plan(ctx, seg, frozenset())
+    plan = plan_of(ctx, 1, 2)
     sides = _side_assignments(ctx, 2, *plan.side_key)
     forced = frozenset({3})
     low, high = MonotonicSeq((1, -1, -1, -1), 1, 1), MonotonicSeq((1, 0, -1, -1), 1, 1)
@@ -403,7 +404,7 @@ def test_advance_keeps_one_antichain_per_bucket():
     def advance_all(order):
         stage = {}
         for st in order:
-            _advance(ctx, st, seg, plan, 2, sides, stage)
+            _advance(ctx, st, long, plan, 2, sides, stage)
         assert set(stage) == {forced}
         return stage[forced].states
 
@@ -454,15 +455,15 @@ def pass_first_bounds(states, first_bounds, v):
 
 
 def test_bucket_plans_match_fresh_records(monkeypatch):
-    # solve shares one grown record, and with it one plan per bucket and
-    # one _Long per long family, among all the states of a stage; a fresh
-    # record per state, in a fresh context, shares nothing.
+    # solve shares one plan per bucket and one _Long per long family among
+    # all the states of a stage; a fresh _Long and plan per state, in a
+    # fresh context, share nothing.
     # Every state that passes the first side's lower bounds crosses here,
     # so each plan serves all of those in its bucket (the movers filter is
     # tested on its own).  The clamp leaves few states per bucket at v <= 2
     # (4,070 advanced for 3,041 plans on the first 60 instances, when each
-    # record built its own plans; 1,582 plans now), so 60 larger ones at
-    # v = 3 follow: 25,488 advanced for 5,833 plans in all
+    # segment record built its own plans; 1,582 plans now), so 60 larger
+    # ones at v = 3 follow: 25,488 advanced for 5,833 plans in all
     monkeypatch.setattr(solver, "_movers", pass_first_bounds)
     make_plan = solver._plan
     plans = 0
@@ -497,12 +498,12 @@ def test_bucket_plans_match_fresh_records(monkeypatch):
         for hops, shared in walk_stages(ctx, []):
             fresh = {}
             for step in hops:
-                s_prev, s = step.seg.s_prev, step.s
+                s_prev, s = step.s_prev, step.s
                 for first_crossing, bucket in step.preds.items():
                     for st in bucket.states:
                         own_ctx = replace(fresh_ctx)
                         own = segment_builder(own_ctx)(s_prev, s)
-                        plan = _plan(own_ctx, own, first_crossing)
+                        plan = plan_of(own_ctx, s_prev, s, first_crossing)
                         if solver._room(st.q, plan.first_bounds, v) is None:
                             continue
                         sides = _side_assignments(own_ctx, s, *plan.side_key)
@@ -566,17 +567,15 @@ def test_new_first_side_members_meet_each_settled_window_b_minus_s_prev_times():
         rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
         ivs = rep.family.intervals
         crossing = crossings(rep)
-        ctx = _context(rep, v)
-        build, frontier = segment_builder(ctx), ctx.live_from
+        frontier = live_from(rep, v)
         for s_prev in range(rep.m):
             for s in range(s_prev + 1, rep.m + 1):
                 if s_prev < frontier[s]:
                     continue
-                seg = build(s_prev, s)
                 short = [
                     iv for iv in ivs if iv.lo >= s_prev and iv.hi <= s and iv.length <= v
                 ]
-                new = sorted(crossing[s] - seg.shared)
+                new = sorted(crossing[s] - crossing[s_prev])
                 for _ in range(3):
                     X = [ivs[i] for i in new if rng.random() < 0.5]
                     for b in range(s_prev + 1, s + 1):
@@ -609,10 +608,10 @@ def test_solve_greedy_calls_on_a_split_v2_shape(monkeypatch):
     assert 0 < calls <= 192
 
 
-# One hop of walk_stages: seg, the record of s_prev that _segment brought
-# from before (None when built from nothing), crossed into the anchor s,
-# with preds the finished stage at s_prev.
-Hop = namedtuple("Hop", "before seg s preds")
+# One hop of walk_stages out of s_prev into the anchor s: long, the _Long
+# of the segment that _segment brought from the anchor before, and preds,
+# the finished stage at s_prev, whose buckets hold the hop's plans.
+Hop = namedtuple("Hop", "s_prev long s preds")
 
 
 def walk_stages(ctx, stages):
@@ -631,15 +630,14 @@ def walk_stages(ctx, stages):
         ctx.longs[()] = no_long
         stage, hops = {}, []
         if stages[s - 1]:
-            grown[s - 1] = None
-        for s_prev, before in list(grown.items()):
+            grown[s - 1] = no_long
+        for s_prev, long in list(grown.items()):
             if s_prev < ctx.live_from[s]:
                 del grown[s_prev]
                 continue
-            after = s_prev if before is None else s - 1
-            seg = grown[s_prev] = _segment(ctx, s_prev, after, s, before)
-            hops.append(Hop(before, seg, s, stages[s_prev]))
-            _cross(ctx, seg, s, stages[s_prev], stage)
+            long = grown[s_prev] = _segment(ctx, s_prev, s - 1, s, long)
+            hops.append(Hop(s_prev, long, s, stages[s_prev]))
+            _cross(ctx, s_prev, long, s, stages[s_prev], stage)
         yield hops, stage
         stages.append(_finish(stage))
 
@@ -656,9 +654,9 @@ def walked_hops(ctx, stages=None):
 
 
 class ReadLog(dict):
-    """A memo that logs each hit in reads as (name, the s_prev of the
-    record that wrote the entry, the s_prev of the one that reads it);
-    reader() gives the s_prev of the record being crossed."""
+    """A memo that logs each hit in reads as (name, the s_prev of the hop
+    that wrote the entry, the s_prev of the one that reads it); reader()
+    gives the s_prev of the hop being crossed."""
 
     def __init__(self, name, reader, reads):
         super().__init__()
@@ -675,20 +673,20 @@ class ReadLog(dict):
 
 
 def test_carried_and_shared_caches_match_fresh_values(monkeypatch):
-    # every record with the same long members holds one _Long, so its memos
-    # are written and read by records of several s_prev and anchors.  Every
-    # entry, written by whichever record, is checked against a fresh
-    # computation at each record that holds it and can read it: for a
+    # every s_prev with the same long members holds one _Long, so its memos
+    # are written and read by hops out of several s_prev and into several
+    # anchors.  Every entry, written by whichever hop, is checked against a
+    # fresh computation at each hop that holds it and can read it: for a
     # settled entry, one whose pool holds the settled members of its key;
     # for counts, one whose new second-side members at s can also be the
     # key's B - shared
     cross, make_long = solver._cross, solver._Long
     visits, reads, crossing_now = [], [], [None]
 
-    def kept(ctx, seg, s, *rest):
-        crossing_now[0] = seg.s_prev
-        visits.append((ctx, seg, s))
-        return cross(ctx, seg, s, *rest)
+    def kept(ctx, s_prev, long, s, *rest):
+        crossing_now[0] = s_prev
+        visits.append((ctx, s_prev, long, s))
+        return cross(ctx, s_prev, long, s, *rest)
 
     def logged_long(idx, fam):
         # the memos in _Long's field order
@@ -711,11 +709,11 @@ def test_carried_and_shared_caches_match_fresh_values(monkeypatch):
         ivs = rep.family.intervals
         solve(rep, v)
         # ctx.v is the bound the DP ran at (see solve)
-        for ctx, seg, s in visits:
-            long, s_prev, v_dp = seg.long, seg.s_prev, ctx.v
-            new_at_s = ctx.crossing[s] - seg.shared
+        for ctx, s_prev, long, s in visits:
+            v_dp, pool = ctx.v, ctx.crossing[s_prev] - ctx.crossing[s]
+            new_at_s = ctx.crossing[s] - ctx.crossing[s_prev]
             for key, (bounds, head) in long.settled.items():
-                if set(key) <= seg.pool:
+                if set(key) <= pool:
                     F = IntervalFamily(tuple(ivs[i] for i in key))
                     assert head == fd_head(F, long.fam, s_prev, s, v_dp)
                     assert bounds == tuple(
@@ -723,7 +721,7 @@ def test_carried_and_shared_caches_match_fresh_values(monkeypatch):
                     )
                     checked["settled"] += 1
             for (key, new), counts in long.counts.items():
-                if set(key) <= seg.pool and new <= new_at_s:
+                if set(key) <= pool and new <= new_at_s:
                     members = [*long.fam, *(ivs[i] for i in new)]
                     assert counts == tuple(meeting(members, s_prev, ivs[i].hi) for i in key)
                     checked["counts"] += 1
@@ -737,40 +735,40 @@ def test_carried_and_shared_caches_match_fresh_values(monkeypatch):
     # for the head, made 44,741 checks
     assert sum(checked.values()) > 40000, checked
     assert checked["settled"] > 4000 and checked["counts"] > 6000, checked
-    # hits on entries that a record of another s_prev wrote: 10,288 settled,
-    # 7,393 counts and 7,693 star.  With the floors per right end b, the
-    # heads and the star checks memoised on _Long, and the counts per
-    # record, 2,588, 9,000 and 7,693
+    # hits on entries that a hop out of another s_prev wrote: 10,288
+    # settled, 7,393 counts and 7,693 star.  With the floors per right end
+    # b, the heads and the star checks memoised on _Long, and the counts
+    # per segment record, 2,588, 9,000 and 7,693
     across = Counter(name for name, writer, reader in reads if writer != reader)
     assert across["settled"] > 9000 and across["counts"] > 6000, across
     assert across["star"] > 6000, across
 
 
 def test_carried_plans_match_fresh_records(monkeypatch):
-    # a record builds each bucket's plan once and keeps it, and the next
-    # record keeps it too when only long members arrived; at every anchor
-    # it served, each plan it used is the one a record built there from
-    # nothing, in a fresh context, gives.  So are the entries of its _Long
-    # that the plan reads, whichever record and anchor wrote them: the
-    # settled entry of its settled_second, and the counts of every B -
-    # shared at that anchor
+    # a bucket builds its plan once per pool and keeps it across long
+    # arrivals; at every hop that read it, each plan is the one
+    # _plan(ctx, s_prev, pool, first_crossing) gives in a fresh context.
+    # So are the entries of the hop's _Long that the plan reads, whichever
+    # hop wrote them: the settled entry of its settled_second, and the
+    # counts of every B - shared at that anchor
     cross = solver._cross
     visits, last = [], {}
     hits = reused = 0
 
-    def kept(ctx, seg, s, preds, *rest):
+    def kept(ctx, s_prev, long, s, preds, *rest):
         nonlocal hits, reused
-        hits += sum(first_crossing in seg.bases for first_crossing in preds)
-        visits.append((ctx, seg, s, list(preds)))
-        cross(ctx, seg, s, preds, *rest)
-        before = last.get(seg.s_prev)
-        if before is not None and before is not seg and before.pool == seg.pool:
-            assert seg.long is not before.long
-            for first_crossing in preds:
-                if first_crossing in before.bases:
-                    assert seg.bases[first_crossing] is before.bases[first_crossing]
+        pool = ctx.crossing[s_prev] - ctx.crossing[s]
+        held = {A: bucket.slot for A, bucket in preds.items()}
+        hits += sum(slot is not None and slot[0] == pool for slot in held.values())
+        cross(ctx, s_prev, long, s, preds, *rest)
+        visits.append((ctx, s_prev, long, s, [(A, b.slot[1]) for A, b in preds.items()]))
+        before = last.get(s_prev)
+        if before is not None and before is not long:
+            for A, slot in held.items():
+                if slot is not None and slot[0] == pool:
+                    assert preds[A].slot[1] is slot[1]
                     reused += 1
-        last[seg.s_prev] = seg
+        last[s_prev] = long
 
     monkeypatch.setattr(solver, "_cross", kept)
     rng = random.Random(61)
@@ -782,32 +780,34 @@ def test_carried_plans_match_fresh_records(monkeypatch):
         else:
             rep = vertebrate_representation(random_rep(rng, m_max=10, n_max=24))
         solve(rep, v)
-        for ctx, seg, s, first_crossings in visits:
+        for ctx, s_prev, long, s, used in visits:
             own_ctx = replace(ctx)
-            own = segment_builder(own_ctx)(seg.s_prev, s)
-            new_at_s = ctx.crossing[s] - seg.shared
-            for first_crossing in first_crossings:
-                plan, fresh = seg.bases[first_crossing], _plan(own_ctx, own, first_crossing)
+            own = segment_builder(own_ctx)(s_prev, s)
+            assert own.idx == long.idx
+            new_at_s = ctx.crossing[s] - ctx.crossing[s_prev]
+            for first_crossing, plan in used:
+                fresh = plan_of(own_ctx, s_prev, s, first_crossing)
+                assert plan.s_prev == fresh.s_prev == s_prev
                 assert plan.settled_second == fresh.settled_second
                 assert plan.first_bounds == fresh.first_bounds
                 assert plan.F.intervals == fresh.F.intervals
                 assert plan.side_key == fresh.side_key
                 plans += 1
                 key = plan.settled_second
-                entry = seg.long.settled.get(key)
+                entry = long.settled.get(key)
                 if entry is not None:
                     assert entry == solver._settled(own_ctx, own, fresh, s)
                     settled += 1
-                for (got_key, new), got in seg.long.counts.items():
+                for (got_key, new), got in long.counts.items():
                     if got_key == key and new <= new_at_s:
-                        assert got == solver._second_counts(own_ctx, own, key, new)
+                        assert got == solver._second_counts(own_ctx, own, fresh, new)
                         counts += 1
         visits.clear()
         last.clear()
     # 5,112 of the 11,528 plans used on the first 120 solves were built at
-    # an earlier anchor, by a record carried from there, before clamped
-    # pairs were skipped by their bound; that skip leaves 2,524 of 6,361
-    # there.  Before the far-pair skip, the first 60 solves alone used
+    # an earlier anchor, by a segment record carried from there, before
+    # clamped pairs were skipped by their bound; that skip leaves 2,524 of
+    # 6,361 there.  Before the far-pair skip, the first 60 solves alone used
     # 8,893 plans, 4,604 of them carried; that skip left 2,973 carried ones.
     # On all 220 solves, 6,400 of the 12,661 plans used were built earlier;
     # 4,767 when a record rebuilt the part of each plan that reads the long
@@ -821,14 +821,14 @@ def test_carried_plans_match_fresh_records(monkeypatch):
 
 def test_anchor_side_lists_match_a_fresh_enumeration(monkeypatch):
     # the side assignments each advanced state reads from the context's
-    # memo are those of a fresh context and record for its bucket
+    # memo are those of a fresh context for its bucket and hop
     advance, enumerate_sides = solver._advance, solver._side_assignments
     made = []
     enumerated = 0
 
-    def kept(ctx, st, seg, plan, s, sides, *rest):
-        made.append((st.first_crossing, seg.s_prev, s, sides))
-        return advance(ctx, st, seg, plan, s, sides, *rest)
+    def kept(ctx, st, long, plan, s, sides, *rest):
+        made.append((st.first_crossing, plan.s_prev, s, sides))
+        return advance(ctx, st, long, plan, s, sides, *rest)
 
     def counted(*args):
         nonlocal enumerated
@@ -845,14 +845,12 @@ def test_anchor_side_lists_match_a_fresh_enumeration(monkeypatch):
         for _ in walked_hops(_context(rep, v)):
             pass
         fresh_ctx = _context(rep, v)
-        build = segment_builder(fresh_ctx)
         for first_crossing, s_prev, s, sides in made:
-            fresh = build(s_prev, s)
-            shared_first = fresh.shared - first_crossing
-            assert sides == enumerate_sides(fresh_ctx, s, fresh.shared, shared_first)
+            shared = fresh_ctx.crossing[s_prev] & fresh_ctx.crossing[s]
+            assert sides == enumerate_sides(fresh_ctx, s, shared, shared - first_crossing)
             lookups += 1
         made.clear()
-    # most lookups reuse a side list another record at their anchor built
+    # most lookups reuse a side list another hop into their anchor built
     assert lookups > 2 * enumerated > 0
 
 
@@ -900,12 +898,12 @@ def successor_sets(ctx, shortest):
     in the solve ctx, and (states advanced, states that added some)."""
     crossing = ctx.crossing
     sets, advanced, adding = {}, 0, 0
-    for _, seg, s, preds in walked_hops(ctx):
-        if s - seg.s_prev < shortest:
+    for s_prev, long, s, preds in walked_hops(ctx):
+        if s - s_prev < shortest:
             continue
         for X in states_of(preds):
             alone = {}
-            _cross(ctx, seg, s, preds_of(X), alone)
+            _cross(ctx, s_prev, long, s, preds_of(X), alone)
             keys = frozenset(
                 (st.p.r, st.q.r, st.first_crossing, second_crossing(crossing, st))
                 for bucket in alone.values() for st in bucket.states
@@ -990,11 +988,11 @@ def test_far_pairs_add_only_the_far_vector(monkeypatch):
         far = far_of["far"] = max(2 * ctx.longest - 2, ctx.v + 1)
         stages = []
         for hop_ in walked_hops(ctx, stages):
-            if hop_.s - hop_.seg.s_prev >= far:
-                assert hop_.seg.shared == frozenset()
+            if hop_.s - hop_.s_prev >= far:
+                assert ctx.crossing[hop_.s_prev] & ctx.crossing[hop_.s] == frozenset()
                 assert all(
-                    plan.side_key == (frozenset(), frozenset())
-                    for plan in hop_.seg.bases.values()
+                    bucket.slot[1].side_key == (frozenset(), frozenset())
+                    for bucket in hop_.preds.values()
                 )
                 far_hops += 1
         no += not stages[-1]
@@ -1051,12 +1049,12 @@ def test_clamped_pairs_build_no_successor_below_their_bound(monkeypatch):
         ctx = walk["ctx"] = _context(rep, v)
         stages = []
         for hop_ in walked_hops(ctx, stages):
-            s_prev, s = hop_.seg.s_prev, hop_.s
+            s_prev, s = hop_.s_prev, hop_.s
             if s_prev <= ctx.floor[s]:
-                assert hop_.seg.shared == frozenset()
+                assert ctx.crossing[s_prev] & ctx.crossing[s] == frozenset()
                 assert all(
-                    plan.side_key == (frozenset(), frozenset())
-                    for plan in hop_.seg.bases.values()
+                    bucket.slot[1].side_key == (frozenset(), frozenset())
+                    for bucket in hop_.preds.values()
                 )
                 pairs[skip_kind(ctx, s_prev, s)] += 1
         no += not stages[-1]
@@ -1077,9 +1075,9 @@ def test_solve_skips_far_pairs_on_the_split_v2_shape(monkeypatch):
     cross = solver._cross
     crossed = set()
 
-    def kept(ctx, seg, s, *rest):
-        crossed.add((seg.s_prev, s))
-        return cross(ctx, seg, s, *rest)
+    def kept(ctx, s_prev, long, s, *rest):
+        crossed.add((s_prev, s))
+        return cross(ctx, s_prev, long, s, *rest)
 
     monkeypatch.setattr(solver, "_cross", kept)
     skipped = Counter()
@@ -1090,7 +1088,7 @@ def test_solve_skips_far_pairs_on_the_split_v2_shape(monkeypatch):
         solve(rep, 2)
         ctx = _context(rep, 2)
         for hop_ in walked_hops(ctx):
-            s_prev, s = hop_.seg.s_prev, hop_.s
+            s_prev, s = hop_.s_prev, hop_.s
             if (s_prev, s) not in crossed:
                 assert s - s_prev >= old_hop(ctx) or s_prev <= ctx.floor[s]
                 skipped[skip_kind(ctx, s_prev, s)] += 1
@@ -1142,9 +1140,9 @@ def test_second_counts_are_computed_once_per_long_family_and_key(monkeypatch):
     second_counts = solver._second_counts
     computed = []
 
-    def logged(ctx, seg, settled_second, new):
-        computed.append((seg.long.idx, settled_second, new))
-        return second_counts(ctx, seg, settled_second, new)
+    def logged(ctx, long, plan, new):
+        computed.append((long.idx, plan.settled_second, new))
+        return second_counts(ctx, long, plan, new)
 
     monkeypatch.setattr(solver, "_second_counts", logged)
     total, solves = Counter(), Counter()
@@ -1190,9 +1188,9 @@ def test_solve_stages_match_the_unskipped_walk(monkeypatch):
         solved.append((ctx, stages(ctx)))
         return solved[-1][1]
 
-    def logged(ctx, seg, s, *rest):
-        crossed.add((seg.s_prev, s))
-        return cross(ctx, seg, s, *rest)
+    def logged(ctx, s_prev, long, s, *rest):
+        crossed.add((s_prev, s))
+        return cross(ctx, s_prev, long, s, *rest)
 
     monkeypatch.setattr(solver, "_stages", kept_stages)
     monkeypatch.setattr(solver, "_cross", logged)
@@ -1214,7 +1212,7 @@ def test_solve_stages_match_the_unskipped_walk(monkeypatch):
         ctx, got = solved[-1]
         walk = []
         for hop_ in walked_hops(_context(rep, ctx.v), walk):
-            s_prev, s = hop_.seg.s_prev, hop_.s
+            s_prev, s = hop_.s_prev, hop_.s
             walked[v] += 1
             if (s_prev, s) not in crossed:
                 # a pair solve skipped is old or clamped
@@ -1299,15 +1297,15 @@ def test_long_star_check_matches_mid_relation_on_live_records():
         build, frontier = segment_builder(ctx), ctx.live_from
         for s in range(1, rep.m + 1):
             for s_prev in range(frontier[s], s):
-                seg = build(s_prev, s)
+                long, plan = build(s_prev, s), plan_of(ctx, s_prev, s)
                 near = sorted(crossing[s_prev] | crossing[s])
                 for _ in range(3):
                     outside = frozenset(i for i in near if rng.random() < 0.5)
                     visible = IntervalFamily(
-                        tuple(ivs[i] for i in sorted(outside.union(seg.long.idx)))
+                        tuple(ivs[i] for i in sorted(outside.union(long.idx)))
                     )
-                    want = mid_relation(seg.long.fam, visible, v)
-                    assert solver._long_star_ok(ctx, seg, s, outside) == want
+                    want = mid_relation(long.fam, visible, v)
+                    assert solver._long_star_ok(ctx, long, plan, s, outside) == want
                     checked += 1
                     rejected += not want
     assert checked > 10000
@@ -1352,10 +1350,9 @@ def test_short_hops_advance_every_state_that_passes_the_first_side_bounds(monkey
     def advanced(s):
         ctx = _context(rep, 1)
         assert ctx.crossing[3] == {x}
-        seg = segment_builder(ctx)(3, s)
-        assert seg.pool == {x}
+        assert ctx.crossing[3] - ctx.crossing[s] == {x}
         moved.clear()
-        _cross(ctx, seg, s, {frozenset(): _Bucket(states=[A, B, C])}, {})
+        _cross(ctx, 3, segment_builder(ctx)(3, s), s, {frozenset(): _Bucket(states=[A, B, C])}, {})
         return moved
 
     # the hop into 4 is shorter than v + 1 and reads q.r[1] into p_new:
@@ -1427,74 +1424,69 @@ def test_solve_v1_m400_skips_old_pairs(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "m, density, seed, v, states, plans, records",
+    "m, density, seed, v, states, plans, longs",
     [
         # building every record and plan afresh at each anchor made 9,342
-        # plans and 6,235 records on this instance; before the far-pair
-        # skip, the solve built 1,834 plans and 1,196 records, 1,257 and
-        # 746 before old hops were decided by their length alone, and
-        # 1,213 and 716 before clamped pairs were skipped by their bound.
-        # When each record built its own plan per bucket, keeping only the
-        # part that reads no long member across a long arrival, it built
-        # 627 plans
-        (400, 0.3, 1, 1, 619, 166, 245),
+        # plans and 6,235 segment records on this instance; before the
+        # far-pair skip, the solve built 1,834 plans and 1,196 records,
+        # 1,257 and 746 before old hops were decided by their length
+        # alone, and 1,213 and 716 before clamped pairs were skipped by
+        # their bound.  When each record built its own plan per bucket,
+        # keeping only the part that reads no long member across a long
+        # arrival, it built 627 plans.  The last solve with records crossed
+        # 245 of them
+        (400, 0.3, 1, 1, 619, 166, 138),
         # and 1,391 plans and 431 records on this one; 886 and 267 before
-        # the far-pair skip, 333 and 103 before the clamped-pair skip, and
-        # 206 plans with a plan per record
-        (40, 2.0, 6, 2, 232, 185, 62),
+        # the far-pair skip, 333 and 103 before the clamped-pair skip, 206
+        # plans with a plan per record, and 62 records crossed at the last
+        (40, 2.0, 6, 2, 232, 185, 22),
     ],
     ids=["v1-m400-sparse", "v2-m40-dense"],
 )
-def test_solve_plans_and_records_built(monkeypatch, m, density, seed, v, states, plans, records):
-    # a plan is built once per bucket until a member of crossing[s_prev]
-    # ends, and a record once per arrival of a member it reads; records
-    # counts the distinct records _cross took states across
-    make_plan, cross = solver._plan, solver._cross
-    built, crossed = [], {}
+def test_solve_plans_and_records_built(monkeypatch, m, density, seed, v, states, plans, longs):
+    # a bucket builds its plan once per pool, that is once until a member
+    # of crossing[s_prev] ends, and a _Long is built once per long family
+    # and anchor at which some s_prev takes it (the empty one once per
+    # solve)
+    made = {"_plan": 0, "_Long": 0}
+    for name in made:
+        def counted(*args, _name=name, _fn=getattr(solver, name)):
+            made[_name] += 1
+            return _fn(*args)
 
-    def counted(*args):
-        built.append(None)
-        return make_plan(*args)
-
-    def kept(ctx, seg, *rest):
-        crossed[id(seg)] = seg
-        return cross(ctx, seg, *rest)
-
-    monkeypatch.setattr(solver, "_plan", counted)
-    monkeypatch.setattr(solver, "_cross", kept)
+        monkeypatch.setattr(solver, name, counted)
     S = generate(GeneratorSpec("vertebrate", m=m, density=density, max_len=3, seed=seed))
     res = solve(vertebrate_representation(S), v)
     assert res.feasible
     assert sum(res.stage_state_counts) == states
-    assert len(built) == plans
-    assert len(crossed) == records
+    assert made == {"_plan": plans, "_Long": longs}
 
 
 def test_every_record_stages_builds_is_live(monkeypatch):
-    # deciding liveness inside _segment returned None for 260 of the
+    # every long family that _stages carries in grown is live.  Deciding
+    # liveness inside _segment returned None for 260 of the segment
     # records asked for on the m = 400 instance; the frontier asks for none
     # of them.  The clamped-pair skip left 966 records asked for there, and
     # 1,467 on the m = 440 one
     segment = solver._segment
-    records = []
+    longs = []
 
-    def kept(*args, **kwargs):
-        records.append(segment(*args, **kwargs))
-        return records[-1]
+    def kept(*args):
+        longs.append(segment(*args))
+        return longs[-1]
 
     monkeypatch.setattr(solver, "_segment", kept)
     for m in (400, 440):
         S = generate(GeneratorSpec("vertebrate", m=m, density=0.3, max_len=3, seed=1))
         assert solve(vertebrate_representation(S), 1).feasible
-    assert len(records) > 1000
-    assert all(seg is not None for seg in records)
-    families = {seg.long.idx: seg.long.fam for seg in records}
+    assert len(longs) > 1000
+    families = {long.idx: long.fam for long in longs}
     assert all(mid_relation(fam, fam, 1) for fam in families.values())
 
 
 def test_solve_mid_relation_calls_on_a_dense_v2_instance(monkeypatch):
     # every mid_relation call of the solve: one per check of _live_from
-    # where long members arrive, and one per miss of a record's star-check
+    # where long members arrive, and one per miss of a _Long's star-check
     # memo that meets a long member (see solver._star_free), 81 in all here.
     # Rechecking each grown record's long family whenever long members
     # arrived once made 745
@@ -1599,9 +1591,10 @@ def test_solve_fd_head_calls_below_the_per_segment_count(monkeypatch):
 
 
 def test_solve_computes_each_fd_head_once(monkeypatch):
-    # every record with the same long members reads one head memo, so a
+    # every s_prev with the same long members reads one head memo, so a
     # solve calls fd_head at most once per distinct (F, long members), that
-    # is per (settled_second, long_idx).  With a head memo per record, each
+    # is per (settled_second, long_idx).  With a head memo per segment
+    # record, each
     # of these solves repeated some (F, D): on the m = 20, v = 2 one 409
     # calls were made for 344 distinct inputs.  The far-pair skip leaves
     # 106 of those 344 inputs read, and the clamped-pair skip 54
